@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test coverage lint check check-warm ratchet-update docs bench bench-pipeline bench-xlarge bench-serve bench-stream bench-temporal report data clean
+.PHONY: install test coverage lint check check-warm ratchet-update docs bench bench-e2e bench-pipeline bench-xlarge bench-serve bench-stream bench-temporal report data clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
@@ -38,6 +38,19 @@ docs:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# End-to-end bench (bench/run.py, dumps on disk to a served answer) on
+# the small world, once per workload.  Gates on the run's "correct"
+# verdict (every answer and digest checked), not its exit code: on the
+# small world a busy host can leave a phase client-bound, which run.py
+# flags as an invalid measurement but which says nothing about answers.
+bench-e2e:
+	for workload in lookup-zipf lookup-uniform lookup-churn; do \
+		$(PYTHON) bench/run.py --workload $$workload --seed 1 --quick \
+			| tee /dev/stderr | tail -n 1 | $(PYTHON) -c \
+			"import json, sys; sys.exit(not json.load(sys.stdin)['correct'])" \
+			|| exit 1; \
+	done
 
 bench-pipeline:
 	PYTHONPATH=src $(PYTHON) -m repro.cli bench --out BENCH_pipeline.json

@@ -1,7 +1,7 @@
 """Engineering micro-benches for the hot substrate paths.
 
 These document the throughput of the primitives the pipeline leans on:
-radix-trie construction and lookups, range→CIDR decomposition, RPSL
+prefix-map construction and lookups, range→CIDR decomposition, RPSL
 parsing, and Gao-Rexford propagation.
 """
 

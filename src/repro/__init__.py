@@ -4,7 +4,7 @@ the Wild" (Du, Fontugne, Testart, Snoeren, claffy — IMC 2024).
 The package implements the paper's lease-inference methodology and every
 substrate it consumes:
 
-* :mod:`repro.net` — IPv4 primitives (prefixes, ranges, radix trie),
+* :mod:`repro.net` — IPv4 primitives (prefixes, ranges, prefix map),
 * :mod:`repro.whois` — per-RIR WHOIS formats and indexed databases,
 * :mod:`repro.bgp` — routing tables, table dumps, topology, propagation,
 * :mod:`repro.asdata` — AS relationships, AS2org, hijacker lists,

@@ -52,9 +52,9 @@ class RoutingTable:
 
     def __init__(self) -> None:
         self._trie: PrefixTrie[Set[int]] = PrefixTrie()
-        # Native hash index over the same origin sets the trie stores;
-        # exact-match lookups (one per allocation-tree leaf) skip the
-        # per-bit trie walk entirely.
+        # Prefix-keyed index over the same origin sets the prefix map
+        # stores: ``exact_index`` hands it out read-only, and exact-match
+        # lookups (one per allocation-tree leaf) read it directly.
         self._exact: Dict[Prefix, Set[int]] = {}
         self._origin_prefixes: Dict[int, Set[Prefix]] = defaultdict(set)
         self._entry_count = 0
@@ -118,7 +118,7 @@ class RoutingTable:
         """Read-only live view of the exact prefix → origins index.
 
         Hot paths (the sharded classifier) use this to resolve leaf
-        origins with one dict probe instead of a trie walk.
+        origins with one dict probe, without a frozenset copy per call.
         """
         return MappingProxyType(self._exact)
 

@@ -158,9 +158,9 @@ class AllocationScan:
     role with an enclosing-interval stack: a node is a leaf iff the next
     node in sort order starts past its last address, and its root is the
     bottom of the stack of enclosing prefixes.  This produces the exact
-    leaf list (same order, same roots) as the per-bit trie in
-    :class:`AllocationTree` without paying one trie insert plus one
-    covering walk per prefix — the dominant cost of a census-scale run.
+    leaf list (same order, same roots) as the prefix map in
+    :class:`AllocationTree` without paying one map insert plus one
+    covering lookup per prefix — the dominant cost of a census-scale run.
 
     Only role resolution lives here; point queries (``record_at``,
     ``chain``) stay on :class:`AllocationTree`.

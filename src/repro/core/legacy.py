@@ -76,7 +76,7 @@ def infer_legacy_leases(
 ) -> List[LegacyInference]:
     """Classify every registered legacy block across all registries.
 
-    This is the **frozen reference engine** (per-bit trie, per-block
+    This is the **frozen reference engine** (prefix-map parents, per-block
     oracle queries).  :class:`LegacyLeasePipeline` runs the same
     classification from the shared :class:`AnalysisContext`, serially or
     sharded, with bit-identical output; this function is the executable
@@ -367,7 +367,7 @@ class LegacyLeasePipeline:
         return results
 
     def run_reference(self) -> List[LegacyInference]:
-        """The frozen per-bit-trie engine (executable specification)."""
+        """The frozen prefix-map engine (executable specification)."""
         return infer_legacy_leases(
             self.whois, self.routing_table, self.oracle, self.max_leaf_length
         )

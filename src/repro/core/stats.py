@@ -5,14 +5,17 @@ The paper reports point estimates ("five times more likely"); with a
 1/50-scale substrate, absolute counts are small enough that interval
 estimates matter, so the abuse benches report bootstrap CIs alongside
 the ratios.
+
+numpy is imported inside the two bootstrap functions, not at module
+level: nothing on the serve path calls them, and every process that
+imports :mod:`repro.core` would otherwise pay numpy's import time and
+memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Tuple
-
-import numpy as np
 
 __all__ = ["BootstrapCI", "share_ci", "risk_ratio_ci"]
 
@@ -49,6 +52,8 @@ def share_ci(
         raise ValueError("total must be positive")
     if not 0 <= successes <= total:
         raise ValueError("successes out of range")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     draws = rng.binomial(total, successes / total, size=resamples) / total
     alpha = (1.0 - confidence) / 2.0
@@ -86,6 +91,8 @@ def risk_ratio_ci(
             raise ValueError("successes out of range")
     if control_successes == 0:
         raise ValueError("control share is zero; ratio undefined")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     exposed = (
         rng.binomial(

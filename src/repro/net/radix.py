@@ -1,4 +1,4 @@
-"""A binary radix trie over IPv4 prefixes.
+"""A map from IPv4 prefixes to values, with covering lookups.
 
 Supports the lookups the paper's inference needs:
 
@@ -7,13 +7,15 @@ Supports the lookups the paper's inference needs:
 * longest-prefix match (general routing-table semantics),
 * enumeration of stored roots / leaves (allocation tree, §5.1 step 2).
 
-The trie maps each stored :class:`~repro.net.ipaddr.Prefix` to an arbitrary
-value; inserting the same prefix twice replaces the value.
+:class:`PrefixTrie` maps each stored :class:`~repro.net.ipaddr.Prefix`
+to an arbitrary value; inserting the same prefix twice replaces the
+value.  It and the flat sorted-array helpers below share one key
+packing, ``network << 8 | length``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from typing import (
     Dict,
     Generic,
@@ -25,7 +27,7 @@ from typing import (
     TypeVar,
 )
 
-from .ipaddr import Prefix
+from .ipaddr import MAX_IPV4, Prefix
 
 __all__ = [
     "PrefixTrie",
@@ -40,112 +42,82 @@ __all__ = [
 
 V = TypeVar("V")
 
-
-class _Node(Generic[V]):
-    """One bit-level trie node; ``prefix`` is set only on stored entries."""
-
-    __slots__ = ("children", "prefix", "value")
-
-    def __init__(self) -> None:
-        self.children: List[Optional["_Node[V]"]] = [None, None]
-        self.prefix: Optional[Prefix] = None
-        self.value: Optional[V] = None
+#: ``_MASKS[L]`` is the 32-bit netmask of a /L prefix.
+_MASKS = tuple((MAX_IPV4 << (32 - length)) & MAX_IPV4 for length in range(33))
 
 
-def _bit(network: int, depth: int) -> int:
-    """The *depth*-th most significant bit of a 32-bit network address."""
-    return (network >> (31 - depth)) & 1
+def _subtree_end(key: int) -> int:
+    """The first packed key past *key*'s subtree (see ``flat_covered_range``)."""
+    return ((key >> 8) + (1 << (32 - (key & _KEY_LENGTH_MASK)))) << 8
 
 
 class PrefixTrie(Generic[V]):
-    """Mutable mapping from IPv4 prefixes to values with covering lookups."""
+    """Mutable mapping from IPv4 prefixes to values with covering lookups.
+
+    Entries live in one dict keyed by the packed prefix (``network << 8 |
+    length``, see :func:`pack_prefix`); a sorted list of the stored
+    lengths turns every covering lookup into one dict probe per length:
+    CIDR prefixes nest or are disjoint, so each cover of ``p`` is its
+    truncation to some stored length.  Ordered views read a sorted key
+    list, built on first use and dropped by any insert of a new prefix
+    or removal.  Packed-key order is ``Prefix`` order, in which every
+    prefix precedes its more-specifics (a pre-order of the prefix tree).
+    """
 
     def __init__(self) -> None:
-        self._root: _Node[V] = _Node()
-        self._size = 0
+        self._entries: Dict[int, Tuple[Prefix, V]] = {}
+        #: Ascending stored lengths, and how many entries have each.
+        self._lengths: List[int] = []
+        self._length_counts = [0] * 33
+        self._sorted_keys: Optional[List[int]] = None
 
     # -- mutation ----------------------------------------------------------
     def insert(self, prefix: Prefix, value: V) -> None:
         """Store *value* under *prefix*, replacing any previous value."""
-        node = self._root
-        for depth in range(prefix.length):
-            branch = _bit(prefix.network, depth)
-            child = node.children[branch]
-            if child is None:
-                child = _Node()
-                node.children[branch] = child
-            node = child
-        if node.prefix is None:
-            self._size += 1
-        node.prefix = prefix
-        node.value = value
+        length = prefix.length
+        key = (prefix.network << 8) | length
+        entries = self._entries
+        if key not in entries:
+            self._sorted_keys = None
+            self._length_counts[length] += 1
+            if self._length_counts[length] == 1:
+                insort(self._lengths, length)
+        entries[key] = (prefix, value)
 
     def remove(self, prefix: Prefix) -> bool:
         """Delete *prefix*; returns False when it was not stored.
 
-        Removal keeps every lookup exact: a removed interior entry no
-        longer appears in ``covering``/``longest_match`` chains (its
-        stored descendants are answered through it transparently), and
-        childless branches left behind are pruned so that repeated
-        insert/remove cycles — a hot-reload diffing snapshots — cannot
-        grow the trie without bound.
+        Removal leaves no trace: a removed interior entry drops out of
+        ``covering``/``longest_match`` chains while its stored
+        descendants stay reachable, and a length whose last entry goes
+        leaves the probe list, so repeated insert/remove cycles — a
+        hot-reload diffing snapshots — return the map to its old size.
         """
-        path: List[Tuple[_Node[V], int]] = []
-        node = self._root
-        for depth in range(prefix.length):
-            branch = _bit(prefix.network, depth)
-            child = node.children[branch]
-            if child is None:
-                return False
-            path.append((node, branch))
-            node = child
-        if node.prefix is None:
+        length = prefix.length
+        if self._entries.pop((prefix.network << 8) | length, None) is None:
             return False
-        node.prefix = None
-        node.value = None
-        self._size -= 1
-        # Prune the now-useless tail: walk back towards the root, cutting
-        # nodes that hold no entry and no children.
-        for parent, branch in reversed(path):
-            child = parent.children[branch]
-            if child is not None and (
-                child.prefix is not None
-                or any(grand is not None for grand in child.children)
-            ):
-                break
-            parent.children[branch] = None
+        self._sorted_keys = None
+        self._length_counts[length] -= 1
+        if not self._length_counts[length]:
+            self._lengths.remove(length)
         return True
 
     # -- basic queries -------------------------------------------------------
     def __len__(self) -> int:
-        return self._size
+        return len(self._entries)
 
     def __contains__(self, prefix: Prefix) -> bool:
-        node = self._find_node(prefix)
-        return node is not None and node.prefix is not None
-
-    def _find_node(self, prefix: Prefix) -> Optional[_Node[V]]:
-        node = self._root
-        for depth in range(prefix.length):
-            child = node.children[_bit(prefix.network, depth)]
-            if child is None:
-                return None
-            node = child
-        return node
+        return ((prefix.network << 8) | prefix.length) in self._entries
 
     def exact(self, prefix: Prefix) -> Optional[V]:
         """The value stored at exactly *prefix*, or None."""
-        node = self._find_node(prefix)
-        if node is None or node.prefix is None:
-            return None
-        return node.value
+        entry = self._entries.get((prefix.network << 8) | prefix.length)
+        return None if entry is None else entry[1]
 
     def get(self, prefix: Prefix, default: Optional[V] = None) -> Optional[V]:
         """Dict-style exact lookup with a default."""
-        node = self._find_node(prefix)
-        if node is None or node.prefix is None:
-            return default
-        return node.value
+        entry = self._entries.get((prefix.network << 8) | prefix.length)
+        return default if entry is None else entry[1]
 
     # -- covering lookups ------------------------------------------------------
     def covering(self, prefix: Prefix) -> List[Tuple[Prefix, V]]:
@@ -153,23 +125,31 @@ class PrefixTrie(Generic[V]):
 
         A stored prefix equal to *prefix* is included.
         """
+        network, entries = prefix.network, self._entries
         found: List[Tuple[Prefix, V]] = []
-        node = self._root
-        if node.prefix is not None:
-            found.append((node.prefix, node.value))  # type: ignore[arg-type]
-        for depth in range(prefix.length):
-            child = node.children[_bit(prefix.network, depth)]
-            if child is None:
-                return found
-            node = child
-            if node.prefix is not None:
-                found.append((node.prefix, node.value))  # type: ignore[arg-type]
+        for length in self._lengths:
+            if length > prefix.length:
+                break
+            entry = entries.get(((network & _MASKS[length]) << 8) | length)
+            if entry is not None:
+                found.append(entry)
         return found
+
+    def _probe_down(
+        self, prefix: Prefix, below: int
+    ) -> Optional[Tuple[Prefix, V]]:
+        """The most-specific stored cover of *prefix* shorter than *below*."""
+        network, entries = prefix.network, self._entries
+        for length in reversed(self._lengths):
+            if length < below:
+                entry = entries.get(((network & _MASKS[length]) << 8) | length)
+                if entry is not None:
+                    return entry
+        return None
 
     def longest_match(self, prefix: Prefix) -> Optional[Tuple[Prefix, V]]:
         """The most-specific stored prefix covering *prefix*, or None."""
-        chain = self.covering(prefix)
-        return chain[-1] if chain else None
+        return self._probe_down(prefix, prefix.length + 1)
 
     def least_specific_match(self, prefix: Prefix) -> Optional[Tuple[Prefix, V]]:
         """The least-specific stored prefix covering *prefix*, or None.
@@ -178,104 +158,85 @@ class PrefixTrie(Generic[V]):
         prefix is absent from BGP: "search for its least-specific covering
         prefix and origin AS" (§5.1 step 4).
         """
-        chain = self.covering(prefix)
-        return chain[0] if chain else None
+        network, entries = prefix.network, self._entries
+        for length in self._lengths:
+            if length > prefix.length:
+                break
+            entry = entries.get(((network & _MASKS[length]) << 8) | length)
+            if entry is not None:
+                return entry
+        return None
 
     def parent(self, prefix: Prefix) -> Optional[Tuple[Prefix, V]]:
         """The most-specific stored *strict* ancestor of *prefix*, or None."""
-        chain = self.covering(prefix)
-        while chain and chain[-1][0] == prefix:
-            chain.pop()
-        return chain[-1] if chain else None
+        return self._probe_down(prefix, prefix.length)
 
-    # -- subtree queries ----------------------------------------------------
+    # -- ordered views --------------------------------------------------------
+    def _keys(self) -> List[int]:
+        """Every stored packed key, ascending (cached until a mutation)."""
+        if self._sorted_keys is None:
+            self._sorted_keys = sorted(self._entries)
+        return self._sorted_keys
+
+    def _tops(self, keys: Sequence[int]) -> List[Tuple[Prefix, V]]:
+        """Entries among ascending *keys* not inside an earlier one."""
+        entries = self._entries
+        result: List[Tuple[Prefix, V]] = []
+        end = -1
+        for key in keys:
+            if key >= end:
+                result.append(entries[key])
+                end = _subtree_end(key)
+        return result
+
     def covered(self, prefix: Prefix) -> Iterator[Tuple[Prefix, V]]:
         """Iterate stored prefixes equal to or more specific than *prefix*."""
-        node = self._root
-        for depth in range(prefix.length):
-            child = node.children[_bit(prefix.network, depth)]
-            if child is None:
-                return
-            node = child
-        yield from self._iter_subtree(node)
+        keys = self._keys()
+        start, stop = flat_covered_range(keys, prefix)
+        entries = self._entries
+        for key in keys[start:stop]:
+            yield entries[key]
 
     def children_of(self, prefix: Prefix) -> List[Tuple[Prefix, V]]:
         """Direct stored descendants of *prefix* (no stored prefix between)."""
-        start = self._find_node(prefix)
-        if start is None:
-            return []
-        result: List[Tuple[Prefix, V]] = []
-        stack = [child for child in start.children if child is not None]
-        while stack:
-            node = stack.pop()
-            if node.prefix is not None:
-                result.append((node.prefix, node.value))  # type: ignore[arg-type]
-                continue  # anything deeper is not a *direct* child
-            stack.extend(
-                child for child in node.children if child is not None
-            )
-        result.sort(key=lambda item: item[0])
-        return result
-
-    def _iter_subtree(self, start: _Node[V]) -> Iterator[Tuple[Prefix, V]]:
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            if node.prefix is not None:
-                yield node.prefix, node.value  # type: ignore[misc]
-            for child in reversed(node.children):
-                if child is not None:
-                    stack.append(child)
+        keys = self._keys()
+        start, stop = flat_covered_range(keys, prefix)
+        if start < stop and keys[start] == pack_prefix(prefix):
+            start += 1
+        return self._tops(keys[start:stop])
 
     def items(self) -> Iterator[Tuple[Prefix, V]]:
-        """Iterate all stored ``(prefix, value)`` pairs (trie order)."""
-        yield from self._iter_subtree(self._root)
+        """Iterate all stored ``(prefix, value)`` pairs in ``Prefix`` order."""
+        entries = self._entries
+        for key in self._keys():
+            yield entries[key]
 
     def keys(self) -> Iterator[Prefix]:
-        """Iterate all stored prefixes (trie order)."""
+        """Iterate all stored prefixes in ``Prefix`` order."""
         for prefix, _value in self.items():
             yield prefix
 
     # -- structural roles (allocation tree) ----------------------------------
     def roots(self) -> List[Tuple[Prefix, V]]:
         """Stored prefixes with no stored strict ancestor."""
-        result: List[Tuple[Prefix, V]] = []
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.prefix is not None:
-                result.append((node.prefix, node.value))  # type: ignore[arg-type]
-                continue  # descendants have an ancestor: this node
-            stack.extend(
-                child for child in node.children if child is not None
-            )
-        result.sort(key=lambda item: item[0])
-        return result
+        return self._tops(self._keys())
 
     def leaves(self) -> List[Tuple[Prefix, V]]:
-        """Stored prefixes with no stored strict descendant."""
-        result: List[Tuple[Prefix, V]] = []
-        stack: List[Tuple[_Node[V], Optional[_Node[V]]]] = [(self._root, None)]
-        # Depth-first walk tracking, for each stored node, whether any stored
-        # node exists beneath it.
-        def walk(node: _Node[V]) -> bool:
-            has_stored_below = False
-            for child in node.children:
-                if child is not None and walk(child):
-                    has_stored_below = True
-            if node.prefix is not None:
-                if not has_stored_below:
-                    result.append((node.prefix, node.value))  # type: ignore[arg-type]
-                return True
-            return has_stored_below
+        """Stored prefixes with no stored strict descendant.
 
-        walk(self._root)
-        result.sort(key=lambda item: item[0])
+        A prefix's descendants directly follow it in key order, so it is
+        a leaf exactly when the next key lies outside its subtree.
+        """
+        keys, entries = self._keys(), self._entries
+        result: List[Tuple[Prefix, V]] = []
+        for index, key in enumerate(keys, 1):
+            if index == len(keys) or keys[index] >= _subtree_end(key):
+                result.append(entries[key])
         return result
 
     # -- conversion ---------------------------------------------------------
     def to_dict(self) -> Dict[Prefix, V]:
-        """Materialize the trie as a plain dict."""
+        """Materialize the map as a plain dict."""
         return dict(self.items())
 
     @classmethod
@@ -291,9 +252,9 @@ class PrefixTrie(Generic[V]):
 #
 # A prefix set can be frozen into one sorted array of packed uint64 keys
 # (``network << 8 | length``) — the packing preserves ``Prefix`` order
-# (network first, then length), so binary search replaces the trie walk
-# and the array can live in shared memory as raw bytes.  These helpers
-# run over any sorted integer sequence: a list, an ``array('Q')``, or a
+# (network first, then length), so binary search finds any key and the
+# array can live in shared memory as raw bytes.  These helpers run over
+# any sorted integer sequence: a list, an ``array('Q')``, or a
 # ``memoryview`` cast over a ``multiprocessing.shared_memory`` buffer.
 
 #: Keys are 40-bit (32-bit network + 8-bit length) stored as uint64.

@@ -71,14 +71,16 @@ class NameForge:
 
         Stems starting with different syllables already differ enough for
         the matcher's threshold, so only the shared-prefix bucket needs a
-        real similarity check.
+        real similarity check.  ``real_quick_ratio`` and ``quick_ratio``
+        are upper bounds on ``ratio``, so the cheap checks only skip
+        stems that could not reach the threshold anyway.
         """
         stem = stem.lower()
         matcher = difflib.SequenceMatcher()
         matcher.set_seq2(stem)
         for used in self._stem_buckets.get(first, ()):
             matcher.set_seq1(used)
-            if matcher.real_quick_ratio() < 0.8:
+            if matcher.real_quick_ratio() < 0.8 or matcher.quick_ratio() < 0.8:
                 continue
             if matcher.ratio() >= 0.8:
                 return True

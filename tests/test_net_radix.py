@@ -1,4 +1,4 @@
-"""Unit tests for repro.net.radix.PrefixTrie."""
+"""Unit tests for repro.net.radix.PrefixTrie, the packed-key prefix map."""
 
 import pytest
 
@@ -163,32 +163,32 @@ class TestRemovalAndPruning:
         assert len(small_trie) == 4
 
     @staticmethod
-    def _node_count(trie):
-        count = 0
-        stack = [trie._root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            stack.extend(c for c in node.children if c is not None)
-        return count
+    def _footprint(trie):
+        return len(trie), list(trie._lengths), list(trie._length_counts)
 
-    def test_leaf_removal_prunes_dangling_branch(self):
+    def test_leaf_removal_drops_its_length(self):
         trie = PrefixTrie()
         trie.insert(Prefix.parse("10.0.0.0/8"), "root")
-        baseline = self._node_count(trie)
+        baseline = self._footprint(trie)
         trie.insert(Prefix.parse("10.255.255.0/24"), "deep")
-        assert self._node_count(trie) == baseline + 16
+        assert trie._lengths == [8, 24]
         assert trie.remove(Prefix.parse("10.255.255.0/24"))
-        assert self._node_count(trie) == baseline
+        assert self._footprint(trie) == baseline
+        assert trie.covering(Prefix.parse("10.255.255.0/25")) == [
+            (Prefix.parse("10.0.0.0/8"), "root")
+        ]
 
-    def test_repeated_cycles_do_not_grow_the_trie(self):
+    def test_repeated_cycles_do_not_grow_the_map(self):
         trie = PrefixTrie()
         trie.insert(Prefix.parse("10.0.0.0/8"), "root")
-        baseline = self._node_count(trie)
+        baseline = self._footprint(trie)
         for _ in range(5):
             trie.insert(Prefix.parse("10.255.255.0/24"), "deep")
+            trie.insert(Prefix.parse("10.255.0.0/16"), "mid")
             trie.remove(Prefix.parse("10.255.255.0/24"))
-        assert self._node_count(trie) == baseline
+            trie.remove(Prefix.parse("10.255.0.0/16"))
+        assert self._footprint(trie) == baseline
+        assert list(trie.items()) == [(Prefix.parse("10.0.0.0/8"), "root")]
 
     def test_removal_keeps_branch_with_valued_descendant(self, small_trie):
         small_trie.remove(Prefix.parse("10.1.0.0/16"))

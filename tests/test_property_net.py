@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) for the network primitives.
 
 These pin the algebraic invariants the whole pipeline rests on:
-range→CIDR decomposition is an exact minimal cover, the radix trie
+range→CIDR decomposition is an exact minimal cover, the prefix map
 agrees with a brute-force model, and prefix geometry is self-consistent.
 """
 
@@ -164,3 +164,103 @@ class TestTrieProperties:
             trie.insert(prefix, None)
         expected = {p for p in stored if probe.contains(p)}
         assert {p for p, _v in trie.covered(probe)} == expected
+
+
+@st.composite
+def nested_prefixes(draw, max_length=12):
+    """Prefixes in a small universe (/12 granularity) so many of them nest."""
+    length = draw(st.integers(min_value=0, max_value=max_length))
+    address = draw(st.integers(min_value=0, max_value=(1 << 12) - 1)) << 20
+    mask = (MAX_IPV4 << (32 - length)) & MAX_IPV4 if length else 0
+    return Prefix(address & mask, length)
+
+
+def _oracle_answers(model, probe):
+    """Every query answer of a PrefixTrie holding *model*, by brute force."""
+    stored = sorted(model)
+
+    def entry(prefix):
+        return (prefix, model[prefix])
+
+    covering = sorted((p for p in stored if p.contains(probe)),
+                      key=lambda p: p.length)
+    strict = [p for p in covering if p != probe]
+    below = [p for p in stored if probe.contains(p) and p != probe]
+    return {
+        "covering": [entry(p) for p in covering],
+        "longest_match": entry(covering[-1]) if covering else None,
+        "least_specific_match": entry(covering[0]) if covering else None,
+        "parent": entry(strict[-1]) if strict else None,
+        "covered": [entry(p) for p in stored if probe.contains(p)],
+        "children_of": [
+            entry(p) for p in below
+            if not any(q != p and q.contains(p) for q in below)
+        ],
+        "roots": [
+            entry(p) for p in stored
+            if not any(q != p and q.contains(p) for q in stored)
+        ],
+        "leaves": [
+            entry(p) for p in stored
+            if not any(q != p and p.contains(q) for q in stored)
+        ],
+        "items": [entry(p) for p in stored],
+        "exact": model.get(probe),
+        "contains": probe in model,
+        "len": len(model),
+    }
+
+
+def _trie_answers(trie, probe):
+    return {
+        "covering": trie.covering(probe),
+        "longest_match": trie.longest_match(probe),
+        "least_specific_match": trie.least_specific_match(probe),
+        "parent": trie.parent(probe),
+        "covered": list(trie.covered(probe)),
+        "children_of": trie.children_of(probe),
+        "roots": trie.roots(),
+        "leaves": trie.leaves(),
+        "items": list(trie.items()),
+        "exact": trie.exact(probe),
+        "contains": probe in trie,
+        "len": len(trie),
+    }
+
+
+class TestPrefixMapAgainstDictOracle:
+    """Mutations interleaved with every query, checked after each step.
+
+    Each step queries the ordered views, so the sorted-key cache is live
+    when the next insert or remove lands: a stale cache shows up as a
+    wrong ``items``/``covered``/``roots`` answer.
+    """
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "remove", "remove-stored"]),
+                nested_prefixes(),
+                st.integers(min_value=0, max_value=63),
+                nested_prefixes(max_length=16),
+            ),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_interleaved_mutations_match_oracle(self, steps):
+        trie = PrefixTrie()
+        model = {}
+        for number, (kind, prefix, pick, probe) in enumerate(steps):
+            if kind == "remove-stored" and model:
+                prefix = sorted(model)[pick % len(model)]
+            if kind == "insert":
+                trie.insert(prefix, number)
+                model[prefix] = number
+            else:
+                assert trie.remove(prefix) == (prefix in model)
+                model.pop(prefix, None)
+            for query in (probe, prefix):
+                assert _trie_answers(trie, query) == _oracle_answers(
+                    model, query
+                )
