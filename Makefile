@@ -59,8 +59,7 @@ bench-pipeline:
 # columns; takes minutes (world build dominates). See PERFORMANCE.md.
 bench-xlarge:
 	PYTHONPATH=src $(PYTHON) -m repro.cli bench --out BENCH_pipeline.json \
-		--sizes xlarge --repeats 1 --no-extensions \
-		--memory --spawn --shm
+		--sizes xlarge --repeats 1 --no-extensions --memory
 
 bench-serve:
 	PYTHONPATH=src $(PYTHON) -m repro.cli loadgen --out BENCH_serve.json

@@ -79,11 +79,14 @@ __all__ = [
 #: accumulates runs instead of overwriting (v1 payloads migrate to
 #: ``runs[0]``).
 #: v3: memory accounting — per-mode ``payload_bytes`` (what each spawn
-#: worker unpickles) and ``segment_bytes`` (the shared-memory RIB),
-#: ``--memory`` peak-RSS columns, spawn / shared-memory engine modes,
-#: and a cpus-aware ``speedup_vs_serial`` that reports
-#: ``"insufficient_cpus"`` instead of a misleading ratio when the host
-#: has fewer cores than the mode has workers.
+#: worker unpickles) and ``segment_bytes`` (the shared-memory context),
+#: ``--memory`` peak-RSS columns, and a cpus-aware ``speedup_vs_serial``
+#: that reports ``"insufficient_cpus"`` instead of a misleading ratio
+#: when the host has fewer cores than the mode has workers.  Runs
+#: recorded before the shared-memory context became the only pool
+#: transport also carry ``parallel-N-shm`` / ``spawn-N`` /
+#: ``spawn-N-shm`` modes; from then on ``parallel-N`` *is* the
+#: shared-memory transport.
 SCHEMA_VERSION = 3
 
 #: Parallel modes measured by default.
@@ -122,7 +125,6 @@ def _time_mode(
     make_pipeline: Callable[[], LeaseInferencePipeline],
     run: Callable[[LeaseInferencePipeline], InferenceResult],
     repeats: int,
-    measure_payload: bool = False,
 ) -> Tuple[
     float,
     Dict[str, float],
@@ -131,9 +133,8 @@ def _time_mode(
     Optional[Dict[str, int]],
 ]:
     """Best wall time, its stage split, the digest, cache stats, and the
-    worker-payload sizes recorded by the best run (shared-memory runs
-    always record them; plain parallel runs only under
-    ``measure_payload``)."""
+    shared-memory payload sizes recorded by the best run (pool runs
+    only)."""
     best_wall: Optional[float] = None
     best_stages: Dict[str, float] = {}
     digest: _Digest = []
@@ -141,7 +142,6 @@ def _time_mode(
     payload: Optional[Dict[str, int]] = None
     for _ in range(max(1, repeats)):
         pipeline = make_pipeline()
-        pipeline.measure_payload = measure_payload
         gc.collect()
         started = time.perf_counter()
         result = run(pipeline)
@@ -188,8 +188,6 @@ def run_benchmark(
     quick: bool = False,
     extensions: bool = True,
     memory: bool = False,
-    spawn: bool = False,
-    shm: bool = False,
     internet_scale: Optional[int] = None,
     log: Optional[Callable[[str], None]] = None,
 ) -> Dict[str, object]:
@@ -200,10 +198,8 @@ def run_benchmark(
     world only.  ``extensions`` additionally times the legacy, RPKI,
     and longitudinal pipelines per engine from the shared
     :class:`AnalysisContext` of the base run.  ``memory`` records peak
-    RSS and spawn-payload bytes per mode; ``shm`` adds a
-    ``parallel-N-shm`` (fork + shared-memory RIB) mode; ``spawn`` adds
-    ``spawn-N`` and ``spawn-N-shm`` modes — the pair whose
-    ``payload_bytes`` gap is the point of the shared-memory engine.
+    RSS per mode and, for each ``parallel-N`` mode, the shared-memory
+    segment size and the per-worker descriptor bytes.
     ``internet_scale`` overrides the downsampling divisor of the
     ``xlarge`` / ``internet`` tiers (larger divisor, smaller world).
     """
@@ -282,41 +278,32 @@ def run_benchmark(
 
         for workers in worker_list:
             shard_size = _bench_shard_size(leaves, workers)
-            variants: List[Tuple[str, Optional[str], bool]] = [
-                (f"parallel-{workers}", None, False)
-            ]
-            if shm:
-                variants.append((f"parallel-{workers}-shm", None, True))
-            if spawn:
-                variants.append((f"spawn-{workers}", "spawn", False))
-                variants.append((f"spawn-{workers}-shm", "spawn", True))
-            for mode_name, start_method, use_shm in variants:
-                say(f"[bench] {size}: {mode_name} run ...")
-                wall, stages, digest, cache, payload = _time_mode(
-                    make_pipeline,
-                    lambda p, w=workers, s=shard_size, m=start_method, u=use_shm: p.run(
-                        workers=w, shard_size=s, start_method=m, use_shm=u
-                    ),
-                    repeats,
-                    measure_payload=memory,
+            mode_name = f"parallel-{workers}"
+            say(f"[bench] {size}: {mode_name} run ...")
+            wall, stages, digest, cache, payload = _time_mode(
+                make_pipeline,
+                lambda p, w=workers, s=shard_size: p.run(
+                    workers=w, shard_size=s
+                ),
+                repeats,
+            )
+            modes.append(
+                _mode_payload(
+                    mode_name,
+                    workers=workers,
+                    shard_size=shard_size or DEFAULT_SHARD_SIZE,
+                    wall=wall,
+                    stages=stages,
+                    leaves=leaves,
+                    ref_wall=ref_wall,
+                    serial_wall=serial_wall,
+                    cache=cache,
+                    equivalent=digest == ref_digest,
+                    cpus=cpus,
+                    memory=memory,
+                    payload=payload,
                 )
-                modes.append(
-                    _mode_payload(
-                        mode_name,
-                        workers=workers,
-                        shard_size=shard_size or DEFAULT_SHARD_SIZE,
-                        wall=wall,
-                        stages=stages,
-                        leaves=leaves,
-                        ref_wall=ref_wall,
-                        serial_wall=serial_wall,
-                        cache=cache,
-                        equivalent=digest == ref_digest,
-                        cpus=cpus,
-                        memory=memory,
-                        payload=payload,
-                    )
-                )
+            )
 
         world_payload: Dict[str, object] = {
             "size": size,
@@ -345,8 +332,6 @@ def run_benchmark(
             "quick": quick,
             "extensions": extensions,
             "memory": memory,
-            "spawn": spawn,
-            "shm": shm,
             "internet_scale": internet_scale,
         },
         "host": {
@@ -384,6 +369,7 @@ def _mode_payload(
     else:
         speedup_vs_serial = round(serial_wall / wall, 2)
     rss_self, rss_children = _peak_rss() if memory else (None, None)
+    sizes = (payload or {}) if memory else {}
     return {
         "mode": mode,
         "workers": workers,
@@ -392,8 +378,8 @@ def _mode_payload(
         "leaves_per_s": round(leaves / wall, 1) if wall else 0.0,
         "speedup_vs_reference": round(ref_wall / wall, 2) if wall else 0.0,
         "speedup_vs_serial": speedup_vs_serial,
-        "payload_bytes": (payload or {}).get("payload_bytes"),
-        "segment_bytes": (payload or {}).get("segment_bytes"),
+        "payload_bytes": sizes.get("payload_bytes"),
+        "segment_bytes": sizes.get("segment_bytes"),
         "peak_rss_bytes": rss_self,
         "peak_child_rss_bytes": rss_children,
         "stages": {name: round(value, 4) for name, value in stages.items()},
@@ -1236,8 +1222,6 @@ def run_from_args(args) -> int:
         quick=args.quick,
         extensions=not getattr(args, "no_extensions", False),
         memory=getattr(args, "memory", False),
-        spawn=getattr(args, "spawn", False),
-        shm=getattr(args, "shm", False),
         internet_scale=getattr(args, "xlarge_scale", None),
         log=print,
     )

@@ -2,7 +2,8 @@
 
 The whole scaling architecture hangs off frozen snapshots: one
 ``AnalysisContext`` (with its ``RibSnapshot``/``RoaSnapshot``) is built
-per run and shared across worker processes, and the serve layer swaps
+per run and shared with worker processes through its shared-memory
+twin, and the serve layer swaps
 immutable ``LeaseIndex`` generations atomically.  Mutating one of
 these after construction corrupts every consumer that assumed the
 freeze — whether the assignment is written in place (RC102) or hidden
@@ -116,9 +117,10 @@ class SpawnSafePayloads(CheckRule):
     platforms that is the *only* state a worker gets.  A class with no
     ``__getstate__``/``__reduce__``/``__slots__`` has never had its
     pickled form thought about — lazily built caches, open handles, or
-    megabytes of derived indexes ride along silently (the
-    ``AnalysisContext.__getstate__`` leaf-record drop exists precisely
-    because of this).
+    megabytes of derived indexes ride along silently (the O(1)
+    attach-by-name descriptor of ``SharedAnalysisContext.__getstate__``,
+    which the lease and legacy pools ship instead of the whole
+    ``AnalysisContext``, exists precisely because of this).
 
     Remediation: Give the class an explicit ``__getstate__`` (drop
     derived/unpicklable state) or ``__slots__`` declaration, or — after

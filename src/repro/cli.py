@@ -322,18 +322,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--memory",
         action="store_true",
-        help="record peak RSS and per-worker payload bytes per mode",
-    )
-    bench.add_argument(
-        "--shm",
-        action="store_true",
-        help="also time a parallel-N-shm (fork + shared-memory RIB) mode",
-    )
-    bench.add_argument(
-        "--spawn",
-        action="store_true",
-        help="also time spawn-N and spawn-N-shm modes (the payload-bytes "
-        "comparison behind the shared-memory engine)",
+        help="record peak RSS per mode, plus shared-memory segment and "
+        "per-worker descriptor bytes for parallel modes",
     )
     bench.add_argument(
         "--xlarge-scale",

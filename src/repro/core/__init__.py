@@ -3,7 +3,7 @@
 Public surface:
 
 * :class:`LeaseInferencePipeline` / :func:`infer_leases` — §5 end to end.
-* :class:`AnalysisContext` — the shared, spawn-safe substrate snapshot
+* :class:`AnalysisContext` — the shared substrate snapshot
   every fast engine (base, legacy, RPKI, longitudinal) draws from.
 * :class:`AllocationTree` — §5.1 address allocation trees.
 * :class:`Category` / :func:`classify_leaf` — §5.2 leaf classification.

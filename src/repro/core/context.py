@@ -11,12 +11,11 @@ longitudinal comparison.  It snapshots everything those engines query:
   AS relationships and AS2org membership into one frozenset), and
 * the per-registry organisation → RIR-assigned-ASN maps.
 
-The snapshot is deliberately **pickle-cheap and spawn-safe**: every
-field is built from hashable immutables (``Prefix``, ``frozenset``,
-tuples), and the one heavy structure — the full ``TreeLeaf`` record
-lists — is dropped by ``__getstate__`` so spawn-based worker pools ship
-only the compact classification keys.  Workers classify from keys; the
-parent keeps the records and reassembles full inferences.
+Worker pools never receive this object: they get its hot tables
+frozen into one shared-memory segment
+(:class:`~repro.core.shm.SharedAnalysisContext`) and classify from the
+compact leaf keys, while the parent keeps the full ``TreeLeaf`` records
+and reassembles complete inferences.
 
 Covering lookups work without a trie because CIDR prefixes nest or are
 disjoint: every covering prefix of ``p`` is a truncation
@@ -53,7 +52,7 @@ __all__ = ["AnalysisContext", "RibSnapshot", "RoaSnapshot"]
 
 _EMPTY: FrozenSet[int] = frozenset()
 
-#: The compact per-leaf classification input shipped to workers:
+#: The compact per-leaf classification input workers read:
 #: ``(leaf_prefix, root_prefix, root_org_id)``.  Everything the §5.2
 #: decision needs that is not already in the shared context.
 LeafKey = Tuple[Prefix, Optional[Prefix], Optional[str]]
@@ -181,7 +180,7 @@ class AnalysisContext:
         assigned: Dict[RIR, Dict[str, FrozenSet[int]]],
         leaf_keys: Dict[RIR, Tuple[LeafKey, ...]],
         stats: Dict[RIR, Dict[str, int]],
-        leaves: Optional[Dict[RIR, List[TreeLeaf]]],
+        leaves: Dict[RIR, List[TreeLeaf]],
     ) -> None:
         self.rirs = rirs
         self.max_leaf_length = max_leaf_length
@@ -293,33 +292,11 @@ class AnalysisContext:
 
     def leaves(self, rir: RIR) -> List[TreeLeaf]:
         """The full leaf records for *rir* (parent side only)."""
-        if self._leaves is None:
-            raise RuntimeError(
-                "AnalysisContext leaf records were stripped for worker "
-                "transfer; only the parent process holds them"
-            )
         return self._leaves.get(rir, [])
 
     def total_leaves(self) -> int:
         """Classifiable leaves across all snapshotted registries."""
         return sum(len(keys) for keys in self.leaf_keys.values())
-
-    # -- pickling ---------------------------------------------------------
-    def __getstate__(self) -> Dict[str, object]:
-        """Drop the heavy record lists: workers classify from keys."""
-        return {
-            "rirs": self.rirs,
-            "max_leaf_length": self.max_leaf_length,
-            "rib": self.rib,
-            "related_sets": self.related_sets,
-            "assigned": self.assigned,
-            "leaf_keys": self.leaf_keys,
-            "stats": self.stats,
-        }
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._leaves = None
 
 
 def build_related_sets(

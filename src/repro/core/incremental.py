@@ -139,11 +139,11 @@ class BurstReport:
 class IncrementalEngine:
     """Burst-at-a-time reclassification over a mutable RIB overlay.
 
-    Built parent-side from a context that still holds its leaf records
-    (worker-stripped contexts raise).  Construction runs one full
-    classification — bit-identical to the pipeline's serial path — and
-    indexes every leaf by its exact prefix and by its root prefix; each
-    :meth:`apply` then touches only the dirty subset.
+    Built parent-side from an :class:`AnalysisContext`, which holds the
+    leaf records (the shared-memory twin does not).  Construction runs
+    one full classification — bit-identical to the pipeline's serial
+    path — and indexes every leaf by its exact prefix and by its root
+    prefix; each :meth:`apply` then touches only the dirty subset.
     """
 
     def __init__(

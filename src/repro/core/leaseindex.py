@@ -23,8 +23,7 @@ instances atomically.
 The module lives in ``core`` (it is pure data over core results and
 ``net`` tries) so that both of its consumers — the ``serve`` layer and
 the ``temporal`` time-travel index, which may never import ``serve`` —
-can share one snapshot type; :mod:`repro.serve.index` re-exports it for
-compatibility.
+can share one snapshot type.
 """
 
 from __future__ import annotations

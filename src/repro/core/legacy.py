@@ -33,6 +33,7 @@ from .allocation_tree import DEFAULT_MAX_LEAF_LENGTH
 from .context import AnalysisContext
 from .relatedness import RelatednessOracle
 from .sharding import effective_workers, run_sharded
+from .shm import SharedAnalysisContext
 
 __all__ = [
     "LegacyVerdict",
@@ -181,8 +182,9 @@ def _registration_differs(
 # (prefixes nest or are disjoint, so the stack top after popping closed
 # intervals *is* ``trie.parent``) and reduces every block to a compact
 # key.  Keys are what ships to worker processes; verdicts come entirely
-# from the shared :class:`AnalysisContext`, so serial and sharded runs
-# execute the identical code path.
+# from the context — the :class:`AnalysisContext` serially, its
+# shared-memory :class:`SharedAnalysisContext` in a pool — through the
+# identical code path.
 
 #: ``(prefix, record_org, parent_prefix, parent_org, registration_signal)``
 _LegacyKey = Tuple[Prefix, Optional[str], Optional[Prefix], Optional[str], bool]
@@ -231,7 +233,11 @@ def _scan_region(
 def _legacy_rows(
     context: AnalysisContext, rir: RIR, keys: Tuple[_LegacyKey, ...]
 ) -> List[Tuple[str, Tuple[int, ...]]]:
-    """Verdict rows for a slice of keys, entirely from the context."""
+    """Verdict rows for a slice of keys, entirely from the context.
+
+    A pool passes a :class:`SharedAnalysisContext`, which duck-types
+    the ``AnalysisContext`` reads the annotation names.
+    """
     assigned = context.assigned.get(rir, {})
     targets_memo: Dict[
         Tuple[Optional[str], Optional[str], Optional[Prefix]], FrozenSet[int]
@@ -275,7 +281,8 @@ class LegacyLeasePipeline:
     """Context-backed legacy inference with serial and sharded engines.
 
     Mirrors ``LeaseInferencePipeline``: :meth:`run` is the fast path
-    (``workers``/``shard_size`` select process-parallel sharding),
+    (``workers``/``shard_size`` select process-parallel sharding over
+    the shared-memory context),
     :meth:`run_reference` delegates to the frozen
     :func:`infer_legacy_leases`, and both produce bit-identical output.
     """
@@ -333,17 +340,25 @@ class LegacyLeasePipeline:
                 for rir, _scan, keys in units
             ]
         else:
-            payload = (
-                context,
-                tuple((rir, keys) for rir, _scan, keys in units),
+            # The pool reads no lease leaf keys: pack the tables only.
+            tables = AnalysisContext(
+                context.rirs,
+                context.max_leaf_length,
+                context.rib,
+                context.related_sets,
+                context.assigned,
+                leaf_keys={},
+                stats=context.stats,
+                leaves={},
             )
-            shards, outputs = run_sharded(
-                payload,
-                _legacy_shard,
-                [len(keys) for _rir, _scan, keys in units],
-                pool_size,
-                shard_size,
-            )
+            with SharedAnalysisContext.from_context(tables) as shared:
+                shards, outputs = run_sharded(
+                    (shared, tuple((rir, keys) for rir, _scan, keys in units)),
+                    _legacy_shard,
+                    [len(keys) for _rir, _scan, keys in units],
+                    pool_size,
+                    shard_size,
+                )
             rows_per_unit = [[] for _ in units]
             for shard, rows in zip(shards, outputs):
                 rows_per_unit[shard.work_index].extend(rows)

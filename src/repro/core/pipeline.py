@@ -9,7 +9,7 @@ Two engines produce bit-for-bit identical results:
 * :meth:`LeaseInferencePipeline.run` — the fast path: sort-based tree
   construction (:class:`~repro.core.allocation_tree.AllocationScan`),
   memoized per-shard lookups, and optional process-parallel sharding
-  via ``workers``/``shard_size``.
+  via ``workers``/``shard_size`` over a shared-memory context.
 * :meth:`LeaseInferencePipeline.run_reference` — the straight-line
   per-leaf loop over :class:`AllocationTree`, kept as the executable
   specification the fast path is tested (and benchmarked) against.
@@ -59,8 +59,6 @@ class LeaseInferencePipeline:
         use_covering_root_lookup: bool = True,
         workers: int = 1,
         shard_size: Optional[int] = None,
-        use_shm: bool = False,
-        start_method: Optional[str] = None,
     ) -> None:
         if isinstance(whois, WhoisDatabase):
             collection = WhoisCollection({whois.rir: whois})
@@ -73,16 +71,9 @@ class LeaseInferencePipeline:
         self.use_covering_root_lookup = use_covering_root_lookup
         self.workers = workers
         self.shard_size = shard_size
-        self.use_shm = use_shm
-        self.start_method = start_method
-        #: Filled by parallel shared-memory runs: segment + descriptor
-        #: sizes, for the bench payload-bytes column.
+        #: Filled by parallel runs: segment + descriptor sizes, for the
+        #: bench payload-bytes column.
         self.shm_stats: Optional[Dict[str, int]] = None
-        #: When set, parallel runs without shared memory also measure
-        #: the pickled payload each spawn worker would receive (the
-        #: bench's O(table)-vs-O(1) comparison).  Off by default: it
-        #: pickles the whole context once per run.
-        self.measure_payload = False
         self.trees: Dict[RIR, AllocationTree] = {}
         #: The shared substrate snapshot of the last :meth:`run`; reuse
         #: it across the extension pipelines to skip rebuilding.
@@ -99,28 +90,22 @@ class LeaseInferencePipeline:
         workers: Optional[int] = None,
         shard_size: Optional[int] = None,
         context: Optional[AnalysisContext] = None,
-        use_shm: Optional[bool] = None,
-        start_method: Optional[str] = None,
     ) -> InferenceResult:
         """Classify every leaf in the selected registries (default: all).
 
         Builds (or reuses, via ``context``) the shared
         :class:`AnalysisContext` snapshot, then classifies from it.
-        ``workers`` > 1 classifies shards across a process pool — fork
-        where available, spawn otherwise (the context is spawn-safe);
-        small inputs (at most one shard) fall back to the identical
-        serial path.  ``use_shm`` freezes the context's hot tables into
-        one shared-memory segment so each worker receives an O(1)
-        attach-by-name descriptor instead of a pickled copy; the
-        segment is unlinked before this method returns, crash or not.
-        Output is bit-for-bit equal to :meth:`run_reference` in every
-        mode.
+        ``workers`` > 1 freezes the context's hot tables into one
+        shared-memory segment and classifies shards across a process
+        pool — fork where available, spawn otherwise — whose workers
+        receive an O(1) attach-by-name descriptor; the segment is
+        unlinked before this method returns, crash or not.  Small
+        inputs (at most one shard) fall back to the identical serial
+        path.  Output is bit-for-bit equal to :meth:`run_reference` in
+        every mode.
         """
         workers = self.workers if workers is None else workers
         shard_size = self.shard_size if shard_size is None else shard_size
-        use_shm = self.use_shm if use_shm is None else use_shm
-        if start_method is None:
-            start_method = self.start_method
         self.shm_stats = None
         result = InferenceResult()
 
@@ -174,37 +159,21 @@ class LeaseInferencePipeline:
                 cache_stats.merge(classifier.stats())
         else:
             rir_order = tuple(work_rirs)
-            payload_context: object = context
-            shared: Optional[SharedAnalysisContext] = None
-            if use_shm:
-                shared = SharedAnalysisContext.from_context(context)
-                payload_context = shared
+            # Leaving the block unlinks the segment before reassembly:
+            # a worker crash (pool raises) leaves no /dev/shm segment.
+            with SharedAnalysisContext.from_context(context) as shared:
+                payload = (shared, self.use_covering_root_lookup, rir_order)
                 self.shm_stats = {
                     "segment_bytes": shared.segment_bytes,
-                    "payload_bytes": payload_pickle_bytes(
-                        (shared, self.use_covering_root_lookup, rir_order)
-                    ),
+                    "payload_bytes": payload_pickle_bytes(payload),
                 }
-            elif self.measure_payload:
-                self.shm_stats = {
-                    "payload_bytes": payload_pickle_bytes(
-                        (context, self.use_covering_root_lookup, rir_order)
-                    ),
-                }
-            try:
                 shards, outputs = run_sharded(
-                    (payload_context, self.use_covering_root_lookup, rir_order),
+                    payload,
                     classify_shard_rows,
                     [len(context.leaf_keys[rir]) for rir in rir_order],
                     pool_size,
                     shard_size,
-                    start_method=start_method,
                 )
-            finally:
-                # Unlink before reassembly: a worker crash (pool raises)
-                # must not leave a /dev/shm segment behind.
-                if shared is not None:
-                    shared.destroy()
             for shard, (rows, shard_stats) in zip(shards, outputs):
                 rir = rir_order[shard.work_index]
                 leaves = context.leaves(rir)[shard.start : shard.stop]

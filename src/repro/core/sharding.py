@@ -2,18 +2,21 @@
 
 Every fast engine in this package is embarrassingly parallel across its
 items: lease verdicts depend only on one leaf plus the read-only
-:class:`~repro.core.context.AnalysisContext`, legacy verdicts on one
-block, RPKI outcomes on one announcement.  This module provides the one
-generic fan-out they all share — :func:`run_sharded` partitions the
-items of every work unit into contiguous shards and runs a module-level
-``runner(payload, shard)`` across a ``ProcessPoolExecutor``.
+analysis context, legacy verdicts on one block, RPKI outcomes on one
+announcement.  This module provides the one generic fan-out they all
+share — :func:`run_sharded` partitions the items of every work unit into
+contiguous shards and runs a module-level ``runner(payload, shard)``
+across a ``ProcessPoolExecutor``.
 
-The pool is start-method agnostic.  Under **fork**, workers inherit the
-payload through copy-on-write and nothing is pickled; under **spawn**
-(platforms without fork), the initializer ships the payload exactly once
-per worker — the payload is the pickle-cheap shared context plus compact
-key tuples, never record objects.  Both modes return shard outputs in
-plan order, so reassembly is deterministic regardless of scheduling.
+The pool uses fork where the platform has it and spawn otherwise.
+Under **fork**, workers inherit the payload through copy-on-write and
+nothing is pickled; under **spawn**, the initializer ships the payload
+exactly once per worker.  Context-backed pools (lease and legacy
+inference) pass the shared-memory
+:class:`~repro.core.shm.SharedAnalysisContext`, whose pickle is an O(1)
+attach-by-name descriptor, plus compact key tuples — never record
+objects.  Both start methods return shard outputs in plan order, so
+reassembly is deterministic regardless of scheduling.
 
 :class:`ShardClassifier` is the §5.2 hot path: one per shard (or per
 region, serially), all lookups served from the shared context, with
@@ -324,8 +327,8 @@ def effective_workers(
     """The worker count actually used: serial for small inputs.
 
     One shard's worth of items (or fewer) never pays pool start-up.
-    Platforms without fork no longer force serial: the shared context is
-    spawn-safe, so the pool pickles it once per worker and proceeds.
+    Platforms without fork still get a pool: spawn workers attach to
+    the shared-memory context by name.
     """
     if workers <= 1:
         return 1
@@ -363,7 +366,6 @@ def run_sharded(
     unit_lengths: Sequence[int],
     workers: int,
     shard_size: Optional[int] = None,
-    start_method: Optional[str] = None,
 ) -> Tuple[List[Shard], List[object]]:
     """Run ``runner(payload, shard)`` across a process pool.
 
@@ -371,29 +373,15 @@ def run_sharded(
     item order — deterministic regardless of which worker ran what.
     ``runner`` must be a module-level function (spawn pickles it by
     reference) and ``payload`` must be picklable on spawn platforms;
-    under fork neither is ever serialized.
-
-    ``start_method`` pins the pool's start method (``"fork"`` /
-    ``"spawn"`` / ``"forkserver"``); the default picks fork where
-    available.  Benchmarks and equivalence tests use the pin to measure
-    both code paths on one platform.
+    under fork neither is ever serialized.  The pool forks where
+    available and spawns otherwise.
     """
     shards = plan_shards(unit_lengths, shard_size)
     if not shards:
         return [], []
     pool_size = min(workers, len(shards))
-    if start_method is None:
-        use_fork = fork_available()
-        method = "fork" if use_fork else "spawn"
-    else:
-        if start_method not in multiprocessing.get_all_start_methods():
-            raise ValueError(
-                f"start method {start_method!r} unavailable on this "
-                "platform"
-            )
-        method = start_method
-        use_fork = method == "fork"
-    mp_context = multiprocessing.get_context(method)
+    use_fork = fork_available()
+    mp_context = multiprocessing.get_context("fork" if use_fork else "spawn")
     if use_fork:
         # Freeze the inherited heap so worker GC passes skip it: without
         # this, the first collection in each child walks every parent
@@ -422,7 +410,9 @@ def classify_shard_rows(
 
     The module-level runner for the lease pipeline's parallel mode:
     ``payload`` is ``(context, use_covering_root_lookup, rir_order)``
-    and ``shard.work_index`` indexes ``rir_order``.
+    and ``shard.work_index`` indexes ``rir_order``.  The pool passes a
+    :class:`~repro.core.shm.SharedAnalysisContext`, which duck-types
+    the ``AnalysisContext`` reads the annotation names.
     """
     context, use_covering, rir_order = payload
     rir = rir_order[shard.work_index]

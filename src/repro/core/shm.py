@@ -1,11 +1,11 @@
 """Zero-copy shared-memory snapshot of the analysis substrate.
 
-Spawn-based worker pools historically re-pickled the entire
-:class:`~repro.core.context.AnalysisContext` — RIB, relatedness closure,
-per-registry organisation maps, and every leaf key — once per worker.
-On internet-scale worlds that is hundreds of megabytes of pickle per
-pool start-up.  This module freezes those hot tables into flat sorted
-arrays inside **one** ``multiprocessing.shared_memory`` segment:
+Every context-backed worker pool ships its lookup tables through this
+module rather than pickling the :class:`~repro.core.context.AnalysisContext`
+(RIB, relatedness closure, per-registry organisation maps, every leaf
+key) — on internet-scale worlds that pickle would be hundreds of
+megabytes per spawned worker.  The hot tables are frozen into flat
+sorted arrays inside **one** ``multiprocessing.shared_memory`` segment:
 
 * the RIB becomes :class:`FlatRib` — packed ``network << 8 | length``
   keys with per-prefix origin buckets, searched with the
@@ -16,21 +16,27 @@ arrays inside **one** ``multiprocessing.shared_memory`` segment:
   interned string tables.
 
 :class:`SharedAnalysisContext` duck-types ``AnalysisContext`` for the
-classification hot path, so ``classify_shard_rows`` runs over it
-unchanged.  Pickling it ships an O(1) descriptor — the segment *name*
-plus a section directory — and ``__setstate__`` re-attaches by name, so
-a spawn initializer's per-worker payload drops from O(table) to a few
-hundred bytes.  Fork workers simply inherit the mapping.
+classification hot path, so ``classify_shard_rows`` and the legacy
+verdict rows run over it unchanged.  Pickling it ships an O(1)
+descriptor — the segment *name* plus a section directory — and
+``__setstate__`` re-attaches by name, so a spawn initializer's
+per-worker payload is a few hundred bytes.  Fork workers simply inherit
+the mapping.
 
 Lifecycle: the creating process owns the segment and must call
-:meth:`SharedAnalysisContext.destroy` (the pipeline does so in a
-``finally``); a ``weakref.finalize`` guard unlinks on abnormal teardown,
-and attach-side processes unregister from the resource tracker so a
-worker exit can never unlink the parent's segment (bpo-38119).
+:meth:`SharedAnalysisContext.destroy` (the pipelines leave a ``with``
+block, which does so); a ``weakref.finalize`` guard unlinks on abnormal
+teardown, and attach-side processes unregister from the resource
+tracker so a worker exit can never unlink the parent's segment
+(bpo-38119).  Creation reserves the segment's pages up front where the
+platform has ``posix_fallocate``, so a full ``/dev/shm`` raises
+``OSError(ENOSPC)`` instead of a SIGBUS on the first write.
 """
 
 from __future__ import annotations
 
+import errno
+import gc
 import os
 import pickle
 import weakref
@@ -75,9 +81,9 @@ _ALIGN = 8
 def payload_pickle_bytes(payload: object) -> int:
     """The pickled size of *payload* — what spawn ships per worker.
 
-    This is the number ``repro bench --memory`` reports for each mode:
-    with the plain context it is O(every table); with
-    :class:`SharedAnalysisContext` it is O(1) descriptor metadata.
+    This is the number ``repro bench --memory`` reports for each pool
+    mode: with :class:`SharedAnalysisContext` it is O(1) descriptor
+    metadata.
     """
     return len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
 
@@ -106,6 +112,12 @@ _NAME_PREFIX = "repro_ctx_"
 #: Per-process counter distinguishing segments created by one process.
 _SEGMENT_SERIAL = 0
 
+#: ``posix_fallocate`` errors meaning the descriptor does not support
+#: reserving, not that the space is missing.
+_NO_FALLOCATE = frozenset(
+    {errno.EINVAL, errno.EOPNOTSUPP, errno.ENODEV, errno.ENOSYS}
+)
+
 
 def _create_segment(size: int) -> shared_memory.SharedMemory:
     """A fresh named segment: ``repro_ctx_<pid>_<serial>``.
@@ -119,11 +131,35 @@ def _create_segment(size: int) -> shared_memory.SharedMemory:
         _SEGMENT_SERIAL += 1
         name = f"{_NAME_PREFIX}{os.getpid()}_{_SEGMENT_SERIAL}"
         try:
-            return shared_memory.SharedMemory(
+            segment = shared_memory.SharedMemory(
                 create=True, size=size, name=name
             )
         except FileExistsError:  # pragma: no cover - recycled-pid race
             continue
+        break
+    # SharedMemory only ftruncates: on a full tmpfs the first write
+    # would SIGBUS the process.  Reserving the pages turns that into an
+    # error the caller can handle.  A descriptor that cannot reserve at
+    # all keeps the unreserved segment, as SharedMemory alone would.
+    try:
+        if hasattr(os, "posix_fallocate"):
+            os.posix_fallocate(segment._fd, 0, size)  # type: ignore[attr-defined]
+    except OSError as exc:
+        if exc.errno in _NO_FALLOCATE:
+            return segment
+        _discard(segment)
+        raise OSError(
+            exc.errno,
+            f"cannot reserve {size} bytes for shared-memory segment "
+            f"{name!r}: {exc.strerror}",
+        ) from exc
+    return segment
+
+
+def _discard(segment: shared_memory.SharedMemory) -> None:
+    """Unlink and close a segment whose construction failed."""
+    segment.unlink()
+    segment.close()
 
 
 class _Arena:
@@ -235,19 +271,16 @@ class FlatRib:
     @classmethod
     def from_snapshot(cls, rib: RibSnapshot) -> "FlatRib":
         """Flatten a dict-backed snapshot (local arrays, no shm)."""
-        entries = sorted(
-            (pack_prefix(prefix), origins)
-            for prefix, origins in rib.exact_items()
-        )
-        keys = array("Q", (packed for packed, _origins in entries))
+        exact = {
+            pack_prefix(prefix): bucket
+            for prefix, bucket in rib.exact_items()
+        }
+        keys = array("Q", sorted(exact))
         offsets = array("I", [0])
         origins = array("I")
-        total = 0
-        for _packed, bucket in entries:
-            ordered = sorted(bucket)
-            origins.extend(ordered)
-            total += len(ordered)
-            offsets.append(total)
+        for packed in keys:
+            origins.extend(sorted(exact[packed]))
+            offsets.append(len(origins))
         lengths = tuple(sorted({key & 0xFF for key in keys}))
         return cls(keys, offsets, origins, lengths)
 
@@ -382,6 +415,22 @@ class _FlatLeafKeys(Sequence[LeafKey]):
     def __len__(self) -> int:
         return len(self._leaves)
 
+    def _keys(self, span: slice) -> List[LeafKey]:
+        """Keys for a slice.  Sibling leaves share one root and
+        organisation, so each distinct one is decoded once."""
+        roots: Dict[int, Optional[Prefix]] = {_NO_PREFIX: None}
+        orgs: Dict[int, Optional[str]] = {_NO_ORG: None}
+        keys: List[LeafKey] = []
+        for leaf, root, org in zip(
+            self._leaves[span], self._roots[span], self._orgs[span]
+        ):
+            if root not in roots:
+                roots[root] = unpack_prefix(root)
+            if org not in orgs:
+                orgs[org] = self._table[org]
+            keys.append((unpack_prefix(leaf), roots[root], orgs[org]))
+        return keys
+
     def _key(self, index: int) -> LeafKey:
         packed_root = self._roots[index]
         org_index = self._orgs[index]
@@ -393,8 +442,7 @@ class _FlatLeafKeys(Sequence[LeafKey]):
 
     def __getitem__(self, index):  # type: ignore[override]
         if isinstance(index, slice):
-            positions = range(*index.indices(len(self)))
-            return [self._key(position) for position in positions]
+            return self._keys(index)
         if index < 0:
             index += len(self)
         if not 0 <= index < len(self):
@@ -452,8 +500,9 @@ class SharedAnalysisContext:
     ``rib``, ``assigned``, ``leaf_keys``, ``related_to`` /
     ``any_related`` / ``related_pair``, ``assigned_asns``,
     ``total_leaves`` — so :func:`repro.core.sharding.classify_shard_rows`
-    accepts either implementation.  ``leaves()`` raises, exactly like a
-    worker-side stripped ``AnalysisContext``.
+    accepts either implementation.  ``leaves()`` raises: the leaf
+    records stay with the parent's ``AnalysisContext``.  Use it as a
+    context manager to :meth:`destroy` the segment on exit.
     """
 
     def __init__(
@@ -475,7 +524,22 @@ class SharedAnalysisContext:
     # -- construction -----------------------------------------------------
     @classmethod
     def from_context(cls, context: AnalysisContext) -> "SharedAnalysisContext":
-        """Pack *context*'s hot tables into a fresh shared segment."""
+        """Pack *context*'s hot tables into a fresh shared segment.
+
+        The collector is paused meanwhile: packing allocates only
+        acyclic ints, tuples and arrays, and a collection triggered
+        mid-pack would walk the caller's whole heap for nothing.
+        """
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return cls._pack(context)
+        finally:
+            if enabled:
+                gc.enable()
+
+    @classmethod
+    def _pack(cls, context: AnalysisContext) -> "SharedAnalysisContext":
         arena = _Arena()
 
         flat = FlatRib.from_snapshot(context.rib)
@@ -566,7 +630,6 @@ class SharedAnalysisContext:
             )
 
         shm = _create_segment(max(1, arena.size))
-        arena.write_to(shm.buf)
         descriptor: Dict[str, object] = {
             "name": shm.name.lstrip("/"),
             "sections": arena.sections,
@@ -577,7 +640,12 @@ class SharedAnalysisContext:
             "assigned_rirs": tuple(assigned_rirs),
             "leaf_rirs": tuple(leaf_rirs),
         }
-        return cls(descriptor, shm, owner=True)
+        try:
+            arena.write_to(shm.buf)
+            return cls(descriptor, shm, owner=True)
+        except BaseException:
+            _discard(shm)
+            raise
 
     def _attach_views(self) -> None:
         assert self._shm is not None
@@ -726,6 +794,12 @@ class SharedAnalysisContext:
         # repro-check: ignore[RC106] -- already unlinked; destroy() is idempotent
         except FileNotFoundError:  # pragma: no cover - raced teardown
             pass
+
+    def __enter__(self) -> "SharedAnalysisContext":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.destroy()
 
     # -- pickling: O(1) attach-by-name descriptor -------------------------
     def __getstate__(self) -> Dict[str, object]:

@@ -267,8 +267,15 @@ def pack_prefix(prefix: Prefix) -> int:
 
 
 def unpack_prefix(key: int) -> Prefix:
-    """The :class:`Prefix` a packed key encodes."""
-    return Prefix(key >> 8, key & _KEY_LENGTH_MASK)
+    """The :class:`Prefix` a packed key encodes.
+
+    Keys come from :func:`pack_prefix`, so the prefix is built without
+    re-running its validation (half the cost on the shm hot path).
+    """
+    prefix = object.__new__(Prefix)
+    object.__setattr__(prefix, "network", key >> 8)
+    object.__setattr__(prefix, "length", key & _KEY_LENGTH_MASK)
+    return prefix
 
 
 def flat_exact_index(keys: Sequence[int], prefix: Prefix) -> Optional[int]:

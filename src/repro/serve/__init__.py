@@ -2,14 +2,14 @@
 
 The batch pipeline produces tables; this subsystem makes them *askable*:
 one run is frozen into an immutable :class:`LeaseIndex` snapshot
-(:mod:`~repro.serve.index`), served over an asyncio HTTP/JSON API
+(:mod:`~repro.core.leaseindex`), served over an asyncio HTTP/JSON API
 (:mod:`~repro.serve.http`), hot-swapped atomically between generations
 (:mod:`~repro.serve.reload`), and benchmarked by a seeded closed-loop
 load generator (:mod:`~repro.serve.loadgen`).  See ``docs/SERVING.md``.
 """
 
+from ..core.leaseindex import DeltaLeaseIndex, LeaseIndex
 from .http import DEFAULT_CACHE_SIZE, MAX_BULK, LeaseQueryServer
-from .index import DeltaLeaseIndex, LeaseIndex
 from .loadgen import run_loadgen, validate_serve_run
 from .reload import SnapshotManager
 

@@ -49,9 +49,9 @@ from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 from urllib.parse import unquote
 
+from ..core.leaseindex import MAX_LISTING, LeaseIndex, parse_asn_text
 from ..net import AddressError, Prefix
 from ..temporal import TemporalProduct
-from .index import MAX_LISTING, LeaseIndex, parse_asn_text
 from .reload import SnapshotManager
 
 __all__ = ["LeaseQueryServer", "DEFAULT_CACHE_SIZE", "MAX_BULK"]

@@ -33,9 +33,9 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bench import _cpu_count
+from ..core.leaseindex import LeaseIndex
 from ..net import Prefix
 from .http import DEFAULT_CACHE_SIZE, LeaseQueryServer
-from .index import LeaseIndex
 from .reload import SnapshotManager
 
 __all__ = [

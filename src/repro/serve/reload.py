@@ -1,4 +1,4 @@
-"""Atomic hot-swap of :class:`~repro.serve.index.LeaseIndex` snapshots.
+"""Atomic hot-swap of :class:`~repro.core.leaseindex.LeaseIndex` snapshots.
 
 The serving layer never mutates an index in place.  A new snapshot is
 built **off the event loop** (in a worker thread — index construction
@@ -22,7 +22,7 @@ import asyncio
 import threading
 from typing import Callable, Optional, Tuple
 
-from .index import LeaseIndex
+from ..core.leaseindex import LeaseIndex
 
 __all__ = ["SnapshotManager"]
 

@@ -18,10 +18,12 @@ from repro.core import (
     RpkiValidationPipeline,
     compare_epochs,
     compare_epochs_fast,
+    fork_available,
     infer_leases,
     infer_legacy_leases,
     validation_profile,
 )
+from repro.core.shm import SharedAnalysisContext, attached_segment_names
 from repro.net import AddressRange, Prefix
 from repro.rir import RIR
 from repro.rpki import AS0, ROA, RoaSet
@@ -78,6 +80,18 @@ def make_legacy_registry():
         )
     )
     return db
+
+
+def make_legacy_pipeline():
+    """A legacy pipeline over :func:`make_legacy_registry` with routes."""
+    table = RoutingTable()
+    table.add_route(Prefix.parse("192.80.5.0/24"), 999)
+    table.add_route(Prefix.parse("192.80.9.0/24"), 100)
+    rels = ASRelationships()
+    rels.add(3356, 100, P2C)
+    rels.add(3356, 999, P2C)
+    collection = WhoisCollection({RIR.RIPE: make_legacy_registry()})
+    return LegacyLeasePipeline(collection, table, RelatednessOracle(rels))
 
 
 class TestLegacyInference:
@@ -284,16 +298,7 @@ class TestExtensionEngineEquivalence:
         ]
 
     def test_legacy_engines_match_on_fixture_registry(self):
-        db = make_legacy_registry()
-        table = RoutingTable()
-        table.add_route(Prefix.parse("192.80.5.0/24"), 999)
-        table.add_route(Prefix.parse("192.80.9.0/24"), 100)
-        rels = ASRelationships()
-        rels.add(3356, 100, P2C)
-        rels.add(3356, 999, P2C)
-        oracle = RelatednessOracle(rels)
-        collection = WhoisCollection({RIR.RIPE: db})
-        pipeline = LegacyLeasePipeline(collection, table, oracle)
+        pipeline = make_legacy_pipeline()
         reference = pipeline.run_reference()
         assert self._legacy_rows(pipeline.run()) == self._legacy_rows(
             reference
@@ -301,6 +306,39 @@ class TestExtensionEngineEquivalence:
         assert self._legacy_rows(
             pipeline.run(workers=2, shard_size=1)
         ) == self._legacy_rows(reference)
+
+    @pytest.mark.parametrize("start", ["fork", "spawn"])
+    def test_legacy_pool_runs_over_shm(self, request, monkeypatch, start):
+        """The legacy pool ships the shared-memory context, without the
+        lease leaf keys it never reads, under fork and under forced
+        spawn, and matches the frozen reference."""
+        if start == "spawn":
+            request.getfixturevalue("force_spawn")
+        elif not fork_available():
+            pytest.skip("fork start method not available")
+        packed = []
+        pack = SharedAnalysisContext.from_context
+
+        def spy(context):
+            shared = pack(context)
+            packed.append(shared.total_leaves())
+            return shared
+
+        monkeypatch.setattr(
+            SharedAnalysisContext, "from_context", staticmethod(spy)
+        )
+        pipeline = make_legacy_pipeline()
+        reference = pipeline.run_reference()
+        pipeline.run()  # builds the context serially
+        # A lease leaf key in the context must not reach the segment.
+        pipeline.context.leaf_keys[RIR.RIPE] = (
+            (Prefix.parse("192.80.5.0/24"), None, None),
+        )
+        assert self._legacy_rows(
+            pipeline.run(workers=2, shard_size=1)
+        ) == self._legacy_rows(reference)
+        assert packed == [0]
+        assert attached_segment_names() == []
 
     def test_legacy_engines_match_on_world(self, world, base):
         _result, context = base

@@ -151,7 +151,7 @@ class TestBenchSchemaDeterminism:
 
 
 class TestBenchMemoryModes:
-    """The v3 memory/shm/spawn accounting (`--memory --shm --spawn`)."""
+    """The v3 memory accounting (`--memory`)."""
 
     @pytest.fixture(scope="class")
     def report(self):
@@ -160,15 +160,12 @@ class TestBenchMemoryModes:
             seed=3,
             extensions=False,
             memory=True,
-            spawn=True,
-            shm=True,
         )
 
     def test_mode_grid(self, report):
         (world,) = report["worlds"]
         assert [mode["mode"] for mode in world["modes"]] == [
-            "reference", "serial", "parallel-2", "parallel-2-shm",
-            "spawn-2", "spawn-2-shm",
+            "reference", "serial", "parallel-2",
         ]
         assert all(mode["equivalent"] for mode in world["modes"])
 
@@ -180,26 +177,21 @@ class TestBenchMemoryModes:
         # measures the scheduler, not the code)
         assert modes["reference"]["speedup_vs_serial"] is None
         assert modes["serial"]["speedup_vs_serial"] == 1.0
-        for name in ("parallel-2", "spawn-2", "spawn-2-shm"):
-            value = modes[name]["speedup_vs_serial"]
-            if report["host"]["cpus"] < 2:
-                assert value == "insufficient_cpus"
-            else:
-                assert isinstance(value, float)
+        value = modes["parallel-2"]["speedup_vs_serial"]
+        if report["host"]["cpus"] < 2:
+            assert value == "insufficient_cpus"
+        else:
+            assert isinstance(value, float)
 
     def test_spawn_payload_drops_to_o1_descriptor(self, report):
-        # The headline of the shared-memory engine: a spawn worker's
-        # payload is the pickled context without shm, the O(1)
-        # attach-by-name descriptor with it.
+        # The headline of the shared-memory transport: what a spawn
+        # worker unpickles is the O(1) attach-by-name descriptor, while
+        # the tables live in one segment.
         (world,) = report["worlds"]
         modes = {mode["mode"]: mode for mode in world["modes"]}
-        pickled = modes["spawn-2"]["payload_bytes"]
-        descriptor = modes["spawn-2-shm"]["payload_bytes"]
-        assert pickled > 4 * 1024
-        assert descriptor < 4 * 1024
-        assert pickled > 4 * descriptor
-        assert modes["spawn-2-shm"]["segment_bytes"] > 0
-        assert modes["spawn-2"]["segment_bytes"] is None
+        assert modes["parallel-2"]["payload_bytes"] < 4 * 1024
+        assert modes["parallel-2"]["segment_bytes"] > 0
+        assert modes["serial"]["segment_bytes"] is None
 
     def test_peak_rss_populated(self, report):
         (world,) = report["worlds"]

@@ -148,12 +148,12 @@ class TestEngineEquivalence:
         assert set(pipeline.timings) == {"tree_build_s", "classify_s"}
         assert all(value >= 0 for value in pipeline.timings.values())
 
-    def test_spawn_mode_matches_serial(self, world, monkeypatch):
+    def test_spawn_mode_matches_serial(self, world, force_spawn):
         """Satellite: without fork, the sharded engine must still match.
 
         Forcing ``fork_available()`` false makes ``run_sharded`` build a
-        real spawn pool, which exercises pickling the shared context to
-        the workers.
+        real spawn pool, which exercises pickling the shared-memory
+        descriptor to the workers.
         """
         import repro.core.sharding as sharding
 
@@ -161,16 +161,6 @@ class TestEngineEquivalence:
             world.whois, world.routing_table, world.relationships,
             world.as2org,
         ).run(workers=1)
-        monkeypatch.setattr(
-            sharding.multiprocessing,
-            "get_all_start_methods",
-            lambda: ["spawn"],
-        )
-        monkeypatch.setattr(
-            sharding.multiprocessing,
-            "get_start_method",
-            lambda allow_none=False: "spawn",
-        )
         assert not sharding.fork_available()
         spawned = LeaseInferencePipeline(
             world.whois, world.routing_table, world.relationships,
@@ -234,15 +224,23 @@ class TestAnalysisContext:
             for org_id, asns in context.assigned[rir].items():
                 assert asns == frozenset(database.asns_of_org(org_id))
 
-    def test_pickle_drops_leaf_records(self, context):
-        clone = pickle.loads(pickle.dumps(context))
-        assert clone.leaf_keys == context.leaf_keys
-        assert clone.related_sets == context.related_sets
-        assert clone.rib.covering_origins(
-            Prefix.parse("0.0.0.0/0")
-        ) == context.rib.covering_origins(Prefix.parse("0.0.0.0/0"))
-        with pytest.raises(RuntimeError, match="stripped"):
-            clone.leaves(context.rirs[0])
+    def test_pool_never_pickles_context(
+        self, world, context, force_spawn, monkeypatch
+    ):
+        """Spawn workers get the shared-memory descriptor, not this."""
+
+        def refuse(self, protocol):
+            raise AssertionError("AnalysisContext was pickled")
+
+        monkeypatch.setattr(AnalysisContext, "__reduce_ex__", refuse)
+        with pytest.raises(AssertionError, match="was pickled"):
+            pickle.dumps(context)
+        pipeline = LeaseInferencePipeline(
+            world.whois, world.routing_table, world.relationships,
+            world.as2org,
+        )
+        result = pipeline.run(workers=2, shard_size=16, context=context)
+        assert result == pipeline.run(workers=1, context=context)
 
     def test_build_related_sets_contains_self(self, world):
         related = build_related_sets(world.relationships, world.as2org)

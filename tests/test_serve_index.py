@@ -1,11 +1,11 @@
-"""Tests for repro.serve.index: the queryable LeaseIndex snapshot."""
+"""Tests for repro.core.leaseindex: the queryable LeaseIndex snapshot."""
 
 import pytest
 
 from repro.core import LeaseInferencePipeline
+from repro.core.leaseindex import MAX_LISTING, parse_asn_text
 from repro.net import Prefix
 from repro.serve import LeaseIndex
-from repro.serve.index import MAX_LISTING, parse_asn_text
 from repro.simulation import build_world, small_world
 
 

@@ -7,8 +7,8 @@ import pytest
 
 from repro.bench import build_temporal_product
 from repro.core import LeaseInferencePipeline
+from repro.core.leaseindex import MAX_LISTING
 from repro.serve import LeaseIndex, LeaseQueryServer, SnapshotManager
-from repro.serve.index import MAX_LISTING
 from repro.simulation import build_world, small_world
 
 EPOCHS = 4

@@ -4,10 +4,12 @@ Covers the flat-array radix helpers against the dict/trie structures
 they mirror, :class:`FlatRib` against :class:`RibSnapshot`,
 :class:`SharedAnalysisContext` against :class:`AnalysisContext` on every
 duck-typed method, the O(1) attach-by-name pickling contract, segment
-lifecycle (close / destroy / GC finalizer / crash cleanup), and full
-pipeline equivalence across fork, spawn, and shared-memory modes.
+lifecycle (close / destroy / GC finalizer / crash / full ``/dev/shm``
+cleanup), and full pipeline equivalence for the shared-memory pool
+under the default start method and under forced spawn.
 """
 
+import errno
 import gc
 import pickle
 
@@ -15,7 +17,7 @@ import pytest
 
 from repro.core import LeaseInferencePipeline
 from repro.core.context import AnalysisContext, RibSnapshot
-from repro.core.sharding import classify_shard_rows, plan_shards, run_sharded
+from repro.core.sharding import classify_shard_rows, plan_shards
 from repro.core.shm import (
     FlatRib,
     SharedAnalysisContext,
@@ -34,6 +36,8 @@ from repro.net.radix import (
 )
 from repro.rir import RIR
 from repro.simulation import build_world, small_world
+
+from .test_core_extensions import make_legacy_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -265,20 +269,89 @@ class TestSegmentLifecycle:
         gc.collect()
         assert name not in attached_segment_names()
 
-    def test_worker_crash_leaves_no_segment(self, world, monkeypatch):
-        """A dying pool must not leak /dev/shm segments: the pipeline
-        destroys the segment in a ``finally`` around ``run_sharded``."""
-        import repro.core.pipeline as pipeline_module
+    @pytest.mark.parametrize("engine", ["lease", "legacy"])
+    def test_worker_crash_leaves_no_segment(self, world, monkeypatch, engine):
+        """A dying pool must not leak /dev/shm segments: each pipeline
+        destroys the segment on leaving the block around ``run_sharded``."""
+        if engine == "lease":
+            import repro.core.pipeline as module
 
-        crashing = LeaseInferencePipeline(
+            runner = "classify_shard_rows"
+            crashing = LeaseInferencePipeline(
+                world.whois, world.routing_table, world.relationships,
+                world.as2org,
+            )
+            run_kwargs = {"workers": 2, "shard_size": 16}
+        else:
+            import repro.core.legacy as module
+
+            runner = "_legacy_shard"
+            crashing = make_legacy_pipeline()
+            run_kwargs = {"workers": 2, "shard_size": 1}
+        monkeypatch.setattr(module, runner, _raise_in_worker)
+        with pytest.raises(RuntimeError, match="injected worker failure"):
+            crashing.run(**run_kwargs)
+        assert attached_segment_names() == []
+
+    @pytest.mark.parametrize("failing", ["posix_fallocate", "write_to"])
+    def test_full_dev_shm_fails_cleanly(self, world, monkeypatch, failing):
+        """A tmpfs with no room left raises ENOSPC instead of SIGBUS on
+        the first write, and the half-made segment is unlinked — also
+        when filling the segment fails after the reservation."""
+        import repro.core.shm as shm_module
+
+        def no_space(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        owner = shm_module.os if failing == "posix_fallocate" else (
+            shm_module._Arena
+        )
+        monkeypatch.setattr(owner, failing, no_space)
+        pipeline = LeaseInferencePipeline(
             world.whois, world.routing_table, world.relationships,
             world.as2org,
         )
-        monkeypatch.setattr(
-            pipeline_module, "classify_shard_rows", _raise_in_worker
+        with pytest.raises(OSError) as raised:
+            pipeline.run(workers=2, shard_size=16)
+        assert raised.value.errno == errno.ENOSPC
+        if failing == "posix_fallocate":
+            assert "repro_ctx_" in str(raised.value)
+        assert attached_segment_names() == []
+
+    @pytest.mark.parametrize("code", [errno.EINVAL, errno.EOPNOTSUPP],
+                             ids=["EINVAL", "EOPNOTSUPP"])
+    def test_fallocate_unsupported_keeps_segment(self, world, monkeypatch,
+                                                 code):
+        """A descriptor that cannot reserve pages is no full disk: the
+        pool runs on the unreserved segment and matches serial."""
+        import repro.core.shm as shm_module
+
+        def unsupported(*args):
+            raise OSError(code, "not supported")
+
+        monkeypatch.setattr(shm_module.os, "posix_fallocate", unsupported,
+                            raising=False)
+        p = LeaseInferencePipeline(
+            world.whois, world.routing_table, world.relationships,
+            world.as2org,
         )
-        with pytest.raises(RuntimeError, match="injected worker failure"):
-            crashing.run(workers=2, shard_size=16, use_shm=True)
+        serial = _rows(p.run(workers=1))
+        assert _rows(p.run(workers=2, shard_size=16)) == serial
+        assert attached_segment_names() == []
+
+    def test_full_dev_shm_keeps_errno(self, monkeypatch):
+        """Any other reservation error keeps its own errno."""
+        import repro.core.shm as shm_module
+
+        def io_error(*args):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(shm_module.os, "posix_fallocate", io_error,
+                            raising=False)
+        with pytest.raises(OSError) as raised:
+            shm_module._create_segment(4096)
+        assert raised.value.errno == errno.EIO
+        assert "4096 bytes" in str(raised.value)
         assert attached_segment_names() == []
 
     def test_empty_context_packs_into_minimal_segment(self):
@@ -290,7 +363,7 @@ class TestSegmentLifecycle:
             assigned={},
             leaf_keys={},
             stats={},
-            leaves=None,
+            leaves={},
         )
         shared = SharedAnalysisContext.from_context(context)
         try:
@@ -306,6 +379,9 @@ def _raise_in_worker(payload, shard):
 
 
 class TestPipelineModes:
+    """Every pool ships the shared-memory context; ``shm`` runs it with
+    the platform's default start method, ``spawn`` forces spawn."""
+
     @pytest.fixture(scope="class")
     def serial_rows(self, world):
         p = LeaseInferencePipeline(
@@ -314,54 +390,20 @@ class TestPipelineModes:
         )
         return _rows(p.run(workers=1))
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"use_shm": True},
-            {"use_shm": True, "start_method": "fork"},
-            {"start_method": "spawn"},
-            {"use_shm": True, "start_method": "spawn"},
-        ],
-        ids=["shm", "shm-fork", "spawn", "shm-spawn"],
-    )
-    def test_mode_matches_serial(self, world, serial_rows, kwargs):
+    @pytest.mark.parametrize("start", ["shm", "spawn"])
+    def test_mode_matches_serial(self, request, world, serial_rows, start):
+        if start == "spawn":
+            request.getfixturevalue("force_spawn")
         p = LeaseInferencePipeline(
             world.whois, world.routing_table, world.relationships,
             world.as2org,
         )
-        result = p.run(workers=2, shard_size=16, **kwargs)
-        assert _rows(result) == serial_rows
-        if kwargs.get("use_shm"):
-            assert p.shm_stats is not None
-            assert p.shm_stats["payload_bytes"] < 16 * 1024
-            assert p.shm_stats["segment_bytes"] > 0
-        assert attached_segment_names() == []
-
-    def test_measure_payload_without_shm(self, world, serial_rows):
-        p = LeaseInferencePipeline(
-            world.whois, world.routing_table, world.relationships,
-            world.as2org,
-        )
-        p.measure_payload = True
         result = p.run(workers=2, shard_size=16)
         assert _rows(result) == serial_rows
         assert p.shm_stats is not None
-        # the plain-context payload is the O(table) pickle the shm
-        # descriptor replaces
-        assert p.shm_stats["payload_bytes"] > 4 * 1024
-
-    def test_unknown_start_method_rejected(self, world):
-        p = LeaseInferencePipeline(
-            world.whois, world.routing_table, world.relationships,
-            world.as2org,
-        )
-        with pytest.raises(ValueError, match="start method"):
-            p.run(workers=2, shard_size=16, start_method="threads")
-
-    def test_run_sharded_rejects_unknown_method(self):
-        with pytest.raises(ValueError, match="start method"):
-            run_sharded((), _raise_in_worker, [4], 2, 2,
-                        start_method="nope")
+        assert p.shm_stats["payload_bytes"] < 16 * 1024
+        assert p.shm_stats["segment_bytes"] > 0
+        assert attached_segment_names() == []
 
 
 def _rows(result):

@@ -218,18 +218,8 @@ class TestStartMethods:
 
     @pytest.mark.parametrize("stream_seed", [21, 22])
     def test_spawn_parallel_scratch(
-        self, small, small_context, stream_seed, monkeypatch
+        self, small, small_context, stream_seed, force_spawn
     ):
-        monkeypatch.setattr(
-            sharding.multiprocessing,
-            "get_all_start_methods",
-            lambda: ["spawn"],
-        )
-        monkeypatch.setattr(
-            sharding.multiprocessing,
-            "get_start_method",
-            lambda allow_none=False: "spawn",
-        )
         assert not sharding.fork_available()
         feed = simulate_update_bursts(small, 2, 16, stream_seed)
         assert_differential(

@@ -164,29 +164,24 @@ class TestStreamingGeneration:
         assert buffered.announcements
 
 
+def _digest(world, workers):
+    pipeline = LeaseInferencePipeline(
+        world.whois,
+        world.routing_table,
+        world.relationships,
+        world.as2org,
+    )
+    return result_digest(pipeline.run(workers=workers, shard_size=64))
+
+
 class TestEngineEquivalence:
     @pytest.fixture(scope="class")
     def digests(self, world):
-        def run(**kwargs):
-            pipeline = LeaseInferencePipeline(
-                world.whois,
-                world.routing_table,
-                world.relationships,
-                world.as2org,
-            )
-            return result_digest(pipeline.run(shard_size=64, **kwargs))
+        return {"serial": _digest(world, 1), "pool": _digest(world, 2)}
 
-        return {
-            "serial": run(workers=1),
-            "fork": run(workers=2),
-            "fork-shm": run(workers=2, use_shm=True),
-            "spawn-shm": run(
-                workers=2, use_shm=True, start_method="spawn"
-            ),
-        }
-
-    def test_all_modes_bit_identical(self, digests):
-        assert len(set(digests.values())) == 1, digests
+    def test_all_modes_bit_identical(self, world, digests, force_spawn):
+        spawned = _digest(world, 2)
+        assert len(set(digests.values()) | {spawned}) == 1, digests
 
     def test_digest_matches_frozen_reference(self, world, digests):
         pipeline = LeaseInferencePipeline(
