@@ -18,11 +18,14 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Sequence, Tuple
 
 from ..net import Prefix, address_to_int, int_to_address
 from .aspath import ASPath
 from .rib import RibEntry
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from .history import Update
 
 __all__ = [
     "MrtError",
@@ -204,28 +207,52 @@ def read_mrt(data: bytes) -> Iterator[RibEntry]:
     """Decode a TABLE_DUMP_V2 byte stream back into RIB rows.
 
     Unknown MRT types/subtypes are skipped (real archives interleave
-    state-change records); truncated data raises :class:`MrtError`.
+    state-change records); truncated or malformed data raises
+    :class:`MrtError` naming the failing record's byte offset.
     """
     peers: List[PeerEntry] = []
+    for start, timestamp, mrt_type, subtype, body in _records(data):
+        if mrt_type != TABLE_DUMP_V2:
+            continue
+        entries: List[RibEntry] = []
+        try:
+            if subtype == PEER_INDEX_TABLE:
+                peers = _decode_peer_index(body)
+            elif subtype == RIB_IPV4_UNICAST:
+                entries = _decode_rib(body, peers, timestamp)
+            # other subtypes (IPv6, generic) are skipped
+        except _DECODE_ERRORS as exc:
+            raise _malformed(start, exc) from exc
+        yield from entries
+
+
+#: What the body decoders raise on malformed bytes: short reads from
+#: ``struct``, indexing past the end, and invalid values (``MrtError``
+#: is itself a ``ValueError``).
+_DECODE_ERRORS = (struct.error, IndexError, ValueError)
+
+
+def _malformed(start: int, exc: Exception) -> MrtError:
+    return MrtError(f"malformed MRT record at byte offset {start}: {exc}")
+
+
+def _records(data: bytes) -> Iterator[Tuple[int, int, int, int, bytes]]:
+    """``(offset, timestamp, type, subtype, body)`` for every record."""
     offset = 0
     while offset < len(data):
+        start = offset
         if offset + 12 > len(data):
-            raise MrtError("truncated MRT header")
+            raise MrtError(f"truncated MRT header at byte offset {start}")
         timestamp, mrt_type, subtype, length = struct.unpack_from(
             ">IHHI", data, offset
         )
         offset += 12
         if offset + length > len(data):
-            raise MrtError("truncated MRT record body")
-        body = data[offset : offset + length]
+            raise MrtError(
+                f"truncated MRT record body at byte offset {start}"
+            )
+        yield start, timestamp, mrt_type, subtype, data[offset : offset + length]
         offset += length
-        if mrt_type != TABLE_DUMP_V2:
-            continue
-        if subtype == PEER_INDEX_TABLE:
-            peers = _decode_peer_index(body)
-        elif subtype == RIB_IPV4_UNICAST:
-            yield from _decode_rib(body, peers, timestamp)
-        # other subtypes (IPv6, generic) are skipped
 
 
 def _decode_peer_index(body: bytes) -> List[PeerEntry]:
@@ -260,11 +287,12 @@ def _decode_peer_index(body: bytes) -> List[PeerEntry]:
 
 def _decode_rib(
     body: bytes, peers: List[PeerEntry], timestamp: int
-) -> Iterator[RibEntry]:
+) -> List[RibEntry]:
     offset = 4  # skip sequence number
     prefix, offset = _decode_prefix(body, offset)
     (entry_count,) = struct.unpack_from(">H", body, offset)
     offset += 2
+    entries: List[RibEntry] = []
     for _index in range(entry_count):
         peer_idx, originated, attr_length = struct.unpack_from(
             ">HIH", body, offset
@@ -278,13 +306,16 @@ def _decode_rib(
         if path is None:
             continue  # no AS_PATH: not a usable route
         peer = peers[peer_idx]
-        yield RibEntry(
-            prefix=prefix,
-            path=path,
-            peer_asn=peer.asn,
-            peer_address=peer.address,
-            timestamp=originated or timestamp,
+        entries.append(
+            RibEntry(
+                prefix=prefix,
+                path=path,
+                peer_asn=peer.asn,
+                peer_address=peer.address,
+                timestamp=originated or timestamp,
+            )
         )
+    return entries
 
 
 def _decode_prefix(body: bytes, offset: int) -> Tuple[Prefix, int]:
@@ -381,58 +412,57 @@ def write_mrt_updates(stream) -> bytes:
 
 
 def read_mrt_updates(data: bytes):
-    """Decode BGP4MP bytes back into an UpdateStream."""
-    from .history import AnnounceUpdate, UpdateStream, WithdrawUpdate
+    """Decode BGP4MP bytes back into an UpdateStream.
 
-    updates = []
-    offset = 0
-    while offset < len(data):
-        if offset + 12 > len(data):
-            raise MrtError("truncated MRT header")
-        timestamp, mrt_type, subtype, length = struct.unpack_from(
-            ">IHHI", data, offset
-        )
-        offset += 12
-        if offset + length > len(data):
-            raise MrtError("truncated MRT record body")
-        body = data[offset : offset + length]
-        offset += length
+    Truncated or malformed data raises :class:`MrtError` naming the
+    failing record's byte offset.
+    """
+    from .history import UpdateStream
+
+    updates: List[Update] = []
+    for start, timestamp, mrt_type, subtype, body in _records(data):
         if mrt_type != BGP4MP or subtype != BGP4MP_MESSAGE_AS4:
             continue
-        peer_asn, _local_asn, _ifindex, afi = struct.unpack_from(
-            ">IIHH", body, 0
-        )
-        if afi != _AFI_IPV4:
-            continue
-        peer_address = int_to_address(
-            int.from_bytes(body[12:16], "big")
-        )
-        message = body[20:]
-        withdrawn, attributes, nlri = _decode_bgp_update(message)
-        for prefix in withdrawn:
-            updates.append(
-                WithdrawUpdate(
-                    timestamp=timestamp,
-                    prefix=prefix,
-                    peer_asn=peer_asn,
-                    peer_address=peer_address,
-                )
-            )
-        if nlri:
-            path = _decode_as_path(attributes)
-            if path is None:
-                raise MrtError("announce without AS_PATH attribute")
-            for prefix in nlri:
-                updates.append(
-                    AnnounceUpdate(
-                        timestamp=timestamp,
-                        prefix=prefix,
-                        path=path,
-                        peer_asn=peer_asn,
-                        peer_address=peer_address,
-                    )
-                )
+        try:
+            updates.extend(_decode_bgp4mp(body, timestamp))
+        except _DECODE_ERRORS as exc:
+            raise _malformed(start, exc) from exc
     return UpdateStream(updates)
+
+
+def _decode_bgp4mp(body: bytes, timestamp: int) -> List[Update]:
+    """The withdraw and announce updates of one BGP4MP_MESSAGE_AS4 body."""
+    from .history import AnnounceUpdate, WithdrawUpdate
+
+    peer_asn, _local_asn, _ifindex, afi = struct.unpack_from(">IIHH", body, 0)
+    if afi != _AFI_IPV4:
+        return []
+    peer_address = int_to_address(int.from_bytes(body[12:16], "big"))
+    withdrawn, attributes, nlri = _decode_bgp_update(body[20:])
+    updates: List[Update] = [
+        WithdrawUpdate(
+            timestamp=timestamp,
+            prefix=prefix,
+            peer_asn=peer_asn,
+            peer_address=peer_address,
+        )
+        for prefix in withdrawn
+    ]
+    if nlri:
+        path = _decode_as_path(attributes)
+        if path is None:
+            raise MrtError("announce without AS_PATH attribute")
+        updates.extend(
+            AnnounceUpdate(
+                timestamp=timestamp,
+                prefix=prefix,
+                path=path,
+                peer_asn=peer_asn,
+                peer_address=peer_address,
+            )
+            for prefix in nlri
+        )
+    return updates
 
 
 def _bgp_update_message(withdrawn, attributes: bytes, nlri) -> bytes:

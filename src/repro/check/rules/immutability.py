@@ -2,8 +2,8 @@
 
 The whole scaling architecture hangs off frozen snapshots: one
 ``AnalysisContext`` (with its ``RibSnapshot``/``RoaSnapshot``) is built
-per run and shared with worker processes through its shared-memory
-twin, and the serve layer swaps
+per run and worker processes attach to a shared-memory copy of its
+byte image, and the serve layer swaps
 immutable ``LeaseIndex`` generations atomically.  Mutating one of
 these after construction corrupts every consumer that assumed the
 freeze — whether the assignment is written in place (RC102) or hidden
@@ -118,9 +118,9 @@ class SpawnSafePayloads(CheckRule):
     ``__getstate__``/``__reduce__``/``__slots__`` has never had its
     pickled form thought about — lazily built caches, open handles, or
     megabytes of derived indexes ride along silently (the O(1)
-    attach-by-name descriptor of ``SharedAnalysisContext.__getstate__``,
-    which the lease and legacy pools ship instead of the whole
-    ``AnalysisContext``, exists precisely because of this).
+    attach-by-name descriptor of ``SharedAnalysisContext.__reduce__``,
+    which the lease and legacy pools ship instead of the context's
+    whole image, exists precisely because of this).
 
     Remediation: Give the class an explicit ``__getstate__`` (drop
     derived/unpicklable state) or ``__slots__`` declaration, or — after

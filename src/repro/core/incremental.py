@@ -2,9 +2,9 @@
 
 The frozen-snapshot engines rebuild everything per run; this module is
 the streaming path between collector dumps.  A burst of announce/
-withdraw updates lands on :class:`MutableRibOverlay` — a mutable copy of
-the run's :class:`~repro.core.context.RibSnapshot` exact index — and
-:class:`IncrementalEngine` reclassifies **only** the leaves whose §5.1
+withdraw updates lands on :class:`MutableRibOverlay` — a mutable dict
+copy of the run's :class:`~repro.core.context.RibSnapshot` exact index —
+and :class:`IncrementalEngine` reclassifies **only** the leaves whose §5.1
 lookups could have changed:
 
 * a leaf's own origins come from the exact index at its prefix, so a
@@ -61,25 +61,50 @@ _EMPTY: FrozenSet[int] = frozenset()
 _LeafSlot = Tuple[RIR, int]
 
 
-class MutableRibOverlay(RibSnapshot):
-    """A mutable copy of a frozen RIB snapshot, update by update.
+class MutableRibOverlay:
+    """A mutable dict copy of a frozen RIB snapshot, update by update.
 
-    Exposes the same lookup surface as :class:`RibSnapshot` (so the
-    shard classifier reads it unchanged) while accepting the stream's
-    mutations with :class:`RoutingTable` semantics: ``announce`` adds
-    one origin to a prefix's set, ``withdraw`` evicts the prefix's
-    exact-index entry wholly.  The advertised-length index is kept in
-    sync so covering walks stay correct as lengths appear and vanish.
+    Answers ``exact_origins`` / ``covering_origins`` exactly like
+    :class:`RibSnapshot` (so the shard classifier reads it unchanged)
+    while accepting the stream's mutations with :class:`RoutingTable`
+    semantics: ``announce`` adds one origin to a prefix's set,
+    ``withdraw`` evicts the prefix's exact-index entry wholly.  The
+    advertised-length index is kept in sync so covering walks stay
+    correct as lengths appear and vanish.
     """
 
-    __slots__ = ("_length_counts",)
+    __slots__ = ("_exact", "_lengths", "_length_counts")
 
     def __init__(self, base: RibSnapshot) -> None:
-        super().__init__(dict(base.exact_items()))
+        self._exact: Dict[Prefix, FrozenSet[int]] = dict(
+            base.exact_items()
+        )
         counts: Dict[int, int] = {}
         for prefix in self._exact:
             counts[prefix.length] = counts.get(prefix.length, 0) + 1
         self._length_counts = counts
+        self._lengths: Tuple[int, ...] = tuple(sorted(counts))
+
+    def exact_origins(self, prefix: Prefix) -> FrozenSet[int]:
+        """Origins of the exact-matching prefix (empty when absent)."""
+        return self._exact.get(prefix, _EMPTY)
+
+    def covering_origins(self, prefix: Prefix) -> FrozenSet[int]:
+        """Exact match, else the least-specific covering prefix's origins.
+
+        Probes the truncations of *prefix* at every advertised length,
+        ascending, so the first hit is the least-specific cover.
+        """
+        exact = self._exact.get(prefix)
+        if exact:
+            return exact
+        for length in self._lengths:
+            if length > prefix.length:
+                break
+            origins = self._exact.get(prefix.supernet(length))
+            if origins is not None:
+                return origins
+        return _EMPTY
 
     def announce(self, prefix: Prefix, origin: int) -> bool:
         """Add *origin* to the prefix's set; True when state changed."""
@@ -139,11 +164,12 @@ class BurstReport:
 class IncrementalEngine:
     """Burst-at-a-time reclassification over a mutable RIB overlay.
 
-    Built parent-side from an :class:`AnalysisContext`, which holds the
-    leaf records (the shared-memory twin does not).  Construction runs
-    one full classification — bit-identical to the pipeline's serial
-    path — and indexes every leaf by its exact prefix and by its root
-    prefix; each :meth:`apply` then touches only the dirty subset.
+    Built from the :class:`AnalysisContext` the process built itself,
+    which holds the leaf records (a shared-memory attachment does not).
+    Construction runs one full classification — bit-identical to the
+    pipeline's serial path — and indexes every leaf by its exact prefix
+    and by its root prefix; each :meth:`apply` then touches only the
+    dirty subset.
     """
 
     def __init__(

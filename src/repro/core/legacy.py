@@ -182,9 +182,9 @@ def _registration_differs(
 # (prefixes nest or are disjoint, so the stack top after popping closed
 # intervals *is* ``trie.parent``) and reduces every block to a compact
 # key.  Keys are what ships to worker processes; verdicts come entirely
-# from the context — the :class:`AnalysisContext` serially, its
-# shared-memory :class:`SharedAnalysisContext` in a pool — through the
-# identical code path.
+# from the context — the :class:`AnalysisContext` serially, the
+# :class:`SharedAnalysisContext` attached to its image in a pool —
+# through the identical code path.
 
 #: ``(prefix, record_org, parent_prefix, parent_org, registration_signal)``
 _LegacyKey = Tuple[Prefix, Optional[str], Optional[Prefix], Optional[str], bool]
@@ -235,10 +235,9 @@ def _legacy_rows(
 ) -> List[Tuple[str, Tuple[int, ...]]]:
     """Verdict rows for a slice of keys, entirely from the context.
 
-    A pool passes a :class:`SharedAnalysisContext`, which duck-types
-    the ``AnalysisContext`` reads the annotation names.
+    A pool passes the :class:`SharedAnalysisContext` attached to the
+    parent's image.
     """
-    assigned = context.assigned.get(rir, {})
     targets_memo: Dict[
         Tuple[Optional[str], Optional[str], Optional[Prefix]], FrozenSet[int]
     ] = {}
@@ -254,10 +253,8 @@ def _legacy_rows(
             targets = targets_memo.get(memo_key)
             if targets is None:
                 pool = set()
-                if parent_org:
-                    pool.update(assigned.get(parent_org, ()))
-                if record_org:
-                    pool.update(assigned.get(record_org, ()))
+                pool.update(context.assigned_asns(rir, parent_org))
+                pool.update(context.assigned_asns(rir, record_org))
                 if parent_prefix is not None:
                     pool.update(context.rib.covering_origins(parent_prefix))
                 targets = frozenset(pool)
@@ -340,18 +337,7 @@ class LegacyLeasePipeline:
                 for rir, _scan, keys in units
             ]
         else:
-            # The pool reads no lease leaf keys: pack the tables only.
-            tables = AnalysisContext(
-                context.rirs,
-                context.max_leaf_length,
-                context.rib,
-                context.related_sets,
-                context.assigned,
-                leaf_keys={},
-                stats=context.stats,
-                leaves={},
-            )
-            with SharedAnalysisContext.from_context(tables) as shared:
+            with SharedAnalysisContext.from_context(context) as shared:
                 shards, outputs = run_sharded(
                     (shared, tuple((rir, keys) for rir, _scan, keys in units)),
                     _legacy_shard,

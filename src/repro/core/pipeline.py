@@ -95,7 +95,7 @@ class LeaseInferencePipeline:
 
         Builds (or reuses, via ``context``) the shared
         :class:`AnalysisContext` snapshot, then classifies from it.
-        ``workers`` > 1 freezes the context's hot tables into one
+        ``workers`` > 1 copies the context's image into one
         shared-memory segment and classifies shards across a process
         pool — fork where available, spawn otherwise — whose workers
         receive an O(1) attach-by-name descriptor; the segment is

@@ -12,11 +12,11 @@ The pool uses fork where the platform has it and spawn otherwise.
 Under **fork**, workers inherit the payload through copy-on-write and
 nothing is pickled; under **spawn**, the initializer ships the payload
 exactly once per worker.  Context-backed pools (lease and legacy
-inference) pass the shared-memory
-:class:`~repro.core.shm.SharedAnalysisContext`, whose pickle is an O(1)
-attach-by-name descriptor, plus compact key tuples — never record
-objects.  Both start methods return shard outputs in plan order, so
-reassembly is deterministic regardless of scheduling.
+inference) pass :class:`~repro.core.shm.SharedAnalysisContext` — the
+context attached to a shared-memory copy of its one byte image, whose
+pickle is an O(1) attach-by-name descriptor — plus compact key tuples,
+never record objects.  Both start methods return shard outputs in plan
+order, so reassembly is deterministic regardless of scheduling.
 
 :class:`ShardClassifier` is the §5.2 hot path: one per shard (or per
 region, serially), all lookups served from the shared context, with
@@ -35,6 +35,7 @@ from typing import (
     FrozenSet,
     List,
     Optional,
+    Protocol,
     Sequence,
     Tuple,
 )
@@ -42,7 +43,7 @@ from typing import (
 from ..net import Prefix
 from ..rir import RIR
 from .classify import Category
-from .context import AnalysisContext, RibSnapshot
+from .context import AnalysisContext
 
 __all__ = [
     "DEFAULT_SHARD_SIZE",
@@ -135,6 +136,16 @@ _Row = Tuple[str, Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
 _CategoryKey = Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]
 
 
+class OriginLookups(Protocol):
+    """The RIB reads of the classifier: the context's frozen
+    :class:`~repro.core.context.RibSnapshot` or the incremental
+    engine's mutable overlay."""
+
+    def exact_origins(self, prefix: Prefix) -> FrozenSet[int]: ...
+
+    def covering_origins(self, prefix: Prefix) -> FrozenSet[int]: ...
+
+
 class ShardClassifier:
     """Per-shard memoized §5.2 classification over the shared context.
 
@@ -157,11 +168,11 @@ class ShardClassifier:
         context: AnalysisContext,
         rir: RIR,
         use_covering_root_lookup: bool = True,
-        rib: Optional[RibSnapshot] = None,
+        rib: Optional[OriginLookups] = None,
     ) -> None:
         self._context = context
-        self._rib = context.rib if rib is None else rib
-        self._assigned_of_org = context.assigned.get(rir, {})
+        self._rib: OriginLookups = context.rib if rib is None else rib
+        self._rir = rir
         self._use_covering = use_covering_root_lookup
         self._root_origins: Dict[Prefix, FrozenSet[int]] = {}
         self._assigned: Dict[Optional[str], FrozenSet[int]] = {}
@@ -239,9 +250,7 @@ class ShardClassifier:
         answer = self._related.get(key)
         if answer is None:
             self._related_misses += 1
-            answer = not self._context.related_to(origin).isdisjoint(
-                root_assigned
-            )
+            answer = self._context.any_related((origin,), root_assigned)
             self._related[key] = answer
         else:
             self._related_hits += 1
@@ -272,7 +281,7 @@ class ShardClassifier:
             self._assigned_hits += 1
             return cached
         self._assigned_misses += 1
-        resolved = self._assigned_of_org.get(org_id, _EMPTY)
+        resolved = self._context.assigned_asns(self._rir, org_id)
         self._assigned[org_id] = resolved
         return resolved
 
@@ -410,9 +419,9 @@ def classify_shard_rows(
 
     The module-level runner for the lease pipeline's parallel mode:
     ``payload`` is ``(context, use_covering_root_lookup, rir_order)``
-    and ``shard.work_index`` indexes ``rir_order``.  The pool passes a
-    :class:`~repro.core.shm.SharedAnalysisContext`, which duck-types
-    the ``AnalysisContext`` reads the annotation names.
+    and ``shard.work_index`` indexes ``rir_order``.  The pool passes the
+    :class:`~repro.core.shm.SharedAnalysisContext` attached to the
+    parent's image.
     """
     context, use_covering, rir_order = payload
     rir = rir_order[shard.work_index]

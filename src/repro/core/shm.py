@@ -1,27 +1,17 @@
-"""Zero-copy shared-memory snapshot of the analysis substrate.
+"""The analysis context's image, shared with worker pools by name.
 
-Every context-backed worker pool ships its lookup tables through this
-module rather than pickling the :class:`~repro.core.context.AnalysisContext`
-(RIB, relatedness closure, per-registry organisation maps, every leaf
-key) — on internet-scale worlds that pickle would be hundreds of
-megabytes per spawned worker.  The hot tables are frozen into flat
-sorted arrays inside **one** ``multiprocessing.shared_memory`` segment:
-
-* the RIB becomes :class:`FlatRib` — packed ``network << 8 | length``
-  keys with per-prefix origin buckets, searched with the
-  :mod:`repro.net.radix` flat-array helpers (binary search instead of
-  dict probes, byte-identical results);
-* the relatedness closure, the per-RIR ``org → assigned ASNs`` maps,
-  and the per-RIR leaf-key sequences become offset-indexed arrays and
-  interned string tables.
-
-:class:`SharedAnalysisContext` duck-types ``AnalysisContext`` for the
-classification hot path, so ``classify_shard_rows`` and the legacy
-verdict rows run over it unchanged.  Pickling it ships an O(1)
-descriptor — the segment *name* plus a section directory — and
-``__setstate__`` re-attaches by name, so a spawn initializer's
-per-worker payload is a few hundred bytes.  Fork workers simply inherit
-the mapping.
+Every context-backed worker pool reads the same
+:class:`~repro.core.context.AnalysisContext` image the parent built,
+instead of a pickled copy — on internet-scale worlds that pickle would
+be hundreds of megabytes per spawned worker.
+:meth:`SharedAnalysisContext.from_context` copies the finished image
+byte for byte into **one** ``multiprocessing.shared_memory`` segment,
+re-encoding nothing, and attaches to it; the attached object is an
+``AnalysisContext`` subclass, so every lookup runs through the same
+code as the local one.  Pickling it ships an O(1) descriptor — the
+segment *name* plus the image layout — and unpickling re-attaches by
+name, so a spawn initializer's per-worker payload is a few hundred
+bytes.  Fork workers simply inherit the mapping.
 
 Lifecycle: the creating process owns the segment and must call
 :meth:`SharedAnalysisContext.destroy` (the pipelines leave a ``with``
@@ -36,46 +26,19 @@ platform has ``posix_fallocate``, so a full ``/dev/shm`` raises
 from __future__ import annotations
 
 import errno
-import gc
 import os
 import pickle
 import weakref
-from array import array
 from multiprocessing import resource_tracker, shared_memory
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    cast,
-)
+from typing import List, Optional, Tuple
 
-from ..net import Prefix
-from ..net.radix import flat_exact_index, pack_prefix, unpack_prefix
-from ..rir import RIR
-from .context import AnalysisContext, LeafKey, RibSnapshot
+from .context import AnalysisContext, ImageLayout, _Views
 
 __all__ = [
-    "FlatRib",
     "SharedAnalysisContext",
     "attached_segment_names",
     "payload_pickle_bytes",
 ]
-
-_EMPTY: FrozenSet[int] = frozenset()
-
-#: Sentinel packed-prefix value for "no root prefix" (no valid packed
-#: key reaches 2**64 - 1: networks are 32-bit, lengths 8-bit).
-_NO_PREFIX = (1 << 64) - 1
-#: Sentinel string-table index for "no organisation".
-_NO_ORG = 0xFFFFFFFF
-
-#: Byte alignment of every section (covers the widest typecode, ``Q``).
-_ALIGN = 8
 
 
 def payload_pickle_bytes(payload: object) -> int:
@@ -162,294 +125,6 @@ def _discard(segment: shared_memory.SharedMemory) -> None:
     segment.close()
 
 
-class _Arena:
-    """Builds the flat byte image: named, aligned, typed sections."""
-
-    def __init__(self) -> None:
-        self._chunks: List[bytes] = []
-        self._size = 0
-        #: name -> (byte offset, element count, typecode; "B" = raw bytes)
-        self.sections: Dict[str, Tuple[int, int, str]] = {}
-
-    def _pad(self) -> None:
-        remainder = self._size % _ALIGN
-        if remainder:
-            pad = _ALIGN - remainder
-            self._chunks.append(b"\x00" * pad)
-            self._size += pad
-
-    def add_array(self, name: str, typecode: str, values: Iterable[int]) -> None:
-        """Append one typed array section."""
-        self._pad()
-        data = array(typecode, values)
-        raw = data.tobytes()
-        self.sections[name] = (self._size, len(data), typecode)
-        self._chunks.append(raw)
-        self._size += len(raw)
-
-    def add_bytes(self, name: str, blob: bytes) -> None:
-        """Append one raw byte-blob section (string tables)."""
-        self._pad()
-        self.sections[name] = (self._size, len(blob), "B")
-        self._chunks.append(blob)
-        self._size += len(blob)
-
-    @property
-    def size(self) -> int:
-        return self._size
-
-    def write_to(self, buf: memoryview) -> None:
-        cursor = 0
-        for chunk in self._chunks:
-            buf[cursor : cursor + len(chunk)] = chunk
-            cursor += len(chunk)
-
-
-class _Views:
-    """Casted memoryviews over an attached segment, released in order.
-
-    ``SharedMemory.close`` raises ``BufferError`` while any exported
-    view is alive, so every cast is tracked and released first.
-    """
-
-    def __init__(
-        self,
-        shm: shared_memory.SharedMemory,
-        sections: Dict[str, Tuple[int, int, str]],
-    ) -> None:
-        self._shm = shm
-        self._sections = sections
-        self._open: List[memoryview] = []
-
-    def array(self, name: str) -> memoryview:
-        offset, count, typecode = self._sections[name]
-        width = array(typecode).itemsize
-        view = self._shm.buf[offset : offset + count * width]
-        self._open.append(view)
-        cast = view.cast(typecode)
-        self._open.append(cast)
-        return cast
-
-    def raw(self, name: str) -> memoryview:
-        offset, count, _typecode = self._sections[name]
-        view = self._shm.buf[offset : offset + count]
-        self._open.append(view)
-        return view
-
-    def release(self) -> None:
-        # Casts were appended after their parent slices; release newest
-        # first so no view is released while a child cast is alive.
-        while self._open:
-            self._open.pop().release()
-
-
-class FlatRib:
-    """Frozen RIB lookups over flat sorted arrays.
-
-    Same contract as :class:`~repro.core.context.RibSnapshot` —
-    ``exact_origins`` / ``covering_origins`` / ``exact_items`` — but the
-    exact index is a sorted array of packed prefix keys plus an
-    offset-indexed origin pool, so the whole structure is three
-    buffers that can live anywhere: local ``array`` objects or
-    memoryviews over a shared segment.
-    """
-
-    __slots__ = ("_keys", "_offsets", "_origins", "_lengths")
-
-    def __init__(
-        self,
-        keys: Sequence[int],
-        offsets: Sequence[int],
-        origins: Sequence[int],
-        lengths: Tuple[int, ...],
-    ) -> None:
-        self._keys = keys
-        self._offsets = offsets
-        self._origins = origins
-        self._lengths = lengths
-
-    @classmethod
-    def from_snapshot(cls, rib: RibSnapshot) -> "FlatRib":
-        """Flatten a dict-backed snapshot (local arrays, no shm)."""
-        exact = {
-            pack_prefix(prefix): bucket
-            for prefix, bucket in rib.exact_items()
-        }
-        keys = array("Q", sorted(exact))
-        offsets = array("I", [0])
-        origins = array("I")
-        for packed in keys:
-            origins.extend(sorted(exact[packed]))
-            offsets.append(len(origins))
-        lengths = tuple(sorted({key & 0xFF for key in keys}))
-        return cls(keys, offsets, origins, lengths)
-
-    def _bucket(self, index: int) -> FrozenSet[int]:
-        start = self._offsets[index]
-        stop = self._offsets[index + 1]
-        if start == stop:
-            return _EMPTY
-        return frozenset(self._origins[start:stop])
-
-    def exact_origins(self, prefix: Prefix) -> FrozenSet[int]:
-        """Origins of the exact-matching prefix (empty when absent)."""
-        index = flat_exact_index(self._keys, prefix)
-        if index is None:
-            return _EMPTY
-        return self._bucket(index)
-
-    def covering_origins(self, prefix: Prefix) -> FrozenSet[int]:
-        """Exact match, else the least-specific covering prefix's origins.
-
-        Mirrors ``RibSnapshot.covering_origins`` exactly, including the
-        subtlety that a *stored but empty* exact bucket falls through to
-        the ascending truncation walk (where the prefix answers for
-        itself at its own length unless a shorter cover exists).
-        """
-        index = flat_exact_index(self._keys, prefix)
-        if index is not None:
-            bucket = self._bucket(index)
-            if bucket:
-                return bucket
-        for length in self._lengths:
-            if length > prefix.length:
-                break
-            found = flat_exact_index(self._keys, prefix.supernet(length))
-            if found is not None:
-                return self._bucket(found)
-        return _EMPTY
-
-    def exact_items(self) -> Iterator[Tuple[Prefix, FrozenSet[int]]]:
-        """The ``(prefix, origins)`` pairs, ascending by packed key."""
-        for index in range(len(self._keys)):
-            yield unpack_prefix(self._keys[index]), self._bucket(index)
-
-    def __contains__(self, prefix: Prefix) -> bool:
-        return flat_exact_index(self._keys, prefix) is not None
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-
-class _StrTable:
-    """An interned string table: offset array + UTF-8 blob."""
-
-    __slots__ = ("_offsets", "_blob")
-
-    def __init__(self, offsets: Sequence[int], blob: memoryview) -> None:
-        self._offsets = offsets
-        self._blob = blob
-
-    def __len__(self) -> int:
-        return len(self._offsets) - 1
-
-    def __getitem__(self, index: int) -> str:
-        start = self._offsets[index]
-        stop = self._offsets[index + 1]
-        return bytes(self._blob[start:stop]).decode("utf-8")
-
-    def raw(self, index: int) -> bytes:
-        start = self._offsets[index]
-        stop = self._offsets[index + 1]
-        return bytes(self._blob[start:stop])
-
-
-class _FlatOrgMap:
-    """One registry's ``org_id -> frozenset(assigned ASNs)`` mapping.
-
-    Keys are kept as a lexicographically sorted UTF-8 string table and
-    resolved by binary search on raw bytes — UTF-8 byte order equals
-    code-point order, so lookups agree with the dict they replace.
-    """
-
-    __slots__ = ("_names", "_asn_offsets", "_asns")
-
-    def __init__(
-        self,
-        names: _StrTable,
-        asn_offsets: Sequence[int],
-        asns: Sequence[int],
-    ) -> None:
-        self._names = names
-        self._asn_offsets = asn_offsets
-        self._asns = asns
-
-    def __len__(self) -> int:
-        return len(self._names)
-
-    def get(
-        self, org_id: str, default: Optional[FrozenSet[int]] = None
-    ) -> Optional[FrozenSet[int]]:
-        key = org_id.encode("utf-8")
-        lo, hi = 0, len(self._names)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._names.raw(mid) < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self._names) and self._names.raw(lo) == key:
-            start = self._asn_offsets[lo]
-            stop = self._asn_offsets[lo + 1]
-            return frozenset(self._asns[start:stop])
-        return default
-
-
-class _FlatLeafKeys(Sequence[LeafKey]):
-    """One registry's leaf-key sequence over three parallel arrays."""
-
-    __slots__ = ("_leaves", "_roots", "_orgs", "_table")
-
-    def __init__(
-        self,
-        leaves: Sequence[int],
-        roots: Sequence[int],
-        orgs: Sequence[int],
-        table: _StrTable,
-    ) -> None:
-        self._leaves = leaves
-        self._roots = roots
-        self._orgs = orgs
-        self._table = table
-
-    def __len__(self) -> int:
-        return len(self._leaves)
-
-    def _keys(self, span: slice) -> List[LeafKey]:
-        """Keys for a slice.  Sibling leaves share one root and
-        organisation, so each distinct one is decoded once."""
-        roots: Dict[int, Optional[Prefix]] = {_NO_PREFIX: None}
-        orgs: Dict[int, Optional[str]] = {_NO_ORG: None}
-        keys: List[LeafKey] = []
-        for leaf, root, org in zip(
-            self._leaves[span], self._roots[span], self._orgs[span]
-        ):
-            if root not in roots:
-                roots[root] = unpack_prefix(root)
-            if org not in orgs:
-                orgs[org] = self._table[org]
-            keys.append((unpack_prefix(leaf), roots[root], orgs[org]))
-        return keys
-
-    def _key(self, index: int) -> LeafKey:
-        packed_root = self._roots[index]
-        org_index = self._orgs[index]
-        return (
-            unpack_prefix(self._leaves[index]),
-            None if packed_root == _NO_PREFIX else unpack_prefix(packed_root),
-            None if org_index == _NO_ORG else self._table[org_index],
-        )
-
-    def __getitem__(self, index):  # type: ignore[override]
-        if isinstance(index, slice):
-            return self._keys(index)
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError(index)
-        return self._key(index)
-
-
 def _detach(views: _Views, shm: shared_memory.SharedMemory) -> None:
     """Release every exported view, then close the mapping.
 
@@ -493,273 +168,53 @@ def _untrack(name: str) -> None:
         pass
 
 
-class SharedAnalysisContext:
-    """An ``AnalysisContext`` whose hot tables live in shared memory.
+class SharedAnalysisContext(AnalysisContext):
+    """An :class:`AnalysisContext` attached to its image in shared memory.
 
-    Duck-types the context API the classification hot path uses —
-    ``rib``, ``assigned``, ``leaf_keys``, ``related_to`` /
-    ``any_related`` / ``related_pair``, ``assigned_asns``,
-    ``total_leaves`` — so :func:`repro.core.sharding.classify_shard_rows`
-    accepts either implementation.  ``leaves()`` raises: the leaf
-    records stay with the parent's ``AnalysisContext``.  Use it as a
-    context manager to :meth:`destroy` the segment on exit.
+    Every lookup is the inherited one, answered from views over the
+    segment; ``leaves()`` raises, because the leaf records stay with
+    the building process.  Use it as a context manager to
+    :meth:`destroy` the segment on exit.
     """
 
     def __init__(
         self,
-        descriptor: Dict[str, object],
+        layout: ImageLayout,
         shm: shared_memory.SharedMemory,
         owner: bool,
     ) -> None:
-        self._descriptor = descriptor
+        self._name = shm.name.lstrip("/")
         self._shm: Optional[shared_memory.SharedMemory] = shm
         self._owner = owner
         self._finalizer = None
         if owner:
             self._finalizer = weakref.finalize(
-                self, _finalize_segment, shm.name, os.getpid()
+                self, _finalize_segment, self._name, os.getpid()
             )
-        self._attach_views()
-
-    # -- construction -----------------------------------------------------
-    @classmethod
-    def from_context(cls, context: AnalysisContext) -> "SharedAnalysisContext":
-        """Pack *context*'s hot tables into a fresh shared segment.
-
-        The collector is paused meanwhile: packing allocates only
-        acyclic ints, tuples and arrays, and a collection triggered
-        mid-pack would walk the caller's whole heap for nothing.
-        """
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return cls._pack(context)
-        finally:
-            if enabled:
-                gc.enable()
-
-    @classmethod
-    def _pack(cls, context: AnalysisContext) -> "SharedAnalysisContext":
-        arena = _Arena()
-
-        flat = FlatRib.from_snapshot(context.rib)
-        arena.add_array("rib_keys", "Q", flat._keys)
-        arena.add_array("rib_offsets", "I", flat._offsets)
-        arena.add_array("rib_origins", "I", flat._origins)
-
-        related = context.related_sets
-        rel_keys = sorted(related)
-        rel_offsets = array("I", [0])
-        rel_members = array("I")
-        total = 0
-        for asn in rel_keys:
-            members = sorted(related[asn])
-            rel_members.extend(members)
-            total += len(members)
-            rel_offsets.append(total)
-        arena.add_array("rel_keys", "I", rel_keys)
-        arena.add_array("rel_offsets", "I", rel_offsets)
-        arena.add_array("rel_members", "I", rel_members)
-
-        assigned_rirs: List[RIR] = []
-        for rir in sorted(context.assigned, key=lambda item: item.name):
-            org_map = context.assigned[rir]
-            assigned_rirs.append(rir)
-            encoded = sorted(
-                (org.encode("utf-8"), org_map[org]) for org in org_map
-            )
-            blob = bytearray()
-            name_offsets = array("I", [0])
-            asn_offsets = array("I", [0])
-            asns = array("I")
-            count = 0
-            for raw, members in encoded:
-                blob.extend(raw)
-                name_offsets.append(len(blob))
-                asns.extend(sorted(members))
-                count += len(members)
-                asn_offsets.append(count)
-            tag = rir.name
-            arena.add_bytes(f"org_blob:{tag}", bytes(blob))
-            arena.add_array(f"org_offsets:{tag}", "I", name_offsets)
-            arena.add_array(f"org_asn_offsets:{tag}", "I", asn_offsets)
-            arena.add_array(f"org_asns:{tag}", "I", asns)
-
-        # Root-organisation ids are massively repeated across leaf keys;
-        # intern them once and index per leaf.
-        org_ids = sorted(
-            {
-                key[2]
-                for keys in context.leaf_keys.values()
-                for key in keys
-                if key[2] is not None
-            }
-        )
-        org_index = {org: position for position, org in enumerate(org_ids)}
-        blob = bytearray()
-        offsets = array("I", [0])
-        for org in org_ids:
-            blob.extend(org.encode("utf-8"))
-            offsets.append(len(blob))
-        arena.add_bytes("leaforg_blob", bytes(blob))
-        arena.add_array("leaforg_offsets", "I", offsets)
-
-        leaf_rirs: List[RIR] = []
-        for rir in sorted(context.leaf_keys, key=lambda item: item.name):
-            keys = context.leaf_keys[rir]
-            leaf_rirs.append(rir)
-            tag = rir.name
-            arena.add_array(
-                f"leaf_keys:{tag}", "Q", (pack_prefix(key[0]) for key in keys)
-            )
-            arena.add_array(
-                f"leaf_roots:{tag}",
-                "Q",
-                (
-                    _NO_PREFIX if key[1] is None else pack_prefix(key[1])
-                    for key in keys
-                ),
-            )
-            arena.add_array(
-                f"leaf_orgs:{tag}",
-                "I",
-                (
-                    _NO_ORG if key[2] is None else org_index[key[2]]
-                    for key in keys
-                ),
-            )
-
-        shm = _create_segment(max(1, arena.size))
-        descriptor: Dict[str, object] = {
-            "name": shm.name.lstrip("/"),
-            "sections": arena.sections,
-            "rirs": context.rirs,
-            "max_leaf_length": context.max_leaf_length,
-            "stats": context.stats,
-            "rib_lengths": flat._lengths,
-            "assigned_rirs": tuple(assigned_rirs),
-            "leaf_rirs": tuple(leaf_rirs),
-        }
-        try:
-            arena.write_to(shm.buf)
-            return cls(descriptor, shm, owner=True)
-        except BaseException:
-            _discard(shm)
-            raise
-
-    def _attach_views(self) -> None:
-        assert self._shm is not None
-        descriptor = self._descriptor
-        sections = descriptor["sections"]
-        views = _Views(self._shm, sections)  # type: ignore[arg-type]
-        self._views = views
+        super().__init__(shm.buf[: layout.size], layout)
         # Registered after the owner's unlink finalizer, so on GC the
         # views release and the mapping closes before any unlink.
         self._detach_finalizer = weakref.finalize(
-            self, _detach, views, self._shm
+            self, _detach, self._views, shm
         )
 
-        self.rirs = cast(Tuple[RIR, ...], descriptor["rirs"])
-        self.max_leaf_length = cast(int, descriptor["max_leaf_length"])
-        self.stats = cast(Dict[RIR, Dict[str, int]], descriptor["stats"])
-
-        self.rib = FlatRib(
-            views.array("rib_keys"),
-            views.array("rib_offsets"),
-            views.array("rib_origins"),
-            tuple(descriptor["rib_lengths"]),  # type: ignore[arg-type]
-        )
-        self._rel_keys = views.array("rel_keys")
-        self._rel_offsets = views.array("rel_offsets")
-        self._rel_members = views.array("rel_members")
-
-        self.assigned: Dict[RIR, _FlatOrgMap] = {}
-        for rir in descriptor["assigned_rirs"]:  # type: ignore[union-attr]
-            tag = rir.name
-            names = _StrTable(
-                views.array(f"org_offsets:{tag}"),
-                views.raw(f"org_blob:{tag}"),
-            )
-            self.assigned[rir] = _FlatOrgMap(
-                names,
-                views.array(f"org_asn_offsets:{tag}"),
-                views.array(f"org_asns:{tag}"),
-            )
-
-        table = _StrTable(
-            views.array("leaforg_offsets"), views.raw("leaforg_blob")
-        )
-        self.leaf_keys: Dict[RIR, _FlatLeafKeys] = {}
-        for rir in descriptor["leaf_rirs"]:  # type: ignore[union-attr]
-            tag = rir.name
-            self.leaf_keys[rir] = _FlatLeafKeys(
-                views.array(f"leaf_keys:{tag}"),
-                views.array(f"leaf_roots:{tag}"),
-                views.array(f"leaf_orgs:{tag}"),
-                table,
-            )
-
-    # -- AnalysisContext duck-type API ------------------------------------
-    def related_to(self, asn: int) -> FrozenSet[int]:
-        """The business family of *asn* (always contains *asn*)."""
-        keys = self._rel_keys
-        lo, hi = 0, len(keys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if keys[mid] < asn:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(keys) and keys[lo] == asn:
-            start = self._rel_offsets[lo]
-            stop = self._rel_offsets[lo + 1]
-            return frozenset(self._rel_members[start:stop])
-        return frozenset((asn,))
-
-    def any_related(
-        self, lefts: Iterable[int], rights: FrozenSet[int]
-    ) -> bool:
-        """True when any left AS's family intersects *rights*."""
-        return any(
-            not self.related_to(left).isdisjoint(rights) for left in lefts
-        )
-
-    def related_pair(
-        self, lefts: Iterable[int], rights: FrozenSet[int]
-    ) -> Optional[Tuple[int, int]]:
-        """The lowest-numbered related ``(left, right)`` pair, or None."""
-        for left in sorted(lefts):
-            hits = self.related_to(left) & rights
-            if hits:
-                return left, min(hits)
-        return None
-
-    def assigned_asns(self, rir: RIR, org_id: Optional[str]) -> FrozenSet[int]:
-        """RIR-assigned ASNs of *org_id* in *rir* (§5.1 step 3)."""
-        if not org_id:
-            return _EMPTY
-        org_map = self.assigned.get(rir)
-        if org_map is None:
-            return _EMPTY
-        found = org_map.get(org_id, _EMPTY)
-        return found if found is not None else _EMPTY
-
-    def total_leaves(self) -> int:
-        """Classifiable leaves across all snapshotted registries."""
-        return sum(len(keys) for keys in self.leaf_keys.values())
-
-    def leaves(self, rir: RIR):
-        """Full leaf records never cross into shared memory."""
-        raise RuntimeError(
-            "SharedAnalysisContext holds flat classification keys only; "
-            "the parent's AnalysisContext keeps the leaf records"
-        )
+    @classmethod
+    def from_context(cls, context: AnalysisContext) -> "SharedAnalysisContext":
+        """Copy *context*'s finished image into a fresh shared segment."""
+        size = context.layout.size
+        shm = _create_segment(max(1, size))
+        try:
+            shm.buf[:size] = context.image
+            return cls(context.layout, shm, owner=True)
+        except BaseException:
+            _discard(shm)
+            raise
 
     # -- lifecycle --------------------------------------------------------
     @property
     def segment_name(self) -> str:
         """The ``/dev/shm`` segment name workers attach to."""
-        return str(self._descriptor["name"])
+        return self._name
 
     @property
     def segment_bytes(self) -> int:
@@ -776,16 +231,14 @@ class SharedAnalysisContext:
 
     def destroy(self) -> None:
         """Detach and unlink — creator-side teardown, idempotent."""
-        name = self.segment_name
-        owner = self._owner
         self.close()
         if self._finalizer is not None:
             self._finalizer.detach()
             self._finalizer = None
-        if not owner:
+        if not self._owner:
             return
         try:
-            segment = shared_memory.SharedMemory(name=name)
+            segment = shared_memory.SharedMemory(name=self._name)
         except FileNotFoundError:
             return
         segment.close()
@@ -802,14 +255,16 @@ class SharedAnalysisContext:
         self.destroy()
 
     # -- pickling: O(1) attach-by-name descriptor -------------------------
-    def __getstate__(self) -> Dict[str, object]:
-        return {"descriptor": self._descriptor}
+    def __reduce__(self) -> Tuple[object, Tuple[str, ImageLayout]]:
+        return (_attach, (self._name, self.layout))
 
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self._descriptor = state["descriptor"]  # type: ignore[assignment]
-        name = str(self._descriptor["name"])
-        self._shm = shared_memory.SharedMemory(name=name)
+
+def _attach(name: str, layout: ImageLayout) -> SharedAnalysisContext:
+    """Attach to a live segment by name (the unpickling side)."""
+    shm = shared_memory.SharedMemory(name=name)
+    try:
         _untrack(name)
-        self._owner = False
-        self._finalizer = None
-        self._attach_views()
+        return SharedAnalysisContext(layout, shm, owner=False)
+    except BaseException:
+        shm.close()
+        raise

@@ -33,8 +33,6 @@ __all__ = [
     "PrefixTrie",
     "flat_covered_range",
     "flat_covering_index",
-    "flat_exact_index",
-    "flat_longest_match_index",
     "pack_prefix",
     "resolve_covering_chain",
     "unpack_prefix",
@@ -278,15 +276,6 @@ def unpack_prefix(key: int) -> Prefix:
     return prefix
 
 
-def flat_exact_index(keys: Sequence[int], prefix: Prefix) -> Optional[int]:
-    """Index of exactly *prefix* in the sorted key array, or None."""
-    packed = pack_prefix(prefix)
-    index = bisect_left(keys, packed)
-    if index < len(keys) and keys[index] == packed:
-        return index
-    return None
-
-
 def flat_covered_range(keys: Sequence[int], prefix: Prefix) -> Tuple[int, int]:
     """The contiguous slice of keys equal to or more specific than *prefix*.
 
@@ -307,30 +296,19 @@ def flat_covering_index(
 ) -> Optional[int]:
     """Index of the least-specific stored prefix covering *prefix*.
 
-    *lengths* is the ascending set of lengths present in *keys* — the
-    same truncation-probe trick as :meth:`RibSnapshot.covering_origins`:
-    every cover of *prefix* is ``prefix.supernet(L)``, so probing each
-    advertised length ascending finds the least-specific cover first.
+    *lengths* is the ascending set of lengths present in *keys*.  CIDR
+    prefixes nest or are disjoint, so every cover of *prefix* is
+    ``prefix.supernet(L)``, and probing each advertised length
+    ascending finds the least-specific cover first.  The truncations
+    are packed straight from the network bits.
     """
+    network = prefix.network
     for length in lengths:
         if length > prefix.length:
             break
-        index = flat_exact_index(keys, prefix.supernet(length))
-        if index is not None:
-            return index
-    return None
-
-
-def flat_longest_match_index(
-    keys: Sequence[int], lengths: Sequence[int], prefix: Prefix
-) -> Optional[int]:
-    """Index of the most-specific stored prefix covering *prefix* (LPM)."""
-    for position in range(len(lengths) - 1, -1, -1):
-        length = lengths[position]
-        if length > prefix.length:
-            continue
-        index = flat_exact_index(keys, prefix.supernet(length))
-        if index is not None:
+        packed = ((network & _MASKS[length]) << 8) | length
+        index = bisect_left(keys, packed)
+        if index < len(keys) and keys[index] == packed:
             return index
     return None
 

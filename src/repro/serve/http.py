@@ -236,12 +236,16 @@ class LeaseQueryServer:
     # -- lifecycle (caller's event loop) -----------------------------------
     async def start_async(self) -> Tuple[str, int]:
         """Bind and start accepting; returns the bound ``(host, port)``."""
-        # repro-check: ignore[RC115] -- startup-only write: runs once before the listening socket exists, so no handler can race it
+        # Startup-only write: runs once before the listening socket
+        # exists, so no handler can race it.
+        # repro-check: ignore[RC115] -- startup-only write, before any handler
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
         sockname = self._server.sockets[0].getsockname()
-        # repro-check: ignore[RC115] -- startup-only write: the address is published exactly once before serving begins
+        # Startup-only write: the address is published exactly once,
+        # before serving begins.
+        # repro-check: ignore[RC115] -- startup-only write, published once
         self._address = (sockname[0], sockname[1])
         return self._address
 

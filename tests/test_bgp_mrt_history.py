@@ -1,8 +1,11 @@
 """Tests for the MRT binary format and BGP update streams."""
 
+import re
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bgp import (
     AnnounceUpdate,
@@ -17,6 +20,7 @@ from repro.bgp import (
     read_mrt,
     write_mrt,
 )
+from repro.bgp.mrt import read_mrt_updates, write_mrt_updates
 from repro.net import Prefix
 
 
@@ -300,3 +304,44 @@ class TestBgp4mpUpdates:
         from repro.bgp.mrt import read_mrt_updates, write_mrt_updates
 
         assert len(read_mrt_updates(write_mrt_updates(UpdateStream()))) == 0
+
+
+@st.composite
+def corrupted(draw, dump):
+    """*dump* with a few bytes overwritten, then cut at a random length."""
+    raw = bytearray(dump)
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        position = draw(st.integers(min_value=0, max_value=len(raw) - 1))
+        raw[position] = draw(st.integers(min_value=0, max_value=255))
+    return bytes(raw[: draw(st.integers(min_value=0, max_value=len(raw)))])
+
+
+def _decodes_or_names_offset(decode, blob):
+    """Decoding either succeeds or raises MrtError naming a byte offset."""
+    try:
+        decode(blob)
+    except MrtError as exc:
+        assert re.search(r"byte offset \d+", str(exc)), str(exc)
+
+
+class TestMalformedMrt:
+    """Corrupted dumps fail with the typed error, never a raw decoder one."""
+
+    RIB = write_mrt(make_entries())
+    UPDATES = write_mrt_updates(TestBgp4mpUpdates().make_stream())
+
+    @settings(max_examples=400, deadline=None)
+    @given(corrupted(RIB))
+    def test_rib_dump(self, blob):
+        _decodes_or_names_offset(lambda data: list(read_mrt(data)), blob)
+
+    @settings(max_examples=400, deadline=None)
+    @given(corrupted(UPDATES))
+    def test_update_dump(self, blob):
+        _decodes_or_names_offset(read_mrt_updates, blob)
+
+    def test_error_names_the_failing_record(self):
+        second = self.RIB.index(struct.pack(">HH", 13, 2))  # first RIB record
+        header_start = second - 4
+        with pytest.raises(MrtError, match=f"byte offset {header_start}"):
+            list(read_mrt(self.RIB[: header_start + 14]))

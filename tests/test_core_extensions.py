@@ -309,9 +309,9 @@ class TestExtensionEngineEquivalence:
 
     @pytest.mark.parametrize("start", ["fork", "spawn"])
     def test_legacy_pool_runs_over_shm(self, request, monkeypatch, start):
-        """The legacy pool ships the shared-memory context, without the
-        lease leaf keys it never reads, under fork and under forced
-        spawn, and matches the frozen reference."""
+        """The legacy pool attaches to a byte copy of the built image,
+        under fork and under forced spawn, and matches the frozen
+        reference."""
         if start == "spawn":
             request.getfixturevalue("force_spawn")
         elif not fork_available():
@@ -330,7 +330,8 @@ class TestExtensionEngineEquivalence:
         pipeline = make_legacy_pipeline()
         reference = pipeline.run_reference()
         pipeline.run()  # builds the context serially
-        # A lease leaf key in the context must not reach the segment.
+        # The segment copies the image: a key planted in the local
+        # context after the build never reaches it.
         pipeline.context.leaf_keys[RIR.RIPE] = (
             (Prefix.parse("192.80.5.0/24"), None, None),
         )

@@ -49,15 +49,19 @@ def engine(pipeline):
     return IncrementalEngine(pipeline.context)
 
 
+def snapshot(routes):
+    """A frozen RIB snapshot of ``{prefix text: origins}``."""
+    table = RoutingTable()
+    for text, origins in routes.items():
+        for origin in origins:
+            table.add_route(Prefix.parse(text), origin)
+    return RibSnapshot.from_routing_table(table)
+
+
 class TestMutableRibOverlay:
     @pytest.fixture()
     def overlay(self):
-        base = RibSnapshot(
-            {
-                Prefix.parse("10.0.0.0/16"): frozenset({100}),
-                Prefix.parse("10.0.1.0/24"): frozenset({200, 201}),
-            }
-        )
+        base = snapshot({"10.0.0.0/16": {100}, "10.0.1.0/24": {200, 201}})
         return MutableRibOverlay(base)
 
     def test_starts_identical_to_base(self, overlay):
@@ -108,7 +112,7 @@ class TestMutableRibOverlay:
         )
 
     def test_base_snapshot_not_mutated(self):
-        base = RibSnapshot({Prefix.parse("10.0.0.0/16"): frozenset({100})})
+        base = snapshot({"10.0.0.0/16": {100}})
         overlay = MutableRibOverlay(base)
         overlay.withdraw(Prefix.parse("10.0.0.0/16"))
         assert base.exact_origins(Prefix.parse("10.0.0.0/16")) == {100}

@@ -221,18 +221,26 @@ class TestAnalysisContext:
     def test_assigned_matches_database(self, world, context):
         for rir in context.rirs:
             database = world.whois[rir]
-            for org_id, asns in context.assigned[rir].items():
-                assert asns == frozenset(database.asns_of_org(org_id))
+            orgs = {autnum.org_id for autnum in database.autnums}
+            for org_id in orgs - {None}:
+                assert context.assigned_asns(rir, org_id) == frozenset(
+                    database.asns_of_org(org_id)
+                )
 
     def test_pool_never_pickles_context(
         self, world, context, force_spawn, monkeypatch
     ):
-        """Spawn workers get the shared-memory descriptor, not this."""
+        """Spawn workers get the shared-memory descriptor, not this.
 
-        def refuse(self, protocol):
+        ``SharedAnalysisContext`` subclasses ``AnalysisContext`` and
+        defines its own ``__reduce__``, so refusing the base class's
+        ``__reduce__`` refuses exactly a local context's image.
+        """
+
+        def refuse(self):
             raise AssertionError("AnalysisContext was pickled")
 
-        monkeypatch.setattr(AnalysisContext, "__reduce_ex__", refuse)
+        monkeypatch.setattr(AnalysisContext, "__reduce__", refuse)
         with pytest.raises(AssertionError, match="was pickled"):
             pickle.dumps(context)
         pipeline = LeaseInferencePipeline(

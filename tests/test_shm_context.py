@@ -1,12 +1,13 @@
-"""Tests for the zero-copy shared-memory context (``repro.core.shm``).
+"""Tests for the context image and its shared-memory attachment.
 
-Covers the flat-array radix helpers against the dict/trie structures
-they mirror, :class:`FlatRib` against :class:`RibSnapshot`,
-:class:`SharedAnalysisContext` against :class:`AnalysisContext` on every
-duck-typed method, the O(1) attach-by-name pickling contract, segment
-lifecycle (close / destroy / GC finalizer / crash / full ``/dev/shm``
-cleanup), and full pipeline equivalence for the shared-memory pool
-under the default start method and under forced spawn.
+Covers the flat-array radix helpers against the trie structures they
+mirror; the context — built locally and attached over a segment —
+against the reference semantics it must reproduce (``RoutingTable``,
+``RelatednessOracle``, ``WhoisDatabase``); the byte-for-byte segment
+copy and O(1) attach-by-name pickling; segment lifecycle (close /
+destroy / GC finalizer / crash / full ``/dev/shm`` cleanup); and full
+pipeline equivalence for the shared-memory pool under the default start
+method and under forced spawn.
 """
 
 import errno
@@ -14,12 +15,16 @@ import gc
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.asdata import AS2Org, ASRelationships
+from repro.bgp import P2C, P2P, RoutingTable
 from repro.core import LeaseInferencePipeline
-from repro.core.context import AnalysisContext, RibSnapshot
+from repro.core.context import AnalysisContext
+from repro.core.relatedness import RelatednessOracle
 from repro.core.sharding import classify_shard_rows, plan_shards
 from repro.core.shm import (
-    FlatRib,
     SharedAnalysisContext,
     attached_segment_names,
     payload_pickle_bytes,
@@ -29,13 +34,13 @@ from repro.net.radix import (
     PrefixTrie,
     flat_covered_range,
     flat_covering_index,
-    flat_exact_index,
-    flat_longest_match_index,
     pack_prefix,
     unpack_prefix,
 )
-from repro.rir import RIR
+from repro.rir import ALL_RIRS, RIR
 from repro.simulation import build_world, small_world
+from repro.whois.database import WhoisCollection
+from repro.whois.objects import AutNumRecord
 
 from .test_core_extensions import make_legacy_pipeline
 
@@ -89,24 +94,11 @@ class TestFlatHelpers:
         assert packed == sorted(packed)
 
     def test_flat_lookups_match_prefix_trie(self, context):
-        entries = sorted(
-            (pack_prefix(p), p) for p, _ in context.rib.exact_items()
-        )
-        keys = [packed for packed, _ in entries]
-        lengths = tuple(sorted({key & 0xFF for key in keys}))
         trie = PrefixTrie()
-        for _, prefix in entries:
+        for prefix, _ in context.rib.exact_items():
             trie.insert(prefix, prefix)
         for probe in _probe_prefixes(context):
-            exact = flat_exact_index(keys, probe)
-            assert (exact is not None) == (trie.exact(probe) is not None)
-            if exact is not None:
-                assert unpack_prefix(keys[exact]) == probe
-            longest = flat_longest_match_index(keys, lengths, probe)
-            trie_longest = trie.longest_match(probe)
-            assert (longest is None) == (trie_longest is None)
-            if longest is not None:
-                assert unpack_prefix(keys[longest]) == trie_longest[0]
+            assert (probe in context.rib) == (trie.exact(probe) is not None)
 
     def test_flat_covered_range_is_the_subtree(self, context):
         entries = sorted(
@@ -146,49 +138,188 @@ class TestFlatHelpers:
 
 
 class TestFlatRib:
-    def test_matches_rib_snapshot_everywhere(self, context):
-        flat = FlatRib.from_snapshot(context.rib)
-        assert len(flat) == len(list(context.rib.exact_items()))
-        for probe in _probe_prefixes(context):
-            assert flat.exact_origins(probe) == context.rib.exact_origins(
-                probe
+    def test_matches_rib_snapshot_everywhere(self, world, context):
+        """The image-backed RIB, local and attached over a segment,
+        answers like the routing table it was built from."""
+        table = world.routing_table
+        with SharedAnalysisContext.from_context(context) as shared:
+            assert len(shared.rib) == len(context.rib) == len(
+                table.exact_index()
             )
-            assert flat.covering_origins(
-                probe
-            ) == context.rib.covering_origins(probe)
-            assert (probe in flat) == (
-                context.rib.exact_origins(probe) != frozenset()
-                or probe in dict(context.rib.exact_items())
-            )
+            for probe in _probe_prefixes(context):
+                for rib in (context.rib, shared.rib):
+                    assert rib.exact_origins(probe) == table.exact_origins(
+                        probe
+                    )
+                    assert rib.covering_origins(
+                        probe
+                    ) == table.covering_origins(probe)
+                    assert (probe in rib) == (
+                        probe in table.exact_index()
+                    )
 
-    def test_exact_items_round_trip(self, context):
-        flat = FlatRib.from_snapshot(context.rib)
-        assert dict(flat.exact_items()) == dict(context.rib.exact_items())
+
+# -- the context against the reference semantics ---------------------------
+
+#: Nested prefixes under 10.0.0.0/8, so covers and covered-only probes
+#: are common.
+_prefixes = st.builds(
+    lambda length, high, low: Prefix(
+        ((10 << 24) | (high << 20) | (low << 12))
+        & ((0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF),
+        length,
+    ),
+    st.sampled_from([8, 12, 16, 20, 24]),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=3),
+)
+_asns = st.integers(min_value=1, max_value=12)
+_orgs = st.sampled_from(["ORG-A", "ORG-B", "ORG-É", "org-a", ""])
+
+
+@st.composite
+def _substrates(draw):
+    """A routing table, relationships, AS2org and registry ASNs."""
+    table = RoutingTable()
+    routes = draw(st.lists(st.tuples(_prefixes, _asns), max_size=20))
+    for prefix, origin in routes:
+        table.add_route(prefix, origin)
+    stored = sorted({prefix for prefix, _ in routes})
+    for prefix in stored:
+        fate = draw(st.sampled_from(["keep", "keep", "withdraw", "empty"]))
+        if fate == "withdraw":
+            table.withdraw(prefix)
+        elif fate == "empty":
+            # Still indexed, but with no origins left.
+            table.exact_index()[prefix].clear()
+    relationships = ASRelationships()
+    for left, right, code in draw(
+        st.lists(st.tuples(_asns, _asns, st.sampled_from([P2C, P2P])),
+                 max_size=10)
+    ):
+        if left != right:
+            relationships.add(left, right, code)
+    as2org = AS2Org()
+    for asn, org in draw(st.lists(st.tuples(_asns, _orgs), max_size=8)):
+        if org:
+            as2org.add_org(org)
+            as2org.map_asn(asn, org)
+    whois = WhoisCollection()
+    for rir, asn, org in draw(
+        st.lists(st.tuples(st.sampled_from(ALL_RIRS), _asns, _orgs),
+                 max_size=12)
+    ):
+        whois[rir].add(AutNumRecord(rir=rir, asn=asn, org_id=org or None))
+    probes = set(stored)
+    for prefix in stored:
+        probes.add(Prefix(prefix.network, 28))  # covered only
+    probes.add(Prefix.parse("8.0.0.0/6"))  # covers everything, stored never
+    probes.add(Prefix.parse("192.0.2.0/24"))  # absent
+    return table, relationships, as2org, whois, sorted(probes)
+
+
+class TestReferenceSemantics:
+    """Built locally or attached over a segment, the context answers
+    like the live structures it was built from."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_substrates())
+    def test_context_answers_like_the_references(self, substrates):
+        table, relationships, as2org, whois, probes = substrates
+        local = AnalysisContext.build(whois, table, relationships, as2org)
+        oracle = RelatednessOracle(relationships, as2org)
+        with SharedAnalysisContext.from_context(local) as shared:
+            attached = pickle.loads(pickle.dumps(shared))
+            try:
+                for context in (local, shared, attached):
+                    _assert_reference_semantics(
+                        context, table, oracle, whois, probes
+                    )
+            finally:
+                attached.close()
+        assert attached_segment_names() == []
+
+    def test_exact_items_match_routing_table(self, world, context):
+        assert dict(context.rib.exact_items()) == {
+            prefix: frozenset(origins)
+            for prefix, origins in world.routing_table.exact_index().items()
+        }
+
+
+def _assert_reference_semantics(context, table, oracle, whois, probes):
+    for rib in (context.rib, pickle.loads(pickle.dumps(context.rib))):
+        for probe in probes:
+            assert rib.exact_origins(probe) == table.exact_origins(probe)
+            assert rib.covering_origins(probe) == table.covering_origins(probe)
+    asns = range(0, 15)
+    for left in asns:
+        family = context.related_to(left)
+        for right in asns:
+            related = oracle.related(left, right)
+            assert (right in family) == related
+            assert context.any_related((left,), frozenset((right,))) == related
+    rights = frozenset(asns[1::3])
+    expected = next(
+        (
+            (left, min(r for r in rights if oracle.related(left, r)))
+            for left in asns
+            if oracle.any_related((left,), rights)
+        ),
+        None,
+    )
+    assert context.related_pair(asns, rights) == expected
+    for rir in ALL_RIRS:
+        for org in ("ORG-A", "ORG-B", "ORG-É", "org-a", "ORG-NONE"):
+            assert context.assigned_asns(rir, org) == frozenset(
+                whois[rir].asns_of_org(org)
+            )
+        assert context.assigned_asns(rir, None) == frozenset()
+        assert context.assigned_asns(rir, "") == frozenset()
 
 
 class TestSharedAnalysisContext:
-    def test_duck_type_equivalence(self, context):
+    def test_duck_type_equivalence(self, world, context):
         shared = SharedAnalysisContext.from_context(context)
         try:
             assert shared.rirs == context.rirs
             assert shared.max_leaf_length == context.max_leaf_length
             assert shared.stats == context.stats
             assert shared.total_leaves() == context.total_leaves()
-            asns = sorted(context.related_sets)
+            asns = sorted(world.relationships.asns())
             for asn in asns[:50] + [999_999]:
                 assert shared.related_to(asn) == context.related_to(asn)
             for rir in context.rirs:
                 keys = context.leaf_keys.get(rir, ())
                 assert list(shared.leaf_keys.get(rir, ())) == list(keys)
-                org_map = context.assigned.get(rir, {})
-                for org in sorted(org_map):
+                orgs = world.whois[rir].orgs
+                assert orgs
+                for org in sorted(orgs):
                     assert shared.assigned_asns(rir, org) == (
                         context.assigned_asns(rir, org)
+                    )
+                    assert context.assigned_asns(rir, org) == frozenset(
+                        world.whois[rir].asns_of_org(org)
                     )
                 assert shared.assigned_asns(rir, "no-such-org") == frozenset()
                 assert shared.assigned_asns(rir, None) == frozenset()
         finally:
             shared.destroy()
+
+    def test_segment_holds_the_local_image(self, context):
+        """The segment is a byte copy of the image: nothing re-encoded."""
+        with SharedAnalysisContext.from_context(context) as shared:
+            assert bytes(shared.image) == bytes(context.image)
+            assert shared.segment_bytes >= len(context.image)
+            clone = pickle.loads(pickle.dumps(shared))
+            try:
+                assert bytes(clone.image) == bytes(context.image)
+                assert clone.total_leaves() == context.total_leaves()
+                for rir in context.rirs:
+                    assert list(clone.leaf_keys[rir]) == list(
+                        context.leaf_keys[rir]
+                    )
+            finally:
+                clone.close()
 
     def test_leaves_raises_like_stripped_context(self, context):
         shared = SharedAnalysisContext.from_context(context)
@@ -219,7 +350,7 @@ class TestSharedAnalysisContext:
     def test_pickle_is_o1_descriptor(self, context):
         shared = SharedAnalysisContext.from_context(context)
         try:
-            full = payload_pickle_bytes(context)
+            full = len(context.image)
             o1 = payload_pickle_bytes(shared)
             assert o1 < full / 4
             assert o1 < 16 * 1024  # descriptor metadata, not tables
@@ -293,20 +424,22 @@ class TestSegmentLifecycle:
             crashing.run(**run_kwargs)
         assert attached_segment_names() == []
 
-    @pytest.mark.parametrize("failing", ["posix_fallocate", "write_to"])
+    @pytest.mark.parametrize("failing", ["posix_fallocate", "attach"])
     def test_full_dev_shm_fails_cleanly(self, world, monkeypatch, failing):
         """A tmpfs with no room left raises ENOSPC instead of SIGBUS on
         the first write, and the half-made segment is unlinked — also
-        when filling the segment fails after the reservation."""
+        when attaching to the filled segment fails after the copy."""
         import repro.core.shm as shm_module
 
-        def no_space(*args):
+        def no_space(*args, **kwargs):
             raise OSError(errno.ENOSPC, "No space left on device")
 
-        owner = shm_module.os if failing == "posix_fallocate" else (
-            shm_module._Arena
-        )
-        monkeypatch.setattr(owner, failing, no_space)
+        if failing == "posix_fallocate":
+            monkeypatch.setattr(shm_module.os, failing, no_space)
+        else:
+            monkeypatch.setattr(
+                shm_module.SharedAnalysisContext, "__init__", no_space
+            )
         pipeline = LeaseInferencePipeline(
             world.whois, world.routing_table, world.relationships,
             world.as2org,
@@ -355,15 +488,8 @@ class TestSegmentLifecycle:
         assert attached_segment_names() == []
 
     def test_empty_context_packs_into_minimal_segment(self):
-        context = AnalysisContext(
-            rirs=(),
-            max_leaf_length=24,
-            rib=RibSnapshot({}),
-            related_sets={},
-            assigned={},
-            leaf_keys={},
-            stats={},
-            leaves={},
+        context = AnalysisContext.build(
+            WhoisCollection(), RoutingTable(), ASRelationships()
         )
         shared = SharedAnalysisContext.from_context(context)
         try:
