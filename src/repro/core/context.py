@@ -51,6 +51,7 @@ from ..asdata.as2org import AS2Org
 from ..asdata.relationships import ASRelationships
 from ..bgp.rib import RoutingTable
 from ..net import Prefix
+from ..net.gcpause import gc_paused
 from ..net.radix import (
     flat_covering_index,
     pack_prefix,
@@ -484,6 +485,7 @@ class AnalysisContext:
         }
 
     @classmethod
+    @gc_paused
     def build(
         cls,
         whois: WhoisCollection,

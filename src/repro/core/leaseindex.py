@@ -31,6 +31,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple, cast
 
 from ..net import AddressError, Prefix, PrefixTrie, resolve_covering_chain
+from ..net.gcpause import gc_paused
 from .context import AnalysisContext
 from .results import InferenceResult, LeafInference
 
@@ -103,6 +104,7 @@ class LeaseIndex:
         self._leased = leased
 
     @classmethod
+    @gc_paused
     def build(
         cls, context: AnalysisContext, result: InferenceResult
     ) -> "LeaseIndex":

@@ -10,7 +10,6 @@ interoperability.
 from __future__ import annotations
 
 import ipaddress
-import re
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
@@ -26,8 +25,6 @@ __all__ = [
 #: Largest IPv4 address as an integer (255.255.255.255).
 MAX_IPV4 = (1 << 32) - 1
 
-_DOTTED_QUAD = re.compile(r"^(\d{1,3})\.(\d{1,3})\.(\d{1,3})\.(\d{1,3})$")
-
 
 class AddressError(ValueError):
     """Raised for malformed IPv4 addresses, prefixes, or ranges."""
@@ -39,12 +36,16 @@ def address_to_int(text: str) -> int:
     >>> address_to_int("10.0.0.1")
     167772161
     """
-    match = _DOTTED_QUAD.match(text.strip())
-    if match is None:
+    parts = text.strip().split(".")
+    if len(parts) != 4:
         raise AddressError(f"not a dotted-quad IPv4 address: {text!r}")
     value = 0
-    for octet_text in match.groups():
-        octet = int(octet_text)
+    for part in parts:
+        # One to three ASCII digits: ``int`` alone would also take signs,
+        # underscores, padding and every other script's digits.
+        if not (part.isdigit() and part.isascii() and len(part) < 4):
+            raise AddressError(f"not a dotted-quad IPv4 address: {text!r}")
+        octet = int(part)
         if octet > 255:
             raise AddressError(f"octet out of range in {text!r}")
         value = (value << 8) | octet
@@ -59,7 +60,7 @@ def int_to_address(value: int) -> str:
     """
     if not 0 <= value <= MAX_IPV4:
         raise AddressError(f"address integer out of range: {value}")
-    return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
+    return f"{value >> 24}.{value >> 16 & 255}.{value >> 8 & 255}.{value & 255}"
 
 
 def parse_address(text: str) -> int:
@@ -84,7 +85,8 @@ class Prefix:
             raise AddressError(f"prefix length out of range: {self.length}")
         if not 0 <= self.network <= MAX_IPV4:
             raise AddressError(f"network out of range: {self.network}")
-        if self.network & ~self.netmask():
+        # ``MAX_IPV4 >> length`` is the host mask, ``~netmask()``.
+        if self.network & (MAX_IPV4 >> self.length):
             raise AddressError(
                 f"host bits set: {int_to_address(self.network)}/{self.length}"
             )
@@ -97,8 +99,9 @@ class Prefix:
         if "/" in text:
             addr_text, _, len_text = text.partition("/")
             try:
-                length = int(len_text)
-            except ValueError:
+                # ``int`` would also read other scripts' digits.
+                length = int(len_text.encode("ascii"))
+            except ValueError:  # UnicodeEncodeError included
                 raise AddressError(f"bad prefix length in {text!r}") from None
         else:
             addr_text, length = text, 32

@@ -1,7 +1,7 @@
 """RPKI substrate: ROAs, snapshots, archives, and origin validation."""
 
 from .archive import RpkiArchive
-from .roa import AS0, ROA, RoaSet
+from .roa import AS0, ROA, RoaSet, VrpError
 from .validation import ValidationState, validate_origin
 
 __all__ = [
@@ -10,5 +10,6 @@ __all__ = [
     "RoaSet",
     "RpkiArchive",
     "ValidationState",
+    "VrpError",
     "validate_origin",
 ]

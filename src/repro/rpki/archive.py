@@ -6,18 +6,27 @@ per-prefix history extraction — the ingredients of the Fig. 3 lease
 timeline.  On disk an archive is a directory of ``vrps-<timestamp>.csv``
 files, one VRP CSV per snapshot, mirroring how public RPKI archives are
 published.
+
+Opening a directory lists and checks the file names only.  A snapshot
+is decoded the first time something reads it and is kept from then on,
+so a malformed snapshot file raises :class:`~repro.rpki.roa.VrpError`
+(naming the file and line) on that first read, not when the archive is
+opened.  ``timestamps()`` and ``len()`` decode nothing.
 """
 
 from __future__ import annotations
 
 import bisect
+import re
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from ..net import Prefix
-from .roa import RoaSet
+from .roa import RoaSet, VrpError
 
 __all__ = ["RpkiArchive"]
+
+_SNAPSHOT_NAME = re.compile(r"vrps-([0-9]+)\.csv")
 
 
 class RpkiArchive:
@@ -25,15 +34,36 @@ class RpkiArchive:
 
     def __init__(self) -> None:
         self._timestamps: List[int] = []
+        #: Decoded snapshots; a timestamp missing here is in ``_files``.
         self._snapshots: Dict[int, RoaSet] = {}
+        #: VRP CSV files not read yet, by timestamp.
+        self._files: Dict[int, Path] = {}
 
     def add_snapshot(self, timestamp: int, roas: RoaSet) -> None:
         """Record the snapshot taken at *timestamp* (seconds)."""
-        if timestamp in self._snapshots:
-            self._snapshots[timestamp] = roas
-            return
-        bisect.insort(self._timestamps, timestamp)
+        self._insert_timestamp(timestamp)
+        self._files.pop(timestamp, None)
         self._snapshots[timestamp] = roas
+
+    def _insert_timestamp(self, timestamp: int) -> None:
+        if timestamp not in self._snapshots and timestamp not in self._files:
+            bisect.insort(self._timestamps, timestamp)
+
+    def _snapshot(self, timestamp: int) -> RoaSet:
+        """The snapshot at exactly *timestamp*, decoded on first read.
+
+        Two threads reading the same new snapshot may both decode it;
+        ``setdefault`` keeps the first result, so both get one object.
+        """
+        roas = self._snapshots.get(timestamp)
+        if roas is not None:
+            return roas
+        path = self._files[timestamp]
+        try:
+            decoded = RoaSet.from_csv(path.read_text())
+        except (VrpError, UnicodeDecodeError) as exc:
+            raise VrpError(f"{path}: {exc}") from None
+        return self._snapshots.setdefault(timestamp, decoded)
 
     def timestamps(self) -> List[int]:
         """All snapshot timestamps, ascending."""
@@ -44,20 +74,20 @@ class RpkiArchive:
         index = bisect.bisect_right(self._timestamps, timestamp)
         if index == 0:
             return None
-        return self._snapshots[self._timestamps[index - 1]]
+        return self._snapshot(self._timestamps[index - 1])
 
     def latest(self) -> Optional[RoaSet]:
         """The newest snapshot, or None when empty."""
         if not self._timestamps:
             return None
-        return self._snapshots[self._timestamps[-1]]
+        return self._snapshot(self._timestamps[-1])
 
     def __len__(self) -> int:
         return len(self._timestamps)
 
     def __iter__(self) -> Iterator[Tuple[int, RoaSet]]:
         for timestamp in self._timestamps:
-            yield timestamp, self._snapshots[timestamp]
+            yield timestamp, self._snapshot(timestamp)
 
     # -- per-prefix history -----------------------------------------------
     def authorized_origin_history(
@@ -84,11 +114,21 @@ class RpkiArchive:
 
     @classmethod
     def from_directory(cls, directory: Path) -> "RpkiArchive":
-        """Load an archive written by :meth:`to_directory`."""
+        """Open an archive written by :meth:`to_directory`.
+
+        Only the file names are read here; each snapshot is decoded when
+        first read.  A name that is not ``vrps-<digits>.csv`` raises
+        :class:`VrpError` now.  When two names give one timestamp, the
+        later name in sorted order wins.
+        """
         archive = cls()
         for path in sorted(Path(directory).glob("vrps-*.csv")):
-            timestamp = int(path.stem.replace("vrps-", ""))
-            archive.add_snapshot(timestamp, RoaSet.from_csv(path.read_text()))
+            match = _SNAPSHOT_NAME.fullmatch(path.name)
+            if match is None:
+                raise VrpError(f"{path}: not a vrps-<timestamp>.csv name")
+            timestamp = int(match.group(1))
+            archive._insert_timestamp(timestamp)
+            archive._files[timestamp] = path
         return archive
 
     def change_points(self, prefix: Prefix) -> List[Tuple[int, FrozenSet[int]]]:

@@ -7,6 +7,7 @@ one validated snapshot — the 30-minute archive granularity of §4 is
 modelled by :mod:`repro.rpki.archive`.
 
 On-disk format is the conventional VRP CSV: ``ASN,IP Prefix,Max Length``.
+A malformed row raises :class:`VrpError` naming its 1-based line.
 """
 
 from __future__ import annotations
@@ -16,10 +17,14 @@ from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..net import Prefix, PrefixTrie
 
-__all__ = ["AS0", "ROA", "RoaSet"]
+__all__ = ["AS0", "ROA", "RoaSet", "VrpError"]
 
 #: RFC 7607 AS0: a ROA that authorizes nobody.
 AS0 = 0
+
+
+class VrpError(ValueError):
+    """A VRP CSV that cannot be decoded; the message names the line."""
 
 
 @dataclass(frozen=True, order=True)
@@ -118,13 +123,13 @@ class RoaSet:
         """ROAs whose prefix covers *prefix* (least-specific first)."""
         found: List[ROA] = []
         for _roa_prefix, bucket in self._trie.covering(prefix):
-            found.extend(sorted(bucket))
+            found.extend(sorted(bucket, key=_sort_key))
         return found
 
     def exact(self, prefix: Prefix) -> List[ROA]:
         """ROAs registered at exactly *prefix*."""
         bucket = self._trie.exact(prefix)
-        return sorted(bucket) if bucket else []
+        return sorted(bucket, key=_sort_key) if bucket else []
 
     def authorized_origins(self, prefix: Prefix) -> FrozenSet[int]:
         """ASNs some covering ROA names for *prefix* (AS0 included)."""
@@ -138,7 +143,7 @@ class RoaSet:
         return len(self._roas)
 
     def __iter__(self) -> Iterator[ROA]:
-        return iter(sorted(self._roas))
+        return iter(sorted(self._roas, key=_sort_key))
 
     def __contains__(self, roa: ROA) -> bool:
         return roa in self._roas
@@ -146,17 +151,31 @@ class RoaSet:
     # -- VRP CSV ---------------------------------------------------------
     @classmethod
     def from_csv(cls, text: str) -> "RoaSet":
-        """Parse a VRP CSV file (header line optional)."""
+        """Parse a VRP CSV file (header line optional).
+
+        Raises :class:`VrpError` naming the first malformed line.
+        """
         roas: List[ROA] = []
-        for line in text.splitlines():
+        for number, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line or line.lower().startswith(("uri,", "asn,")):
                 continue
-            roas.append(ROA.from_csv_row(line))
+            try:
+                roas.append(ROA.from_csv_row(line))
+            except ValueError as exc:
+                raise VrpError(f"line {number}: {exc}") from None
         return cls(roas)
 
     def to_csv(self) -> str:
         """Serialize to VRP CSV with a header."""
         lines = ["ASN,IP Prefix,Max Length"]
-        lines.extend(roa.to_csv_row() for roa in sorted(self._roas))
+        lines.extend(
+            roa.to_csv_row() for roa in sorted(self._roas, key=_sort_key)
+        )
         return "\n".join(lines) + "\n"
+
+
+def _sort_key(roa: ROA) -> Tuple[int, int, int, int]:
+    """:class:`ROA` order as a plain tuple, cheaper than dataclass ``<``."""
+    prefix = roa.prefix
+    return prefix.network, prefix.length, roa.asn, roa.effective_max_length

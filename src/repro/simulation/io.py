@@ -7,6 +7,15 @@ the file formats a measurement pipeline would download (§4).
 ``load_datasets`` reads them back into the in-memory types, which both
 round-trips the serializers and lets the CLI run the inference from
 files alone.
+
+``load_datasets`` decodes and checks every file except the RPKI
+archive snapshots (``rpki/`` and ``featured/rpki/``), whose file names
+alone are checked at load.  Each snapshot is decoded the first time the
+archive is read, so a malformed one raises
+:class:`~repro.rpki.roa.VrpError` then: under ``infer --strict`` or
+``timeline``, never under ``infer`` or ``serve``, which do not read the
+archive.  Writing, loading and world building run with the cyclic
+garbage collector paused (:mod:`repro.net.gcpause`).
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from ..bgp.rib import RoutingTable
 from ..bgp.table_dump import read_table_dump, write_table_dump
 from ..brokers.registry import BrokerRegistry
 from ..net import Prefix
+from ..net.gcpause import gc_paused
 from ..rir import RIR
 from ..rpki.archive import RpkiArchive
 from ..rpki.roa import RoaSet
@@ -62,6 +72,7 @@ class DatasetBundle:
     featured: Optional[FeaturedBundle] = None
 
 
+@gc_paused
 def write_world(world: World, directory: Path) -> None:
     """Write every dataset of *world* under *directory*."""
     directory = Path(directory)
@@ -95,6 +106,7 @@ def write_world(world: World, directory: Path) -> None:
     _write_ground_truth(directory / "ground_truth.csv", world)
 
 
+@gc_paused
 def load_datasets(directory: Path) -> DatasetBundle:
     """Load a bundle previously produced by :func:`write_world`."""
     directory = Path(directory)

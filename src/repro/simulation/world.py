@@ -32,6 +32,7 @@ from ..bgp.rib import RibEntry, RoutingTable
 from ..bgp.topology import ASTopology
 from ..brokers.registry import BrokerRegistry, RegisteredBroker
 from ..net import AddressRange, Prefix
+from ..net.gcpause import gc_paused
 from ..rir import RIR
 from ..rpki.archive import RpkiArchive
 from ..rpki.roa import AS0, ROA, RoaSet
@@ -1344,6 +1345,7 @@ def _consume(spec: RegionSpec, **deltas: int) -> RegionSpec:
     return replace(spec, **updates)
 
 
+@gc_paused
 def build_world(scenario: Scenario) -> World:
     """Build the synthetic world for *scenario*."""
     return WorldBuilder(scenario).build()
