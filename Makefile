@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test coverage lint check check-warm ratchet-update docs bench bench-e2e bench-pipeline bench-xlarge bench-serve bench-stream bench-temporal report data clean
+.PHONY: install test coverage lint check check-warm ratchet-update docs bench bench-e2e bench-pipeline bench-xlarge bench-stream bench-temporal report data clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
@@ -60,9 +60,6 @@ bench-pipeline:
 bench-xlarge:
 	PYTHONPATH=src $(PYTHON) -m repro.cli bench --out BENCH_pipeline.json \
 		--sizes xlarge --repeats 1 --no-extensions --memory
-
-bench-serve:
-	PYTHONPATH=src $(PYTHON) -m repro.cli loadgen --out BENCH_serve.json
 
 bench-stream:
 	PYTHONPATH=src $(PYTHON) -m repro.cli stream --size large --out BENCH_stream.json

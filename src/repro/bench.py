@@ -58,13 +58,17 @@ from .simulation import (
     render_replay_log,
     simulate_update_bursts,
 )
+from .temporal import (
+    DEFAULT_EVOLUTION_SEED,
+    build_temporal_product,
+    index_encoded_bytes,
+)
 
 __all__ = [
     "SCHEMA_VERSION",
     "STREAM_SCHEMA_VERSION",
     "all_equivalent",
     "append_trajectory",
-    "build_temporal_product",
     "load_trajectory",
     "run_benchmark",
     "run_stream_benchmark",
@@ -611,8 +615,9 @@ def append_trajectory(
     ``{"schema": {"name": ..., "version": ...}, "runs": [oldest, ...,
     newest]}`` — so a perf history survives regeneration instead of
     being overwritten.  Pre-v2 single-run files are migrated in place.
-    Shared by the pipeline bench (``BENCH_pipeline.json``) and the
-    serving load generator (``BENCH_serve.json``).
+    Shared by the pipeline (``BENCH_pipeline.json``), streaming
+    (``BENCH_stream.json``) and temporal (``BENCH_temporal.json``)
+    benchmarks.
     """
     runs = load_trajectory(path)
     runs.append(report)
@@ -866,10 +871,6 @@ def stream_from_args(args) -> int:
 
 TEMPORAL_SCHEMA_VERSION = 1
 
-#: The evolution's default churn seed (distinct from the world seed so
-#: one world can carry many histories).
-DEFAULT_EVOLUTION_SEED = 20240404
-
 #: Point-in-time lookups sampled per temporal bench run.
 _TEMPORAL_QUERY_SAMPLES = 64
 
@@ -882,81 +883,6 @@ def _index_image(index) -> Tuple[object, ...]:
         index.category_tallies(),
         index.leased_count,
     )
-
-
-def build_temporal_product(
-    world,
-    context,
-    result,
-    epochs: int,
-    evolution_seed: int = DEFAULT_EVOLUTION_SEED,
-    checkpoint_interval: Optional[int] = None,
-):
-    """Evolve *world* and freeze the outcome as a TemporalProduct.
-
-    Returns ``(product, evolution, base_index, epoch_reports)`` —
-    everything the temporal benchmark, the serve command, and the CLI
-    history command need.  ``epoch_reports`` holds the incremental
-    engine's per-epoch :class:`BurstReport` rows (timing callers reuse
-    them instead of re-applying).
-    """
-    from .core.leaseindex import LeaseIndex
-    from .temporal import (
-        DEFAULT_CHECKPOINT_INTERVAL,
-        TemporalLeaseIndex,
-        TemporalProduct,
-        TimelineStore,
-        histories_from_updates,
-    )
-
-    candidates = [
-        key[0] for rir in context.rirs for key in context.leaf_keys[rir]
-    ]
-    rir_of = {
-        key[0]: rir.name
-        for rir in context.rirs
-        for key in context.leaf_keys[rir]
-    }
-    evolution = evolve_world(
-        world, candidates, epochs=epochs, seed=evolution_seed
-    )
-    engine = IncrementalEngine(context)
-    base = LeaseIndex.build(context, result)
-    epoch_changes = []
-    epoch_reports = []
-    for timestamp, burst in zip(
-        evolution.epoch_timestamps, evolution.epoch_bursts
-    ):
-        burst_report = engine.apply(list(burst))
-        epoch_reports.append(burst_report)
-        epoch_changes.append((timestamp, burst_report.changed))
-    interval = (
-        checkpoint_interval
-        if checkpoint_interval is not None
-        else DEFAULT_CHECKPOINT_INTERVAL
-    )
-    temporal_index = TemporalLeaseIndex.build(
-        context,
-        base,
-        evolution.base_timestamp,
-        epoch_changes,
-        checkpoint_interval=interval,
-    )
-    timelines = TimelineStore.build(
-        histories_from_updates(evolution.all_updates()),
-        evolution.archive,
-        rir_of,
-    )
-    product = TemporalProduct(
-        index=temporal_index,
-        timelines=timelines,
-        meta={
-            "evolution_seed": evolution_seed,
-            "epochs": epochs,
-            "targets": len(evolution.schedule),
-        },
-    )
-    return product, evolution, base, epoch_reports
 
 
 def _verify_timelines(product, evolution) -> bool:
@@ -999,8 +925,6 @@ def run_temporal_benchmark(
     mutated routing table, and the inferred per-prefix timelines are
     checked against the generator's ground-truth lease schedule.
     """
-    from .temporal import index_encoded_bytes
-
     def say(message: str) -> None:
         if log is not None:
             log(message)
@@ -1018,13 +942,14 @@ def run_temporal_benchmark(
 
     say(f"[temporal] evolving {epochs} epochs of lease churn ...")
     started = time.perf_counter()
-    product, evolution, base, epoch_reports = build_temporal_product(
+    evolution = evolve_world(
         world,
-        context,
-        result,
+        [inference.prefix for inference in result],
         epochs=epochs,
-        evolution_seed=evolution_seed,
-        checkpoint_interval=checkpoint_interval,
+        seed=evolution_seed,
+    )
+    product, base, epoch_reports = build_temporal_product(
+        context, result, evolution, checkpoint_interval
     )
     build_s = time.perf_counter() - started
 

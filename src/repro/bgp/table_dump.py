@@ -72,17 +72,20 @@ def read_table_dump(
 
     Real archives contain occasional malformed rows; by default they are
     skipped, matching common measurement practice.  Pass ``strict=True``
-    to raise instead.
+    to raise instead: the :class:`TableDumpError` message starts with
+    the row's 1-based line number (``"line 7: too few fields: ..."``).
     """
     lines = source.splitlines() if isinstance(source, str) else source
-    for line in lines:
+    for number, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
-            yield parse_line(line)
-        except TableDumpError:
+            entry = parse_line(line)
+        except TableDumpError as exc:
             if strict:
-                raise
+                raise TableDumpError(f"line {number}: {exc}") from exc
+            continue
+        yield entry
 
 
 def write_table_dump(entries: Iterable[RibEntry]) -> str:

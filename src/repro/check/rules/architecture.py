@@ -52,6 +52,7 @@ LAYER_MAP: Dict[str, FrozenSet[str]] = {
             "reporting",
             "serve",
             "simulation",
+            "temporal",
         }
     ),
     "core": frozenset(
@@ -87,7 +88,7 @@ LAYER_MAP: Dict[str, FrozenSet[str]] = {
     ),
     "rir": frozenset(),
     "rpki": frozenset({"net"}),
-    "serve": frozenset({"bench", "core", "net", "temporal"}),
+    "serve": frozenset({"core", "net", "temporal"}),
     "simulation": frozenset(
         {
             "abuse",
@@ -102,7 +103,7 @@ LAYER_MAP: Dict[str, FrozenSet[str]] = {
         }
     ),
     "temporal": frozenset({"bgp", "core", "net", "rpki"}),
-    "whois": frozenset({"diagnostics", "net", "rir"}),
+    "whois": frozenset({"net", "rir"}),
 }
 
 

@@ -20,7 +20,9 @@ from pathlib import Path
 from typing import List, Optional
 
 from .core import (
+    AnalysisContext,
     BgpOriginHistory,
+    InferenceResult,
     RelatednessOracle,
     build_timeline,
     curate_reference,
@@ -40,8 +42,19 @@ from .reporting import (
     render_table3,
     render_timeline,
 )
-from .simulation import build_world, paper_world, small_world
+from .simulation import (
+    World,
+    build_world,
+    evolve_world,
+    paper_world,
+    small_world,
+)
 from .simulation.io import DatasetBundle, load_datasets, write_world
+from .temporal import (
+    DEFAULT_EVOLUTION_SEED,
+    TemporalProduct,
+    build_temporal_product,
+)
 
 __all__ = ["main"]
 
@@ -72,7 +85,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "bench-temporal": _cmd_bench_temporal,
         "history": _cmd_history,
         "serve": _cmd_serve,
-        "loadgen": _cmd_loadgen,
     }[args.command]
     return handler(args)
 
@@ -398,8 +410,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--evolution-seed",
             type=int,
-            default=20240404,
-            help="lease-churn seed (default 20240404)",
+            default=DEFAULT_EVOLUTION_SEED,
+            help=f"lease-churn seed (default {DEFAULT_EVOLUTION_SEED})",
         )
 
     bench_temporal = sub.add_parser(
@@ -481,55 +493,9 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--evolution-seed",
         type=int,
-        default=20240404,
-        help="lease-churn seed for --temporal-epochs (default 20240404)",
-    )
-
-    loadgen = sub.add_parser(
-        "loadgen",
-        help="self-host a snapshot and record serve throughput/latency",
-    )
-    loadgen.add_argument(
-        "--data",
-        type=Path,
-        default=None,
-        help="load-test a generated dataset directory (default: small world)",
-    )
-    loadgen.add_argument(
-        "--duration",
-        type=float,
-        default=5.0,
-        help="seconds of closed-loop load (default 5)",
-    )
-    loadgen.add_argument(
-        "--requests",
-        type=int,
-        default=None,
-        help="stop after this many requests instead of --duration",
-    )
-    loadgen.add_argument(
-        "--seed",
-        type=int,
-        default=7,
-        help="query-mix seed (also the in-memory world seed)",
-    )
-    loadgen.add_argument(
-        "--concurrency",
-        type=int,
-        default=4,
-        help="closed-loop client connections (default 4)",
-    )
-    loadgen.add_argument(
-        "--cache-size",
-        type=int,
-        default=None,
-        help="LRU response-cache capacity (default 1024)",
-    )
-    loadgen.add_argument(
-        "--out",
-        type=Path,
-        default=Path("BENCH_serve.json"),
-        help="trajectory file to append to (default BENCH_serve.json)",
+        default=DEFAULT_EVOLUTION_SEED,
+        help="lease-churn seed for --temporal-epochs "
+        f"(default {DEFAULT_EVOLUTION_SEED})",
     )
 
     report = sub.add_parser(
@@ -652,11 +618,30 @@ def _cmd_bench_temporal(args: argparse.Namespace) -> int:
     return temporal_from_args(args)
 
 
+def _temporal_product(
+    world: World,
+    context: AnalysisContext,
+    result: InferenceResult,
+    epochs: int,
+    seed: int,
+) -> TemporalProduct:
+    """Evolve *epochs* of lease churn over *world* and freeze them."""
+    evolution = evolve_world(
+        world,
+        [inference.prefix for inference in result],
+        epochs=epochs,
+        seed=seed,
+    )
+    product, _base, _reports = build_temporal_product(
+        context, result, evolution
+    )
+    return product
+
+
 def _cmd_history(args: argparse.Namespace) -> int:
     """Evolve lease churn over a world and print §6.5 timelines."""
     import json
 
-    from .bench import build_temporal_product
     from .core import LeaseInferencePipeline
     from .net import AddressError, Prefix
 
@@ -675,12 +660,9 @@ def _cmd_history(args: argparse.Namespace) -> int:
         world.whois, world.routing_table, world.relationships, world.as2org
     )
     result = pipeline.run()
-    product, _evolution, _base, _reports = build_temporal_product(
-        world,
-        pipeline.context,
-        result,
-        epochs=args.epochs,
-        evolution_seed=args.evolution_seed,
+    assert pipeline.context is not None
+    product = _temporal_product(
+        world, pipeline.context, result, args.epochs, args.evolution_seed
     )
     store = product.timelines
     if query is not None:
@@ -835,7 +817,7 @@ def _cmd_rpki(args: argparse.Namespace) -> int:
     return 0
 
 
-def _lease_index(args: argparse.Namespace, scenario=None):
+def _lease_index(args: argparse.Namespace):
     """Build a :class:`LeaseIndex` snapshot from ``--data`` or a scenario.
 
     Returns ``(index, label, pipeline, result, world)``; *world* is None
@@ -845,7 +827,7 @@ def _lease_index(args: argparse.Namespace, scenario=None):
     from .serve import LeaseIndex
 
     world = None
-    if getattr(args, "data", None) is not None:
+    if args.data is not None:
         bundle = load_datasets(args.data)
         pipeline = LeaseInferencePipeline(
             bundle.whois,
@@ -855,22 +837,17 @@ def _lease_index(args: argparse.Namespace, scenario=None):
         )
         label = str(args.data)
     else:
-        world = build_world(
-            scenario if scenario is not None else _scenario(args)
-        )
+        world = build_world(_scenario(args))
         pipeline = LeaseInferencePipeline(
             world.whois,
             world.routing_table,
             world.relationships,
             world.as2org,
         )
-        label = "small world" if scenario is not None or getattr(
-            args, "small", False
-        ) else f"paper world (1/{args.scale})"
-    result = pipeline.run(
-        workers=getattr(args, "workers", 1),
-        shard_size=getattr(args, "shard_size", None),
-    )
+        label = (
+            "small world" if args.small else f"paper world (1/{args.scale})"
+        )
+    result = pipeline.run(workers=args.workers, shard_size=args.shard_size)
     assert pipeline.context is not None
     index = LeaseIndex.build(pipeline.context, result)
     return index, label, pipeline, result, world
@@ -879,25 +856,19 @@ def _lease_index(args: argparse.Namespace, scenario=None):
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve import DEFAULT_CACHE_SIZE, LeaseQueryServer, SnapshotManager
 
-    epochs = getattr(args, "temporal_epochs", None)
+    epochs = args.temporal_epochs
     if epochs is not None and epochs < 1:
         print(f"--temporal-epochs must be >= 1, got {epochs}")
         return 2
-    if epochs is not None and getattr(args, "data", None) is not None:
+    if epochs is not None and args.data is not None:
         print("--temporal-epochs needs a scenario world (drop --data)")
         return 2
     index, label, pipeline, result, world = _lease_index(args)
     temporal = None
     if epochs is not None:
-        from .bench import build_temporal_product
-
-        assert world is not None
-        temporal, _evolution, _base, _reports = build_temporal_product(
-            world,
-            pipeline.context,
-            result,
-            epochs=epochs,
-            evolution_seed=args.evolution_seed,
+        assert world is not None and pipeline.context is not None
+        temporal = _temporal_product(
+            world, pipeline.context, result, epochs, args.evolution_seed
         )
         print(
             f"mounted temporal history: {temporal.epochs} epochs over "
@@ -934,43 +905,6 @@ def _serve_forever(server, index, label: str) -> int:
         asyncio.run(main())
     except KeyboardInterrupt:
         print("shutting down")
-    return 0
-
-
-def _cmd_loadgen(args: argparse.Namespace) -> int:
-    from .bench import append_trajectory
-    from .reporting import render_serve_report
-    from .serve import DEFAULT_CACHE_SIZE, run_loadgen, validate_serve_run
-    from .serve.loadgen import SERVE_SCHEMA_VERSION
-
-    scenario = None if args.data is not None else small_world(seed=args.seed)
-    index, label, _pipeline, _result, _world = _lease_index(
-        args, scenario=scenario
-    )
-    payload = run_loadgen(
-        index,
-        duration_s=args.duration,
-        requests=args.requests,
-        seed=args.seed,
-        concurrency=args.concurrency,
-        cache_size=(
-            args.cache_size
-            if args.cache_size is not None
-            else DEFAULT_CACHE_SIZE
-        ),
-        world=label,
-    )
-    append_trajectory(payload, args.out, "BENCH_serve", SERVE_SCHEMA_VERSION)
-    print(render_serve_report(payload))
-    print(f"wrote {args.out}")
-    problems = validate_serve_run(payload)
-    if problems:
-        for problem in problems:
-            print(f"schema problem: {problem}")
-        return 1
-    if payload["totals"]["errors"]:
-        print("FAIL: load run recorded unexpected response statuses")
-        return 1
     return 0
 
 

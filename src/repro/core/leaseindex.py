@@ -286,16 +286,8 @@ class LeaseIndex:
         }
 
     def prefixes(self) -> List[Prefix]:
-        """Every classified leaf prefix, sorted (loadgen sampling)."""
+        """Every classified leaf prefix, sorted."""
         return sorted(self._trie.keys())
-
-    def asns(self) -> List[int]:
-        """Every originating ASN, sorted (loadgen sampling)."""
-        return sorted(self._by_origin)
-
-    def orgs(self) -> List[str]:
-        """Every holder organisation handle, sorted (loadgen sampling)."""
-        return sorted(self._by_org)
 
     # -- delta-layer accessors ---------------------------------------------
     # Read-only views over the inverted indexes, for machinery that

@@ -123,7 +123,7 @@ class DiagnosticContext:
 
     @classmethod
     def whois_only(cls, database: WhoisDatabase) -> "DiagnosticContext":
-        """Wrap a single regional database (the legacy linter path)."""
+        """Wrap a single regional database (a one-registry W-series run)."""
         collection = WhoisCollection()
         collection.databases()[database.rir] = database
         return cls(whois=collection)

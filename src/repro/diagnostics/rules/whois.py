@@ -1,8 +1,7 @@
 """W-series rules: structural checks over the regional WHOIS databases.
 
-These generalize the original ``repro.whois.lint`` linter; the legacy
-``lint_database`` entry point now runs exactly this rule set through
-the engine and converts the findings back to ``LintIssue`` objects.
+Each rule runs per regional database, so they also work on a
+one-registry context (:meth:`DiagnosticContext.whois_only`).
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Text reports reproducing the paper's tables and Fig. 3."""
 
-from .bench import render_bench_report, render_serve_report
+from .bench import render_bench_report
 from .diagnostics import (
     render_diagnostics_summary,
     render_diagnostics_text,
@@ -26,7 +26,6 @@ __all__ = [
     "render_drop_stats",
     "render_hijacker_stats",
     "render_roa_stats",
-    "render_serve_report",
     "render_table",
     "render_table1",
     "render_table2",

@@ -1,12 +1,12 @@
-"""Terminal rendering of the pipeline and serve benchmark payloads."""
+"""Terminal rendering of the pipeline benchmark payloads."""
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, cast
+from typing import Dict, List
 
 from .text import render_table
 
-__all__ = ["render_bench_report", "render_serve_report"]
+__all__ = ["render_bench_report"]
 
 
 def render_bench_report(report: Dict[str, object]) -> str:
@@ -124,50 +124,3 @@ def _bytes(value: object) -> str:
         size /= 1024
     return f"{size:,.1f} GB"  # pragma: no cover - unreachable
 
-
-def render_serve_report(report: Dict[str, object]) -> str:
-    """One serve-bench run as a summary line plus a per-kind table.
-
-    Accepts a single run payload or a trajectory file
-    (``{"runs": [...]}``), rendering the latest run.
-    """
-    document = cast(Dict[str, Any], report)
-    runs = document.get("runs")
-    if isinstance(runs, list) and runs:
-        document = runs[-1]
-    totals = document["totals"]
-    latency = document["latency_ms"]
-    server = document["server"]
-    config = document["config"]
-    cache = server["cache"]
-    rows = []
-    for kind, entry in document["kinds"].items():
-        rows.append(
-            (
-                kind,
-                entry["requests"],
-                entry["errors"],
-                f"{entry['p50_ms']:.2f}",
-                f"{entry['p99_ms']:.2f}",
-            )
-        )
-    title = (
-        f"Serve bench — {config['world']}: "
-        f"{totals['requests']:,} requests in {totals['wall_s']:.2f}s "
-        f"({totals['req_per_s']:,.0f} req/s, "
-        f"{totals['errors']} errors)"
-    )
-    table = render_table(
-        ("kind", "requests", "errors", "p50 ms", "p99 ms"),
-        rows,
-        title=title,
-    )
-    probes = int(cache["hits"]) + int(cache["misses"])
-    summary = (
-        f"latency p50 {latency['p50']:.2f}ms  "
-        f"p99 {latency['p99']:.2f}ms  max {latency['max']:.2f}ms  |  "
-        f"cache hit rate {_percent(cache.get('hit_rate'))} "
-        f"({cache['hits']}/{probes})  |  "
-        f"generation {server['generation']}"
-    )
-    return table + "\n" + summary

@@ -3,14 +3,13 @@
 The batch pipeline produces tables; this subsystem makes them *askable*:
 one run is frozen into an immutable :class:`LeaseIndex` snapshot
 (:mod:`~repro.core.leaseindex`), served over an asyncio HTTP/JSON API
-(:mod:`~repro.serve.http`), hot-swapped atomically between generations
-(:mod:`~repro.serve.reload`), and benchmarked by a seeded closed-loop
-load generator (:mod:`~repro.serve.loadgen`).  See ``docs/SERVING.md``.
+(:mod:`~repro.serve.http`), and hot-swapped atomically between
+generations (:mod:`~repro.serve.reload`).  See ``docs/SERVING.md``; the
+load generator that benchmarks it is ``bench/run.py``.
 """
 
 from ..core.leaseindex import DeltaLeaseIndex, LeaseIndex
 from .http import DEFAULT_CACHE_SIZE, MAX_BULK, LeaseQueryServer
-from .loadgen import run_loadgen, validate_serve_run
 from .reload import SnapshotManager
 
 __all__ = [
@@ -20,6 +19,4 @@ __all__ = [
     "LeaseIndex",
     "LeaseQueryServer",
     "SnapshotManager",
-    "run_loadgen",
-    "validate_serve_run",
 ]

@@ -71,6 +71,8 @@ class WorldEvolution:
     epoch_bursts: Tuple[Tuple[SequencedUpdate, ...], ...]
     archive: RpkiArchive
     schedule: Dict[Prefix, Tuple[Tuple[int, Optional[int]], ...]]
+    #: The churn seed this history was generated from.
+    seed: int
 
     @property
     def epochs(self) -> int:
@@ -250,4 +252,5 @@ def evolve_world(
             target: tuple(entries)
             for target, entries in schedule.items()
         },
+        seed=seed,
     )

@@ -4,10 +4,12 @@ The temporal subsystem freezes a run's evolution into two queryable
 artifacts — :class:`TemporalLeaseIndex` (point-in-time attribution
 snapshots, delta-encoded against one shared base) and
 :class:`TimelineStore` (per-prefix lease timelines with per-RIR churn
-tallies) — bundled as a :class:`TemporalProduct` for the serving layer.
+tallies) — bundled as a :class:`TemporalProduct` for the serving layer
+by :func:`build_temporal_product`.
 
 Layering: temporal builds on ``core``, ``bgp``, ``rpki``, and ``net``;
-it never imports ``serve`` or ``cli`` (they import *it*).
+it never imports ``serve`` or ``cli`` (they import *it*), nor
+``simulation`` (callers pass the evolved world in).
 """
 
 from .index import (
@@ -18,17 +20,23 @@ from .index import (
     TemporalLeaseIndex,
     index_encoded_bytes,
 )
-from .product import TemporalProduct
+from .product import (
+    DEFAULT_EVOLUTION_SEED,
+    TemporalProduct,
+    build_temporal_product,
+)
 from .timeline import TimelineStore, histories_from_updates
 
 __all__ = [
     "DEFAULT_CHECKPOINT_INTERVAL",
+    "DEFAULT_EVOLUTION_SEED",
     "DEFAULT_VIEW_CACHE",
     "EpochRecord",
     "EpochSkipList",
     "TemporalLeaseIndex",
     "TemporalProduct",
     "TimelineStore",
+    "build_temporal_product",
     "histories_from_updates",
     "index_encoded_bytes",
 ]

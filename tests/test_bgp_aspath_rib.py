@@ -1,6 +1,10 @@
 """Unit tests for AS paths, routing tables, and the table-dump format."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.asdata import ASRelationships
 from repro.bgp import (
@@ -167,6 +171,69 @@ class TestTableDump:
     def test_empty_dump(self):
         assert write_table_dump([]) == ""
         assert list(read_table_dump("")) == []
+
+
+def dump_rows():
+    return [
+        RibEntry(
+            prefix=Prefix(0x0A000000 + (n << 8), 24),
+            path=ASPath.of(3356, 64500 + n),
+            peer_asn=3356,
+            peer_address="198.32.160.1",
+            timestamp=1712102400 + n,
+        )
+        for n in range(6)
+    ]
+
+
+@st.composite
+def corrupted(draw, dump):
+    """*dump* with a few characters overwritten, then cut short."""
+    text = list(dump)
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        position = draw(st.integers(min_value=0, max_value=len(text) - 1))
+        text[position] = draw(
+            st.sampled_from("|\n 0123456789x-/.:é") | st.characters()
+        )
+    return "".join(text[: draw(st.integers(min_value=0, max_value=len(text)))])
+
+
+class TestMalformedTableDump:
+    """A strict read parses or names the bad line; a lenient one skips."""
+
+    DUMP = write_table_dump(dump_rows())
+
+    @settings(max_examples=400, deadline=None)
+    @given(corrupted(DUMP))
+    def test_strict_read_names_the_line(self, text):
+        try:
+            list(read_table_dump(text, strict=True))
+        except TableDumpError as exc:
+            match = re.match(r"line (\d+): ", str(exc))
+            assert match, str(exc)
+            bad = text.splitlines()[int(match.group(1)) - 1]
+            with pytest.raises(TableDumpError):
+                parse_line(bad)
+
+    @settings(max_examples=200, deadline=None)
+    @given(corrupted(DUMP))
+    def test_lenient_read_skips_bad_rows(self, text):
+        rows = list(read_table_dump(text))
+        assert len(rows) <= len(text.splitlines())
+
+    def test_error_names_the_failing_line(self):
+        lines = self.DUMP.splitlines()
+        lines.insert(6, "TABLE_DUMP2|0|B")
+        text = "\n".join(lines)
+        with pytest.raises(TableDumpError, match=r"^line 7: too few fields"):
+            list(read_table_dump(text, strict=True))
+        assert len(list(read_table_dump(text))) == len(dump_rows())
+
+    def test_path_errors_are_wrapped(self):
+        # An empty AS path fails inside ASPath, not in the splitter.
+        line = "TABLE_DUMP2|0|B|1.2.3.4|1|10.0.0.0/8||IGP"
+        with pytest.raises(TableDumpError, match="^line 1: malformed line"):
+            list(read_table_dump(line, strict=True))
 
 
 class TestWithdrawCoveringAnnounce:

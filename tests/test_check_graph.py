@@ -327,6 +327,12 @@ def test_layer_map_is_closed_over_declared_layers():
         assert layer not in allowed, f"{layer} lists itself; same-layer is implicit"
 
 
+def test_server_carries_no_benchmark_code():
+    assert "bench" not in LAYER_MAP["serve"]
+    assert "bench" not in LAYER_MAP["temporal"]
+    assert "simulation" not in LAYER_MAP["temporal"]
+
+
 @pytest.mark.parametrize("forbidden", ["serve", "cli"])
 def test_core_never_imports_consumers(forbidden):
     assert forbidden not in LAYER_MAP["core"]

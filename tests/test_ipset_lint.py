@@ -1,9 +1,15 @@
-"""Tests for IPSet algebra and the WHOIS linter."""
+"""Tests for IPSet algebra and the W-series WHOIS diagnostics."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.diagnostics import (
+    DiagnosticContext,
+    DiagnosticsConfig,
+    DiagnosticsEngine,
+    Severity,
+)
 from repro.net import MAX_IPV4, AddressRange, IPSet, Prefix
 from repro.net.ipset import _normalize
 from repro.rir import RIR
@@ -14,7 +20,18 @@ from repro.whois import (
     OrgRecord,
     WhoisDatabase,
 )
-from repro.whois.lint import LintLevel, lint_database
+
+
+#: The structural registry rules, one code per defect class.
+WHOIS_CODES = ("W101", "W102", "W103", "W104", "W105", "W106")
+
+
+def lint(database):
+    """Run the W-series rules over one regional database."""
+    engine = DiagnosticsEngine(
+        config=DiagnosticsConfig.build(select=WHOIS_CODES)
+    )
+    return engine.run(DiagnosticContext.whois_only(database)).findings
 
 
 def ipset(*texts):
@@ -114,16 +131,12 @@ class TestWhoisLint:
     def test_clean_generated_world_is_mostly_clean(self):
         world = build_world(small_world())
         for database in world.whois:
-            issues = lint_database(database)
-            errors = [i for i in issues if i.level is LintLevel.ERROR]
+            findings = lint(database)
+            errors = [f for f in findings if f.severity is Severity.ERROR]
             assert errors == []
             # Orphan warnings only for legacy-induced /22 leftovers etc.
-            for issue in issues:
-                assert issue.code in (
-                    "orphan-nonportable",
-                    "unknown-status",
-                    "duplicate-range",
-                )
+            for finding in findings:
+                assert finding.code in ("W104", "W101", "W105")
 
     def test_unknown_status_flagged(self):
         database = WhoisDatabase(RIR.RIPE)
@@ -134,8 +147,7 @@ class TestWhoisLint:
                 status="TOTALLY ODD",
             )
         )
-        issues = lint_database(database)
-        assert any(i.code == "unknown-status" for i in issues)
+        assert any(f.code == "W101" for f in lint(database))
 
     def test_dangling_org_flagged(self):
         database = WhoisDatabase(RIR.RIPE)
@@ -150,10 +162,9 @@ class TestWhoisLint:
         database.add(
             AutNumRecord(rir=RIR.RIPE, asn=1, org_id="ORG-MISSING")
         )
-        issues = lint_database(database)
-        dangling = [i for i in issues if i.code == "dangling-org"]
-        assert len(dangling) == 2
-        assert all(i.level is LintLevel.ERROR for i in dangling)
+        dangling = [f for f in lint(database) if f.code in ("W102", "W103")]
+        assert sorted(f.code for f in dangling) == ["W102", "W103"]
+        assert all(f.severity is Severity.ERROR for f in dangling)
 
     def test_orphan_nonportable_flagged(self):
         database = WhoisDatabase(RIR.RIPE)
@@ -164,8 +175,7 @@ class TestWhoisLint:
                 status="ASSIGNED PA",
             )
         )
-        issues = lint_database(database)
-        assert any(i.code == "orphan-nonportable" for i in issues)
+        assert any(f.code == "W104" for f in lint(database))
 
     def test_duplicate_range_flagged(self):
         database = WhoisDatabase(RIR.RIPE)
@@ -177,8 +187,7 @@ class TestWhoisLint:
                     status="ALLOCATED PA",
                 )
             )
-        issues = lint_database(database)
-        assert sum(1 for i in issues if i.code == "duplicate-range") == 1
+        assert sum(1 for f in lint(database) if f.code == "W105") == 1
 
     def test_duplicate_message_names_range_and_holders(self):
         # A finding must carry enough subject detail to act on: the
@@ -196,18 +205,16 @@ class TestWhoisLint:
             database.add(
                 OrgRecord(rir=RIR.RIPE, org_id=org, name=org.title())
             )
-        duplicates = [
-            i for i in lint_database(database) if i.code == "duplicate-range"
-        ]
+        duplicates = [f for f in lint(database) if f.code == "W105"]
         assert len(duplicates) == 1
-        issue = duplicates[0]
-        assert "10.0.0.0 - 10.0.255.255" in issue.detail
-        assert "ORG-FIRST" in issue.detail
-        assert "ORG-SECOND" in issue.detail
+        finding = duplicates[0]
+        assert "10.0.0.0 - 10.0.255.255" in finding.message
+        assert "ORG-FIRST" in finding.message
+        assert "ORG-SECOND" in finding.message
 
     def test_inverted_range_reported_as_error(self):
         # Parsers reject inverted ranges, but records built
-        # programmatically can bypass validation; the linter must not
+        # programmatically can bypass validation; the rules must not
         # assume well-formedness.
         bad_range = AddressRange.__new__(AddressRange)
         object.__setattr__(bad_range, "first", 0x0A0000FF)
@@ -218,21 +225,7 @@ class TestWhoisLint:
                 rir=RIR.RIPE, range=bad_range, status="ALLOCATED PA"
             )
         )
-        inverted = [
-            i for i in lint_database(database) if i.code == "inverted-range"
-        ]
+        inverted = [f for f in lint(database) if f.code == "W106"]
         assert len(inverted) == 1
-        assert inverted[0].level is LintLevel.ERROR
-        assert "10.0.0.255" in inverted[0].detail
-
-    def test_issue_str(self):
-        database = WhoisDatabase(RIR.RIPE)
-        database.add(
-            InetnumRecord(
-                rir=RIR.RIPE,
-                range=AddressRange.parse("10.0.0.0/24"),
-                status="ODD",
-            )
-        )
-        issue = lint_database(database)[0]
-        assert "unknown-status" in str(issue)
+        assert inverted[0].severity is Severity.ERROR
+        assert "10.0.0.255" in inverted[0].message

@@ -3,12 +3,18 @@
 import asyncio
 import http.client
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro.cli as cli
+from repro.cli import main
 from repro.core import LeaseInferencePipeline
 from repro.serve import (
     MAX_BULK,
@@ -131,7 +137,7 @@ class TestPrefixEndpoint:
 
 class TestAsnAndOrgEndpoints:
     def test_asn_listing(self, server, index):
-        asn = index.asns()[0]
+        asn = min(index.origin_rows())
         status, payload = get(server, f"/v1/asn/AS{asn}")
         assert status == 200
         assert payload["asn"] == asn
@@ -144,7 +150,11 @@ class TestAsnAndOrgEndpoints:
         assert get(server, "/v1/asn/banana")[0] == 400
 
     def test_org_listing(self, server, index):
-        org = index.orgs()[0]
+        org = next(
+            answer["holder_org"]
+            for answer in map(index.exact, index.prefixes())
+            if answer["holder_org"]
+        )
         status, payload = get(server, f"/v1/org/{org}")
         assert status == 200
         assert payload["role"] == "holder"
@@ -562,3 +572,40 @@ class TestApplyUpdates:
             )
             assert payload["generation"] == 2
             assert headers["ETag"] == '"g2"'
+
+
+class TestCli:
+    def test_serve_command_wires_snapshot(self, monkeypatch, capsys):
+        seen = {}
+
+        def fake_serve_forever(server, index, label):
+            seen["generation"] = server.manager.generation
+            seen["leaves"] = len(index)
+            seen["label"] = label
+            return 0
+
+        monkeypatch.setattr(cli, "_serve_forever", fake_serve_forever)
+        assert main(["serve", "--small", "--port", "0"]) == 0
+        assert seen["generation"] == 1
+        assert seen["leaves"] > 0
+        assert seen["label"] == "small world"
+
+
+class TestImports:
+    def test_serve_pulls_in_no_benchmark_code(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = (
+            "import sys, repro.serve; "
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "('repro.bench', 'repro.serve.loadgen'))))"
+        )
+        process = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert process.returncode == 0, process.stderr
+        assert process.stdout.strip() == "[]"
+

@@ -27,6 +27,13 @@ def index(pipeline, result):
     return LeaseIndex.build(pipeline.context, result)
 
 
+def holders(result):
+    """Every holder organisation handle in *result*, sorted, lowercased."""
+    return sorted(
+        {i.holder_org_id.lower() for i in result if i.holder_org_id}
+    )
+
+
 class TestParseAsn:
     def test_plain_digits(self):
         assert parse_asn_text("64500") == 64500
@@ -88,7 +95,7 @@ class TestPrefixLookups:
 
 class TestInvertedLookups:
     def test_by_asn_lists_all_its_leaves(self, index, result):
-        asn = index.asns()[0]
+        asn = min(index.origin_rows())
         listing = index.by_asn(asn)
         expected = [
             inference
@@ -114,8 +121,8 @@ class TestInvertedLookups:
     def test_by_org_miss(self, index):
         assert index.by_org("ORG-DOES-NOT-EXIST") is None
 
-    def test_listing_truncation(self, index, monkeypatch):
-        org = max(index.orgs(), key=lambda o: index.by_org(o)["total"])
+    def test_listing_truncation(self, index, result, monkeypatch):
+        org = max(holders(result), key=lambda o: index.by_org(o)["total"])
         full = index.by_org(org)
         assert full["total"] >= 2, "small world should repeat holders"
         assert full["truncated"] is False
@@ -125,8 +132,8 @@ class TestInvertedLookups:
         assert len(cut["answers"]) == 1
         assert cut["total"] == full["total"]
 
-    def test_listing_category_tallies(self, index):
-        listing = index.by_org(index.orgs()[0])
+    def test_listing_category_tallies(self, index, result):
+        listing = index.by_org(holders(result)[0])
         assert sum(listing["categories"].values()) == listing["total"]
 
     def test_max_listing_default(self):
@@ -141,8 +148,10 @@ class TestStats:
         assert stats["leased"] == sum(1 for i in inferences if i.is_leased)
         assert sum(stats["by_rir"].values()) == len(inferences)
         assert sum(stats["by_category"].values()) == len(inferences)
-        assert stats["origins"] == len(index.asns())
-        assert stats["orgs"] == len(index.orgs())
+        assert stats["origins"] == len(
+            {asn for i in inferences for asn in i.leaf_origins}
+        )
+        assert stats["orgs"] == len(holders(inferences))
 
 
 class TestBatchReplay:
@@ -219,6 +228,7 @@ class TestDeltaGenerations:
         full = LeaseIndex.build(pipeline.context, engine.result())
         return {
             "context": pipeline.context,
+            "result": result,
             "base": base,
             "deltas": deltas,
             "full": full,
@@ -243,13 +253,15 @@ class TestDeltaGenerations:
 
     def test_by_asn_matches(self, state):
         delta, full = state["deltas"][-1], state["full"]
-        assert delta.asns() == full.asns()
-        for asn in full.asns():
+        assert delta.origin_rows().keys() == full.origin_rows().keys()
+        for asn in sorted(full.origin_rows()):
             assert delta.by_asn(asn) == full.by_asn(asn), asn
 
     def test_by_org_unaffected_by_churn(self, state):
         delta, base = state["deltas"][-1], state["base"]
-        assert delta.orgs() == base.orgs()
+        assert delta.stats()["orgs"] == base.stats()["orgs"]
+        for org in holders(state["result"]):
+            assert delta.by_org(org)["total"] == base.by_org(org)["total"]
 
     def test_generations_flatten_onto_the_original_base(self, state):
         # Chained with_updates never stacks lookup layers: both delta

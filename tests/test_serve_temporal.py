@@ -5,11 +5,11 @@ import json
 
 import pytest
 
-from repro.bench import build_temporal_product
 from repro.core import LeaseInferencePipeline
 from repro.core.leaseindex import MAX_LISTING
 from repro.serve import LeaseIndex, LeaseQueryServer, SnapshotManager
-from repro.simulation import build_world, small_world
+from repro.simulation import build_world, evolve_world, small_world
+from repro.temporal import build_temporal_product
 
 EPOCHS = 4
 SEED = 77
@@ -23,8 +23,11 @@ def setup():
     )
     result = pipeline.run()
     index = LeaseIndex.build(pipeline.context, result)
-    product, evolution, _base, _reports = build_temporal_product(
-        world, pipeline.context, result, epochs=EPOCHS, evolution_seed=SEED
+    evolution = evolve_world(
+        world, [i.prefix for i in result], epochs=EPOCHS, seed=SEED
+    )
+    product, _base, _reports = build_temporal_product(
+        pipeline.context, result, evolution
     )
     return index, product, evolution
 
@@ -118,7 +121,7 @@ class TestPointInTime:
 
     def test_asn_listing_accepts_at_and_limit(self, setup, server):
         index, _, evolution = setup
-        asn = index.asns()[0]
+        asn = min(index.origin_rows())
         timestamp = evolution.epoch_timestamps[-1]
         status, payload, _ = get(
             server, f"/v1/asn/{asn}?at={timestamp}&limit=1"

@@ -1,18 +1,20 @@
 """Tests for the delta-encoded temporal lease index."""
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
-from repro.bench import build_temporal_product
 from repro.core import LeaseInferencePipeline
 from repro.core.incremental import clone_routing_table, replay_into_table
 from repro.net import Prefix
 from repro.serve import LeaseIndex
-from repro.simulation import build_world, small_world
+from repro.simulation import build_world, evolve_world, small_world
 from repro.temporal import (
     EpochSkipList,
     TemporalLeaseIndex,
+    build_temporal_product,
     index_encoded_bytes,
 )
 
@@ -28,13 +30,11 @@ def setup():
         world.whois, world.routing_table, world.relationships, world.as2org
     )
     result = pipeline.run()
-    product, evolution, base, _reports = build_temporal_product(
-        world,
-        pipeline.context,
-        result,
-        epochs=EPOCHS,
-        evolution_seed=SEED,
-        checkpoint_interval=CHECKPOINT_INTERVAL,
+    evolution = evolve_world(
+        world, [i.prefix for i in result], epochs=EPOCHS, seed=SEED
+    )
+    product, base, _reports = build_temporal_product(
+        pipeline.context, result, evolution, CHECKPOINT_INTERVAL
     )
     return world, pipeline, product, evolution, base
 
@@ -235,3 +235,44 @@ def _inference_for(pipeline, prefix):
         if inference.prefix == prefix:
             return inference
     raise AssertionError(f"{prefix} not among inferred leaves")
+
+
+def _digest(value):
+    return hashlib.sha256(
+        json.dumps(value, sort_keys=True, default=str).encode()
+    ).hexdigest()
+
+
+class TestFrozenDigests:
+    """The product frozen for this seeded world is pinned by digest, so
+    a change to the builder or its callers cannot drift it silently."""
+
+    def test_every_epoch_view(self, setup):
+        _, _, product, _, _ = setup
+        views = []
+        for epoch in range(product.index.epochs + 1):
+            view = product.index.index_for_epoch(epoch)
+            views.append((
+                {str(p): view.exact(p) for p in view.prefixes()},
+                {
+                    str(asn): [str(p) for p in row]
+                    for asn, row in view.origin_rows().items()
+                },
+                view.category_tallies(),
+                view.leased_count,
+            ))
+        assert _digest(views) == (
+            "de8e8d37d970bfbcea997f8169eca1a17ef0548db37e4d00c3a78a06f297bfca"
+        )
+
+    def test_product_stats(self, setup):
+        _, _, product, _, _ = setup
+        assert product.stats()["meta"] == {
+            "evolution_seed": SEED,
+            "epochs": EPOCHS,
+            "targets": 75,
+        }
+        assert _digest(product.stats()) == (
+            "3d3a696e8df3974d8d67616511d146c27986ddacdba653417173d4a8905d6f6b"
+        )
+

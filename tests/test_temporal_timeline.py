@@ -1,16 +1,22 @@
 """Tests for the timeline store and the update-feed history replay."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench import build_temporal_product
 from repro.bgp.history import UpdateStream
 from repro.core import LeaseInferencePipeline
 from repro.core.timeline import BgpOriginHistory
 from repro.net import Prefix
-from repro.simulation import build_world, small_world
-from repro.temporal import TimelineStore, histories_from_updates
+from repro.simulation import build_world, evolve_world, small_world
+from repro.temporal import (
+    TimelineStore,
+    build_temporal_product,
+    histories_from_updates,
+)
 
 EPOCHS = 5
 SEED = 77
@@ -23,8 +29,11 @@ def setup():
         world.whois, world.routing_table, world.relationships, world.as2org
     )
     result = pipeline.run()
-    product, evolution, _base, _reports = build_temporal_product(
-        world, pipeline.context, result, epochs=EPOCHS, evolution_seed=SEED
+    evolution = evolve_world(
+        world, [i.prefix for i in result], epochs=EPOCHS, seed=SEED
+    )
+    product, _base, _reports = build_temporal_product(
+        pipeline.context, result, evolution
     )
     return product, evolution
 
@@ -87,6 +96,31 @@ class TestGroundTruth:
         stray = Prefix.parse("203.0.113.0/24")
         assert product.timelines.timeline(stray) is None
         assert product.timelines.history_payload(stray) is None
+
+
+def _digest(value):
+    return hashlib.sha256(
+        json.dumps(value, sort_keys=True, default=str).encode()
+    ).hexdigest()
+
+
+class TestFrozenDigests:
+    """The timelines frozen for this seeded world are pinned by digest,
+    so a change to the builder or its callers cannot drift them."""
+
+    def test_history_payloads(self, setup):
+        product, _ = setup
+        store = product.timelines
+        payloads = {str(p): store.history_payload(p) for p in store.prefixes()}
+        assert _digest(payloads) == (
+            "2a19bcec66e6fd22d1b51da66fa23054f84b805129deb74d5af4248ab2935680"
+        )
+
+    def test_churn_payload(self, setup):
+        product, _ = setup
+        assert _digest(product.timelines.churn_payload()) == (
+            "da3ca688cacd6e3f166b3d5769baea7ff4956a2b64d9932f3d764652598b92bf"
+        )
 
 
 class TestChurn:
