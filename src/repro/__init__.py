@@ -27,26 +27,45 @@ Quick start::
     print(result.total_leased(), "leased prefixes")
 """
 
-from .core import (
-    Category,
-    ConfusionMatrix,
-    InferenceResult,
-    LeaseInferencePipeline,
-    build_timeline,
-    curate_reference,
-    drop_correlation,
-    evaluate_inference,
-    hijacker_overlap,
-    infer_leases,
-    maintainer_baseline,
-    roa_abuse_analysis,
-    top_facilitators,
-    top_holders,
-    top_originators,
-)
+from typing import TYPE_CHECKING
+
 from .net import AddressRange, Prefix, PrefixTrie
+from .net.lazy import lazy_exports
 from .rir import ALL_RIRS, RIR
-from .simulation import build_world, paper_world, small_world
+
+if TYPE_CHECKING:
+    from .core import (
+        Category,
+        ConfusionMatrix,
+        InferenceResult,
+        LeaseInferencePipeline,
+        build_timeline,
+        curate_reference,
+        drop_correlation,
+        evaluate_inference,
+        hijacker_overlap,
+        infer_leases,
+        maintainer_baseline,
+        roa_abuse_analysis,
+        top_facilitators,
+        top_holders,
+        top_originators,
+    )
+    from .simulation import build_world, paper_world, small_world
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".core": (
+            "Category", "ConfusionMatrix", "InferenceResult", "LeaseInferencePipeline",
+            "build_timeline", "curate_reference", "drop_correlation",
+            "evaluate_inference", "hijacker_overlap", "infer_leases",
+            "maintainer_baseline", "roa_abuse_analysis", "top_facilitators",
+            "top_holders", "top_originators",
+        ),
+        ".simulation": ("build_world", "paper_world", "small_world"),
+    },
+)
 
 __version__ = "1.0.0"
 

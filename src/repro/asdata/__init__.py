@@ -1,7 +1,13 @@
 """AS metadata substrates: relationships, AS2org, and hijacker lists."""
 
-from .as2org import AS2Org
+from .as2org import AS2Org, As2OrgError
 from .hijackers import SerialHijackerList
-from .relationships import ASRelationships
+from .relationships import ASRelationships, RelationshipError
 
-__all__ = ["AS2Org", "ASRelationships", "SerialHijackerList"]
+__all__ = [
+    "AS2Org",
+    "ASRelationships",
+    "As2OrgError",
+    "RelationshipError",
+    "SerialHijackerList",
+]

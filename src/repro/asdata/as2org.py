@@ -14,7 +14,12 @@ from __future__ import annotations
 import json
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-__all__ = ["AS2Org"]
+__all__ = ["AS2Org", "As2OrgError"]
+
+
+class As2OrgError(ValueError):
+    """An AS2org JSONL file that cannot be decoded; the message names the
+    line."""
 
 
 class AS2Org:
@@ -49,22 +54,45 @@ class AS2Org:
     # -- JSONL format ---------------------------------------------------------
     @classmethod
     def from_jsonl(cls, text: str) -> "AS2Org":
-        """Parse the CAIDA JSON-lines flavour."""
+        """Parse the CAIDA JSON-lines flavour.
+
+        Raises :class:`As2OrgError` naming the first line that is not a
+        JSON object or whose ``Organization``/``ASN`` record lacks a
+        string ``organizationId`` (or an integer ``asn``).
+        """
         dataset = cls()
-        for line in text.splitlines():
+        for number, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            record = json.loads(line)
-            kind = record.get("type")
-            if kind == "Organization":
-                dataset.add_org(
-                    record["organizationId"], record.get("name", "")
-                )
-            elif kind == "ASN":
-                dataset.map_asn(int(record["asn"]), record["organizationId"])
-            # other record types are ignored
+            try:
+                dataset._add_record(json.loads(line))
+            except ValueError as exc:  # json.JSONDecodeError included
+                raise As2OrgError(f"line {number}: {exc}") from None
         return dataset
+
+    def _add_record(self, record: object) -> None:
+        """Apply one decoded JSON line; other record types are ignored."""
+        if not isinstance(record, dict):
+            raise ValueError(f"not a JSON object: {type(record).__name__}")
+        kind = record.get("type")
+        if kind not in ("Organization", "ASN"):
+            return
+        org_id = record.get("organizationId")
+        if not isinstance(org_id, str):
+            raise ValueError(f"{kind} record without a string organizationId")
+        if kind == "Organization":
+            name = record.get("name") or ""
+            if not isinstance(name, str):
+                raise ValueError(f"organisation {org_id!r}: name is not a string")
+            self.add_org(org_id, name)
+            return
+        asn = record.get("asn")
+        if isinstance(asn, str):
+            asn = int(asn)
+        if not isinstance(asn, int) or isinstance(asn, bool):
+            raise ValueError(f"ASN record with a non-integer asn: {asn!r}")
+        self.map_asn(asn, org_id)
 
     def to_jsonl(self) -> str:
         """Serialize back to JSON-lines."""

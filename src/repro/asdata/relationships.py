@@ -13,7 +13,11 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tup
 
 from ..bgp.topology import P2C, P2P, ASTopology
 
-__all__ = ["ASRelationships"]
+__all__ = ["ASRelationships", "RelationshipError"]
+
+
+class RelationshipError(ValueError):
+    """A serial-1 file that cannot be decoded; the message names the line."""
 
 
 class ASRelationships:
@@ -61,16 +65,24 @@ class ASRelationships:
     # -- serial-1 text format ----------------------------------------------
     @classmethod
     def from_text(cls, text: str) -> "ASRelationships":
-        """Parse serial-1 text (``a|b|code`` lines, ``#`` comments)."""
+        """Parse serial-1 text (``a|b|code`` lines, ``#`` comments).
+
+        Raises :class:`RelationshipError` naming the first malformed line.
+        """
         dataset = cls()
-        for line in text.splitlines():
+        for number, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             fields = line.split("|")
             if len(fields) < 3:
-                raise ValueError(f"malformed relationship line: {line!r}")
-            dataset.add(int(fields[0]), int(fields[1]), int(fields[2]))
+                raise RelationshipError(
+                    f"line {number}: malformed relationship line: {line!r}"
+                )
+            try:
+                dataset.add(int(fields[0]), int(fields[1]), int(fields[2]))
+            except ValueError as exc:
+                raise RelationshipError(f"line {number}: {exc}") from None
         return dataset
 
     def to_text(self) -> str:

@@ -11,9 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
+from ..net.slots import slotted
+
 __all__ = ["ASPath"]
 
 
+@slotted
 @dataclass(frozen=True)
 class ASPath:
     """An immutable AS path (no AS_SET support — sets are long deprecated)."""

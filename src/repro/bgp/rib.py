@@ -26,11 +26,13 @@ from typing import (
 )
 
 from ..net import Prefix, PrefixTrie
+from ..net.slots import slotted
 from .aspath import ASPath
 
 __all__ = ["RibEntry", "RoutingTable"]
 
 
+@slotted
 @dataclass(frozen=True)
 class RibEntry:
     """One RIB row: a prefix as seen from one collector peer."""

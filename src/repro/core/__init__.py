@@ -14,86 +14,146 @@ Public surface:
 * :func:`build_timeline` — Fig. 3 / §6.5.
 """
 
-from .abuse import (
-    DropCorrelation,
-    RoaAbuseStats,
-    drop_correlation,
-    roa_abuse_analysis,
-)
-from .allocation_tree import (
-    DEFAULT_MAX_LEAF_LENGTH,
-    AllocationScan,
-    AllocationTree,
-    TreeLeaf,
-)
-from .baseline import maintainer_baseline
-from .classify import Category, MemoizedClassifier, classify_leaf
-from .ecosystem import (
-    HijackerOverlap,
-    hijacker_overlap,
-    resolve_maintainer_names,
-    top_facilitators,
-    top_holders,
-    top_originators,
-)
-from .evaluation import EvaluationReport, evaluate_inference
-from .geo import GeoConsistency, geo_consistency
-from .holders import HolderProfile, holder_profiles
-from .hijack_confusion import (
-    AlarmAttribution,
-    AlarmReport,
-    OriginChange,
-    attribute_alarms,
-    origin_changes,
-)
-from .context import AnalysisContext, RibSnapshot, RoaSnapshot
-from .incremental import (
-    BurstReport,
-    IncrementalEngine,
-    MutableRibOverlay,
-    clone_routing_table,
-    replay_into_table,
-    result_digest,
-)
-from .legacy import (
-    LegacyInference,
-    LegacyLeasePipeline,
-    LegacyVerdict,
-    infer_legacy_leases,
-)
-from .longitudinal import (
-    LeaseChurn,
-    RegionChurn,
-    compare_epochs,
-    compare_epochs_fast,
-)
-from .metrics import ConfusionMatrix
-from .rpki_analysis import (
-    RpkiValidationPipeline,
-    ValidationProfile,
-    validation_profile,
-)
-from .stats import BootstrapCI, risk_ratio_ci, share_ci
-from .pipeline import LeaseInferencePipeline, infer_leases
-from .reference import ReferenceDataset, curate_reference
-from .relatedness import RelatednessOracle
-from .results import InferenceResult, LeafInference, RegionalTally
-from .sharding import (
-    DEFAULT_SHARD_SIZE,
-    CacheStats,
-    Shard,
-    ShardClassifier,
-    effective_workers,
-    fork_available,
-    plan_shards,
-    run_sharded,
-)
-from .timeline import (
-    BgpOriginHistory,
-    PeriodKind,
-    PrefixTimeline,
-    TimelinePeriod,
-    build_timeline,
+from typing import TYPE_CHECKING
+
+from ..net.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .abuse import (
+        DropCorrelation,
+        RoaAbuseStats,
+        drop_correlation,
+        roa_abuse_analysis,
+    )
+    from .allocation_tree import (
+        DEFAULT_MAX_LEAF_LENGTH,
+        AllocationScan,
+        AllocationTree,
+        TreeLeaf,
+    )
+    from .baseline import maintainer_baseline
+    from .classify import Category, MemoizedClassifier, classify_leaf
+    from .ecosystem import (
+        HijackerOverlap,
+        hijacker_overlap,
+        resolve_maintainer_names,
+        top_facilitators,
+        top_holders,
+        top_originators,
+    )
+    from .evaluation import EvaluationReport, evaluate_inference
+    from .geo import GeoConsistency, geo_consistency
+    from .holders import HolderProfile, holder_profiles
+    from .hijack_confusion import (
+        AlarmAttribution,
+        AlarmReport,
+        OriginChange,
+        attribute_alarms,
+        origin_changes,
+    )
+    from .context import AnalysisContext, RibSnapshot, RoaSnapshot
+    from .incremental import (
+        BurstReport,
+        IncrementalEngine,
+        MutableRibOverlay,
+        clone_routing_table,
+        replay_into_table,
+        result_digest,
+    )
+    from .legacy import (
+        LegacyInference,
+        LegacyLeasePipeline,
+        LegacyVerdict,
+        infer_legacy_leases,
+    )
+    from .longitudinal import (
+        LeaseChurn,
+        RegionChurn,
+        compare_epochs,
+        compare_epochs_fast,
+    )
+    from .metrics import ConfusionMatrix
+    from .rpki_analysis import (
+        RpkiValidationPipeline,
+        ValidationProfile,
+        validation_profile,
+    )
+    from .stats import BootstrapCI, risk_ratio_ci, share_ci
+    from .pipeline import LeaseInferencePipeline, infer_leases
+    from .reference import ReferenceDataset, curate_reference
+    from .relatedness import RelatednessOracle
+    from .results import InferenceResult, LeafInference, RegionalTally
+    from .sharding import (
+        DEFAULT_SHARD_SIZE,
+        CacheStats,
+        Shard,
+        ShardClassifier,
+        effective_workers,
+        fork_available,
+        plan_shards,
+        run_sharded,
+    )
+    from .timeline import (
+        BgpOriginHistory,
+        PeriodKind,
+        PrefixTimeline,
+        TimelinePeriod,
+        build_timeline,
+    )
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".abuse": (
+            "DropCorrelation", "RoaAbuseStats", "drop_correlation",
+            "roa_abuse_analysis",
+        ),
+        ".allocation_tree": (
+            "DEFAULT_MAX_LEAF_LENGTH", "AllocationScan", "AllocationTree", "TreeLeaf",
+        ),
+        ".baseline": ("maintainer_baseline",),
+        ".classify": ("Category", "MemoizedClassifier", "classify_leaf"),
+        ".ecosystem": (
+            "HijackerOverlap", "hijacker_overlap", "resolve_maintainer_names",
+            "top_facilitators", "top_holders", "top_originators",
+        ),
+        ".evaluation": ("EvaluationReport", "evaluate_inference"),
+        ".geo": ("GeoConsistency", "geo_consistency"),
+        ".holders": ("HolderProfile", "holder_profiles"),
+        ".hijack_confusion": (
+            "AlarmAttribution", "AlarmReport", "OriginChange", "attribute_alarms",
+            "origin_changes",
+        ),
+        ".context": ("AnalysisContext", "RibSnapshot", "RoaSnapshot"),
+        ".incremental": (
+            "BurstReport", "IncrementalEngine", "MutableRibOverlay",
+            "clone_routing_table", "replay_into_table", "result_digest",
+        ),
+        ".legacy": (
+            "LegacyInference", "LegacyLeasePipeline", "LegacyVerdict",
+            "infer_legacy_leases",
+        ),
+        ".longitudinal": (
+            "LeaseChurn", "RegionChurn", "compare_epochs", "compare_epochs_fast",
+        ),
+        ".metrics": ("ConfusionMatrix",),
+        ".rpki_analysis": (
+            "RpkiValidationPipeline", "ValidationProfile", "validation_profile",
+        ),
+        ".stats": ("BootstrapCI", "risk_ratio_ci", "share_ci"),
+        ".pipeline": ("LeaseInferencePipeline", "infer_leases"),
+        ".reference": ("ReferenceDataset", "curate_reference"),
+        ".relatedness": ("RelatednessOracle",),
+        ".results": ("InferenceResult", "LeafInference", "RegionalTally"),
+        ".sharding": (
+            "DEFAULT_SHARD_SIZE", "CacheStats", "Shard", "ShardClassifier",
+            "effective_workers", "fork_available", "plan_shards", "run_sharded",
+        ),
+        ".timeline": (
+            "BgpOriginHistory", "PeriodKind", "PrefixTimeline", "TimelinePeriod",
+            "build_timeline",
+        ),
+    },
 )
 
 __all__ = [

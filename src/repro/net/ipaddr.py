@@ -13,6 +13,8 @@ import ipaddress
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
+from .slots import slotted
+
 __all__ = [
     "AddressError",
     "MAX_IPV4",
@@ -68,6 +70,7 @@ def parse_address(text: str) -> int:
     return address_to_int(text)
 
 
+@slotted
 @dataclass(frozen=True, order=True)
 class Prefix:
     """An IPv4 CIDR prefix, stored as ``(network, length)``.

@@ -19,10 +19,12 @@ from .ipaddr import (
     address_to_int,
     int_to_address,
 )
+from .slots import slotted
 
 __all__ = ["AddressRange", "range_to_prefixes", "prefixes_to_ranges"]
 
 
+@slotted
 @dataclass(frozen=True, order=True)
 class AddressRange:
     """An inclusive IPv4 address range ``[first, last]``."""

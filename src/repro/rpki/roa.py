@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..net import Prefix, PrefixTrie
+from ..net.slots import slotted
 
 __all__ = ["AS0", "ROA", "RoaSet", "VrpError"]
 
@@ -27,6 +28,7 @@ class VrpError(ValueError):
     """A VRP CSV that cannot be decoded; the message names the line."""
 
 
+@slotted
 @dataclass(frozen=True, order=True)
 class ROA:
     """One validated ROA payload (VRP)."""

@@ -22,14 +22,15 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set
 
 from ..abuse.dropdb import AsnDropList, DropArchive
-from ..asdata.as2org import AS2Org
+from ..asdata.as2org import AS2Org, As2OrgError
 from ..asdata.hijackers import SerialHijackerList
-from ..asdata.relationships import ASRelationships
+from ..asdata.relationships import ASRelationships, RelationshipError
 from ..bgp.mrt import read_mrt, write_mrt
 from ..bgp.rib import RoutingTable
 from ..bgp.table_dump import read_table_dump, write_table_dump
@@ -40,7 +41,9 @@ from ..rir import RIR
 from ..rpki.archive import RpkiArchive
 from ..rpki.roa import RoaSet
 from ..whois.database import WhoisCollection, WhoisDatabase
-from .world import World
+
+if TYPE_CHECKING:
+    from .world import World
 
 __all__ = ["DatasetBundle", "write_world", "load_datasets"]
 
@@ -114,9 +117,7 @@ def load_datasets(directory: Path) -> DatasetBundle:
     for rir in RIR:
         path = directory / "whois" / f"{rir.value}.db"
         if path.exists():
-            whois.databases()[rir] = WhoisDatabase.from_text(
-                rir, path.read_text()
-            )
+            whois.databases()[rir] = WhoisDatabase.from_file(rir, path)
     rib_txt = directory / "rib.txt"
     if rib_txt.exists():
         routing_table = RoutingTable.from_entries(
@@ -138,13 +139,19 @@ def load_datasets(directory: Path) -> DatasetBundle:
         if rpki_dir.exists()
         else RpkiArchive()
     )
+    relationships_path = directory / "as-rel.txt"
+    with _located(relationships_path):
+        relationships = ASRelationships.from_text(
+            relationships_path.read_text()
+        )
+    as2org_path = directory / "as2org.jsonl"
+    with _located(as2org_path):
+        as2org = AS2Org.from_jsonl(as2org_path.read_text())
     return DatasetBundle(
         whois=whois,
         routing_table=routing_table,
-        relationships=ASRelationships.from_text(
-            (directory / "as-rel.txt").read_text()
-        ),
-        as2org=AS2Org.from_jsonl((directory / "as2org.jsonl").read_text()),
+        relationships=relationships,
+        as2org=as2org,
         roas=RoaSet.from_csv((directory / "vrps.csv").read_text()),
         rpki_archive=rpki_archive,
         featured=_read_featured(directory / "featured"),
@@ -160,6 +167,15 @@ def load_datasets(directory: Path) -> DatasetBundle:
             directory / "negative_isps.csv"
         ),
     )
+
+
+@contextmanager
+def _located(path: Path) -> Iterator[None]:
+    """Prefix a line-located parse error with the file it came from."""
+    try:
+        yield
+    except (RelationshipError, As2OrgError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _write_featured(directory: Path, world: World) -> None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import bisect
 import random
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Set, Tuple
 
 from ..bgp.history import AnnounceUpdate, WithdrawUpdate
 from ..bgp.aspath import ASPath
@@ -34,7 +34,9 @@ from ..bgp.updates import (
     format_sequenced,
 )
 from ..net import Prefix
-from .world import World
+
+if TYPE_CHECKING:
+    from .world import World
 
 __all__ = [
     "DEFAULT_STREAM_START",

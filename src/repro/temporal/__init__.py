@@ -12,20 +12,39 @@ it never imports ``serve`` or ``cli`` (they import *it*), nor
 ``simulation`` (callers pass the evolved world in).
 """
 
-from .index import (
-    DEFAULT_CHECKPOINT_INTERVAL,
-    DEFAULT_VIEW_CACHE,
-    EpochRecord,
-    EpochSkipList,
-    TemporalLeaseIndex,
-    index_encoded_bytes,
+from typing import TYPE_CHECKING
+
+from ..net.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .index import (
+        DEFAULT_CHECKPOINT_INTERVAL,
+        DEFAULT_VIEW_CACHE,
+        EpochRecord,
+        EpochSkipList,
+        TemporalLeaseIndex,
+        index_encoded_bytes,
+    )
+    from .product import (
+        DEFAULT_EVOLUTION_SEED,
+        TemporalProduct,
+        build_temporal_product,
+    )
+    from .timeline import TimelineStore, histories_from_updates
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".index": (
+            "DEFAULT_CHECKPOINT_INTERVAL", "DEFAULT_VIEW_CACHE", "EpochRecord",
+            "EpochSkipList", "TemporalLeaseIndex", "index_encoded_bytes",
+        ),
+        ".product": (
+            "DEFAULT_EVOLUTION_SEED", "TemporalProduct", "build_temporal_product",
+        ),
+        ".timeline": ("TimelineStore", "histories_from_updates"),
+    },
 )
-from .product import (
-    DEFAULT_EVOLUTION_SEED,
-    TemporalProduct,
-    build_temporal_product,
-)
-from .timeline import TimelineStore, histories_from_updates
 
 __all__ = [
     "DEFAULT_CHECKPOINT_INTERVAL",

@@ -10,6 +10,7 @@ from .objects import (
     format_asn,
     parse_asn,
 )
+from .reader import WhoisError
 from .rpsl import parse_rpsl, serialize_object, serialize_objects
 from .statuses import Portability, classify_status
 
@@ -22,6 +23,7 @@ __all__ = [
     "RpslObject",
     "WhoisCollection",
     "WhoisDatabase",
+    "WhoisError",
     "classify_status",
     "format_asn",
     "parse_asn",

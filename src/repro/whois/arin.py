@@ -9,17 +9,11 @@ the RPSL registries (§5.1 step 1).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
-from ..net import AddressRange
 from ..rir import RIR
-from .objects import (
-    AutNumRecord,
-    InetnumRecord,
-    OrgRecord,
-    RpslObject,
-    parse_asn,
-)
+from .objects import AutNumRecord, InetnumRecord, OrgRecord, RpslObject
+from .reader import Record, RecordBuilder
 from .rpsl import parse_rpsl, serialize_objects
 
 __all__ = [
@@ -42,52 +36,15 @@ def parse_arin(text: Union[str, Iterable[str]]) -> Iterator[RpslObject]:
     yield from parse_rpsl(text)
 
 
-def normalize_arin_object(
-    obj: RpslObject,
-) -> Union[InetnumRecord, AutNumRecord, OrgRecord, None]:
+def normalize_arin_object(obj: RpslObject) -> Optional[Record]:
     """Convert an ARIN block into a normalized record, if relevant.
 
     ARIN has no maintainer objects; the paper's broker matching instead
     keys on OrgIDs, so the org handle doubles as the record's maintainer.
     """
-    cls = obj.object_class
-    if cls == "nethandle":
-        net_range = obj.first("netrange")
-        if net_range is None:
-            return None
-        org_id = obj.first("orgid")
-        return InetnumRecord(
-            rir=RIR.ARIN,
-            range=AddressRange.parse(net_range),
-            status=obj.first("nettype") or "",
-            org_id=org_id,
-            maintainers=(org_id,) if org_id else (),
-            net_name=obj.first("netname") or "",
-            handle=obj.primary_key,
-            parent_handle=obj.first("parent"),
-            country=obj.first("country"),
-            source_class="NetHandle",
-        )
-    if cls == "ashandle":
-        as_number = obj.first("asnumber") or obj.primary_key
-        org_id = obj.first("orgid")
-        return AutNumRecord(
-            rir=RIR.ARIN,
-            asn=parse_asn(as_number),
-            org_id=org_id,
-            maintainers=(org_id,) if org_id else (),
-            as_name=obj.first("asname") or "",
-            handle=obj.primary_key,
-        )
-    if cls == "orgid":
-        return OrgRecord(
-            rir=RIR.ARIN,
-            org_id=obj.primary_key,
-            name=obj.first("orgname") or "",
-            maintainers=(obj.primary_key,),
-            country=obj.first("country"),
-        )
-    return None
+    if not obj.attributes:
+        return None
+    return RecordBuilder(RIR.ARIN).build(obj.attributes)
 
 
 def net_to_arin(record: InetnumRecord) -> RpslObject:

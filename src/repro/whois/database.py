@@ -14,6 +14,7 @@ A :class:`WhoisCollection` bundles the five regional databases.
 from __future__ import annotations
 
 from collections import defaultdict
+from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 from ..rir import ALL_RIRS, RIR
@@ -26,10 +27,9 @@ from .objects import (
     MntnerRecord,
     OrgRecord,
 )
+from .reader import Record, WhoisError, read_records
 
 __all__ = ["WhoisDatabase", "WhoisCollection"]
-
-Record = Union[InetnumRecord, AutNumRecord, OrgRecord, MntnerRecord]
 
 
 class WhoisDatabase:
@@ -79,58 +79,32 @@ class WhoisDatabase:
             self.add(record)
 
     @classmethod
-    def from_file(cls, rir: RIR, path) -> "WhoisDatabase":
-        """Parse a registry dump file without loading it whole.
+    def from_file(cls, rir: RIR, path: Union[str, Path]) -> "WhoisDatabase":
+        """Parse a registry dump file line by line, without loading it whole.
 
-        RPSL-style registries stream line by line; ARIN and LACNIC dumps
-        share the paragraph grammar and stream the same way.
+        A :class:`~repro.whois.reader.WhoisError` names the file and line.
         """
-        from pathlib import Path
-
-        database = cls(rir)
-        with Path(path).open() as handle:
-            if rir is RIR.ARIN:
-                for obj in arin_format.parse_arin(handle):
-                    record = arin_format.normalize_arin_object(obj)
-                    if record is not None:
-                        database.add(record)
-            elif rir is RIR.LACNIC:
-                objects = list(lacnic_format.parse_lacnic(handle))
-                for obj in objects:
-                    record = lacnic_format.normalize_lacnic_object(obj)
-                    if record is not None:
-                        database.add(record)
-                for org in lacnic_format.synthesize_owner_orgs(objects):
-                    database.add(org)
-            else:
-                for obj in rpsl_format.parse_rpsl_file(handle):
-                    record = rpsl_format.normalize_rpsl_object(rir, obj)
-                    if record is not None:
-                        database.add(record)
-        return database
+        try:
+            with open(path) as handle:
+                return cls.from_text(rir, handle)
+        except UnicodeDecodeError as exc:
+            line = _undecodable_line(Path(path), exc.encoding)
+            raise WhoisError(f"{path}: line {line}: {exc.reason}") from None
+        except WhoisError as exc:
+            raise WhoisError(f"{path}: {exc}") from None
 
     @classmethod
-    def from_text(cls, rir: RIR, text: str) -> "WhoisDatabase":
-        """Parse a registry dump in that registry's native flavour."""
+    def from_text(
+        cls, rir: RIR, text: Union[str, Iterable[str]]
+    ) -> "WhoisDatabase":
+        """Parse a registry dump in that registry's native flavour.
+
+        *text* is the dump's text or an iterable of its lines; a
+        :class:`~repro.whois.reader.WhoisError` names the line.
+        """
         database = cls(rir)
-        if rir is RIR.ARIN:
-            for obj in arin_format.parse_arin(text):
-                record = arin_format.normalize_arin_object(obj)
-                if record is not None:
-                    database.add(record)
-        elif rir is RIR.LACNIC:
-            objects = list(lacnic_format.parse_lacnic(text))
-            for obj in objects:
-                record = lacnic_format.normalize_lacnic_object(obj)
-                if record is not None:
-                    database.add(record)
-            for org in lacnic_format.synthesize_owner_orgs(objects):
-                database.add(org)
-        else:
-            for obj in rpsl_format.parse_rpsl(text):
-                record = rpsl_format.normalize_rpsl_object(rir, obj)
-                if record is not None:
-                    database.add(record)
+        lines = text.splitlines() if isinstance(text, str) else text
+        database.add_all(read_records(rir, lines))
         return database
 
     def to_text(self) -> str:
@@ -227,6 +201,18 @@ class WhoisDatabase:
             f"WhoisDatabase({self.rir.name}: {len(self.inetnums)} blocks, "
             f"{len(self.autnums)} autnums, {len(self.orgs)} orgs)"
         )
+
+
+def _undecodable_line(path: Path, encoding: str) -> int:
+    """The 1-based line of *path* that does not decode as *encoding*."""
+    number = 0
+    with path.open("rb") as handle:
+        for number, raw in enumerate(handle, 1):
+            try:
+                raw.decode(encoding)
+            except UnicodeDecodeError:
+                break
+    return number
 
 
 class WhoisCollection:

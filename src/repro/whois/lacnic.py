@@ -9,17 +9,11 @@ code sees the same shape for every registry.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
-from ..net import AddressRange
 from ..rir import RIR
-from .objects import (
-    AutNumRecord,
-    InetnumRecord,
-    OrgRecord,
-    RpslObject,
-    parse_asn,
-)
+from .objects import AutNumRecord, InetnumRecord, OrgRecord, RpslObject
+from .reader import Record, RecordBuilder
 from .rpsl import parse_rpsl, serialize_objects
 
 __all__ = [
@@ -37,39 +31,15 @@ def parse_lacnic(text: Union[str, Iterable[str]]) -> Iterator[RpslObject]:
     yield from parse_rpsl(text)
 
 
-def normalize_lacnic_object(
-    obj: RpslObject,
-) -> Union[InetnumRecord, AutNumRecord, None]:
+def normalize_lacnic_object(obj: RpslObject) -> Optional[Record]:
     """Convert a LACNIC block to a normalized record, if relevant.
 
     The embedded ``ownerid`` becomes the record's ``org_id`` and also its
     sole maintainer handle (LACNIC has no maintainer objects).
     """
-    cls = obj.object_class
-    if cls == "inetnum":
-        owner_id = obj.first("ownerid")
-        return InetnumRecord(
-            rir=RIR.LACNIC,
-            range=AddressRange.parse(obj.primary_key),
-            status=obj.first("status") or "",
-            org_id=owner_id,
-            maintainers=(owner_id,) if owner_id else (),
-            net_name=obj.first("owner") or "",
-            handle=obj.primary_key,
-            country=obj.first("country"),
-            source_class="inetnum",
-        )
-    if cls == "aut-num":
-        owner_id = obj.first("ownerid")
-        return AutNumRecord(
-            rir=RIR.LACNIC,
-            asn=parse_asn(obj.primary_key),
-            org_id=owner_id,
-            maintainers=(owner_id,) if owner_id else (),
-            as_name=obj.first("owner") or "",
-            handle=obj.primary_key,
-        )
-    return None
+    if not obj.attributes:
+        return None
+    return RecordBuilder(RIR.LACNIC).build(obj.attributes)
 
 
 def synthesize_owner_orgs(objects: Iterable[RpslObject]) -> List[OrgRecord]:
@@ -79,19 +49,10 @@ def synthesize_owner_orgs(objects: Iterable[RpslObject]) -> List[OrgRecord]:
     ``country`` win, mirroring how the paper reconstructs LACNIC
     organisations.
     """
-    seen: dict = {}
+    builder = RecordBuilder(RIR.LACNIC)
     for obj in objects:
-        owner_id = obj.first("ownerid")
-        if owner_id is None or owner_id in seen:
-            continue
-        seen[owner_id] = OrgRecord(
-            rir=RIR.LACNIC,
-            org_id=owner_id,
-            name=obj.first("owner") or "",
-            maintainers=(owner_id,),
-            country=obj.first("country"),
-        )
-    return list(seen.values())
+        builder.owner(dict(reversed(obj.attributes)))
+    return list(builder.owners.values())
 
 
 def _owner_fields(

@@ -14,9 +14,10 @@ Two layers:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from ..net import AddressRange
+from ..net.slots import slotted
 from ..rir import RIR
 from .statuses import Portability, classify_status
 
@@ -79,6 +80,7 @@ class RpslObject:
         return len(self.attributes)
 
 
+@slotted
 @dataclass(frozen=True)
 class InetnumRecord:
     """A normalized IPv4 address-block registration.
@@ -111,6 +113,7 @@ class InetnumRecord:
         return self.portability is Portability.LEGACY
 
 
+@slotted
 @dataclass(frozen=True)
 class AutNumRecord:
     """A normalized AS-number registration (aut-num / ASHandle)."""
@@ -127,6 +130,7 @@ class AutNumRecord:
             raise ValueError(f"negative ASN: {self.asn}")
 
 
+@slotted
 @dataclass(frozen=True)
 class OrgRecord:
     """A normalized organisation (organisation / OrgID / owner)."""
@@ -142,6 +146,7 @@ class OrgRecord:
         return " ".join(self.name.split()).casefold()
 
 
+@slotted
 @dataclass(frozen=True)
 class MntnerRecord:
     """A normalized maintainer object (RPSL registries only)."""
@@ -169,23 +174,3 @@ def parse_asn(text: str) -> int:
 def format_asn(asn: int) -> str:
     """Format an ASN as ``AS<number>``."""
     return f"AS{asn}"
-
-
-def split_handles(values: Sequence[str]) -> Tuple[str, ...]:
-    """Split comma/space separated handle lists into a flat tuple.
-
-    RPSL allows ``mnt-by: A-MNT, B-MNT`` as well as repeated attributes.
-    """
-    handles: List[str] = []
-    for value in values:
-        for part in value.replace(",", " ").split():
-            handles.append(part)
-    return tuple(handles)
-
-
-def dedupe_preserving_order(items: Sequence[str]) -> Tuple[str, ...]:
-    """Remove duplicates while keeping first-seen order."""
-    seen: Dict[str, None] = {}
-    for item in items:
-        seen.setdefault(item, None)
-    return tuple(seen)

@@ -8,67 +8,34 @@ with whitespace or ``+``.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, TextIO, Union
+from typing import Iterable, Iterator, List, Optional, Union
 
-from ..net import AddressRange
 from ..rir import RIR
 from .objects import (
     AutNumRecord,
     InetnumRecord,
-    MntnerRecord,
     OrgRecord,
     RpslObject,
-    dedupe_preserving_order,
-    parse_asn,
-    split_handles,
 )
+from .reader import Record, RecordBuilder, paragraphs
 
 __all__ = [
     "parse_rpsl",
-    "parse_rpsl_file",
     "serialize_object",
     "serialize_objects",
     "normalize_rpsl_object",
 ]
 
-_COMMENT_PREFIXES = ("%", "#")
-
 
 def parse_rpsl(text: Union[str, Iterable[str]]) -> Iterator[RpslObject]:
-    """Yield :class:`RpslObject` paragraphs from dump text or lines."""
+    """Yield :class:`RpslObject` paragraphs from dump text or lines.
+
+    Tokenized by :func:`~repro.whois.reader.paragraphs`, so a stray
+    continuation line raises :class:`~repro.whois.reader.WhoisError`.
+    """
     lines = text.splitlines() if isinstance(text, str) else text
-    current: Optional[RpslObject] = None
-    for raw_line in lines:
-        line = raw_line.rstrip("\n")
-        if line.startswith(_COMMENT_PREFIXES):
-            continue
-        if not line.strip():
-            if current is not None and current.attributes:
-                yield current
-            current = None
-            continue
-        if line[0] in (" ", "\t", "+"):
-            # Continuation of the previous attribute value.
-            if current is None or not current.attributes:
-                continue  # stray continuation; drop it
-            name, value = current.attributes[-1]
-            extra = line[1:].strip() if line[0] == "+" else line.strip()
-            joined = f"{value} {extra}".strip()
-            current.attributes[-1] = (name, joined)
-            continue
-        name, sep, value = line.partition(":")
-        if not sep:
-            continue  # malformed line; RIR dumps contain a few — skip
-        if current is None:
-            current = RpslObject()
-        current.add(name.strip(), value.strip())
-    if current is not None and current.attributes:
-        yield current
-
-
-def parse_rpsl_file(handle: TextIO) -> Iterator[RpslObject]:
-    """Stream objects from an open text file."""
-    yield from parse_rpsl(handle)
+    for _start, attributes in paragraphs(lines):
+        yield RpslObject(attributes)
 
 
 def serialize_object(obj: RpslObject, column: int = 16) -> str:
@@ -86,61 +53,16 @@ def serialize_objects(objects: Iterable[RpslObject], column: int = 16) -> str:
     return "\n\n".join(parts) + ("\n" if parts else "")
 
 
-def normalize_rpsl_object(
-    rir: RIR, obj: RpslObject
-) -> Union[InetnumRecord, AutNumRecord, OrgRecord, MntnerRecord, None]:
+def normalize_rpsl_object(rir: RIR, obj: RpslObject) -> Optional[Record]:
     """Convert a parsed RPSL object to its normalized record, if relevant.
 
     Returns None for classes the pipeline does not use (route, person,
     domain, ...) and for IPv6 ``inet6num`` objects — the paper studies IPv4
     only.
     """
-    cls = obj.object_class
-    if cls == "inetnum":
-        status = obj.first("status") or ""
-        return InetnumRecord(
-            rir=rir,
-            range=AddressRange.parse(obj.primary_key),
-            status=status,
-            org_id=obj.first("org"),
-            maintainers=dedupe_preserving_order(
-                split_handles(obj.all("mnt-by"))
-            ),
-            net_name=obj.first("netname") or "",
-            handle=obj.primary_key,
-            country=obj.first("country"),
-            source_class="inetnum",
-        )
-    if cls == "aut-num":
-        return AutNumRecord(
-            rir=rir,
-            asn=parse_asn(obj.primary_key),
-            org_id=obj.first("org"),
-            maintainers=dedupe_preserving_order(
-                split_handles(obj.all("mnt-by"))
-            ),
-            as_name=obj.first("as-name") or "",
-            handle=obj.primary_key,
-        )
-    if cls == "organisation":
-        maintainers = dedupe_preserving_order(
-            split_handles(obj.all("mnt-by")) + split_handles(obj.all("mnt-ref"))
-        )
-        return OrgRecord(
-            rir=rir,
-            org_id=obj.primary_key,
-            name=obj.first("org-name") or "",
-            maintainers=maintainers,
-            country=obj.first("country"),
-        )
-    if cls == "mntner":
-        return MntnerRecord(
-            rir=rir,
-            handle=obj.primary_key,
-            admin_contact=obj.first("admin-c"),
-            org_id=obj.first("org"),
-        )
-    return None
+    if not obj.attributes:
+        return None
+    return RecordBuilder(rir).build(obj.attributes)
 
 
 def inetnum_to_rpsl(record: InetnumRecord) -> RpslObject:

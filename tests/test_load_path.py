@@ -1,0 +1,180 @@
+"""The load path from dumps on disk: value layout, imports, located errors."""
+
+import copy
+import dataclasses
+import importlib
+import os
+import pickle
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.asdata.as2org import As2OrgError
+from repro.asdata.relationships import RelationshipError
+from repro.bgp.aspath import ASPath
+from repro.bgp.rib import RibEntry
+from repro.net import AddressRange, Prefix
+from repro.rir import RIR
+from repro.rpki.roa import ROA
+from repro.simulation import build_world, small_world
+from repro.simulation.io import load_datasets, write_world
+from repro.whois.objects import (
+    AutNumRecord,
+    InetnumRecord,
+    MntnerRecord,
+    OrgRecord,
+)
+from repro.whois.reader import WhoisError
+
+PREFIX = Prefix.parse("62.0.0.0/16")
+INETNUM = InetnumRecord(
+    RIR.RIPE,
+    AddressRange.from_prefix(PREFIX),
+    "ALLOCATED PA",
+    "ORG-A",
+    ("A-MNT", "B-MNT"),
+    "ALPHA-NET",
+    "62.0.0.0 - 62.0.255.255",
+    country="DE",
+)
+
+VALUES = [
+    PREFIX,
+    AddressRange.from_prefix(PREFIX),
+    ASPath.of(3356, 64500),
+    RibEntry(PREFIX, ASPath.of(3356, 64500), 3356, "198.18.0.1", 7),
+    ROA(PREFIX, 64500),
+    INETNUM,
+    AutNumRecord(RIR.ARIN, 64500, "O-1", ("O-1",), "ALPHA", "AS64500"),
+    OrgRecord(RIR.LACNIC, "BR-A", "Alpha SA", ("BR-A",), "BR"),
+    MntnerRecord(RIR.RIPE, "A-MNT", "AA1-RIPE", "ORG-A"),
+]
+IDS = [type(value).__name__ for value in VALUES]
+
+
+class TestSlottedValues:
+    @pytest.mark.parametrize("value", VALUES, ids=IDS)
+    def test_no_instance_dict(self, value):
+        assert not hasattr(value, "__dict__")
+        assert type(value).__slots__ == tuple(
+            field.name for field in dataclasses.fields(value)
+        )
+
+    @pytest.mark.parametrize("value", VALUES, ids=IDS)
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, value, protocol):
+        restored = pickle.loads(pickle.dumps(value, protocol))
+        assert restored == value and hash(restored) == hash(value)
+        assert repr(restored) == repr(value)
+
+    @pytest.mark.parametrize("value", VALUES, ids=IDS)
+    def test_copies(self, value):
+        assert copy.copy(value) == value
+        assert copy.deepcopy(value) == value
+
+    @pytest.mark.parametrize("value", VALUES, ids=IDS)
+    def test_still_frozen(self, value):
+        name = dataclasses.fields(value)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(copy.deepcopy(value), name, None)
+
+    def test_order_and_replace_unchanged(self):
+        other = Prefix.parse("62.0.0.0/17")
+        assert sorted([other, PREFIX]) == [PREFIX, other]
+        assert dataclasses.replace(INETNUM, status="X").status == "X"
+
+    def test_validation_still_runs(self):
+        with pytest.raises(ValueError):
+            AddressRange(10, 9)
+        with pytest.raises(ValueError):
+            AutNumRecord(RIR.RIPE, -1, None)
+
+
+LAZY_PACKAGES = [
+    "repro",
+    "repro.core",
+    "repro.simulation",
+    "repro.bgp",
+    "repro.temporal",
+]
+
+
+class TestLazyPackages:
+    def test_serve_path_skips_what_it_does_not_run(self):
+        unwanted = [
+            "repro.simulation.world",
+            "repro.bgp.simulator",
+            "repro.core.legacy",
+            "repro.core.longitudinal",
+        ]
+        script = (
+            "import sys, repro.serve, repro.simulation.io\n"
+            f"print([name for name in {unwanted!r} if name in sys.modules])\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        output = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        ).stdout
+        assert output.strip() == "[]"
+
+    @pytest.mark.parametrize("name", LAZY_PACKAGES)
+    def test_every_export_resolves(self, name):
+        package = importlib.import_module(name)
+        for export in package.__all__:
+            assert getattr(package, export) is not None, export
+        star = {}
+        exec(f"from {name} import *", star)
+        assert set(package.__all__) <= set(star)
+
+    @pytest.mark.parametrize("name", LAZY_PACKAGES)
+    def test_unknown_name_raises_attribute_error(self, name):
+        package = importlib.import_module(name)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            getattr(package, "no_such_name")
+
+
+@pytest.fixture(scope="module")
+def data_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("data")
+    write_world(build_world(small_world()), directory)
+    return directory
+
+
+class TestLocatedLoadErrors:
+    """``load_datasets`` names the file and the line of a bad dump."""
+
+    def _fails(self, data_dir, tmp_path, name, bad_line, error):
+        broken = tmp_path / "data"
+        shutil.copytree(data_dir, broken)
+        path = broken / name
+        text = path.read_text()
+        path.write_text(f"{text}\n{bad_line}\n")
+        line = text.count("\n") + 2
+        located = re.escape(f"{path}: line {line}: ")
+        with pytest.raises(error, match=f"^{located}"):
+            load_datasets(broken)
+
+    def test_whois(self, data_dir, tmp_path):
+        bad = "inetnum: 62.9.0.0 - 62.8.0.0"
+        self._fails(data_dir, tmp_path, "whois/ripe.db", bad, WhoisError)
+
+    def test_relationships(self, data_dir, tmp_path):
+        self._fails(
+            data_dir, tmp_path, "as-rel.txt", "7|7|0", RelationshipError
+        )
+
+    def test_as2org(self, data_dir, tmp_path):
+        self._fails(
+            data_dir, tmp_path, "as2org.jsonl", '{"type": "ASN"}', As2OrgError
+        )
+
+    def test_as2org_non_object(self, data_dir, tmp_path):
+        self._fails(data_dir, tmp_path, "as2org.jsonl", "[1]", As2OrgError)

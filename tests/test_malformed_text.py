@@ -1,0 +1,166 @@
+"""Corrupted text dumps fail with their typed error, naming a line.
+
+The text-format counterpart of ``TestMalformedMrt``: every WHOIS dialect,
+the serial-1 AS relationships and the AS2org JSON lines either parse or
+raise their own ``ValueError`` subclass whose message starts with the
+1-based line it could not read — never a ``KeyError``, an
+``AttributeError`` or a bare decoder error.
+"""
+
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.asdata.as2org import AS2Org, As2OrgError
+from repro.asdata.relationships import ASRelationships, RelationshipError
+from repro.rir import RIR
+from repro.whois.reader import WhoisError, read_records
+
+from .test_whois_reader import object_path
+
+RPSL = """\
+% RIPE-style dump
+organisation:   ORG-A1-RIPE
+org-name:       Alpha Networks
+mnt-by:         A-MNT, B-MNT
+mnt-ref:        C-MNT
+country:        DE
+
+mntner:         A-MNT
+admin-c:        AA1-RIPE
+org:            ORG-A1-RIPE
+
+aut-num:        AS64500
+as-name:        ALPHA
+org:            ORG-A1-RIPE
+mnt-by:         A-MNT
+
+inetnum:        62.0.0.0 - 62.0.255.255
+netname:        ALPHA-NET
+descr:          a description that
+                continues here
++               and here
+org:            ORG-A1-RIPE
+status:         ALLOCATED PA
+mnt-by:         A-MNT
+country:        DE
+
+route:          62.0.0.0/16
+origin:         AS64500
+"""
+
+ARIN = """\
+OrgID:          O-1
+OrgName:        Alpha Inc
+Country:        US
+
+ASHandle:       AS64501
+ASNumber:       64501
+ASName:         ALPHA
+OrgID:          O-1
+
+NetHandle:      NET-63-0-0-0-1
+NetRange:       63.0.0.0 - 63.0.255.255
+NetType:        Direct Allocation
+OrgID:          O-1
+Parent:         NET-63-0-0-0-0
+"""
+
+LACNIC = """\
+inetnum:        177.0.0.0/16
+status:         allocated
+owner:          Alpha SA
+ownerid:        BR-ALPHA-LACNIC
+country:        BR
+
+aut-num:        AS64502
+owner:          Alpha SA
+ownerid:        BR-ALPHA-LACNIC
+"""
+
+RELATIONSHIPS = "# serial-1\n1|2|-1\n2|3|0\n3|4|-1\n"
+
+AS2ORG = (
+    '{"name": "Alpha", "organizationId": "A-ARIN", "type": "Organization"}\n'
+    '{"asn": "64500", "organizationId": "A-ARIN", "type": "ASN"}\n'
+    '{"asn": 64501, "organizationId": "A-ARIN", "type": "ASN"}\n'
+)
+
+#: Characters the grammars give meaning to, drawn more often than chance.
+_SIGNIFICANT = st.sampled_from(list(":|,.-+%# \t\n{}[]\"0123456789ASxX"))
+
+
+@st.composite
+def corrupted(draw, text):
+    """*text* with a few characters overwritten, then cut at a random
+    length."""
+    chars = list(text)
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        position = draw(st.integers(min_value=0, max_value=len(chars) - 1))
+        chars[position] = draw(_SIGNIFICANT | st.characters())
+    return "".join(chars[: draw(st.integers(min_value=0, max_value=len(chars)))])
+
+
+def _assert_names_line(exc, text):
+    match = re.match(r"line (\d+): ", str(exc))
+    assert match, str(exc)
+    assert 1 <= int(match.group(1)) <= len(text.splitlines())
+
+
+def _parses_or_names_line(parse, error, text):
+    """*parse* succeeds or raises *error* naming a line of *text*."""
+    try:
+        parse(text)
+    except error as exc:
+        _assert_names_line(exc, text)
+
+
+class TestMalformedWhois:
+    @pytest.mark.parametrize(
+        "rir, dump",
+        [(RIR.RIPE, RPSL), (RIR.ARIN, ARIN), (RIR.LACNIC, LACNIC)],
+        ids=["rpsl", "arin", "lacnic"],
+    )
+    def test_samples_parse(self, rir, dump):
+        assert list(read_records(rir, dump.splitlines()))
+
+    @settings(max_examples=300, deadline=None)
+    @given(corrupted(RPSL))
+    def test_rpsl(self, text):
+        self._check(RIR.RIPE, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(corrupted(ARIN))
+    def test_arin(self, text):
+        self._check(RIR.ARIN, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(corrupted(LACNIC))
+    def test_lacnic(self, text):
+        self._check(RIR.LACNIC, text)
+
+    @staticmethod
+    def _check(rir, text):
+        """Parses or names a line; what parses matches the object path."""
+        try:
+            records = list(read_records(rir, text.splitlines()))
+        except WhoisError as exc:
+            _assert_names_line(exc, text)
+            return
+        assert records == object_path(rir, text)
+
+
+class TestMalformedRelationships:
+    @settings(max_examples=300, deadline=None)
+    @given(corrupted(RELATIONSHIPS))
+    def test_serial1(self, text):
+        _parses_or_names_line(ASRelationships.from_text, RelationshipError, text)
+
+
+class TestMalformedAs2Org:
+    @settings(max_examples=300, deadline=None)
+    @given(corrupted(AS2ORG))
+    def test_jsonl(self, text):
+        _parses_or_names_line(AS2Org.from_jsonl, As2OrgError, text)
