@@ -4,7 +4,8 @@ The published ASN-DROP is JSON-lines, one record per blocklisted AS
 (``{"asn": 400992, "rir": "arin", "asname": "...", "cc": ".."}``), and
 the paper downloads monthly snapshots from February through May 2024
 (§4).  :class:`AsnDropList` models one snapshot; :class:`DropArchive`
-holds the monthly series.
+holds the monthly series.  A line that does not decode raises
+:class:`AsnDropError`, which names it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,12 @@ import json
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
-__all__ = ["AsnDropEntry", "AsnDropList", "DropArchive"]
+__all__ = ["AsnDropEntry", "AsnDropError", "AsnDropList", "DropArchive"]
+
+
+class AsnDropError(ValueError):
+    """An ASN-DROP file that cannot be decoded; the message names the
+    line."""
 
 
 @dataclass(frozen=True, order=True)
@@ -45,23 +51,23 @@ class AsnDropList:
 
     @classmethod
     def from_json(cls, text: str) -> "AsnDropList":
-        """Parse JSON-lines text (metadata records without ``asn`` skipped)."""
+        """Parse JSON-lines text (metadata records without ``asn`` skipped).
+
+        Raises :class:`AsnDropError` naming the first line that is not a
+        JSON object, or whose ``asn`` is not a non-negative integer, or
+        whose ``asname``/``rir``/``cc`` is not a string.
+        """
         entries: List[AsnDropEntry] = []
-        for line in text.splitlines():
+        for number, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            if "asn" not in record:
-                continue  # Spamhaus appends a metadata/timestamp record
-            entries.append(
-                AsnDropEntry(
-                    asn=int(record["asn"]),
-                    asname=record.get("asname", ""),
-                    rir=record.get("rir", ""),
-                    cc=record.get("cc", ""),
-                )
-            )
+            try:
+                entry = _entry(json.loads(line))
+            except ValueError as exc:  # json.JSONDecodeError included
+                raise AsnDropError(f"line {number}: {exc}") from None
+            if entry is not None:
+                entries.append(entry)
         return cls(entries)
 
     def to_json(self) -> str:
@@ -125,6 +131,25 @@ class DropArchive:
 
     def __len__(self) -> int:
         return len(self._snapshots)
+
+
+def _entry(record: object) -> Optional[AsnDropEntry]:
+    """One decoded JSON line; None for a record without ``asn``."""
+    if not isinstance(record, dict):
+        raise ValueError(f"not a JSON object: {type(record).__name__}")
+    if "asn" not in record:
+        return None  # Spamhaus appends a metadata/timestamp record
+    asn = record["asn"]
+    if isinstance(asn, str):
+        asn = int(asn)
+    if not isinstance(asn, int) or isinstance(asn, bool):
+        raise ValueError(f"non-integer asn: {asn!r}")
+    names = ("asname", "rir", "cc")
+    values = [record.get(name, "") for name in names]
+    for name, value in zip(names, values):
+        if not isinstance(value, str):
+            raise ValueError(f"{name} is not a string: {value!r}")
+    return AsnDropEntry(asn, *values)
 
 
 def _validate_month(month: str) -> None:

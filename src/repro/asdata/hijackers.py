@@ -3,14 +3,20 @@
 The paper compares lease originators against "a list of 957 inferred
 serial BGP hijackers" (§6.3).  This module models that list as a simple
 set of ASNs with an on-disk format of one ASN per line plus ``#``
-comments.
+comments.  A line that is not an ASN raises :class:`HijackerListError`,
+which names it.
 """
 
 from __future__ import annotations
 
 from typing import FrozenSet, Iterable, List
 
-__all__ = ["SerialHijackerList"]
+__all__ = ["HijackerListError", "SerialHijackerList"]
+
+
+class HijackerListError(ValueError):
+    """A hijacker list that cannot be decoded; the message names the
+    line."""
 
 
 class SerialHijackerList:
@@ -23,15 +29,27 @@ class SerialHijackerList:
 
     @classmethod
     def from_text(cls, text: str) -> "SerialHijackerList":
-        """Parse one-ASN-per-line text (``AS`` prefix tolerated)."""
+        """Parse one-ASN-per-line text (``AS`` prefix tolerated).
+
+        Raises :class:`HijackerListError` naming the first line that is
+        not a non-negative ASN.
+        """
         asns: List[int] = []
-        for line in text.splitlines():
+        for number, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if line.upper().startswith("AS"):
                 line = line[2:]
-            asns.append(int(line))
+            try:
+                asn = int(line)
+            except ValueError:
+                raise HijackerListError(
+                    f"line {number}: not an ASN: {line!r}"
+                ) from None
+            if asn < 0:
+                raise HijackerListError(f"line {number}: negative ASN {asn}")
+            asns.append(asn)
         return cls(asns)
 
     def to_text(self) -> str:

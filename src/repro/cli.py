@@ -481,7 +481,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cache-size",
         type=int,
         default=None,
-        help="LRU response-cache capacity (default 1024)",
+        help="LRU response-cache capacity (default 1024 entries, "
+        "holding at most 8 KiB of encoded bytes per entry)",
     )
     serve.add_argument(
         "--temporal-epochs",

@@ -16,6 +16,16 @@ interactive rates.  :meth:`LeaseIndex.build` turns one
   root organisation's assigned ASNs, and the relatedness verdict — so
   every answer is explainable without re-running the classifier.
 
+Each leaf is stored as a :data:`Row`: its :class:`Category` and its
+answer encoded once, at build time, as canonical JSON
+(``json.dumps(payload, sort_keys=True)``).  Tallies and covering chains
+read the category; the serving layer splices the stored bytes into its
+responses with :func:`encode_object` / :func:`encode_array` instead of
+re-encoding dicts per request.  The lookups (:meth:`LeaseIndex.resolve`,
+:meth:`LeaseIndex.by_asn`, ...) return a response's top-level keys
+already encoded (:data:`Fields`); only :meth:`LeaseIndex.exact` decodes
+a stored answer back into a dict, for in-process callers.
+
 The snapshot holds no reference to the context or the datasets it was
 built from; hot-reload (:mod:`repro.serve.reload`) swaps whole
 instances atomically.
@@ -28,14 +38,27 @@ can share one snapshot type.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple, cast
+import json
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, cast
 
 from ..net import AddressError, Prefix, PrefixTrie, resolve_covering_chain
 from ..net.gcpause import gc_paused
+from .classify import Category
 from .context import AnalysisContext
 from .results import InferenceResult, LeafInference
 
-__all__ = ["DeltaLeaseIndex", "LeaseIndex", "MAX_LISTING", "parse_asn_text"]
+__all__ = [
+    "DeltaLeaseIndex",
+    "Fields",
+    "LeaseIndex",
+    "MAX_LISTING",
+    "Row",
+    "encode_array",
+    "encode_fields",
+    "encode_object",
+    "encode_value",
+    "parse_asn_text",
+]
 
 #: Listing endpoints (ASN / org) cap their prefix lists at this many
 #: entries and set ``"truncated": true`` — a bounded response no matter
@@ -43,6 +66,42 @@ __all__ = ["DeltaLeaseIndex", "LeaseIndex", "MAX_LISTING", "parse_asn_text"]
 MAX_LISTING = 1000
 
 Payload = Dict[str, object]
+
+#: One indexed leaf: its category and its answer as canonical JSON.
+Row = Tuple[Category, bytes]
+
+#: A JSON object's top-level keys, each mapped to its encoded value.
+Fields = Dict[str, bytes]
+
+_ENCODER = json.JSONEncoder(sort_keys=True)
+_encode_key = json.encoder.encode_basestring_ascii
+
+
+def encode_value(value: object) -> bytes:
+    """*value* as ``json.dumps(value, sort_keys=True)`` bytes."""
+    return _ENCODER.encode(value).encode("ascii")
+
+
+def encode_fields(payload: Mapping[str, object]) -> Fields:
+    """*payload*'s top-level values, each encoded."""
+    return {key: encode_value(value) for key, value in payload.items()}
+
+
+def encode_object(fields: Mapping[str, bytes]) -> bytes:
+    """The object whose keys map to the pre-encoded *fields* values.
+
+    Byte-identical to ``json.dumps(d, sort_keys=True)`` for the dict
+    ``d`` the values decode to (default separators, ASCII escapes).
+    """
+    return b"{" + b", ".join(
+        _encode_key(key).encode("ascii") + b": " + fields[key]
+        for key in sorted(fields)
+    ) + b"}"
+
+
+def encode_array(items: Iterable[bytes]) -> bytes:
+    """The array of the pre-encoded *items*, as ``json.dumps`` writes it."""
+    return b"[" + b", ".join(items) + b"]"
 
 
 def parse_asn_text(text: str) -> Optional[int]:
@@ -53,6 +112,15 @@ def parse_asn_text(text: str) -> Optional[int]:
     if not text.isdigit():
         return None
     return int(text)
+
+
+def _row(context: AnalysisContext, inference: LeafInference) -> Row:
+    """*inference*'s answer plus its relatedness verdict, encoded once."""
+    payload = inference.to_payload()
+    evidence = payload["evidence"]
+    assert isinstance(evidence, dict)
+    evidence["relatedness"] = _relatedness_verdict(context, inference)
+    return inference.category, encode_value(payload)
 
 
 def _relatedness_verdict(
@@ -89,7 +157,7 @@ class LeaseIndex:
 
     def __init__(
         self,
-        trie: PrefixTrie[Payload],
+        trie: PrefixTrie[Row],
         by_origin: Dict[int, Tuple[Prefix, ...]],
         by_org: Dict[str, Tuple[Prefix, ...]],
         by_rir: Dict[str, int],
@@ -111,21 +179,17 @@ class LeaseIndex:
         """Freeze *result* (classified with *context*) into a snapshot.
 
         Evidence — including the relatedness verdict, which needs the
-        context's business-family sets — is computed here, once; the
-        finished index no longer references the context.
+        context's business-family sets — is computed and encoded here,
+        once; the finished index no longer references the context.
         """
-        trie: PrefixTrie[Payload] = PrefixTrie()
+        trie: PrefixTrie[Row] = PrefixTrie()
         by_origin: Dict[int, List[Prefix]] = {}
         by_org: Dict[str, List[Prefix]] = {}
         by_rir: Dict[str, int] = {}
         by_category: Dict[str, int] = {}
         leased = 0
         for inference in result:
-            payload = inference.to_payload()
-            evidence = payload["evidence"]
-            assert isinstance(evidence, dict)
-            evidence["relatedness"] = _relatedness_verdict(context, inference)
-            trie.insert(inference.prefix, payload)
+            trie.insert(inference.prefix, _row(context, inference))
             for asn in inference.leaf_origins:
                 by_origin.setdefault(asn, []).append(inference.prefix)
             if inference.holder_org_id:
@@ -157,55 +221,60 @@ class LeaseIndex:
         return len(self._trie)
 
     # -- prefix lookups ---------------------------------------------------
-    def exact(self, prefix: Prefix) -> Optional[Payload]:
-        """The classified leaf stored at exactly *prefix*, or None."""
+    def row(self, prefix: Prefix) -> Optional[Row]:
+        """The stored row of the leaf at exactly *prefix*, or None."""
         return self._patched(prefix, self._trie.exact(prefix))
 
-    def _patched(
-        self, prefix: Prefix, payload: Optional[Payload]
-    ) -> Optional[Payload]:
-        """The payload to surface for *prefix* (delta overlays override).
+    def exact(self, prefix: Prefix) -> Optional[Payload]:
+        """The classified leaf stored at exactly *prefix*, or None."""
+        row = self.row(prefix)
+        return None if row is None else cast(Payload, json.loads(row[1]))
 
-        The base index surfaces trie payloads as stored; a delta layer
-        substitutes its patched payloads here so every lookup path —
-        exact, resolve, listings — sees one consistent view without
-        copying the trie.
+    def _patched(self, prefix: Prefix, row: Optional[Row]) -> Optional[Row]:
+        """The row to surface for *prefix* (delta overlays override).
+
+        The base index surfaces trie rows as stored; a delta layer
+        substitutes its patched rows here so every lookup path — exact,
+        resolve, listings — sees one consistent view without copying
+        the trie.
         """
-        return payload
+        return row
 
-    def resolve(self, prefix: Prefix) -> Optional[Payload]:
+    def resolve(self, prefix: Prefix) -> Optional[Fields]:
         """Exact-or-longest-prefix answer with the covering chain.
 
         Returns ``None`` when no classified leaf covers *prefix*;
-        otherwise a payload naming the match kind (``exact`` or
+        otherwise the fields naming the match kind (``exact`` or
         ``longest-prefix``), the matched leaf's full answer, and the
         covering chain least-specific first.
         """
         best, chain = resolve_covering_chain(self._trie, prefix)
         if best is None:
             return None
-        match_prefix, answer = best
-        patched = self._patched(match_prefix, answer)
-        assert patched is not None  # the trie held a payload for it
-        return {
-            "query": str(prefix),
-            "match": "exact" if match_prefix == prefix else "longest-prefix",
-            "matched_prefix": str(match_prefix),
-            "answer": patched,
-            "covering": [
-                {
+        match_prefix, stored = best
+        answer = self._patched(match_prefix, stored)
+        assert answer is not None  # the trie held a row for it
+        covering = []
+        for chain_prefix, chain_row in chain:
+            entry = self._patched(chain_prefix, chain_row)
+            if entry is not None:
+                covering.append({
                     "prefix": str(chain_prefix),
-                    "category": entry["category"],
-                    "leased": entry["leased"],
-                }
-                for chain_prefix, chain_payload in chain
-                for entry in (self._patched(chain_prefix, chain_payload),)
-                if entry is not None
-            ],
+                    "category": entry[0].label,
+                    "leased": entry[0].is_leased,
+                })
+        return {
+            "query": encode_value(str(prefix)),
+            "match": encode_value(
+                "exact" if match_prefix == prefix else "longest-prefix"
+            ),
+            "matched_prefix": encode_value(str(match_prefix)),
+            "answer": answer[1],
+            "covering": encode_value(covering),
         }
 
-    def resolve_text(self, text: str) -> Tuple[int, Payload]:
-        """Resolve a textual CIDR query into ``(status, payload)``.
+    def resolve_text(self, text: str) -> Tuple[int, Fields]:
+        """Resolve a textual CIDR query into ``(status, fields)``.
 
         Status is HTTP-shaped: 200 with the answer, 400 for a malformed
         query, 404 when nothing covers it.
@@ -213,19 +282,19 @@ class LeaseIndex:
         try:
             prefix = Prefix.parse(text)
         except AddressError:
-            return 400, {"error": f"bad prefix: {text!r}"}
+            return 400, {"error": encode_value(f"bad prefix: {text!r}")}
         resolved = self.resolve(prefix)
         if resolved is None:
             return 404, {
-                "error": "no classified prefix covers the query",
-                "query": str(prefix),
+                "error": encode_value("no classified prefix covers the query"),
+                "query": encode_value(str(prefix)),
             }
         return 200, resolved
 
     # -- inverted lookups -------------------------------------------------
     def by_asn(
         self, asn: int, limit: Optional[int] = None
-    ) -> Optional[Payload]:
+    ) -> Optional[Fields]:
         """Every leaf originated by *asn*, with category tallies."""
         prefixes = self._by_origin.get(asn)
         if not prefixes:
@@ -234,7 +303,7 @@ class LeaseIndex:
 
     def by_org(
         self, handle: str, limit: Optional[int] = None
-    ) -> Optional[Payload]:
+    ) -> Optional[Fields]:
         """Every leaf whose *holder* (root organisation) is *handle*."""
         prefixes = self._by_org.get(handle.strip().lower())
         if not prefixes:
@@ -247,31 +316,29 @@ class LeaseIndex:
         head: Payload,
         prefixes: Tuple[Prefix, ...],
         limit: Optional[int] = None,
-    ) -> Payload:
+    ) -> Fields:
         cap = MAX_LISTING if limit is None else min(limit, MAX_LISTING)
         categories: Dict[str, int] = {}
         leased = 0
-        answers: List[Payload] = []
+        answers: List[bytes] = []
         for prefix in prefixes:
-            payload = self.exact(prefix)
-            assert payload is not None  # inverted indexes mirror the trie
-            category = str(payload["category_code"])
-            categories[category] = categories.get(category, 0) + 1
-            if payload["leased"]:
+            row = self.row(prefix)
+            assert row is not None  # inverted indexes mirror the trie
+            category, answer = row
+            categories[category.name] = categories.get(category.name, 0) + 1
+            if category.is_leased:
                 leased += 1
             if len(answers) < cap:
-                answers.append(payload)
-        result = dict(head)
-        result.update(
-            {
-                "total": len(prefixes),
-                "leased": leased,
-                "categories": categories,
-                "truncated": len(prefixes) > cap,
-                "answers": answers,
-            }
+                answers.append(answer)
+        fields = encode_fields(head)
+        fields.update(
+            total=encode_value(len(prefixes)),
+            leased=encode_value(leased),
+            categories=encode_value(categories),
+            truncated=encode_value(len(prefixes) > cap),
+            answers=encode_array(answers),
         )
-        return result
+        return fields
 
     # -- snapshot-wide views ----------------------------------------------
     def stats(self) -> Payload:
@@ -315,8 +382,8 @@ class LeaseIndex:
         """The index whose trie delta layers share (public view)."""
         return self._delta_base()
 
-    def payload_overrides(self) -> Dict[Prefix, Payload]:
-        """A copy of the payload overrides patched over the base trie.
+    def row_overrides(self) -> Dict[Prefix, Row]:
+        """A copy of the rows patched over the base trie.
 
         Empty for a base index; a delta generation returns its full
         (flattened) override map.  The temporal index replays these when
@@ -328,8 +395,8 @@ class LeaseIndex:
         """The index whose trie a delta layer should share (self here)."""
         return self
 
-    def _delta_overrides(self) -> Dict[Prefix, Payload]:
-        """Prior payload overrides to carry forward (none here)."""
+    def _delta_overrides(self) -> Dict[Prefix, Row]:
+        """Prior row overrides to carry forward (none here)."""
         return {}
 
     def with_updates(
@@ -338,7 +405,7 @@ class LeaseIndex:
         """A new generation patching *changes* over this snapshot.
 
         O(changes), not O(snapshot): the leaf trie is **shared** with
-        this index and only the changed leaves' payloads, the affected
+        this index and only the changed leaves' rows, the affected
         inverted-index rows, and the category/leased tallies are
         recomputed.  Applying updates to an already-patched generation
         flattens onto the original base index, so override chains never
@@ -353,17 +420,14 @@ class LeaseIndex:
         by_category = dict(self._by_category)
         leased = self._leased
         for inference in changes:
-            old = self.exact(inference.prefix)
+            old = self.row(inference.prefix)
             if old is None:
                 raise KeyError(
                     f"update for unindexed leaf {inference.prefix}; delta "
                     "generations cannot add leaves — rebuild the snapshot"
                 )
-            payload = inference.to_payload()
-            evidence = payload["evidence"]
-            assert isinstance(evidence, dict)
-            evidence["relatedness"] = _relatedness_verdict(context, inference)
-            old_code = str(old["category_code"])
+            old_category, old_answer = old
+            old_code = old_category.name
             new_code = inference.category.name
             if old_code != new_code:
                 remaining = by_category.get(old_code, 0) - 1
@@ -372,11 +436,9 @@ class LeaseIndex:
                 else:
                     by_category.pop(old_code, None)
                 by_category[new_code] = by_category.get(new_code, 0) + 1
-            leased += int(inference.is_leased) - int(bool(old["leased"]))
-            old_evidence = old["evidence"]
-            assert isinstance(old_evidence, dict)
+            leased += int(inference.is_leased) - int(old_category.is_leased)
             old_origins = frozenset(
-                cast(Iterable[int], old_evidence["leaf_origins"])
+                json.loads(old_answer)["evidence"]["leaf_origins"]
             )
             for asn in old_origins - inference.leaf_origins:
                 pruned = tuple(
@@ -392,7 +454,7 @@ class LeaseIndex:
                 by_origin[asn] = tuple(
                     sorted(by_origin.get(asn, ()) + (inference.prefix,))
                 )
-            overrides[inference.prefix] = payload
+            overrides[inference.prefix] = _row(context, inference)
         return DeltaLeaseIndex(
             base=self._delta_base(),
             overrides=overrides,
@@ -403,18 +465,18 @@ class LeaseIndex:
 
 
 class DeltaLeaseIndex(LeaseIndex):
-    """One delta generation: a base snapshot plus patched leaf payloads.
+    """One delta generation: a base snapshot plus patched leaf rows.
 
     Shares the base index's trie and the static inverted indexes (RIR
     and holder organisation never move under BGP churn); carries its own
-    by-origin index, tallies, and a flat payload-override map consulted
-    by every lookup through :meth:`LeaseIndex._patched`.
+    by-origin index, tallies, and a flat row-override map consulted by
+    every lookup through :meth:`LeaseIndex._patched`.
     """
 
     def __init__(
         self,
         base: LeaseIndex,
-        overrides: Dict[Prefix, Payload],
+        overrides: Dict[Prefix, Row],
         by_origin: Dict[int, Tuple[Prefix, ...]],
         by_category: Dict[str, int],
         leased: int,
@@ -433,11 +495,9 @@ class DeltaLeaseIndex(LeaseIndex):
     def _delta_base(self) -> LeaseIndex:
         return self._base
 
-    def _delta_overrides(self) -> Dict[Prefix, Payload]:
+    def _delta_overrides(self) -> Dict[Prefix, Row]:
         return self._overrides
 
-    def _patched(
-        self, prefix: Prefix, payload: Optional[Payload]
-    ) -> Optional[Payload]:
+    def _patched(self, prefix: Prefix, row: Optional[Row]) -> Optional[Row]:
         override = self._overrides.get(prefix)
-        return payload if override is None else override
+        return row if override is None else override

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from ..net import Prefix
+from ..net.slots import slotted
 from ..rir import ALL_RIRS, RIR
 from ..whois.objects import InetnumRecord
 from .classify import Category
@@ -13,6 +14,7 @@ from .classify import Category
 __all__ = ["LeafInference", "RegionalTally", "InferenceResult"]
 
 
+@slotted
 @dataclass(frozen=True)
 class LeafInference:
     """The verdict for one leaf node, with the Fig. 2 business roles.

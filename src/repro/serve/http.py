@@ -25,11 +25,16 @@ axes of change.  Query parameters are validated strictly: unknown
 names, non-integer / negative values, and out-of-range ``at``/``limit``
 are 400s, never silently ignored.
 
-Lookup responses are served through a bounded LRU cache keyed by
-``(generation, canonical target)`` — the canonical target includes the
-validated query parameters, so historical answers cache independently
-of live ones.  A hot-reload implicitly invalidates the cache because
-new generations never match old keys, while the LRU bound evicts stale
+Each leaf's answer is encoded once, when the index is built; lookup
+responses splice those stored bytes (:func:`~repro.core.leaseindex.encode_object`)
+rather than re-encoding dicts, and are byte-identical to
+``json.dumps(response, sort_keys=True)``.  They are served through a
+bounded LRU cache of encoded bodies keyed by ``(generation, endpoint,
+decoded query text, at, limit)``, so a cache hit does no JSON work, a
+``/v1/bulk`` item shares the entry of the ``GET /v1/prefix`` naming
+the same prefix, and historical answers cache independently of live
+ones.  A hot-reload implicitly invalidates the cache because new
+generations never match old keys, while the LRU bound evicts stale
 generations' entries under pressure.  Per-endpoint request, error, and
 latency counters feed ``/v1/stats`` and ``/metrics``.
 
@@ -46,18 +51,34 @@ import json
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, TypeVar, Union, cast
 from urllib.parse import unquote
 
-from ..core.leaseindex import MAX_LISTING, LeaseIndex, parse_asn_text
+from ..core.leaseindex import (
+    MAX_LISTING,
+    Fields,
+    LeaseIndex,
+    encode_array,
+    encode_fields,
+    encode_object,
+    encode_value,
+    parse_asn_text,
+)
 from ..net import AddressError, Prefix
 from ..temporal import TemporalProduct
 from .reload import SnapshotManager
 
-__all__ = ["LeaseQueryServer", "DEFAULT_CACHE_SIZE", "MAX_BULK"]
+__all__ = [
+    "LeaseQueryServer", "CACHE_ENTRY_BYTES", "DEFAULT_CACHE_SIZE", "MAX_BULK",
+]
 
 #: LRU response-cache capacity (entries) unless overridden.
 DEFAULT_CACHE_SIZE = 1024
+
+#: Encoded bytes the response cache may hold per entry of capacity
+#: (8 MiB at the default capacity).  Listing bodies run to hundreds of
+#: KB, so a cache bounded by entry count alone could hold hundreds of MB.
+CACHE_ENTRY_BYTES = 8 << 10
 
 #: Largest accepted ``/v1/bulk`` batch.
 MAX_BULK = 256
@@ -83,6 +104,24 @@ def _etag_of(generation: int, epoch: Optional[int] = None) -> str:
     return f'"g{generation}@e{epoch}"'
 
 Payload = Dict[str, object]
+
+#: ``(generation, endpoint, decoded query text, epoch, limit)``; epoch
+#: is None for live answers.
+CacheKey = Tuple[int, str, str, Optional[int], Optional[int]]
+
+#: ``(status, encoded body)``.
+Answer = Tuple[int, bytes]
+
+#: A cached value: an :data:`Answer`, or for an ``?at=`` lookup
+#: ``(status, fields)``, which gains its ``at`` and ``epoch`` per request.
+Cached = Tuple[int, Union[bytes, Fields]]
+
+_T = TypeVar("_T", bytes, Fields)
+
+#: ``(endpoint, status, body, content type, epoch)``.
+Route = Tuple[str, int, bytes, str, Optional[int]]
+
+_JSON = "application/json"
 
 #: Query parameters each query-accepting endpoint understands; anything
 #: else on the target is a 400, never silently dropped.
@@ -131,19 +170,34 @@ def _parse_int_param(
     return value, None
 
 
+def _size(value: Cached) -> int:
+    """The encoded bytes *value* holds."""
+    body = value[1]
+    if isinstance(body, bytes):
+        return len(body)
+    return sum(len(encoded) for encoded in body.values())
+
+
 class ResponseCache:
-    """A bounded LRU over computed lookup answers."""
+    """A bounded LRU over encoded lookup answers.
+
+    ``bytes`` is the sum of the cached bodies' lengths (of the encoded
+    fields' lengths for ``?at=`` entries).  Least recently used entries
+    are evicted while there are more than ``capacity`` of them or they
+    hold more than ``max_bytes`` (``capacity`` × :data:`CACHE_ENTRY_BYTES`);
+    a value larger than ``max_bytes`` on its own is not cached at all.
+    """
 
     def __init__(self, capacity: int) -> None:
         self.capacity = max(0, capacity)
-        self._entries: "OrderedDict[Tuple[int, str], Tuple[int, Payload]]" = (
-            OrderedDict()
-        )
+        self.max_bytes = self.capacity * CACHE_ENTRY_BYTES
+        self._entries: "OrderedDict[CacheKey, Cached]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.bytes = 0
 
-    def get(self, key: Tuple[int, str]) -> Optional[Tuple[int, Payload]]:
+    def get(self, key: CacheKey) -> Optional[Cached]:
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
@@ -152,13 +206,18 @@ class ResponseCache:
         self.hits += 1
         return entry
 
-    def put(self, key: Tuple[int, str], value: Tuple[int, Payload]) -> None:
-        if self.capacity == 0:
+    def put(self, key: CacheKey, value: Cached) -> None:
+        size = _size(value)
+        if self.capacity == 0 or size > self.max_bytes:
             return
+        replaced = self._entries.pop(key, None)
+        if replaced is not None:
+            self.bytes -= _size(replaced)
         self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        self.bytes += size
+        while len(self._entries) > self.capacity or self.bytes > self.max_bytes:
+            _key, evicted = self._entries.popitem(last=False)
+            self.bytes -= _size(evicted)
             self.evictions += 1
 
     def __len__(self) -> int:
@@ -169,6 +228,8 @@ class ResponseCache:
         return {
             "capacity": self.capacity,
             "size": len(self._entries),
+            "bytes": self.bytes,
+            "max_bytes": self.max_bytes,
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
@@ -425,7 +486,7 @@ class LeaseQueryServer:
         if self._snapshot_hold_s > 0:
             await asyncio.sleep(self._snapshot_hold_s)
         path, _, query = target.partition("?")
-        endpoint, status, payload, text, epoch = self._route(
+        endpoint, status, rendered, content_type, epoch = self._route(
             method, path, query, body, generation, index
         )
         if (
@@ -435,13 +496,7 @@ class LeaseQueryServer:
         ):
             status = 304
             rendered = b""
-            content_type = "application/json"
-        elif text is not None:
-            rendered = text.encode("utf-8")
-            content_type = "text/plain; version=0.0.4"
-        else:
-            rendered = json.dumps(payload, sort_keys=True).encode("utf-8")
-            content_type = "application/json"
+            content_type = _JSON
         self.counters.observe(
             endpoint, status, time.perf_counter() - started
         )
@@ -455,189 +510,181 @@ class LeaseQueryServer:
         body: bytes,
         generation: int,
         index: LeaseIndex,
-    ) -> Tuple[str, int, Payload, Optional[str], Optional[int]]:
-        """``(endpoint, status, json, text, epoch)`` for one target."""
+    ) -> Route:
+        """``(endpoint, status, body, content type, epoch)`` for a target."""
         if path == "/__malformed__":
-            return "other", 400, {"error": "malformed request line"}, None, None
+            return self._error("other", 400, "malformed request line")
         if path == "/__too_large__":
-            return "other", 413, {"error": "request body too large"}, None, None
+            return self._error("other", 413, "request body too large")
         if path == "/healthz":
             if method != "GET":
-                return "health", 405, {"error": "use GET"}, None, None
+                return self._error("health", 405, "use GET")
             payload = {"status": "ok", "generation": generation}
-            return "health", 200, payload, None, None
+            return "health", 200, encode_value(payload), _JSON, None
         if path == "/metrics":
             text = self._render_metrics(generation, index)
-            return "metrics", 200, {}, text, None
+            return (
+                "metrics", 200, text.encode("utf-8"),
+                "text/plain; version=0.0.4", None,
+            )
         if path == "/v1/stats":
             payload = self._render_stats(generation, index)
-            return "stats", 200, payload, None, None
+            return "stats", 200, encode_value(payload), _JSON, None
         if path == "/v1/churn":
             status, payload = self._answer_churn(generation, query)
-            return "churn", status, payload, None, None
+            return "churn", status, encode_value(payload), _JSON, None
         if path.startswith("/v1/prefix/") and path.endswith("/history"):
             text = unquote(path[len("/v1/prefix/"):-len("/history")])
             if query:
-                return (
-                    "history", 400,
-                    self._bad_query("history takes no query parameters",
-                                    generation),
-                    None, None,
+                return self._error(
+                    "history", 400, "history takes no query parameters",
+                    generation,
                 )
-            status, payload = self._cached(
-                generation, path, "history",
+            status, rendered = self._cached(
+                (generation, "history", text, None, None),
                 lambda: self._answer_history(generation, text),
             )
-            return "history", status, payload, None, None
+            return "history", status, rendered, _JSON, None
         if path.startswith("/v1/prefix/"):
             text = unquote(path[len("/v1/prefix/"):])
             return self._lookup(
-                "prefix", path, query, generation, index,
-                lambda view: lambda: self._answer_prefix(
+                "prefix", text, query, generation, index,
+                lambda view, _limit: self._answer_prefix(
                     view, generation, text
                 ),
             )
         if path.startswith("/v1/asn/"):
             text = unquote(path[len("/v1/asn/"):])
             return self._lookup(
-                "asn", path, query, generation, index,
-                lambda view, limit=None: lambda: self._answer_asn(
+                "asn", text, query, generation, index,
+                lambda view, limit: self._answer_asn(
                     view, generation, text, limit
                 ),
             )
         if path.startswith("/v1/org/"):
             text = unquote(path[len("/v1/org/"):])
             return self._lookup(
-                "org", path, query, generation, index,
-                lambda view, limit=None: lambda: self._answer_org(
+                "org", text, query, generation, index,
+                lambda view, limit: self._answer_org(
                     view, generation, text, limit
                 ),
             )
         if path == "/v1/bulk":
             if method != "POST":
-                return "bulk", 405, {"error": "use POST"}, None, None
+                return self._error("bulk", 405, "use POST")
             if query:
-                return (
-                    "bulk", 400,
-                    self._bad_query("bulk takes no query parameters",
-                                    generation),
-                    None, None,
+                return self._error(
+                    "bulk", 400, "bulk takes no query parameters", generation
                 )
-            status, payload = self._answer_bulk(index, generation, body)
-            return "bulk", status, payload, None, None
-        return "other", 404, {"error": f"no such endpoint: {path}"}, None, None
+            status, rendered = self._answer_bulk(index, generation, body)
+            return "bulk", status, rendered, _JSON, None
+        return self._error("other", 404, f"no such endpoint: {path}")
 
-    def _bad_query(self, message: str, generation: int) -> Payload:
-        return {"error": message, "generation": generation}
+    @staticmethod
+    def _error(
+        endpoint: str,
+        status: int,
+        message: str,
+        generation: Optional[int] = None,
+    ) -> Route:
+        """A routed JSON error, naming the generation when given."""
+        payload: Payload = {"error": message}
+        if generation is not None:
+            payload["generation"] = generation
+        return endpoint, status, encode_value(payload), _JSON, None
 
     def _lookup(
         self,
         endpoint: str,
-        path: str,
+        text: str,
         query: str,
         generation: int,
         index: LeaseIndex,
-        make_compute,
-    ) -> Tuple[str, int, Payload, Optional[str], Optional[int]]:
+        answer: Callable[[LeaseIndex, Optional[int]], Tuple[int, Fields]],
+    ) -> Route:
         """One validated live-or-historical lookup on an index endpoint.
 
         Validates the query parameters strictly (unknown name, bad
         integer, out-of-range value → 400), resolves ``?at=`` to an
-        epoch view when given, and serves through the LRU under a
-        canonical cache target that includes the validated parameters.
+        epoch view when given, and serves the encoded body through the
+        LRU under a key that includes the validated parameters.  An
+        ``?at=`` answer is cached per epoch, as fields, and gains ``at``
+        and the resolved ``epoch`` per request.
         """
         params, error = _parse_query(query, _ALLOWED_PARAMS[endpoint])
         if params is None:
             assert error is not None
-            return (
-                endpoint, 400, self._bad_query(error, generation), None, None,
-            )
+            return self._error(endpoint, 400, error, generation)
         at, error = _parse_int_param(params, "at")
         if error is not None:
-            return (
-                endpoint, 400, self._bad_query(error, generation), None, None,
-            )
+            return self._error(endpoint, 400, error, generation)
         limit, error = _parse_int_param(params, "limit")
         if error is not None:
-            return (
-                endpoint, 400, self._bad_query(error, generation), None, None,
-            )
+            return self._error(endpoint, 400, error, generation)
         if limit is not None and not 1 <= limit <= MAX_LISTING:
-            return (
+            return self._error(
                 endpoint, 400,
-                self._bad_query(
-                    f"limit must be between 1 and {MAX_LISTING}, got {limit}",
-                    generation,
-                ),
-                None, None,
+                f"limit must be between 1 and {MAX_LISTING}, got {limit}",
+                generation,
             )
         view = index
         epoch: Optional[int] = None
         if at is not None:
             if self.temporal is None:
-                return (
+                return self._error(
                     endpoint, 400,
-                    self._bad_query(
-                        "no temporal history mounted; ?at= unavailable",
-                        generation,
-                    ),
-                    None, None,
+                    "no temporal history mounted; ?at= unavailable",
+                    generation,
                 )
             located = self.temporal.index.index_at(at)
             if located is None:
                 first = self.temporal.epoch_timestamps()[0]
-                return (
+                return self._error(
                     endpoint, 400,
-                    self._bad_query(
-                        f"at={at} precedes recorded history "
-                        f"(first epoch at {first})",
-                        generation,
-                    ),
-                    None, None,
+                    f"at={at} precedes recorded history "
+                    f"(first epoch at {first})",
+                    generation,
                 )
             epoch, view = located
-        cache_target = path
-        if at is not None:
-            cache_target += f"?at_epoch={epoch}"
-        if limit is not None:
-            cache_target += f"&limit={limit}" if "?" in cache_target else (
-                f"?limit={limit}"
-            )
-        compute = (
-            make_compute(view) if endpoint == "prefix"
-            else make_compute(view, limit)
+
+        key = (generation, endpoint, text, epoch, limit)
+        if epoch is None:
+            status, rendered = self._rendered(key, lambda: answer(view, limit))
+            return endpoint, status, rendered, _JSON, None
+        status, fields = self._cached(key, lambda: answer(view, limit))
+        rendered = encode_object(
+            dict(fields, at=encode_value(at), epoch=encode_value(epoch))
         )
-        status, payload = self._cached(
-            generation, cache_target, endpoint, compute
-        )
-        if epoch is not None and "epoch" not in payload:
-            payload = dict(payload)
-            payload["epoch"] = epoch
-            payload["at"] = at
-        return endpoint, status, payload, None, epoch
+        return endpoint, status, rendered, _JSON, epoch
 
     def _cached(
-        self,
-        generation: int,
-        path: str,
-        endpoint: str,
-        compute,
-    ) -> Tuple[int, Payload]:
-        key = (generation, path)
+        self, key: CacheKey, compute: Callable[[], Tuple[int, _T]]
+    ) -> Tuple[int, _T]:
         hit = self.cache.get(key)
         if hit is not None:
-            return hit
+            return cast(Tuple[int, _T], hit)
         value = compute()
         self.cache.put(key, value)
         return value
 
+    def _rendered(
+        self, key: CacheKey, answer: Callable[[], Tuple[int, Fields]]
+    ) -> Answer:
+        """A live lookup's body: *answer*'s fields joined once, cached."""
+
+        def render() -> Answer:
+            status, fields = answer()
+            return status, encode_object(fields)
+
+        return self._cached(key, render)
+
     # -- endpoint answers ----------------------------------------------------
     def _answer_prefix(
         self, index: LeaseIndex, generation: int, text: str
-    ) -> Tuple[int, Payload]:
-        status, payload = index.resolve_text(text)
-        payload["generation"] = generation
-        return status, payload
+    ) -> Tuple[int, Fields]:
+        status, fields = index.resolve_text(text)
+        fields["generation"] = encode_value(generation)
+        return status, fields
 
     def _answer_asn(
         self,
@@ -645,19 +692,19 @@ class LeaseQueryServer:
         generation: int,
         text: str,
         limit: Optional[int] = None,
-    ) -> Tuple[int, Payload]:
+    ) -> Tuple[int, Fields]:
         asn = parse_asn_text(text)
         if asn is None:
-            return 400, {"error": f"bad ASN: {text!r}",
-                         "generation": generation}
+            return 400, encode_fields({"error": f"bad ASN: {text!r}",
+                                       "generation": generation})
         listing = index.by_asn(asn, limit=limit)
         if listing is None:
-            return 404, {
+            return 404, encode_fields({
                 "error": "AS originates no classified leaf",
                 "asn": asn,
                 "generation": generation,
-            }
-        listing["generation"] = generation
+            })
+        listing["generation"] = encode_value(generation)
         return 200, listing
 
     def _answer_org(
@@ -666,71 +713,73 @@ class LeaseQueryServer:
         generation: int,
         text: str,
         limit: Optional[int] = None,
-    ) -> Tuple[int, Payload]:
+    ) -> Tuple[int, Fields]:
         if not text.strip():
-            return 400, {"error": "empty organisation handle",
-                         "generation": generation}
+            return 400, encode_fields({"error": "empty organisation handle",
+                                       "generation": generation})
         listing = index.by_org(text, limit=limit)
         if listing is None:
-            return 404, {
+            return 404, encode_fields({
                 "error": "organisation holds no classified leaf",
                 "org": text,
                 "generation": generation,
-            }
-        listing["generation"] = generation
+            })
+        listing["generation"] = encode_value(generation)
         return 200, listing
 
     def _answer_bulk(
         self, index: LeaseIndex, generation: int, body: bytes
-    ) -> Tuple[int, Payload]:
+    ) -> Answer:
+        """``POST /v1/bulk``: each item shares its ``GET`` cache entry."""
         try:
             parsed = json.loads(body.decode("utf-8"))
         except (ValueError, UnicodeDecodeError):
-            return 400, {"error": "body is not valid JSON"}
+            return 400, encode_value({"error": "body is not valid JSON"})
         prefixes = parsed.get("prefixes") if isinstance(parsed, dict) else None
         if not isinstance(prefixes, list) or not all(
             isinstance(item, str) for item in prefixes
         ):
-            return 400, {
+            return 400, encode_value({
                 "error": 'expected {"prefixes": ["a.b.c.d/len", ...]}'
-            }
+            })
         if len(prefixes) > MAX_BULK:
-            return 413, {
+            return 413, encode_value({
                 "error": f"at most {MAX_BULK} prefixes per bulk call",
                 "got": len(prefixes),
-            }
+            })
         results = []
         for text in prefixes:
-            status, payload = self._cached(
-                generation,
-                "/v1/prefix/" + text,
-                "prefix",
+            status, rendered = self._rendered(
+                (generation, "prefix", text, None, None),
                 lambda t=text: self._answer_prefix(index, generation, t),
             )
-            results.append({"status": status, "result": payload})
-        return 200, {"generation": generation, "results": results}
+            results.append(encode_object({
+                "result": rendered, "status": encode_value(status),
+            }))
+        return 200, encode_object({
+            "generation": encode_value(generation),
+            "results": encode_array(results),
+        })
 
-    def _answer_history(
-        self, generation: int, text: str
-    ) -> Tuple[int, Payload]:
+    def _answer_history(self, generation: int, text: str) -> Answer:
         """``/v1/prefix/{p}/history``: the prefix's lease timeline."""
         if self.temporal is None:
-            return 400, {"error": "no temporal history mounted",
-                         "generation": generation}
+            return 400, encode_value({"error": "no temporal history mounted",
+                                      "generation": generation})
         try:
             prefix = Prefix.parse(text)
         except AddressError:
-            return 400, {"error": f"bad prefix: {text!r}",
-                         "generation": generation}
+            return 400, encode_value({"error": f"bad prefix: {text!r}",
+                                      "generation": generation})
         payload = self.temporal.timelines.history_payload(prefix)
         if payload is None:
-            return 404, {
+            return 404, encode_value({
                 "error": "no timeline tracked for prefix",
                 "query": str(prefix),
                 "generation": generation,
-            }
+            })
         payload["generation"] = generation
-        return 200, payload
+        return 200, encode_value(payload)
 
     def _answer_churn(
         self, generation: int, query: str
@@ -742,10 +791,11 @@ class LeaseQueryServer:
         params, error = _parse_query(query, _ALLOWED_PARAMS["churn"])
         if params is None:
             assert error is not None
-            return 400, self._bad_query(error, generation)
+            return 400, {"error": error, "generation": generation}
         rir = params.get("rir")
         if rir is not None and not rir.strip():
-            return 400, self._bad_query("empty rir parameter", generation)
+            return 400, {"error": "empty rir parameter",
+                         "generation": generation}
         payload = self.temporal.timelines.churn_payload(rir)
         if payload is None:
             return 404, {
@@ -775,6 +825,7 @@ class LeaseQueryServer:
             f"repro_serve_cache_hits_total {self.cache.hits}",
             f"repro_serve_cache_misses_total {self.cache.misses}",
             f"repro_serve_cache_evictions_total {self.cache.evictions}",
+            f"repro_serve_cache_bytes {self.cache.bytes}",
         ]
         if self.temporal is not None:
             lines.append(
@@ -792,3 +843,4 @@ class LeaseQueryServer:
                 f"repro_serve_request_ms_total{label} {entry['total_ms']}"
             )
         return "\n".join(lines) + "\n"
+

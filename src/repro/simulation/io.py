@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set
 
-from ..abuse.dropdb import AsnDropList, DropArchive
+from ..abuse.dropdb import AsnDropError, AsnDropList, DropArchive
 from ..asdata.as2org import AS2Org, As2OrgError
-from ..asdata.hijackers import SerialHijackerList
+from ..asdata.hijackers import HijackerListError, SerialHijackerList
 from ..asdata.relationships import ASRelationships, RelationshipError
 from ..bgp.mrt import read_mrt, write_mrt
 from ..bgp.rib import RoutingTable
@@ -132,7 +132,9 @@ def load_datasets(directory: Path) -> DatasetBundle:
     if drop_dir.exists():
         for path in sorted(drop_dir.glob("asndrop-*.json")):
             month = path.stem.replace("asndrop-", "")
-            drop_archive.add_month(month, AsnDropList.from_json(path.read_text()))
+            with _located(path):
+                snapshot = AsnDropList.from_json(path.read_text())
+            drop_archive.add_month(month, snapshot)
     rpki_dir = directory / "rpki"
     rpki_archive = (
         RpkiArchive.from_directory(rpki_dir)
@@ -147,6 +149,9 @@ def load_datasets(directory: Path) -> DatasetBundle:
     as2org_path = directory / "as2org.jsonl"
     with _located(as2org_path):
         as2org = AS2Org.from_jsonl(as2org_path.read_text())
+    hijackers_path = directory / "hijackers.txt"
+    with _located(hijackers_path):
+        hijackers = SerialHijackerList.from_text(hijackers_path.read_text())
     return DatasetBundle(
         whois=whois,
         routing_table=routing_table,
@@ -156,9 +161,7 @@ def load_datasets(directory: Path) -> DatasetBundle:
         rpki_archive=rpki_archive,
         featured=_read_featured(directory / "featured"),
         drop_archive=drop_archive,
-        hijackers=SerialHijackerList.from_text(
-            (directory / "hijackers.txt").read_text()
-        ),
+        hijackers=hijackers,
         broker_registry=BrokerRegistry.from_csv(
             (directory / "brokers.csv").read_text()
         ),
@@ -174,7 +177,9 @@ def _located(path: Path) -> Iterator[None]:
     """Prefix a line-located parse error with the file it came from."""
     try:
         yield
-    except (RelationshipError, As2OrgError) as exc:
+    except (
+        RelationshipError, As2OrgError, HijackerListError, AsnDropError
+    ) as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
 

@@ -19,9 +19,10 @@ Point-in-time resolution is ``O(log epochs)`` to locate the epoch
 (:class:`EpochSkipList` bisects the timestamp rail), plus
 ``O(interval × changes-per-epoch)`` to replay from the checkpoint; a
 small LRU of materialized views makes repeated queries at the same
-epoch O(1).  Payload dicts are **shared** between records, checkpoints,
-and views — the delta encoding stores each changed answer once, never
-copies it per epoch.
+epoch O(1).  Leaf rows (a category plus the answer's JSON bytes, see
+:data:`~repro.core.leaseindex.Row`) are **shared** between records,
+checkpoints, and views — the delta encoding stores each changed answer
+once, never copies it per epoch.
 
 Epochs are immutable once built: streaming updates create new *serve*
 generations (:meth:`LeaseIndex.with_updates`); the temporal index is
@@ -31,13 +32,18 @@ the frozen history those generations leave behind.
 from __future__ import annotations
 
 import bisect
-import json
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, cast
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.context import AnalysisContext
-from ..core.leaseindex import DeltaLeaseIndex, LeaseIndex
+from ..core.leaseindex import (
+    DeltaLeaseIndex,
+    LeaseIndex,
+    Row,
+    encode_object,
+    encode_value,
+)
 from ..core.results import LeafInference
 from ..net import Prefix
 
@@ -65,8 +71,8 @@ DEFAULT_VIEW_CACHE = 8
 class EpochRecord:
     """The delta one epoch applied to the previous one.
 
-    ``overrides`` maps each changed leaf to its post-epoch payload (the
-    same dict object the cumulative views share); ``origin_rows`` holds
+    ``overrides`` maps each changed leaf to its post-epoch row (the
+    same object the cumulative views share); ``origin_rows`` holds
     the post-epoch by-origin inverted-index rows for every ASN whose
     membership moved (an empty tuple marks the ASN as gone);
     ``by_category``/``leased`` are the full post-epoch tallies — small
@@ -74,7 +80,7 @@ class EpochRecord:
     """
 
     timestamp: int
-    overrides: Dict[Prefix, Payload]
+    overrides: Dict[Prefix, Row]
     origin_rows: Dict[int, Tuple[Prefix, ...]]
     by_category: Dict[str, int]
     leased: int
@@ -82,19 +88,19 @@ class EpochRecord:
     def encoded_bytes(self) -> int:
         """The JSON-encoded size of this record (bench accounting)."""
         body = {
-            "timestamp": self.timestamp,
-            "overrides": {
-                str(prefix): payload
-                for prefix, payload in self.overrides.items()
-            },
-            "origin_rows": {
+            "timestamp": encode_value(self.timestamp),
+            "overrides": encode_object({
+                str(prefix): answer
+                for prefix, (_category, answer) in self.overrides.items()
+            }),
+            "origin_rows": encode_value({
                 str(asn): [str(p) for p in row]
                 for asn, row in self.origin_rows.items()
-            },
-            "by_category": self.by_category,
-            "leased": self.leased,
+            }),
+            "by_category": encode_value(self.by_category),
+            "leased": encode_value(self.leased),
         }
-        return len(json.dumps(body, sort_keys=True).encode("utf-8"))
+        return len(encode_object(body))
 
 
 class EpochSkipList:
@@ -200,26 +206,28 @@ class TemporalLeaseIndex:
         previous = base
         for number, (timestamp, changes) in enumerate(epoch_changes, 1):
             changes = list(changes)
-            touched: set = set()
+            touched: Set[int] = set()
             for inference in changes:
-                old = previous.exact(inference.prefix)
-                if old is None:
+                if previous.row(inference.prefix) is None:
                     raise KeyError(
                         f"epoch {number} changes unindexed leaf "
                         f"{inference.prefix}"
                     )
-                evidence = old["evidence"]
-                assert isinstance(evidence, dict)
-                touched.update(
-                    cast(Sequence[int], evidence["leaf_origins"])
-                )
                 touched.update(inference.leaf_origins)
             view = previous.with_updates(context, changes)
-            overrides: Dict[Prefix, Payload] = {}
+            # An old origin a changed leaf dropped lost an entry from its
+            # by-origin row, so the rows that moved plus the new origins
+            # are the old and new origins, without decoding old answers.
+            before, after = previous.origin_rows(), view.origin_rows()
+            touched.update(
+                asn for asn in before.keys() | after.keys()
+                if before.get(asn) != after.get(asn)
+            )
+            overrides: Dict[Prefix, Row] = {}
             for inference in changes:
-                payload = view.exact(inference.prefix)
-                assert payload is not None
-                overrides[inference.prefix] = payload
+                row = view.row(inference.prefix)
+                assert row is not None
+                overrides[inference.prefix] = row
             records.append(
                 EpochRecord(
                     timestamp=timestamp,
@@ -286,8 +294,8 @@ class TemporalLeaseIndex:
         """The full query surface as of *epoch* (0 = the base index).
 
         Nearest checkpoint at or below, then replay — records share
-        payload dicts with the views, so a materialization allocates
-        only the override and origin-row maps, never the answers.
+        rows with the views, so a materialization allocates only the
+        override and origin-row maps, never the answers.
         """
         if not 0 <= epoch <= len(self._records):
             raise IndexError(
@@ -304,7 +312,7 @@ class TemporalLeaseIndex:
             return cached
         anchor = self._skiplist.checkpoint_below(epoch)
         start = self._base if anchor == 0 else self._checkpoints[anchor]
-        overrides = start.payload_overrides()
+        overrides = start.row_overrides()
         by_origin = start.origin_rows()
         for record in self._records[anchor:epoch]:
             overrides.update(record.overrides)
@@ -360,7 +368,9 @@ class TemporalLeaseIndex:
 
 def index_encoded_bytes(index: LeaseIndex) -> int:
     """JSON-encoded size of one full index's answer payloads."""
-    payloads = {}
+    answers = {}
     for prefix in index.prefixes():
-        payloads[str(prefix)] = index.exact(prefix)
-    return len(json.dumps(payloads, sort_keys=True).encode("utf-8"))
+        row = index.row(prefix)
+        assert row is not None
+        answers[str(prefix)] = row[1]
+    return len(encode_object(answers))

@@ -13,10 +13,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.abuse.dropdb import AsnDropError
 from repro.asdata.as2org import As2OrgError
+from repro.asdata.hijackers import HijackerListError
 from repro.asdata.relationships import RelationshipError
 from repro.bgp.aspath import ASPath
 from repro.bgp.rib import RibEntry
+from repro.core.classify import Category
+from repro.core.results import LeafInference
 from repro.net import AddressRange, Prefix
 from repro.rir import RIR
 from repro.rpki.roa import ROA
@@ -52,6 +56,11 @@ VALUES = [
     AutNumRecord(RIR.ARIN, 64500, "O-1", ("O-1",), "ALPHA", "AS64500"),
     OrgRecord(RIR.LACNIC, "BR-A", "Alpha SA", ("BR-A",), "BR"),
     MntnerRecord(RIR.RIPE, "A-MNT", "AA1-RIPE", "ORG-A"),
+    LeafInference(
+        RIR.RIPE, PREFIX, Category.LEASED_GROUP4, INETNUM,
+        Prefix.parse("62.0.0.0/8"), INETNUM,
+        frozenset({64500}), frozenset({3356}), frozenset({3356, 1299}),
+    ),
 ]
 IDS = [type(value).__name__ for value in VALUES]
 
@@ -178,3 +187,14 @@ class TestLocatedLoadErrors:
 
     def test_as2org_non_object(self, data_dir, tmp_path):
         self._fails(data_dir, tmp_path, "as2org.jsonl", "[1]", As2OrgError)
+
+    def test_hijackers(self, data_dir, tmp_path):
+        self._fails(
+            data_dir, tmp_path, "hijackers.txt", "AS64500x", HijackerListError
+        )
+
+    def test_asn_drop(self, data_dir, tmp_path):
+        month = min(path.name for path in (data_dir / "drop").iterdir())
+        self._fails(
+            data_dir, tmp_path, f"drop/{month}", '{"asn": "x"}', AsnDropError
+        )

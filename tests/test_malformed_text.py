@@ -1,10 +1,11 @@
 """Corrupted text dumps fail with their typed error, naming a line.
 
 The text-format counterpart of ``TestMalformedMrt``: every WHOIS dialect,
-the serial-1 AS relationships and the AS2org JSON lines either parse or
-raise their own ``ValueError`` subclass whose message starts with the
-1-based line it could not read — never a ``KeyError``, an
-``AttributeError`` or a bare decoder error.
+the serial-1 AS relationships, the AS2org JSON lines, the serial-hijacker
+list and the ASN-DROP JSON lines either parse or raise their own
+``ValueError`` subclass whose message starts with the 1-based line it
+could not read — never a ``KeyError``, an ``AttributeError``, a
+``TypeError`` or a bare decoder error.
 """
 
 import re
@@ -13,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.abuse.dropdb import AsnDropError, AsnDropList
 from repro.asdata.as2org import AS2Org, As2OrgError
+from repro.asdata.hijackers import HijackerListError, SerialHijackerList
 from repro.asdata.relationships import ASRelationships, RelationshipError
 from repro.rir import RIR
 from repro.whois.reader import WhoisError, read_records
@@ -86,6 +89,14 @@ AS2ORG = (
     '{"name": "Alpha", "organizationId": "A-ARIN", "type": "Organization"}\n'
     '{"asn": "64500", "organizationId": "A-ARIN", "type": "ASN"}\n'
     '{"asn": 64501, "organizationId": "A-ARIN", "type": "ASN"}\n'
+)
+
+HIJACKERS = "# serial BGP hijacker ASNs\n64500\nAS64501\n\nas64502\n"
+
+ASNDROP = (
+    '{"asn": 400992, "asname": "BAD-AS", "cc": "US", "rir": "arin"}\n'
+    '{"asn": "64500", "rir": "ripencc"}\n'
+    '{"type": "metadata", "timestamp": 1714521600}\n'
 )
 
 #: Characters the grammars give meaning to, drawn more often than chance.
@@ -164,3 +175,40 @@ class TestMalformedAs2Org:
     @given(corrupted(AS2ORG))
     def test_jsonl(self, text):
         _parses_or_names_line(AS2Org.from_jsonl, As2OrgError, text)
+
+
+class TestMalformedHijackers:
+    def test_sample_parses(self):
+        assert SerialHijackerList.from_text(HIJACKERS).asns() == {
+            64500, 64501, 64502
+        }
+
+    @pytest.mark.parametrize("line", ["AS", "64500x", "-7", "AS-1", "1.5"])
+    def test_bad_line_is_named(self, line):
+        with pytest.raises(HijackerListError, match="^line 3: "):
+            SerialHijackerList.from_text(f"# header\n64500\n{line}\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(corrupted(HIJACKERS))
+    def test_text(self, text):
+        _parses_or_names_line(
+            SerialHijackerList.from_text, HijackerListError, text
+        )
+
+
+class TestMalformedAsnDrop:
+    def test_sample_parses(self):
+        assert AsnDropList.from_json(ASNDROP).asns() == {400992, 64500}
+
+    @pytest.mark.parametrize("line", [
+        "{nope", "[1]", "7", '{"asn": null}', '{"asn": 1.5}',
+        '{"asn": true}', '{"asn": "x"}', '{"asn": -1}', '{"asn": 1, "cc": 2}',
+    ])
+    def test_bad_line_is_named(self, line):
+        with pytest.raises(AsnDropError, match="^line 2: "):
+            AsnDropList.from_json(f'{{"asn": 1}}\n{line}\n')
+
+    @settings(max_examples=300, deadline=None)
+    @given(corrupted(ASNDROP))
+    def test_jsonl(self, text):
+        _parses_or_names_line(AsnDropList.from_json, AsnDropError, text)

@@ -22,7 +22,7 @@ from repro.serve import (
     LeaseQueryServer,
     SnapshotManager,
 )
-from repro.serve.http import ResponseCache
+from repro.serve.http import CACHE_ENTRY_BYTES, ResponseCache
 from repro.simulation import build_world, small_world
 
 
@@ -78,21 +78,26 @@ class TestHealthAndStats:
         assert request(server, "POST", "/healthz")[0] == 405
 
     def test_stats_structure(self, server, index):
-        get(server, "/v1/prefix/" + str(index.prefixes()[0]))
+        _, answer = get(server, "/v1/prefix/" + str(index.prefixes()[0]))
         status, payload = get(server, "/v1/stats")
         assert status == 200
         assert payload["generation"] == 1
         assert payload["snapshot"]["leaves"] == len(index)
         assert payload["cache"]["capacity"] > 0
+        assert payload["cache"]["bytes"] == len(
+            json.dumps(answer, sort_keys=True)
+        )
         assert payload["endpoints"]["prefix"]["requests"] == 1
 
     def test_metrics_exposition(self, server, index):
-        get(server, "/v1/prefix/" + str(index.prefixes()[0]))
+        _, answer = get(server, "/v1/prefix/" + str(index.prefixes()[0]))
         status, text = get(server, "/metrics")
         assert status == 200
         assert "repro_serve_generation 1" in text
         assert f"repro_serve_snapshot_leaves {len(index)}" in text
         assert 'repro_serve_requests_total{endpoint="prefix"} 1' in text
+        held = len(json.dumps(answer, sort_keys=True))
+        assert f"repro_serve_cache_bytes {held}" in text
 
     def test_unknown_endpoint(self, server):
         status, payload = get(server, "/v1/nope")
@@ -234,6 +239,53 @@ class TestCaching:
         assert cache.get((1, "/x")) is None
         assert cache.stats()["hit_rate"] == 0.0
 
+    def test_bytes_follow_puts_replacements_and_evictions(self):
+        cache = ResponseCache(2)
+        cache.put((1, "prefix", "a", None, None), (200, b"aaaa"))
+        cache.put((1, "prefix", "b", None, None), (200, b"bb"))
+        assert cache.stats()["bytes"] == 6
+        cache.put((1, "prefix", "b", None, None), (200, b"b"))
+        assert cache.bytes == 5
+        cache.put((1, "prefix", "c", None, None), (404, b"ccc"))  # evicts a
+        assert cache.bytes == 4
+        assert len(cache) == 2
+
+    def test_byte_bound_evicts_and_skips_oversized_bodies(self):
+        cache = ResponseCache(4)
+        bound = 4 * CACHE_ENTRY_BYTES
+        assert cache.stats()["max_bytes"] == bound
+        half = bound // 2
+        cache.put((1, "asn", "a", None, None), (200, b"a" * half))
+        cache.put((1, "asn", "b", None, None), (200, b"b" * half))
+        cache.put((1, "asn", "c", None, None), (200, b"c"))  # evicts a
+        assert (cache.bytes, cache.evictions, len(cache)) == (half + 1, 1, 2)
+        cache.put((1, "asn", "d", None, None), (200, b"d" * (bound + 1)))
+        assert cache.get((1, "asn", "d", None, None)) is None
+        assert (cache.bytes, len(cache)) == (half + 1, 2)
+        cache.put((1, "asn", "e", 2, None), (200, {"x": b"eeee"}))
+        assert cache.bytes == half + 5  # fields count their encoded values
+
+    def test_distinct_large_listings_stay_under_the_byte_bound(
+        self, manager, index, monkeypatch
+    ):
+        asn, rows = max(
+            index.origin_rows().items(), key=lambda item: len(item[1])
+        )
+        assert len(rows) >= 3, "small world should repeat an origin"
+        monkeypatch.setattr("repro.serve.http.CACHE_ENTRY_BYTES", 512)
+        bound = 4 * 512
+        with LeaseQueryServer(manager, cache_size=4) as small:
+            for _ in range(2):
+                for limit in range(1, len(rows) + 1):
+                    status, payload = get(
+                        small, f"/v1/asn/{asn}?limit={limit}"
+                    )
+                    assert status == 200
+                    assert len(payload["answers"]) == limit
+                    assert 0 < small.cache.bytes <= bound
+            assert small.cache.evictions > 0
+            assert get(small, "/v1/stats")[1]["cache"]["max_bytes"] == bound
+
     def test_lru_recency_order(self):
         cache = ResponseCache(2)
         cache.put((1, "/a"), (200, {"v": "a"}))
@@ -242,6 +294,56 @@ class TestCaching:
         cache.put((1, "/c"), (200, {"v": "c"}))  # evicts /b, not /a
         assert cache.get((1, "/a")) is not None
         assert cache.get((1, "/b")) is None
+
+
+class TestCacheKeys:
+    """Entries are keyed by endpoint and decoded query, never raw text."""
+
+    @staticmethod
+    def bulk_item(server, text):
+        status, payload = request(
+            server, "POST", "/v1/bulk", json.dumps({"prefixes": [text]})
+        )
+        assert status == 200
+        (item,) = payload["results"]
+        return item["status"], item["result"]
+
+    def test_escaped_bulk_item_then_get(self, server, index):
+        escaped = str(index.prefixes()[0]).replace("/", "%2F")
+        assert self.bulk_item(server, escaped)[0] == 400
+        status, payload = get(server, f"/v1/prefix/{escaped}")
+        assert status == 200
+        assert payload["matched_prefix"] == str(index.prefixes()[0])
+
+    def test_get_then_escaped_bulk_item(self, server, index):
+        escaped = str(index.prefixes()[0]).replace("/", "%2F")
+        assert get(server, f"/v1/prefix/{escaped}")[0] == 200
+        status, result = self.bulk_item(server, escaped)
+        assert status == 400
+        assert "bad prefix" in result["error"]
+
+    def test_escaped_and_plain_get_share_one_entry(self, server, index):
+        prefix = str(index.prefixes()[0])
+        get(server, f"/v1/prefix/{prefix}")
+        assert get(server, "/v1/prefix/" + prefix.replace("/", "%2F")) == (
+            get(server, f"/v1/prefix/{prefix}")
+        )
+        assert len(server.cache) == 1
+
+    def test_bulk_item_never_answers_history(self, server, index):
+        target = f"{index.prefixes()[0]}/history"
+        status, result = self.bulk_item(server, target)
+        assert status == 400 and "bad prefix" in result["error"]
+        status, payload = get(server, f"/v1/prefix/{target}")
+        assert status == 400
+        assert payload["error"] == "no temporal history mounted"
+
+    def test_history_never_answers_a_bulk_item(self, server, index):
+        target = f"{index.prefixes()[0]}/history"
+        status, payload = get(server, f"/v1/prefix/{target}")
+        assert payload["error"] == "no temporal history mounted"
+        status, result = self.bulk_item(server, target)
+        assert status == 400 and "bad prefix" in result["error"]
 
 
 class TestHotReload:

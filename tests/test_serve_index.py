@@ -1,9 +1,11 @@
 """Tests for repro.core.leaseindex: the queryable LeaseIndex snapshot."""
 
+import json
+
 import pytest
 
 from repro.core import LeaseInferencePipeline
-from repro.core.leaseindex import MAX_LISTING, parse_asn_text
+from repro.core.leaseindex import MAX_LISTING, encode_object, parse_asn_text
 from repro.net import Prefix
 from repro.serve import LeaseIndex
 from repro.simulation import build_world, small_world
@@ -25,6 +27,11 @@ def result(pipeline):
 @pytest.fixture(scope="module")
 def index(pipeline, result):
     return LeaseIndex.build(pipeline.context, result)
+
+
+def decoded(fields):
+    """A lookup's encoded fields as the dict they spell (None stays None)."""
+    return None if fields is None else json.loads(encode_object(fields))
 
 
 def holders(result):
@@ -63,7 +70,7 @@ class TestPrefixLookups:
 
     def test_resolve_exact(self, index):
         prefix = index.prefixes()[0]
-        resolved = index.resolve(prefix)
+        resolved = decoded(index.resolve(prefix))
         assert resolved["match"] == "exact"
         assert resolved["matched_prefix"] == str(prefix)
         assert resolved["covering"][-1]["prefix"] == str(prefix)
@@ -71,7 +78,7 @@ class TestPrefixLookups:
     def test_resolve_longest_prefix(self, index):
         leaf = next(p for p in index.prefixes() if p.length < 30)
         sub = Prefix(leaf.network, leaf.length + 2)
-        resolved = index.resolve(sub)
+        resolved = decoded(index.resolve(sub))
         assert resolved["match"] == "longest-prefix"
         assert resolved["matched_prefix"] == str(leaf)
         assert resolved["query"] == str(sub)
@@ -81,7 +88,7 @@ class TestPrefixLookups:
 
     def test_covering_chain_least_specific_first(self, index):
         prefix = index.prefixes()[0]
-        chain = index.resolve(prefix)["covering"]
+        chain = decoded(index.resolve(prefix))["covering"]
         lengths = [int(entry["prefix"].split("/")[1]) for entry in chain]
         assert lengths == sorted(lengths)
 
@@ -96,7 +103,7 @@ class TestPrefixLookups:
 class TestInvertedLookups:
     def test_by_asn_lists_all_its_leaves(self, index, result):
         asn = min(index.origin_rows())
-        listing = index.by_asn(asn)
+        listing = decoded(index.by_asn(asn))
         expected = [
             inference
             for inference in result
@@ -122,18 +129,20 @@ class TestInvertedLookups:
         assert index.by_org("ORG-DOES-NOT-EXIST") is None
 
     def test_listing_truncation(self, index, result, monkeypatch):
-        org = max(holders(result), key=lambda o: index.by_org(o)["total"])
-        full = index.by_org(org)
+        org = max(
+            holders(result), key=lambda o: decoded(index.by_org(o))["total"]
+        )
+        full = decoded(index.by_org(org))
         assert full["total"] >= 2, "small world should repeat holders"
         assert full["truncated"] is False
         monkeypatch.setattr("repro.core.leaseindex.MAX_LISTING", 1)
-        cut = index.by_org(org)
+        cut = decoded(index.by_org(org))
         assert cut["truncated"] is True
         assert len(cut["answers"]) == 1
         assert cut["total"] == full["total"]
 
     def test_listing_category_tallies(self, index, result):
-        listing = index.by_org(holders(result)[0])
+        listing = decoded(index.by_org(holders(result)[0]))
         assert sum(listing["categories"].values()) == listing["total"]
 
     def test_max_listing_default(self):

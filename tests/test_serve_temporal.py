@@ -89,8 +89,8 @@ class TestPointInTime:
             assert headers["X-Epoch"] == str(number)
             view = product.index.index_for_epoch(number)
             _, expected = view.resolve_text(str(prefix))
-            assert payload["answer"] == expected["answer"]
-            assert payload["match"] == expected["match"]
+            assert payload["answer"] == json.loads(expected["answer"])
+            assert payload["match"] == json.loads(expected["match"])
 
     def test_no_at_serves_the_live_index(self, setup, server):
         prefix = _leased_prefix(setup)
@@ -110,6 +110,22 @@ class TestPointInTime:
         )
         assert status == 304
         assert body == ""
+
+    def test_timestamps_in_one_epoch_share_a_cache_entry(
+        self, setup, server
+    ):
+        _, _, evolution = setup
+        prefix = _leased_prefix(setup)
+        first = evolution.epoch_timestamps[0]
+        later = first + 1
+        assert later < evolution.epoch_timestamps[1]
+        _, early, _ = get(server, f"/v1/prefix/{prefix}?at={first}")
+        _, late, headers = get(server, f"/v1/prefix/{prefix}?at={later}")
+        assert (len(server.cache), server.cache.hits) == (1, 1)
+        assert (early["at"], late["at"]) == (first, later)
+        assert early["epoch"] == late["epoch"] == 1
+        assert headers["ETag"] == '"g1@e1"'
+        assert dict(early, at=later) == late
 
     def test_at_before_history_is_rejected(self, setup, server):
         _, _, evolution = setup
