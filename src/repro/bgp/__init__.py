@@ -15,6 +15,7 @@ if TYPE_CHECKING:
     from .history import (
         AnnounceUpdate,
         UpdateStream,
+        UpdateStreamError,
         WithdrawUpdate,
         format_update,
         parse_update_line,
@@ -44,8 +45,8 @@ __getattr__ = lazy_exports(
             "Announcement", "Collector", "build_routing_table", "collect_rib",
         ),
         ".history": (
-            "AnnounceUpdate", "UpdateStream", "WithdrawUpdate", "format_update",
-            "parse_update_line",
+            "AnnounceUpdate", "UpdateStream", "UpdateStreamError",
+            "WithdrawUpdate", "format_update", "parse_update_line",
         ),
         ".mrt": ("MrtError", "read_mrt", "write_mrt"),
         ".rib": ("RibEntry", "RoutingTable"),
@@ -79,6 +80,7 @@ __all__ = [
     "SequencedUpdate",
     "UpdateParseError",
     "UpdateStream",
+    "UpdateStreamError",
     "WithdrawUpdate",
     "build_routing_table",
     "collect_rib",

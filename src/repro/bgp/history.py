@@ -29,11 +29,16 @@ __all__ = [
     "AnnounceUpdate",
     "WithdrawUpdate",
     "UpdateStream",
+    "UpdateStreamError",
     "parse_update_line",
     "format_update",
 ]
 
 _MARKER = "BGP4MP"
+
+
+class UpdateStreamError(ValueError):
+    """An update file that cannot be decoded; the message names the line."""
 
 
 @dataclass(frozen=True, order=True)
@@ -145,12 +150,20 @@ class UpdateStream:
     # -- text format -------------------------------------------------------
     @classmethod
     def from_text(cls, text: str) -> "UpdateStream":
-        """Parse a pipe-format update file (malformed lines rejected)."""
-        return cls(
-            parse_update_line(line)
-            for line in text.splitlines()
-            if line.strip()
-        )
+        """Parse a pipe-format update file.
+
+        A malformed line raises :class:`UpdateStreamError` whose message
+        starts with its 1-based line number (``"line 7: ..."``).
+        """
+        updates: List[Update] = []
+        for number, line in enumerate(text.splitlines(), 1):
+            if not line.strip():
+                continue
+            try:
+                updates.append(parse_update_line(line))
+            except ValueError as exc:
+                raise UpdateStreamError(f"line {number}: {exc}") from None
+        return cls(updates)
 
     def to_text(self) -> str:
         """Render the stream back to pipe-format text."""

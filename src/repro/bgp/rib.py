@@ -9,11 +9,8 @@ fallback).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import (
-    AbstractSet,
     Dict,
     FrozenSet,
     Iterable,
@@ -23,13 +20,16 @@ from typing import (
     Optional,
     Set,
     Tuple,
+    Union,
 )
 
 from ..net import Prefix, PrefixTrie
 from ..net.slots import slotted
 from .aspath import ASPath
 
-__all__ = ["RibEntry", "RoutingTable"]
+__all__ = ["OriginSets", "RibEntry", "RoutingTable"]
+
+_EMPTY: FrozenSet[int] = frozenset()
 
 
 @slotted
@@ -49,16 +49,66 @@ class RibEntry:
         return self.path.origin
 
 
+class OriginSets(Dict[Union[int, FrozenSet[int]], FrozenSet[int]]):
+    """An intern table of origin sets: one frozenset per distinct set.
+
+    ``sets[origins]`` is the shared frozenset equal to the frozenset
+    *origins*, and ``sets[asn]`` the shared ``frozenset({asn})``.  Most
+    prefixes share their origin set with many others (one AS originates
+    many prefixes), so a table that stores the interned object holds
+    each set once.  Entries are never dropped: the table grows with the
+    distinct origins and sets ever looked up, never per prefix.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, key: Union[int, FrozenSet[int]]) -> FrozenSet[int]:
+        value = self[frozenset((key,))] if isinstance(key, int) else key
+        self[key] = value
+        return value
+
+
+class _ExactIndex(Mapping[Prefix, FrozenSet[int]]):
+    """Read-only live ``Prefix → origins`` view over a table's trie."""
+
+    __slots__ = ("_trie",)
+
+    def __init__(self, trie: PrefixTrie[FrozenSet[int]]) -> None:
+        self._trie = trie
+
+    def __getitem__(self, prefix: Prefix) -> FrozenSet[int]:
+        origins = self._trie.get(prefix)
+        if origins is None:
+            raise KeyError(prefix)
+        return origins
+
+    def __contains__(self, prefix: object) -> bool:
+        return isinstance(prefix, Prefix) and prefix in self._trie
+
+    def __iter__(self) -> Iterator[Prefix]:
+        return self._trie.keys()
+
+    def __len__(self) -> int:
+        return len(self._trie)
+
+
 class RoutingTable:
-    """Prefix → origin-AS view with exact and covering lookups."""
+    """Prefix → origin-AS view with exact and covering lookups.
+
+    Each advertised prefix is stored once, in a :class:`PrefixTrie`
+    keyed by the packed prefix: one dict probe answers an exact lookup
+    and one probe per stored length a covering one.  Its value is an
+    immutable origin set from the table's :class:`OriginSets`, so
+    prefixes with equal origins share one object, and lookups and
+    :meth:`items` return it without copying.  The per-origin index
+    behind :meth:`origins` and :meth:`prefixes_of_origin` is built on
+    their first call and kept in step with later mutations.
+    """
 
     def __init__(self) -> None:
-        self._trie: PrefixTrie[Set[int]] = PrefixTrie()
-        # Prefix-keyed index over the same origin sets the prefix map
-        # stores: ``exact_index`` hands it out read-only, and exact-match
-        # lookups (one per allocation-tree leaf) read it directly.
-        self._exact: Dict[Prefix, Set[int]] = {}
-        self._origin_prefixes: Dict[int, Set[Prefix]] = defaultdict(set)
+        self._trie: PrefixTrie[FrozenSet[int]] = PrefixTrie()
+        self._interned = OriginSets()
+        self._by_origin: Optional[Dict[int, Set[Prefix]]] = None
         self._entry_count = 0
 
     # -- construction ----------------------------------------------------
@@ -72,38 +122,40 @@ class RoutingTable:
 
     def add_route(self, prefix: Prefix, origin: int) -> None:
         """Record that *origin* was seen originating *prefix*."""
-        origins = self._exact.get(prefix)
-        if origins is None:
-            origins = set()
-            self._trie.insert(prefix, origins)
-            self._exact[prefix] = origins
-        origins.add(origin)
-        self._origin_prefixes[origin].add(prefix)
         self._entry_count += 1
+        current = self._trie.get(prefix)
+        if current is None:
+            self._trie.insert(prefix, self._interned[origin])
+        elif origin in current:
+            return
+        else:
+            self._trie.insert(prefix, self._interned[current | {origin}])
+        if self._by_origin is not None:
+            self._by_origin.setdefault(origin, set()).add(prefix)
 
     def merge(self, other: "RoutingTable") -> None:
         """Fold another table's routes into this one."""
-        for prefix, origins in other._trie.items():
+        for prefix, origins in other.items():
             for origin in origins:
                 self.add_route(prefix, origin)
 
     def withdraw(self, prefix: Prefix) -> bool:
-        """Remove every route for *prefix* (all origins, all indexes).
+        """Remove every route for *prefix* (all origins).
 
         Returns True when the prefix was advertised.  This is the only
-        supported way to retract a route — it keeps the trie, the exact
-        index, and the per-origin sets consistent.
+        supported way to retract a route — it keeps the prefix map and
+        the per-origin index consistent.
         """
-        origins = self._exact.pop(prefix, None)
+        origins = self._trie.get(prefix)
         if origins is None:
             return False
         self._trie.remove(prefix)
-        for origin in origins:
-            prefixes = self._origin_prefixes.get(origin)
-            if prefixes is not None:
+        if self._by_origin is not None:
+            for origin in origins:
+                prefixes = self._by_origin[origin]
                 prefixes.discard(prefix)
                 if not prefixes:
-                    del self._origin_prefixes[origin]
+                    del self._by_origin[origin]
         self._entry_count = max(0, self._entry_count - len(origins))
         return True
 
@@ -113,16 +165,15 @@ class RoutingTable:
 
         This is the lookup applied to allocation-tree leaf nodes.
         """
-        origins = self._exact.get(prefix)
-        return frozenset(origins) if origins else frozenset()
+        return self._trie.get(prefix, _EMPTY)
 
-    def exact_index(self) -> Mapping[Prefix, AbstractSet[int]]:
-        """Read-only live view of the exact prefix → origins index.
+    def exact_index(self) -> Mapping[Prefix, FrozenSet[int]]:
+        """Read-only live view of the prefix → origins map.
 
-        Hot paths (the sharded classifier) use this to resolve leaf
-        origins with one dict probe, without a frozenset copy per call.
+        A ``Mapping`` over the table's one prefix map, not a copy: it
+        sees later mutations, and its values are the shared frozensets.
         """
-        return MappingProxyType(self._exact)
+        return _ExactIndex(self._trie)
 
     def covering_origins(self, prefix: Prefix) -> FrozenSet[int]:
         """Origins via exact match, else the least-specific covering prefix.
@@ -131,20 +182,20 @@ class RoutingTable:
         exact-matching prefix does not exist, we then search for its
         least-specific covering prefix and origin AS".
         """
-        exact = self._exact.get(prefix)
+        exact = self._trie.get(prefix)
         if exact:
-            return frozenset(exact)
+            return exact
         hit = self._trie.least_specific_match(prefix)
-        return frozenset(hit[1]) if hit else frozenset()
+        return hit[1] if hit else _EMPTY
 
     def longest_match_origins(self, prefix: Prefix) -> FrozenSet[int]:
         """Origins of the most-specific covering prefix (data-plane view)."""
         hit = self._trie.longest_match(prefix)
-        return frozenset(hit[1]) if hit else frozenset()
+        return hit[1] if hit else _EMPTY
 
     def is_advertised(self, prefix: Prefix) -> bool:
         """True when the exact prefix appears in the table."""
-        return bool(self._exact.get(prefix))
+        return bool(self._trie.get(prefix))
 
     def covered_prefixes(self, prefix: Prefix) -> List[Prefix]:
         """Advertised prefixes at or below *prefix* (exact included)."""
@@ -155,18 +206,27 @@ class RoutingTable:
         """All advertised prefixes."""
         yield from self._trie.keys()
 
+    def _origin_index(self) -> Dict[int, Set[Prefix]]:
+        """Origin → prefixes, built on first use."""
+        if self._by_origin is None:
+            index: Dict[int, Set[Prefix]] = {}
+            for prefix, origins in self._trie.items():
+                for origin in origins:
+                    index.setdefault(origin, set()).add(prefix)
+            self._by_origin = index
+        return self._by_origin
+
     def prefixes_of_origin(self, origin: int) -> Set[Prefix]:
-        """Prefixes ever originated by *origin* (copy)."""
-        return set(self._origin_prefixes.get(origin, ()))
+        """Prefixes *origin* currently originates (copy)."""
+        return set(self._origin_index().get(origin, ()))
 
     def origins(self) -> Set[int]:
         """All origin ASes in the table."""
-        return set(self._origin_prefixes)
+        return set(self._origin_index())
 
     def items(self) -> Iterator[Tuple[Prefix, FrozenSet[int]]]:
-        """Iterate ``(prefix, origins)`` pairs."""
-        for prefix, origins in self._trie.items():
-            yield prefix, frozenset(origins)
+        """Iterate ``(prefix, origins)`` pairs in ``Prefix`` order."""
+        return self._trie.items()
 
     def moas_prefixes(self) -> List[Tuple[Prefix, FrozenSet[int]]]:
         """Prefixes with multiple origin ASes (MOAS conflicts)."""

@@ -216,17 +216,21 @@ def read_updates(
     :class:`UpdateParseError`, and sequence numbers must be strictly
     increasing across the whole feed or :class:`SequenceError` is raised
     (a duplicate or backwards sequence means the transport reordered or
-    replayed messages — the overlay must not apply them).
+    replayed messages — the overlay must not apply them).  Either
+    message starts with the offending 1-based line (``"line 7: ..."``).
     """
     lines = source.splitlines() if isinstance(source, str) else source
     last: Optional[int] = None
-    for line in lines:
+    for number, line in enumerate(lines, 1):
         if not line.strip():
             continue
-        message = parse_sequenced_line(line)
+        try:
+            message = parse_sequenced_line(line)
+        except UpdateParseError as exc:
+            raise UpdateParseError(f"line {number}: {exc}") from None
         if last is not None and message.sequence <= last:
             raise SequenceError(
-                f"sequence {message.sequence} after {last}: "
+                f"line {number}: sequence {message.sequence} after {last}: "
                 "feed is out of order"
             )
         last = message.sequence

@@ -49,7 +49,7 @@ from typing import (
 
 from ..asdata.as2org import AS2Org
 from ..asdata.relationships import ASRelationships
-from ..bgp.rib import RoutingTable
+from ..bgp.rib import OriginSets, RoutingTable
 from ..net import Prefix
 from ..net.gcpause import gc_paused
 from ..net.radix import (
@@ -262,11 +262,10 @@ class RibSnapshot:
     @classmethod
     def from_routing_table(cls, routing_table: RoutingTable) -> "RibSnapshot":
         """Freeze the table's exact index into sorted flat arrays."""
-        index = routing_table.exact_index()
-        packed = {pack_prefix(prefix): origins for prefix, origins in index.items()}
-        keys = array("Q", sorted(packed))
-        offsets, origins = _pool(packed[key] for key in keys)
-        lengths = tuple(sorted({prefix.length for prefix in index}))
+        items = list(routing_table.items())  # ascending by prefix
+        keys = array("Q", [pack_prefix(prefix) for prefix, _ in items])
+        offsets, origins = _pool(origins for _, origins in items)
+        lengths = tuple(sorted({prefix.length for prefix, _ in items}))
         return cls(
             memoryview(keys),
             memoryview(_slot_table(keys)),
@@ -301,13 +300,23 @@ class RibSnapshot:
         index = flat_covering_index(self._keys, self._lengths, prefix)
         return _EMPTY if index is None else self._bucket(index)
 
-    def exact_items(self) -> Iterator[Tuple[Prefix, FrozenSet[int]]]:
-        """The ``(prefix, origins)`` pairs, ascending by prefix."""
+    def exact_items(
+        self, interned: Optional[OriginSets] = None
+    ) -> Iterator[Tuple[Prefix, FrozenSet[int]]]:
+        """The ``(prefix, origins)`` pairs, ascending by prefix.
+
+        Prefixes with equal origins share one frozenset from *interned*
+        (a fresh intern table when not given).
+        """
         origins = self._origins.tolist()
         offsets = self._offsets.tolist()
+        if interned is None:
+            interned = OriginSets()
         for key, start, stop in zip(self._keys, offsets, offsets[1:]):
             yield unpack_prefix(key), (
-                frozenset(origins[start:stop]) if start != stop else _EMPTY
+                interned[origins[start]]
+                if stop - start == 1
+                else interned[frozenset(origins[start:stop])]
             )
 
     def __contains__(self, prefix: Prefix) -> bool:

@@ -37,7 +37,7 @@ from typing import (
 )
 
 from ..bgp.history import AnnounceUpdate, Update
-from ..bgp.rib import RoutingTable
+from ..bgp.rib import OriginSets, RoutingTable
 from ..bgp.updates import SequencedUpdate
 from ..net import Prefix, PrefixTrie
 from ..rir import RIR
@@ -68,16 +68,19 @@ class MutableRibOverlay:
     :class:`RibSnapshot` (so the shard classifier reads it unchanged)
     while accepting the stream's mutations with :class:`RoutingTable`
     semantics: ``announce`` adds one origin to a prefix's set,
-    ``withdraw`` evicts the prefix's exact-index entry wholly.  The
+    ``withdraw`` evicts the prefix's exact-index entry wholly.  Origin
+    sets come from one :class:`OriginSets` table, so prefixes with
+    equal origins share one frozenset before and after updates.  The
     advertised-length index is kept in sync so covering walks stay
     correct as lengths appear and vanish.
     """
 
-    __slots__ = ("_exact", "_lengths", "_length_counts")
+    __slots__ = ("_exact", "_interned", "_lengths", "_length_counts")
 
     def __init__(self, base: RibSnapshot) -> None:
+        self._interned = OriginSets()
         self._exact: Dict[Prefix, FrozenSet[int]] = dict(
-            base.exact_items()
+            base.exact_items(self._interned)
         )
         counts: Dict[int, int] = {}
         for prefix in self._exact:
@@ -112,9 +115,9 @@ class MutableRibOverlay:
         if current is not None:
             if origin in current:
                 return False
-            self._exact[prefix] = current | {origin}
+            self._exact[prefix] = self._interned[current | {origin}]
             return True
-        self._exact[prefix] = frozenset((origin,))
+        self._exact[prefix] = self._interned[origin]
         count = self._length_counts.get(prefix.length, 0)
         self._length_counts[prefix.length] = count + 1
         if count == 0:

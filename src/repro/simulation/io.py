@@ -8,14 +8,25 @@ the file formats a measurement pipeline would download (§4).
 round-trips the serializers and lets the CLI run the inference from
 files alone.
 
-``load_datasets`` decodes and checks every file except the RPKI
-archive snapshots (``rpki/`` and ``featured/rpki/``), whose file names
-alone are checked at load.  Each snapshot is decoded the first time the
-archive is read, so a malformed one raises
-:class:`~repro.rpki.roa.VrpError` then: under ``infer --strict`` or
-``timeline``, never under ``infer`` or ``serve``, which do not read the
-archive.  Writing, loading and world building run with the cyclic
-garbage collector paused (:mod:`repro.net.gcpause`).
+``load_datasets`` decodes and checks every file except three inputs
+the lease inference never reads, which are decoded on first read and
+then kept:
+
+* ``vrps.csv``, decoded when ``bundle.roas`` is first read;
+* ``featured/`` (the prefix, its RPKI archive and ``updates.txt``),
+  decoded when ``bundle.featured`` is first read;
+* the RPKI archive snapshots (``rpki/`` and ``featured/rpki/``), whose
+  file names alone are checked when their archive is opened, and each
+  snapshot decoded the first time the archive is read.
+
+A malformed one of these raises its typed error, naming the file and
+the 1-based line, on that first read: :class:`~repro.rpki.roa.VrpError`
+for a VRP file, :class:`~repro.bgp.history.UpdateStreamError` for
+``featured/updates.txt``.  That happens under ``infer --strict``,
+``lint``, ``rpki``, ``abuse`` or ``timeline``, never under ``infer`` or
+``serve``, which read none of them.  Writing, loading, world building
+and each first-read decode run with the cyclic garbage collector paused
+(:mod:`repro.net.gcpause`).
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ import csv
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set
 
@@ -31,6 +43,13 @@ from ..abuse.dropdb import AsnDropError, AsnDropList, DropArchive
 from ..asdata.as2org import AS2Org, As2OrgError
 from ..asdata.hijackers import HijackerListError, SerialHijackerList
 from ..asdata.relationships import ASRelationships, RelationshipError
+from ..bgp.aspath import ASPath
+from ..bgp.history import (
+    AnnounceUpdate,
+    UpdateStream,
+    UpdateStreamError,
+    WithdrawUpdate,
+)
 from ..bgp.mrt import read_mrt, write_mrt
 from ..bgp.rib import RoutingTable
 from ..bgp.table_dump import read_table_dump, write_table_dump
@@ -39,7 +58,7 @@ from ..net import Prefix
 from ..net.gcpause import gc_paused
 from ..rir import RIR
 from ..rpki.archive import RpkiArchive
-from ..rpki.roa import RoaSet
+from ..rpki.roa import RoaSet, VrpError
 from ..whois.database import WhoisCollection, WhoisDatabase
 
 if TYPE_CHECKING:
@@ -54,25 +73,41 @@ class FeaturedBundle:
 
     prefix: Prefix
     rpki_archive: RpkiArchive
-    updates: "UpdateStream"
+    updates: UpdateStream
 
 
 @dataclass
 class DatasetBundle:
-    """The §4 datasets as loaded from disk."""
+    """The §4 datasets as loaded from disk.
+
+    ``roas`` and ``featured`` are read from *directory* on first access
+    and then kept; every other field is decoded at load.
+    """
 
     whois: WhoisCollection
     routing_table: RoutingTable
     relationships: ASRelationships
     as2org: AS2Org
-    roas: RoaSet
     rpki_archive: RpkiArchive
     drop_archive: DropArchive
     hijackers: SerialHijackerList
     broker_registry: BrokerRegistry
     curation_exclusions: Set[Prefix]
     negative_isp_org_ids: Dict[RIR, List[str]]
-    featured: Optional[FeaturedBundle] = None
+    directory: Path
+
+    @cached_property
+    def roas(self) -> RoaSet:
+        """The validated ROA payloads of ``vrps.csv``."""
+        path = self.directory / "vrps.csv"
+        with gc_paused, _located(path):
+            return RoaSet.from_csv(path.read_text())
+
+    @cached_property
+    def featured(self) -> Optional[FeaturedBundle]:
+        """The Fig. 3 prefix of ``featured/``, or None without one."""
+        with gc_paused:
+            return _read_featured(self.directory / "featured")
 
 
 @gc_paused
@@ -157,9 +192,7 @@ def load_datasets(directory: Path) -> DatasetBundle:
         routing_table=routing_table,
         relationships=relationships,
         as2org=as2org,
-        roas=RoaSet.from_csv((directory / "vrps.csv").read_text()),
         rpki_archive=rpki_archive,
-        featured=_read_featured(directory / "featured"),
         drop_archive=drop_archive,
         hijackers=hijackers,
         broker_registry=BrokerRegistry.from_csv(
@@ -169,6 +202,7 @@ def load_datasets(directory: Path) -> DatasetBundle:
         negative_isp_org_ids=_read_negative_isps(
             directory / "negative_isps.csv"
         ),
+        directory=directory,
     )
 
 
@@ -178,7 +212,8 @@ def _located(path: Path) -> Iterator[None]:
     try:
         yield
     except (
-        RelationshipError, As2OrgError, HijackerListError, AsnDropError
+        RelationshipError, As2OrgError, HijackerListError, AsnDropError,
+        VrpError, UpdateStreamError,
     ) as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
@@ -189,9 +224,6 @@ def _write_featured(directory: Path, world: World) -> None:
     The (timestamp, origins) observations become announce/withdraw
     messages so the on-disk form matches real update archives.
     """
-    from ..bgp.aspath import ASPath
-    from ..bgp.history import AnnounceUpdate, UpdateStream, WithdrawUpdate
-
     directory.mkdir(parents=True, exist_ok=True)
     featured = world.featured
     (directory / "prefix.txt").write_text(f"{featured.prefix}\n")
@@ -225,17 +257,16 @@ def _write_featured(directory: Path, world: World) -> None:
 
 
 def _read_featured(directory: Path) -> Optional[FeaturedBundle]:
-    from ..bgp.history import UpdateStream
-
     if not directory.exists():
         return None
     prefix = Prefix.parse((directory / "prefix.txt").read_text().strip())
+    updates_path = directory / "updates.txt"
+    with _located(updates_path):
+        updates = UpdateStream.from_text(updates_path.read_text())
     return FeaturedBundle(
         prefix=prefix,
         rpki_archive=RpkiArchive.from_directory(directory / "rpki"),
-        updates=UpdateStream.from_text(
-            (directory / "updates.txt").read_text()
-        ),
+        updates=updates,
     )
 
 

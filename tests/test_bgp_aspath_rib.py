@@ -122,6 +122,133 @@ class TestRoutingTable:
         assert Prefix.parse("213.210.0.0/18") in table
         assert Prefix.parse("8.8.8.0/24") not in table
 
+    def test_lookups_return_the_stored_set(self, table):
+        prefix = Prefix.parse("198.51.100.0/24")
+        stored = table.exact_index()[prefix]
+        assert isinstance(stored, frozenset)
+        assert table.exact_origins(prefix) is stored
+        assert table.covering_origins(prefix) is stored
+        assert dict(table.items())[prefix] is stored
+
+    def test_exact_index_is_read_only(self, table):
+        index = table.exact_index()
+        with pytest.raises(TypeError):
+            index[Prefix.parse("8.8.8.0/24")] = frozenset({1})
+        assert "not a prefix" not in index
+
+
+#: Nested prefixes under 10.0.0.0/8, so covers are common.
+_nested = st.builds(
+    lambda length, high, low: Prefix(
+        ((10 << 24) | (high << 20) | (low << 12))
+        & ((0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF),
+        length,
+    ),
+    st.sampled_from([8, 12, 16, 20, 24]),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=3),
+)
+_origins = st.integers(min_value=1, max_value=6)
+_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _nested, _origins),
+        st.tuples(st.just("withdraw"), _nested),
+        st.tuples(
+            st.just("merge"),
+            st.lists(st.tuples(_nested, _origins), max_size=6),
+        ),
+        st.tuples(st.just("read")),
+    ),
+    max_size=40,
+)
+
+
+class TestRoutingTableModel:
+    """Random mutations against a dict-of-sets model of the table."""
+
+    @staticmethod
+    def _check(table, model, count, probes):
+        items = list(table.items())
+        assert [(p, set(o)) for p, o in items] == sorted(model.items())
+        assert len(table) == count
+        assert table.num_prefixes() == len(model)
+        # One frozenset object per distinct origin set.
+        by_value = {}
+        for _prefix, origins in items:
+            assert isinstance(origins, frozenset)
+            assert by_value.setdefault(origins, origins) is origins
+        index = table.exact_index()
+        assert len(index) == len(model)
+        assert {p: set(o) for p, o in index.items()} == model
+        assert table.origins() == set().union(*model.values())
+        for origin in range(1, 7):
+            assert table.prefixes_of_origin(origin) == {
+                p for p, origins in model.items() if origin in origins
+            }
+        for probe in probes:
+            exact = model.get(probe, set())
+            covers = sorted(
+                (p for p in model if p.contains(probe)),
+                key=lambda p: p.length,
+            )
+            covering = exact or (model[covers[0]] if covers else set())
+            assert table.exact_origins(probe) == exact
+            assert table.covering_origins(probe) == covering
+            assert (probe in index) == (probe in model)
+            if probe in model:
+                assert table.exact_origins(probe) is index[probe]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_operations, st.lists(_nested, min_size=1, max_size=8))
+    def test_matches_the_model(self, operations, probes):
+        table, model, count = RoutingTable(), {}, 0
+        for operation in operations:
+            kind = operation[0]
+            if kind == "add":
+                _, prefix, origin = operation
+                table.add_route(prefix, origin)
+                model.setdefault(prefix, set()).add(origin)
+                count += 1
+            elif kind == "withdraw":
+                prefix = operation[1]
+                assert table.withdraw(prefix) == (prefix in model)
+                count = max(0, count - len(model.pop(prefix, ())))
+            elif kind == "merge":
+                other = RoutingTable.from_entries(
+                    RibEntry(prefix, ASPath.of(origin), origin)
+                    for prefix, origin in operation[1]
+                )
+                table.merge(other)
+                for prefix, origins in other.items():
+                    model.setdefault(prefix, set()).update(origins)
+                    count += len(origins)
+            else:  # reads build the per-origin index mid-sequence
+                self._check(table, model, count, probes)
+        self._check(table, model, count, probes)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(_nested, _origins), max_size=20),
+        st.lists(st.tuples(_nested, _origins), max_size=10),
+    )
+    def test_overlay_shares_origin_sets(self, routes, announces):
+        from repro.core.context import RibSnapshot
+        from repro.core.incremental import MutableRibOverlay
+
+        table = RoutingTable()
+        for prefix, origin in routes:
+            table.add_route(prefix, origin)
+        overlay = MutableRibOverlay(RibSnapshot.from_routing_table(table))
+        for prefix, origin in announces:
+            overlay.announce(prefix, origin)
+            table.add_route(prefix, origin)
+        by_value = {}
+        for prefix, origins in table.items():
+            held = overlay.exact_origins(prefix)
+            assert held == origins
+            assert isinstance(held, frozenset)
+            assert by_value.setdefault(held, held) is held
+
 
 class TestTableDump:
     def make_entry(self):

@@ -18,12 +18,13 @@ from repro.asdata.as2org import As2OrgError
 from repro.asdata.hijackers import HijackerListError
 from repro.asdata.relationships import RelationshipError
 from repro.bgp.aspath import ASPath
+from repro.bgp.history import UpdateStreamError
 from repro.bgp.rib import RibEntry
 from repro.core.classify import Category
 from repro.core.results import LeafInference
 from repro.net import AddressRange, Prefix
 from repro.rir import RIR
-from repro.rpki.roa import ROA
+from repro.rpki.roa import ROA, VrpError
 from repro.simulation import build_world, small_world
 from repro.simulation.io import load_datasets, write_world
 from repro.whois.objects import (
@@ -160,16 +161,31 @@ def data_dir(tmp_path_factory):
 class TestLocatedLoadErrors:
     """``load_datasets`` names the file and the line of a bad dump."""
 
-    def _fails(self, data_dir, tmp_path, name, bad_line, error):
+    @staticmethod
+    def _broken(data_dir, tmp_path, name, bad_line):
+        """A copy of the data with *bad_line* appended to *name*, and the
+        message prefix its error must start with."""
         broken = tmp_path / "data"
         shutil.copytree(data_dir, broken)
         path = broken / name
         text = path.read_text()
         path.write_text(f"{text}\n{bad_line}\n")
         line = text.count("\n") + 2
-        located = re.escape(f"{path}: line {line}: ")
-        with pytest.raises(error, match=f"^{located}"):
+        return broken, "^" + re.escape(f"{path}: line {line}: ")
+
+    def _fails(self, data_dir, tmp_path, name, bad_line, error):
+        broken, located = self._broken(data_dir, tmp_path, name, bad_line)
+        with pytest.raises(error, match=located):
             load_datasets(broken)
+
+    def _fails_on_first_read(
+        self, data_dir, tmp_path, name, bad_line, error, field
+    ):
+        """The bundle loads; its first read of *field* raises."""
+        broken, located = self._broken(data_dir, tmp_path, name, bad_line)
+        bundle = load_datasets(broken)
+        with pytest.raises(error, match=located):
+            getattr(bundle, field)
 
     def test_whois(self, data_dir, tmp_path):
         bad = "inetnum: 62.9.0.0 - 62.8.0.0"
@@ -197,4 +213,23 @@ class TestLocatedLoadErrors:
         month = min(path.name for path in (data_dir / "drop").iterdir())
         self._fails(
             data_dir, tmp_path, f"drop/{month}", '{"asn": "x"}', AsnDropError
+        )
+
+    def test_vrps(self, data_dir, tmp_path):
+        self._fails_on_first_read(
+            data_dir, tmp_path, "vrps.csv", "AS1,not-a-prefix,8", VrpError,
+            "roas",
+        )
+
+    @pytest.mark.parametrize("bad", [
+        "BGP4MP|x|A|198.18.0.1|64500|62.0.0.0/24|64500 1|IGP",
+        "BGP4MP|1|A|198.18.0.1|64500|62.0.0.1/24|64500 1|IGP",
+        "BGP4MP|1|A|198.18.0.1|64500|62.0.0.0/24",
+        "BGP4MP|1|X|198.18.0.1|64500|62.0.0.0/24",
+        "garbage",
+    ])
+    def test_featured_updates(self, data_dir, tmp_path, bad):
+        self._fails_on_first_read(
+            data_dir, tmp_path, "featured/updates.txt", bad,
+            UpdateStreamError, "featured",
         )

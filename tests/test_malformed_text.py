@@ -2,10 +2,11 @@
 
 The text-format counterpart of ``TestMalformedMrt``: every WHOIS dialect,
 the serial-1 AS relationships, the AS2org JSON lines, the serial-hijacker
-list and the ASN-DROP JSON lines either parse or raise their own
-``ValueError`` subclass whose message starts with the 1-based line it
-could not read — never a ``KeyError``, an ``AttributeError``, a
-``TypeError`` or a bare decoder error.
+list, the ASN-DROP JSON lines, the historical update file and the
+sequenced BGP4MP feed either parse or raise their own ``ValueError``
+subclass whose message starts with the 1-based line it could not read —
+never a ``KeyError``, an ``AttributeError``, a ``TypeError`` or a bare
+decoder error.
 """
 
 import re
@@ -18,6 +19,8 @@ from repro.abuse.dropdb import AsnDropError, AsnDropList
 from repro.asdata.as2org import AS2Org, As2OrgError
 from repro.asdata.hijackers import HijackerListError, SerialHijackerList
 from repro.asdata.relationships import ASRelationships, RelationshipError
+from repro.bgp.history import UpdateStream, UpdateStreamError
+from repro.bgp.updates import SequenceError, UpdateParseError, read_updates
 from repro.rir import RIR
 from repro.whois.reader import WhoisError, read_records
 
@@ -97,6 +100,20 @@ ASNDROP = (
     '{"asn": 400992, "asname": "BAD-AS", "cc": "US", "rir": "arin"}\n'
     '{"asn": "64500", "rir": "ripencc"}\n'
     '{"type": "metadata", "timestamp": 1714521600}\n'
+)
+
+UPDATES = (
+    "BGP4MP|1700000000|A|198.18.0.1|64500|62.0.0.0/24|64500 64501|IGP\n"
+    "BGP4MP|1700000060|W|198.18.0.1|64500|62.0.0.0/24\n"
+    "\n"
+    "BGP4MP|1700000120|A|198.18.0.1|64500|62.0.0.0/24|64500 64502|IGP\n"
+)
+
+FEED = (
+    "BGP4MP|1700000000|A|198.18.0.1|64500|62.0.0.0/24|64500 64501|IGP|7\n"
+    "BGP4MP|1700000001|W|198.18.0.1|64500|62.0.1.0/24|8\n"
+    "\n"
+    "BGP4MP|1700000002|A|198.18.0.2|64510|62.0.0.0/23|64510 64502|EGP|12\n"
 )
 
 #: Characters the grammars give meaning to, drawn more often than chance.
@@ -212,3 +229,28 @@ class TestMalformedAsnDrop:
     @given(corrupted(ASNDROP))
     def test_jsonl(self, text):
         _parses_or_names_line(AsnDropList.from_json, AsnDropError, text)
+
+
+class TestMalformedUpdates:
+    def test_samples_parse(self):
+        assert len(UpdateStream.from_text(UPDATES)) == 3
+        assert [m.sequence for m in read_updates(FEED)] == [7, 8, 12]
+
+    def test_sequence_error_names_the_line(self):
+        text = FEED + FEED.splitlines()[0] + "\n"
+        with pytest.raises(SequenceError, match="^line 5: sequence 7 after 12"):
+            list(read_updates(text))
+
+    @settings(max_examples=300, deadline=None)
+    @given(corrupted(UPDATES))
+    def test_update_file(self, text):
+        _parses_or_names_line(UpdateStream.from_text, UpdateStreamError, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(corrupted(FEED))
+    def test_sequenced_feed(self, text):
+        _parses_or_names_line(
+            lambda feed: list(read_updates(feed)),
+            (UpdateParseError, SequenceError),
+            text,
+        )

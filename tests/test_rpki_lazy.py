@@ -142,10 +142,57 @@ class TestLazyArchive:
         result = LeaseInferencePipeline(*tables).run(context=context)
         LeaseIndex.build(context, result)
         assert len(bundle.rpki_archive) > 0
+        # Neither the top-level VRP file nor anything under featured/
+        # is read on the serve path.
+        featured = data_dir / "featured"
+        assert data_dir / "vrps.csv" not in reads
+        assert [path for path in reads if featured in path.parents] == []
+        # Reading the featured bundle opens its archive, no snapshot.
         assert len(bundle.featured.rpki_archive) > 10
         assert snapshot_reads(reads) == []
-        # The top-level VRP file is decoded at load, as before.
-        assert data_dir / "vrps.csv" in reads
+
+
+class TestLazyBundle:
+    def test_roas_and_featured_decode_once(self, world, data_dir, reads):
+        bundle = load_datasets(data_dir)
+        assert not [
+            path for path in reads
+            if path.name == "vrps.csv" or "featured" in path.parts
+        ]
+        assert bundle.roas is bundle.roas
+        assert sorted(bundle.roas) == sorted(world.roas)
+        assert bundle.featured is bundle.featured
+        assert bundle.featured.prefix == world.featured.prefix
+        assert reads.count(data_dir / "vrps.csv") == 1
+        assert reads.count(data_dir / "featured" / "updates.txt") == 1
+
+    def test_first_read_decodes_with_the_collector_paused(
+        self, data_dir, monkeypatch
+    ):
+        import gc
+
+        seen = []
+        decode = RoaSet.from_csv
+
+        def spy(text):
+            seen.append(gc.isenabled())
+            return decode(text)
+
+        monkeypatch.setattr(RoaSet, "from_csv", spy)
+        bundle = load_datasets(data_dir)
+        assert seen == []
+        assert gc.isenabled()
+        bundle.roas
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_a_bundle_without_featured_data_has_none(self, data_dir, tmp_path):
+        import shutil
+
+        copy = tmp_path / "data"
+        shutil.copytree(data_dir, copy)
+        shutil.rmtree(copy / "featured")
+        assert load_datasets(copy).featured is None
 
 
 class TestVrpErrors:

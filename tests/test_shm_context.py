@@ -190,8 +190,8 @@ def _substrates(draw):
         if fate == "withdraw":
             table.withdraw(prefix)
         elif fate == "empty":
-            # Still indexed, but with no origins left.
-            table.exact_index()[prefix].clear()
+            # Still stored in the table's prefix map, with no origins.
+            table._trie.insert(prefix, frozenset())
     relationships = ASRelationships()
     for left, right, code in draw(
         st.lists(st.tuples(_asns, _asns, st.sampled_from([P2C, P2P])),
