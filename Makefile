@@ -55,8 +55,8 @@ bench-e2e:
 bench-pipeline:
 	PYTHONPATH=src $(PYTHON) -m repro.cli bench --out BENCH_pipeline.json
 
-# Full internet-scale tier with the shared-memory engine and memory
-# columns; takes minutes (world build dominates). See PERFORMANCE.md.
+# Full internet-scale tier with the memory column; takes minutes
+# (world build dominates). See PERFORMANCE.md.
 bench-xlarge:
 	PYTHONPATH=src $(PYTHON) -m repro.cli bench --out BENCH_pipeline.json \
 		--sizes xlarge --repeats 1 --no-extensions --memory

@@ -1,4 +1,4 @@
-"""Engine comparison benches: reference vs serial vs sharded-parallel.
+"""Engine comparison benches: the frozen reference vs the fast serial engine.
 
 The committed perf trajectory lives in ``BENCH_pipeline.json`` (written
 by ``repro bench``); these pytest-benchmark cases are the interactive
@@ -40,14 +40,6 @@ def test_reference_engine(benchmark, world, reference_result):
 
 def test_serial_engine(benchmark, world, reference_result):
     result = benchmark.pedantic(
-        lambda: _make_pipeline(world).run(workers=1), rounds=2
-    )
-    assert result == reference_result
-
-
-@pytest.mark.parametrize("workers", [2, 4])
-def test_parallel_engine(benchmark, world, reference_result, workers):
-    result = benchmark.pedantic(
-        lambda: _make_pipeline(world).run(workers=workers), rounds=2
+        lambda: _make_pipeline(world).run(), rounds=2
     )
     assert result == reference_result

@@ -1,9 +1,9 @@
 """Pipeline benchmark harness: the perf trajectory behind BENCH_pipeline.json.
 
 Times the three stages of a full reproduction run — world generation,
-tree build, classification — for every engine mode (the frozen
-reference engine, the fast serial engine, and each requested parallel
-worker count) over synthetic worlds of increasing size, then times the
+tree build, classification — for both engine modes (the frozen
+reference engine and the fast serial engine) over synthetic worlds of
+increasing size, then times the
 legacy, RPKI, and longitudinal extension pipelines per engine off the
 shared ``AnalysisContext``, and **appends** the run to the
 ``BENCH_pipeline.json`` trajectory so every future PR has a number to
@@ -15,8 +15,8 @@ and exits non-zero.
 Methodology notes (they matter on small machines):
 
 * Each mode runs on a **fresh pipeline** instance.  Keeping a previous
-  engine's allocation trees alive inflates fork copy-on-write costs for
-  the parallel modes and would charge one mode for another's garbage.
+  engine's allocation trees alive would charge one mode for another's
+  garbage.
 * Results are digested and dropped immediately, and ``gc.collect()``
   runs between repeats, for the same reason.
 * Wall times are best-of-``repeats``; throughput is classifiable
@@ -32,7 +32,7 @@ import random
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .core import (
     IncrementalEngine,
@@ -47,7 +47,6 @@ from .core import (
     result_digest,
 )
 from .core.results import InferenceResult
-from .core.sharding import DEFAULT_SHARD_SIZE
 from .simulation import (
     BENCH_SIZES,
     DEFAULT_BENCH_SIZES,
@@ -91,13 +90,15 @@ __all__ = [
 #: transport also carry ``parallel-N-shm`` / ``spawn-N`` /
 #: ``spawn-N-shm`` modes; from then on ``parallel-N`` *is* the
 #: shared-memory transport.
-SCHEMA_VERSION = 3
-
-#: Parallel modes measured by default.
-DEFAULT_WORKER_COUNTS: Tuple[int, ...] = (2, 4)
+#: v4: no process pool — every world and extension times ``reference``
+#: against ``serial`` only.  The per-mode ``workers``, ``shard_size``,
+#: ``payload_bytes``, ``segment_bytes``, ``speedup_vs_serial`` and
+#: ``peak_child_rss_bytes`` fields and ``config.workers`` are gone;
+#: v3 runs keep them as recorded.
+SCHEMA_VERSION = 4
 
 #: A digest of one result: enough to prove equivalence, small enough to
-#: keep alive across modes without distorting fork costs.
+#: keep alive across modes.
 _Digest = List[Tuple[str, int, int, str]]
 
 
@@ -113,37 +114,17 @@ def _digest(result: InferenceResult) -> _Digest:
     ]
 
 
-def _bench_shard_size(leaves: int, workers: int) -> Optional[int]:
-    """A shard size that actually exercises the pool on any world.
-
-    Worlds larger than two default shards use the production default
-    (``None``); smaller worlds get a size that still yields several
-    shards per worker, so even the CI smoke run covers the fork path.
-    """
-    if leaves > 2 * DEFAULT_SHARD_SIZE:
-        return None
-    return max(16, leaves // (workers * 4) or 16)
-
-
 def _time_mode(
     make_pipeline: Callable[[], LeaseInferencePipeline],
     run: Callable[[LeaseInferencePipeline], InferenceResult],
     repeats: int,
-) -> Tuple[
-    float,
-    Dict[str, float],
-    _Digest,
-    Optional[Dict[str, object]],
-    Optional[Dict[str, int]],
-]:
-    """Best wall time, its stage split, the digest, cache stats, and the
-    shared-memory payload sizes recorded by the best run (pool runs
-    only)."""
+) -> Tuple[float, Dict[str, float], _Digest, Optional[Dict[str, object]]]:
+    """Best wall time, its stage split, the digest and the cache stats
+    of the best run."""
     best_wall: Optional[float] = None
     best_stages: Dict[str, float] = {}
     digest: _Digest = []
     cache: Optional[Dict[str, object]] = None
-    payload: Optional[Dict[str, int]] = None
     for _ in range(max(1, repeats)):
         pipeline = make_pipeline()
         gc.collect()
@@ -154,39 +135,33 @@ def _time_mode(
             best_wall = wall
             best_stages = dict(pipeline.timings)
             digest = _digest(result)
-            payload = dict(pipeline.shm_stats) if pipeline.shm_stats else None
             try:
                 cache = pipeline.cache_stats().as_dict()
             except RuntimeError:
                 cache = None
         del result, pipeline
     assert best_wall is not None
-    return best_wall, best_stages, digest, cache, payload
+    return best_wall, best_stages, digest, cache
 
 
-def _peak_rss() -> Tuple[Optional[int], Optional[int]]:
-    """High-water RSS bytes of this process and its reaped children.
+def _peak_rss() -> Optional[int]:
+    """High-water RSS bytes of this process.
 
     ``ru_maxrss`` is a lifetime maximum, so per-mode values are
     monotonically non-decreasing across a bench run: a mode's number is
-    the peak *up to and including* that mode.  The child figure covers
-    terminated pool workers, which every parallel mode reaps before the
-    reading is taken.  Linux reports kilobytes; returns ``(None, None)``
-    where :mod:`resource` is unavailable.
+    the peak *up to and including* that mode.  Linux reports kilobytes;
+    returns None where :mod:`resource` is unavailable.
     """
     try:
         import resource
     except ImportError:  # pragma: no cover - non-Unix
-        return None, None
+        return None
     unit = 1024 if sys.platform != "darwin" else 1
-    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit
-    children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * unit
-    return own, children
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit
 
 
 def run_benchmark(
     sizes: Optional[Sequence[str]] = None,
-    worker_counts: Iterable[int] = DEFAULT_WORKER_COUNTS,
     repeats: int = 2,
     seed: int = 20240401,
     quick: bool = False,
@@ -197,15 +172,14 @@ def run_benchmark(
 ) -> Dict[str, object]:
     """Run the harness and return one ``BENCH_pipeline.json`` run payload.
 
-    ``quick`` is the CI smoke configuration: one parallel mode, one
-    repeat, and — unless ``sizes`` is given explicitly — the small
-    world only.  ``extensions`` additionally times the legacy, RPKI,
-    and longitudinal pipelines per engine from the shared
+    ``quick`` is the CI smoke configuration: one repeat and — unless
+    ``sizes`` is given explicitly — the small world only.
+    ``extensions`` additionally times the legacy, RPKI, and
+    longitudinal pipelines per engine from the shared
     :class:`AnalysisContext` of the base run.  ``memory`` records peak
-    RSS per mode and, for each ``parallel-N`` mode, the shared-memory
-    segment size and the per-worker descriptor bytes.
-    ``internet_scale`` overrides the downsampling divisor of the
-    ``xlarge`` / ``internet`` tiers (larger divisor, smaller world).
+    RSS per mode.  ``internet_scale`` overrides the downsampling divisor
+    of the ``xlarge`` / ``internet`` tiers (larger divisor, smaller
+    world).
     """
 
     def say(message: str) -> None:
@@ -214,11 +188,8 @@ def run_benchmark(
 
     if quick:
         sizes = list(sizes) if sizes else ["small"]
-        worker_counts = (2,)
         repeats = 1
     sizes = list(sizes) if sizes is not None else list(DEFAULT_BENCH_SIZES)
-    worker_list = sorted(set(int(w) for w in worker_counts if int(w) > 1))
-    cpus = _cpu_count()
 
     worlds: List[Dict[str, object]] = []
     for size in sizes:
@@ -237,7 +208,7 @@ def run_benchmark(
             )
 
         say(f"[bench] {size}: generate {generate_s:.2f}s; reference run ...")
-        ref_wall, ref_stages, ref_digest, _, _ = _time_mode(
+        ref_wall, ref_stages, ref_digest, _ = _time_mode(
             make_pipeline, lambda p: p.run_reference(), repeats
         )
         leaves = len(ref_digest)
@@ -245,69 +216,32 @@ def run_benchmark(
         modes: List[Dict[str, object]] = [
             _mode_payload(
                 "reference",
-                workers=1,
-                shard_size=None,
                 wall=ref_wall,
                 stages=ref_stages,
                 leaves=leaves,
                 ref_wall=ref_wall,
-                serial_wall=None,
                 cache=None,
                 equivalent=True,
-                cpus=cpus,
                 memory=memory,
             )
         ]
 
         say(f"[bench] {size}: {leaves} leaves; serial run ...")
-        serial_wall, serial_stages, serial_digest, serial_cache, _ = (
-            _time_mode(make_pipeline, lambda p: p.run(workers=1), repeats)
+        serial_wall, serial_stages, serial_digest, serial_cache = _time_mode(
+            make_pipeline, lambda p: p.run(), repeats
         )
         modes.append(
             _mode_payload(
                 "serial",
-                workers=1,
-                shard_size=None,
                 wall=serial_wall,
                 stages=serial_stages,
                 leaves=leaves,
                 ref_wall=ref_wall,
-                serial_wall=serial_wall,
                 cache=serial_cache,
                 equivalent=serial_digest == ref_digest,
-                cpus=cpus,
                 memory=memory,
             )
         )
-
-        for workers in worker_list:
-            shard_size = _bench_shard_size(leaves, workers)
-            mode_name = f"parallel-{workers}"
-            say(f"[bench] {size}: {mode_name} run ...")
-            wall, stages, digest, cache, payload = _time_mode(
-                make_pipeline,
-                lambda p, w=workers, s=shard_size: p.run(
-                    workers=w, shard_size=s
-                ),
-                repeats,
-            )
-            modes.append(
-                _mode_payload(
-                    mode_name,
-                    workers=workers,
-                    shard_size=shard_size or DEFAULT_SHARD_SIZE,
-                    wall=wall,
-                    stages=stages,
-                    leaves=leaves,
-                    ref_wall=ref_wall,
-                    serial_wall=serial_wall,
-                    cache=cache,
-                    equivalent=digest == ref_digest,
-                    cpus=cpus,
-                    memory=memory,
-                    payload=payload,
-                )
-            )
 
         world_payload: Dict[str, object] = {
             "size": size,
@@ -319,9 +253,7 @@ def run_benchmark(
         }
         if extensions:
             say(f"[bench] {size}: extension pipelines ...")
-            world_payload["extensions"] = _bench_extensions(
-                world, worker_list, repeats
-            )
+            world_payload["extensions"] = _bench_extensions(world, repeats)
         worlds.append(world_payload)
         del make_pipeline, world
         gc.collect()
@@ -331,7 +263,6 @@ def run_benchmark(
         "config": {
             "seed": seed,
             "sizes": sizes,
-            "workers": worker_list,
             "repeats": max(1, repeats),
             "quick": quick,
             "extensions": extensions,
@@ -341,7 +272,7 @@ def run_benchmark(
         "host": {
             "python": platform.python_version(),
             "platform": platform.platform(),
-            "cpus": cpus,
+            "cpus": _cpu_count(),
         },
         "worlds": worlds,
     }
@@ -349,43 +280,20 @@ def run_benchmark(
 
 def _mode_payload(
     mode: str,
-    workers: int,
-    shard_size: Optional[int],
     wall: float,
     stages: Dict[str, float],
     leaves: int,
     ref_wall: float,
-    serial_wall: Optional[float],
     cache: Optional[Dict[str, object]],
     equivalent: bool,
-    cpus: int,
     memory: bool = False,
-    payload: Optional[Dict[str, int]] = None,
 ) -> Dict[str, object]:
-    # A parallel mode timed on fewer cores than it has workers measures
-    # oversubscription, not speedup — mark it rather than publish a
-    # number that would read as a regression.
-    speedup_vs_serial: object
-    if serial_wall is None or not wall:
-        speedup_vs_serial = None
-    elif workers > cpus:
-        speedup_vs_serial = "insufficient_cpus"
-    else:
-        speedup_vs_serial = round(serial_wall / wall, 2)
-    rss_self, rss_children = _peak_rss() if memory else (None, None)
-    sizes = (payload or {}) if memory else {}
     return {
         "mode": mode,
-        "workers": workers,
-        "shard_size": shard_size,
         "wall_s": round(wall, 4),
         "leaves_per_s": round(leaves / wall, 1) if wall else 0.0,
         "speedup_vs_reference": round(ref_wall / wall, 2) if wall else 0.0,
-        "speedup_vs_serial": speedup_vs_serial,
-        "payload_bytes": sizes.get("payload_bytes"),
-        "segment_bytes": sizes.get("segment_bytes"),
-        "peak_rss_bytes": rss_self,
-        "peak_child_rss_bytes": rss_children,
+        "peak_rss_bytes": _peak_rss() if memory else None,
         "stages": {name: round(value, 4) for name, value in stages.items()},
         "cache": cache,
         "equivalent": equivalent,
@@ -410,17 +318,10 @@ def _time_callable(fn: Callable[[], object], repeats: int):
 
 
 def _ext_mode(
-    mode: str,
-    workers: int,
-    shard_size: Optional[int],
-    wall: float,
-    ref_wall: float,
-    equivalent: bool,
+    mode: str, wall: float, ref_wall: float, equivalent: bool
 ) -> Dict[str, object]:
     return {
         "mode": mode,
-        "workers": workers,
-        "shard_size": shard_size,
         "wall_s": round(wall, 4),
         "speedup_vs_reference": round(ref_wall / wall, 2) if wall else 0.0,
         "equivalent": equivalent,
@@ -429,40 +330,24 @@ def _ext_mode(
 
 def _ext_modes(
     run_reference: Callable[[], object],
-    run_fast: Callable[[int, Optional[int]], object],
+    run_fast: Callable[[], object],
     digest: Callable[[object], object],
     count: Callable[[object], int],
-    worker_list: Sequence[int],
     repeats: int,
 ) -> Dict[str, object]:
-    """Time one extension pipeline under every engine mode."""
+    """Time one extension pipeline's reference and fast engines."""
     ref_wall, ref_out = _time_callable(run_reference, repeats)
-    ref_digest = digest(ref_out)
-    items = count(ref_out)
-    modes = [_ext_mode("reference", 1, None, ref_wall, ref_wall, True)]
-    serial_wall, out = _time_callable(lambda: run_fast(1, None), repeats)
-    modes.append(
-        _ext_mode(
-            "serial", 1, None, serial_wall, ref_wall,
-            digest(out) == ref_digest,
-        )
-    )
-    for workers in worker_list:
-        shard_size = _bench_shard_size(items, workers)
-        wall, out = _time_callable(
-            lambda w=workers, s=shard_size: run_fast(w, s), repeats
-        )
-        modes.append(
+    serial_wall, out = _time_callable(run_fast, repeats)
+    return {
+        "items": count(ref_out),
+        "modes": [
+            _ext_mode("reference", ref_wall, ref_wall, True),
             _ext_mode(
-                f"parallel-{workers}",
-                workers,
-                shard_size or DEFAULT_SHARD_SIZE,
-                wall,
-                ref_wall,
-                digest(out) == ref_digest,
-            )
-        )
-    return {"items": items, "modes": modes}
+                "serial", serial_wall, ref_wall,
+                digest(out) == digest(ref_out),
+            ),
+        ],
+    }
 
 
 def _legacy_digest(inferences) -> List[Tuple]:
@@ -495,9 +380,7 @@ def _churn_digest(churn) -> Tuple:
     )
 
 
-def _bench_extensions(
-    world, worker_list: Sequence[int], repeats: int
-) -> Dict[str, object]:
+def _bench_extensions(world, repeats: int) -> Dict[str, object]:
     """Time legacy / RPKI / longitudinal engines off one shared context.
 
     The base fast-serial result supplies the extension inputs (the
@@ -521,10 +404,9 @@ def _bench_extensions(
     )
     legacy = _ext_modes(
         run_reference=legacy_pipeline.run_reference,
-        run_fast=lambda w, s: legacy_pipeline.run(workers=w, shard_size=s),
+        run_fast=legacy_pipeline.run,
         digest=_legacy_digest,
         count=len,
-        worker_list=worker_list,
         repeats=repeats,
     )
 
@@ -533,23 +415,17 @@ def _bench_extensions(
     )
     rpki = _ext_modes(
         run_reference=lambda: rpki_pipeline.profile_reference(leased),
-        run_fast=lambda w, s: rpki_pipeline.profile(
-            leased, workers=w, shard_size=s
-        ),
+        run_fast=lambda: rpki_pipeline.profile(leased),
         digest=lambda p: (p.valid, p.invalid, p.not_found),
         count=lambda _profile: len(leased),
-        worker_list=worker_list,
         repeats=repeats,
     )
 
     longitudinal = _ext_modes(
         run_reference=lambda: compare_epochs(base, base),
-        run_fast=lambda w, s: compare_epochs_fast(
-            base, base, workers=w, shard_size=s
-        ),
+        run_fast=lambda: compare_epochs_fast(base, base),
         digest=_churn_digest,
         count=lambda churn: len(churn.persisting),
-        worker_list=worker_list,
         repeats=repeats,
     )
 
@@ -1130,18 +1006,8 @@ def run_from_args(args) -> int:
             print(f"unknown bench sizes: {', '.join(unknown)} "
                   f"(expected {', '.join(BENCH_SIZES)})")
             return 2
-    workers = DEFAULT_WORKER_COUNTS
-    if getattr(args, "workers", None):
-        try:
-            workers = tuple(
-                int(w) for w in str(args.workers).split(",") if w.strip()
-            )
-        except ValueError:
-            print(f"bad --workers {args.workers!r}; expected e.g. 2,4")
-            return 2
     report = run_benchmark(
         sizes=sizes,
-        worker_counts=workers,
         repeats=args.repeats,
         seed=args.seed,
         quick=args.quick,

@@ -39,7 +39,9 @@ __all__ = [
 #: Bump when the entry layout or the facts schema changes shape.
 #: v2: per-function flow summaries (CFG taint/leak/shared-write facts)
 #: ride inside ``ModuleFacts`` and findings may carry witness paths.
-CACHE_VERSION = 2
+#: v3: ``ModuleFacts.payload_refs`` and ``ClassFact.spawn_safe`` are
+#: gone with RC105.
+CACHE_VERSION = 3
 
 #: Cache file name when ``--cache`` is not given (created under the
 #: analyzed root; gitignored).

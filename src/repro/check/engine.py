@@ -11,8 +11,8 @@ in-memory path (tests, single fixtures): parse everything, run
 everything.  :meth:`CheckEngine.analyze` is the production path: each
 file's module-scope findings and distilled facts are cached against its
 content hash (:mod:`repro.check.cache`), parse work for changed files
-can fan out over the sharded process pool, and project-scope rules
-(RC105, RC108–RC112) then run over the facts of *all* files — cached
+can fan out over a process pool (``--jobs``), and project-scope rules
+(RC108–RC115) then run over the facts of *all* files — cached
 or fresh — so whole-program analysis stays whole even when only one
 file was re-read.
 
@@ -264,24 +264,24 @@ def _analyze_one(
     }
 
 
-def _analyze_shard(payload: object, shard) -> Dict[str, Dict[str, object]]:
-    """Module-level ``run_sharded`` runner: analyze one slice of files.
+#: One worker's job: ``(root, rels, codes, severities)``.
+_Chunk = Tuple[str, Tuple[str, ...], Tuple[str, ...], Tuple[Tuple[str, str], ...]]
 
-    The payload is spawn-cheap plain data — ``(root, rels, codes,
-    severities)`` — and the worker rebuilds its rule instances from the
-    registry, so nothing heavier than strings crosses the process
-    boundary.
+
+def _analyze_chunk(chunk: _Chunk) -> Dict[str, Dict[str, object]]:
+    """Pool worker: analyze one chunk of files.
+
+    The chunk is plain strings, and the worker rebuilds its rule
+    instances from the registry, so nothing heavier than strings
+    crosses the process boundary.
     """
-    root_text, rels, codes, severities = payload  # type: ignore[misc]
+    root_text, rels, codes, severities = chunk
     overrides = {
         code: Severity.parse(value) for code, value in severities
     }
     engine = CheckEngine(select=codes, severity_overrides=overrides)
     root = Path(root_text)
-    return {
-        rel: _analyze_one(root, rel, engine.module_rules)
-        for rel in rels[shard.start : shard.stop]
-    }
+    return {rel: _analyze_one(root, rel, engine.module_rules) for rel in rels}
 
 
 class CheckEngine:
@@ -355,9 +355,9 @@ class CheckEngine:
 
         Files whose sha256 matches a cache entry contribute their
         stored facts and findings without being read again; the rest
-        are analyzed (in parallel when ``jobs > 1``, via the sharded
-        pool funnel).  Project-scope rules then run over every file's
-        facts, so a one-file edit still gets whole-program analysis.
+        are analyzed (over ``jobs`` processes when ``jobs > 1``).
+        Project-scope rules then run over every file's facts, so a
+        one-file edit still gets whole-program analysis.
         """
         root = root.resolve()
         files = _iter_python_files(root, targets or DEFAULT_ROOTS)
@@ -422,29 +422,30 @@ class CheckEngine:
     def _analyze_misses(
         self, root: Path, misses: Sequence[str], jobs: int
     ) -> Dict[str, Dict[str, object]]:
-        """Analyze changed files, serially or over the sharded pool."""
+        """Analyze changed files, serially or over ``jobs`` processes."""
         if jobs > 1 and len(misses) > 1:
-            from ..core.sharding import run_sharded
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-            payload = (
-                str(root),
-                tuple(misses),
-                tuple(rule.code for rule in self.rules),
-                tuple(
-                    (rule.code, rule.severity.value) for rule in self.rules
-                ),
+            codes = tuple(rule.code for rule in self.rules)
+            severities = tuple(
+                (rule.code, rule.severity.value) for rule in self.rules
             )
-            shard_size = max(1, (len(misses) + jobs - 1) // jobs)
-            _shards, outputs = run_sharded(
-                payload,
-                _analyze_shard,
-                [len(misses)],
-                jobs,
-                shard_size,
-            )
+            size = (len(misses) + jobs - 1) // jobs
+            chunks = [
+                (str(root), tuple(misses[start : start + size]), codes, severities)
+                for start in range(0, len(misses), size)
+            ]
             merged: Dict[str, Dict[str, object]] = {}
-            for output in outputs:
-                merged.update(output)  # type: ignore[arg-type]
+            # Spawned workers re-import the rules; the chunks carry
+            # everything else, and no forked copy of this process's
+            # state (or its threads) rides along.
+            with ProcessPoolExecutor(
+                max_workers=len(chunks),
+                mp_context=multiprocessing.get_context("spawn"),
+            ) as pool:
+                for output in pool.map(_analyze_chunk, chunks):
+                    merged.update(output)
             return merged
         module_rules = self.module_rules
         return {
@@ -462,9 +463,9 @@ def _ripple_dependents(
     every module that imports it — transitively — must be re-analyzed
     too: its cached summaries may mention the edited callee.  Edges are
     read from the *cached* facts (the only ones available before the
-    re-parse) and matched coarsely: ``from repro.core import shm`` and
-    ``import repro.core.shm`` both count as depending on
-    ``repro.core.shm``.  With no misses this is a no-op, keeping the
+    re-parse) and matched coarsely: ``from repro.core import context``
+    and ``import repro.core.context`` both count as depending on
+    ``repro.core.context``.  With no misses this is a no-op, keeping the
     warm-unchanged path at zero re-analyzed modules.
     """
     if not misses:

@@ -32,7 +32,7 @@ from typing import (
     Tuple,
 )
 
-from .context import infer_local_types, iter_scopes, walk_scope
+from .context import infer_local_types, walk_scope
 from .dataflow import FlowFact, FlowResolver, analyze_function
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -197,14 +197,13 @@ class FunctionFact:
 
 @dataclass(frozen=True)
 class ClassFact:
-    """One class definition: bases, registration, spawn safety."""
+    """One class definition: bases and registration."""
 
     name: str
     lineno: int
     col: int
     bases: Tuple[str, ...] = ()
     registered: bool = False
-    spawn_safe: bool = False
 
 
 @dataclass(frozen=True)
@@ -227,7 +226,6 @@ class ModuleFacts:
     functions: Tuple[FunctionFact, ...] = ()
     classes: Tuple[ClassFact, ...] = ()
     exports: Tuple[ExportFact, ...] = ()
-    payload_refs: Tuple[Tuple[str, int, int], ...] = ()
     cli_flags: Tuple[Tuple[str, int, int], ...] = ()
     identifiers: Tuple[str, ...] = ()
     import_aliases: Tuple[Tuple[str, str], ...] = ()
@@ -292,7 +290,6 @@ class ModuleFacts:
             exports=tuple(
                 ExportFact(**d) for d in payload.get("exports", ())
             ),
-            payload_refs=_t(payload.get("payload_refs", ())),
             cli_flags=_t(payload.get("cli_flags", ())),
             identifiers=tuple(payload.get("identifiers", ())),
             import_aliases=_t(payload.get("import_aliases", ())),
@@ -364,7 +361,6 @@ class _FactsExtractor:
             functions=tuple(self.functions),
             classes=tuple(self.classes),
             exports=tuple(self._exports(tree)),
-            payload_refs=tuple(self._payload_refs(tree)),
             cli_flags=tuple(self._cli_flags(tree)),
             identifiers=tuple(sorted(self._identifiers(tree))),
             import_aliases=tuple(sorted(self.import_aliases.items())),
@@ -557,7 +553,6 @@ class _FactsExtractor:
             col=node.col_offset,
             bases=tuple(bases),
             registered=registered,
-            spawn_safe=_is_spawn_safe(node),
         )
 
     # -- module-level scans ----------------------------------------------
@@ -583,26 +578,6 @@ class _FactsExtractor:
                         lineno=element.lineno,
                         col=element.col_offset,
                         local=element.value in local_defs,
-                    )
-
-    def _payload_refs(
-        self, tree: ast.Module
-    ) -> Iterator[Tuple[str, int, int]]:
-        for scope in iter_scopes(tree):
-            types: Optional[Dict[str, str]] = None
-            for node in walk_scope(scope):
-                if not isinstance(node, ast.Call):
-                    continue
-                if not _is_run_sharded(node.func) or not node.args:
-                    continue
-                if types is None:
-                    types = infer_local_types(scope, _EVERYTHING)
-                payload = _resolve_payload(scope, node.args[0])
-                for cls_name, at in _payload_classes(payload, types):
-                    yield (
-                        cls_name,
-                        getattr(at, "lineno", node.lineno),
-                        getattr(at, "col_offset", node.col_offset),
                     )
 
     def _cli_flags(self, tree: ast.Module) -> Iterator[Tuple[str, int, int]]:
@@ -637,14 +612,6 @@ class _FactsExtractor:
                 for alias in node.names:
                     names.add(alias.name.split(".")[-1])
         return names
-
-
-class _Everything:
-    def __contains__(self, item: object) -> bool:
-        return isinstance(item, str)
-
-
-_EVERYTHING = _Everything()
 
 
 def _call_fact(node: ast.Call) -> CallFact:
@@ -768,60 +735,6 @@ def _is_type_checking_test(test: ast.expr) -> bool:
     return False
 
 
-def _is_run_sharded(func: ast.expr) -> bool:
-    if isinstance(func, ast.Name):
-        return func.id == "run_sharded"
-    if isinstance(func, ast.Attribute):
-        return func.attr == "run_sharded"
-    return False
-
-
-def _resolve_payload(scope: ast.AST, payload: ast.expr) -> ast.expr:
-    """Chase ``payload = (...)`` bindings so wrapped tuples are seen."""
-    if not isinstance(payload, ast.Name):
-        return payload
-    for node in walk_scope(scope):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if (
-                    isinstance(target, ast.Name)
-                    and target.id == payload.id
-                    and isinstance(node.value, (ast.Tuple, ast.List))
-                ):
-                    return node.value
-    return payload
-
-
-def _payload_classes(payload: ast.expr, types: Dict[str, str]):
-    """Yield ``(class_name, node)`` for classes visible in *payload*."""
-    for node in ast.walk(payload):
-        if isinstance(node, ast.Name) and node.id in types:
-            yield types[node.id], node
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name) and func.id[:1].isupper():
-                yield func.id, node
-
-
-def _is_spawn_safe(class_def: ast.ClassDef) -> bool:
-    """True when the class declares its pickled form explicitly."""
-    for stmt in class_def.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if stmt.name in ("__getstate__", "__reduce__"):
-                return True
-        elif isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name) and target.id == "__slots__":
-                    return True
-        elif isinstance(stmt, ast.AnnAssign):
-            if (
-                isinstance(stmt.target, ast.Name)
-                and stmt.target.id == "__slots__"
-            ):
-                return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Project graph
 
@@ -846,13 +759,10 @@ class ProjectGraph:
         self.reference_text = reference_text
         self.docs_text = docs_text
         self._functions: Dict[str, Dict[str, FunctionFact]] = {}
-        self._classes: Dict[str, List[Tuple[str, ClassFact]]] = {}
         for f in facts:
             self._functions[f.rel] = {
                 fn.qualname: fn for fn in f.functions
             }
-            for cls in f.classes:
-                self._classes.setdefault(cls.name, []).append((f.rel, cls))
         self._mutating: Optional[Dict[Tuple[str, str], Set[str]]] = None
         self._cycles: Optional[List[List[str]]] = None
         self._flow_resolver: Optional[FlowResolver] = None
@@ -862,10 +772,6 @@ class ProjectGraph:
         if self._flow_resolver is None:
             self._flow_resolver = FlowResolver(self)
         return self._flow_resolver
-
-    def classes_named(self, name: str) -> List[Tuple[str, ClassFact]]:
-        """Every ``(rel, ClassFact)`` defining class *name* project-wide."""
-        return self._classes.get(name, [])
 
     # -- import graph -----------------------------------------------------
 

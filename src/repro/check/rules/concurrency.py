@@ -1,13 +1,11 @@
-"""Concurrency invariants: RC101 (sharding funnel), RC104/RC110 (async
+"""Concurrency invariants: RC101 (one process pool), RC104/RC110 (async
 purity).
 
-The sharded execution layer was designed so that *all* process
-parallelism flows through :func:`repro.core.sharding.run_sharded` —
-that is the one place that knows about fork/spawn trade-offs,
-``gc.freeze``, and worker-state initialization.  The serve loop is a
-single asyncio event loop; one blocking call stalls every in-flight
-request — whether it sits in the coroutine body (RC104) or one sync
-helper away from it (RC110, via the project call graph).
+The analysis engines are serial; the only process pool left is the
+``repro check --jobs`` fan-out in :mod:`repro.check.engine`.  The serve
+loop is a single asyncio event loop; one blocking call stalls every
+in-flight request — whether it sits in the coroutine body (RC104) or
+one sync helper away from it (RC110, via the project call graph).
 """
 
 from __future__ import annotations
@@ -38,36 +36,29 @@ __all__ = [
 @register_check_rule
 class MultiprocessingConfined(CheckRule):
     """``multiprocessing`` / ``concurrent.futures`` may only be imported
-    by ``repro.core.sharding`` — plus a narrow shared-memory carve-out
-    for ``repro.core.shm``.
+    by ``repro.check.engine``.
 
-    Every pipeline parallelizes through ``run_sharded``, which owns the
-    fork-vs-spawn decision, payload pickling, and ``gc.freeze``.  A
-    second pool implementation would fork its own copy of those
-    trade-offs and silently miss fixes applied to the funnel.  The
-    zero-copy context (``repro.core.shm``) needs the segment
-    primitives but must never grow a pool of its own, so it may import
-    exactly ``multiprocessing.shared_memory`` and
-    ``multiprocessing.resource_tracker`` — nothing else from either
-    banned package.
+    The analysis engines run serially.  A §5.2 verdict depends on one
+    leaf plus the read-only context, so a pool could only split
+    classification — a quarter of a run, next to the context build it
+    cannot touch — and the deleted pool ran at 0.65–0.78x serial on a
+    2-vCPU host.  The one fan-out that wins is ``repro check --jobs``,
+    which maps plain-string file chunks over a ``ProcessPoolExecutor``.
+    A pool anywhere else reopens the fork/spawn, pickling and
+    shared-memory questions that deleting the engine pool closed.
 
-    Remediation: Express the parallel step as a ``run_sharded`` call
-    (payload + module-level runner function).  If ``run_sharded``
-    genuinely cannot express it, extend ``repro.core.sharding`` instead
-    of importing pool primitives elsewhere.
+    Remediation: Keep the step serial.  If a measured win needs
+    processes, follow ``repro.check.engine``: map plain-data chunks
+    through a module-level function, and widen this rule with the
+    benchmark that justifies it.
     """
 
     code = "RC101"
-    title = "process pools confined to repro.core.sharding"
+    title = "process pools confined to repro.check.engine"
 
-    ALLOWED_MODULES = frozenset({"repro.core.sharding"})
-    #: Modules allowed the shared-memory primitives (and nothing else).
-    SHARED_MEMORY_MODULES = frozenset({"repro.core.shm"})
-    _SHM_ALLOWED_SOURCES = frozenset(
-        {"multiprocessing.shared_memory", "multiprocessing.resource_tracker"}
-    )
-    _SHM_ALLOWED_NAMES = frozenset({"shared_memory", "resource_tracker"})
+    ALLOWED_MODULES = frozenset({"repro.check.engine"})
     _BANNED_PREFIXES = ("multiprocessing", "concurrent.futures")
+    _HINT = "outside repro.check.engine; keep the step serial"
 
     def _banned(self, name: str) -> bool:
         return any(
@@ -80,67 +71,29 @@ class MultiprocessingConfined(CheckRule):
     ) -> Iterator[CheckFinding]:
         if module.module in self.ALLOWED_MODULES:
             return
-        shm_module = module.module in self.SHARED_MEMORY_MODULES
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
-                    if not self._banned(alias.name):
-                        continue
-                    if shm_module and alias.name in self._SHM_ALLOWED_SOURCES:
-                        continue
-                    yield self.finding(
-                        module,
-                        node,
-                        f"import of {alias.name} outside "
-                        "repro.core.sharding; go through run_sharded()",
-                    )
+                    if self._banned(alias.name):
+                        yield self.finding(
+                            module,
+                            node,
+                            f"import of {alias.name} {self._HINT}",
+                        )
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 source = node.module or ""
                 if self._banned(source):
-                    if shm_module:
-                        yield from self._check_shm_from(module, node, source)
-                        continue
+                    yield self.finding(
+                        module, node, f"import from {source} {self._HINT}"
+                    )
+                elif source == "concurrent" and any(
+                    alias.name == "futures" for alias in node.names
+                ):
                     yield self.finding(
                         module,
                         node,
-                        f"import from {source} outside "
-                        "repro.core.sharding; go through run_sharded()",
+                        f"import of concurrent.futures {self._HINT}",
                     )
-                elif source == "concurrent":
-                    for alias in node.names:
-                        if alias.name == "futures":
-                            yield self.finding(
-                                module,
-                                node,
-                                "import of concurrent.futures outside "
-                                "repro.core.sharding; go through "
-                                "run_sharded()",
-                            )
-
-    def _check_shm_from(
-        self, module: "ModuleSource", node: ast.ImportFrom, source: str
-    ) -> Iterator[CheckFinding]:
-        """The carve-out: shared-memory sources pass, pools still fire."""
-        if source in self._SHM_ALLOWED_SOURCES:
-            return
-        if source == "multiprocessing":
-            for alias in node.names:
-                if alias.name not in self._SHM_ALLOWED_NAMES:
-                    yield self.finding(
-                        module,
-                        node,
-                        f"import of multiprocessing.{alias.name} in "
-                        "repro.core.shm; only shared_memory and "
-                        "resource_tracker are allowed there",
-                    )
-            return
-        yield self.finding(
-            module,
-            node,
-            f"import from {source} in repro.core.shm; only "
-            "multiprocessing.shared_memory and "
-            "multiprocessing.resource_tracker are allowed there",
-        )
 
 
 # The shared blocking-call vocabulary lives in ``repro.check.graph`` so

@@ -95,10 +95,16 @@ def _bare_except_fix(
     )
 
 
-#: Modules that embody the fast engines; frozen references must not
-#: touch anything imported from them.
+#: Modules (or single ``module.Name`` symbols) that embody the fast
+#: engines; frozen references must not touch anything imported from
+#: them.  ``repro.core.classify`` itself is shared: the reference runs
+#: its ``classify_leaf``, the fast engines its ``LeafClassifier``.
 _FAST_ENGINE_MODULES = frozenset(
-    {"repro.core.sharding", "repro.core.context"}
+    {
+        "repro.core.context",
+        "repro.core.classify.CacheStats",
+        "repro.core.classify.LeafClassifier",
+    }
 )
 
 #: Function names that are frozen executable specifications.
@@ -112,9 +118,9 @@ class ReferencePurity(CheckRule):
     """Frozen reference implementations must not use fast-engine code.
 
     ``run_reference`` / ``profile_reference`` / ``compare_epochs`` are
-    the executable specifications that the sharded and context-backed
-    engines are proven bit-identical against.  The moment a reference
-    calls into ``repro.core.sharding`` or ``repro.core.context``, the
+    the executable specifications that the context-backed engines are
+    proven bit-identical against.  The moment a reference calls into
+    ``repro.core.context`` or the memoized ``LeafClassifier``, the
     proof becomes circular: a bug in the shared code changes both sides
     of the comparison and the equivalence tests keep passing.
 

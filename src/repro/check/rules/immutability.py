@@ -1,21 +1,19 @@
-"""Snapshot immutability invariants: RC102, RC105, RC111.
+"""Snapshot immutability invariants: RC102, RC111.
 
 The whole scaling architecture hangs off frozen snapshots: one
 ``AnalysisContext`` (with its ``RibSnapshot``/``RoaSnapshot``) is built
-per run and worker processes attach to a shared-memory copy of its
-byte image, and the serve layer swaps
+per run and read by every engine, and the serve layer swaps
 immutable ``LeaseIndex`` generations atomically.  Mutating one of
 these after construction corrupts every consumer that assumed the
 freeze — whether the assignment is written in place (RC102) or hidden
 behind a helper the snapshot is passed into (RC111, via the project
-call graph); shipping a non-spawn-safe class through ``run_sharded``
-blows up only on spawn platforms, long after the code merged (RC105).
+call graph).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
 from ..context import infer_local_types, iter_scopes, walk_scope
 from ..graph import FROZEN_CLASSES
@@ -27,7 +25,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "SnapshotImmutability",
-    "SpawnSafePayloads",
     "NoTransitiveSnapshotMutation",
 ]
 
@@ -38,10 +35,10 @@ class SnapshotImmutability(CheckRule):
     their defining module.
 
     ``AnalysisContext``, ``RibSnapshot``, ``RoaSnapshot`` and
-    ``LeaseIndex`` are built once and then shared — across worker
-    processes (pickled at fork/spawn) and across concurrent requests
-    (generation-swapped).  Any post-construction mutation desynchronizes
-    copies silently: workers keep the old value, the serve cache keys
+    ``LeaseIndex`` are built once and then shared — across every engine
+    of a run and across concurrent requests (generation-swapped).  Any
+    post-construction mutation desynchronizes consumers silently: an
+    engine reads a value its neighbour never saw, the serve cache keys
     stop matching, and digest equivalence with the frozen references
     breaks in ways no local test sees.
 
@@ -106,54 +103,6 @@ def _frozen_attribute_target(
     if isinstance(base, ast.Name) and base.id in types:
         return base.id, types[base.id]
     return None
-
-
-@register_check_rule
-class SpawnSafePayloads(CheckRule):
-    """Classes shipped through ``run_sharded`` payloads must be
-    deliberately spawn-safe.
-
-    ``run_sharded`` pickles its payload into every worker; on spawn
-    platforms that is the *only* state a worker gets.  A class with no
-    ``__getstate__``/``__reduce__``/``__slots__`` has never had its
-    pickled form thought about — lazily built caches, open handles, or
-    megabytes of derived indexes ride along silently (the O(1)
-    attach-by-name descriptor of ``SharedAnalysisContext.__reduce__``,
-    which the lease and legacy pools ship instead of the context's
-    whole image, exists precisely because of this).
-
-    Remediation: Give the class an explicit ``__getstate__`` (drop
-    derived/unpicklable state) or ``__slots__`` declaration, or — after
-    reviewing its pickled size and contents — add it to this rule's
-    ``ALLOWLIST``.
-    """
-
-    code = "RC105"
-    title = "run_sharded payload classes define their pickled form"
-    scope = "project"
-
-    #: Class names vetted as safe to pickle without explicit protocol
-    #: support (reviewed: small, immutable, no derived state).
-    ALLOWLIST: Set[str] = set()
-
-    def check_facts(
-        self, facts: "ModuleFacts", graph: "ProjectGraph"
-    ) -> Iterator[CheckFinding]:
-        for cls_name, lineno, col in facts.payload_refs:
-            if cls_name in self.ALLOWLIST:
-                continue
-            defs = graph.classes_named(cls_name)
-            if not defs:
-                continue  # defined outside the checked tree
-            if any(cls.spawn_safe for _rel, cls in defs):
-                continue
-            yield self.finding_at(
-                facts.rel,
-                lineno,
-                col,
-                f"{cls_name} rides a run_sharded payload but defines no "
-                "__getstate__/__reduce__/__slots__",
-            )
 
 
 @register_check_rule

@@ -127,20 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="validate cross-dataset consistency before writing",
     )
 
-    def add_worker_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help="classify shards across this many processes (default 1)",
-        )
-        p.add_argument(
-            "--shard-size",
-            type=int,
-            default=None,
-            help="leaves per shard (default: pipeline default)",
-        )
-
     for name, helptext in (
         ("infer", "run lease inference and print Table 1"),
         ("evaluate", "curate the reference dataset and print Table 2"),
@@ -157,8 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="run diagnostics first and abort on errors",
             )
-        if name in ("infer", "legacy", "rpki"):
-            add_worker_options(command)
         if name in ("infer", "evaluate", "legacy", "rpki"):
             command.add_argument(
                 "--json",
@@ -287,7 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "run-all", help="generate in memory and print every table"
     )
     add_scenario_options(run_all)
-    add_worker_options(run_all)
     run_all.add_argument(
         "--strict",
         action="store_true",
@@ -310,11 +293,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "xlarge, internet (default small,medium,large)",
     )
     bench.add_argument(
-        "--workers",
-        default=None,
-        help="comma-separated parallel worker counts (default 2,4)",
-    )
-    bench.add_argument(
         "--repeats",
         type=int,
         default=2,
@@ -324,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--quick",
         action="store_true",
-        help="CI smoke mode: small world, one parallel mode, one repeat",
+        help="CI smoke mode: small world, one repeat",
     )
     bench.add_argument(
         "--no-extensions",
@@ -334,8 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--memory",
         action="store_true",
-        help="record peak RSS per mode, plus shared-memory segment and "
-        "per-worker descriptor bytes for parallel modes",
+        help="record peak RSS per mode",
     )
     bench.add_argument(
         "--xlarge-scale",
@@ -468,7 +445,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="serve lease lookups over HTTP from an inference snapshot",
     )
     add_scenario_options(serve)
-    add_worker_options(serve)
     serve.add_argument(
         "--data",
         type=Path,
@@ -541,14 +517,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _infer_bundle(bundle: DatasetBundle, args: Optional[argparse.Namespace] = None):
+def _infer_bundle(bundle: DatasetBundle):
     return infer_leases(
         bundle.whois,
         bundle.routing_table,
         bundle.relationships,
         bundle.as2org,
-        workers=getattr(args, "workers", 1) if args is not None else 1,
-        shard_size=getattr(args, "shard_size", None) if args is not None else None,
     )
 
 
@@ -559,7 +533,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 
         if _strict_gate(DiagnosticContext.from_bundle(bundle)):
             return 1
-    result = _infer_bundle(bundle, args)
+    result = _infer_bundle(bundle)
     if getattr(args, "json", False):
         import json
 
@@ -577,7 +551,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     bundle = load_datasets(args.data)
-    result = _infer_bundle(bundle, args)
+    result = _infer_bundle(bundle)
     reference = curate_reference(
         bundle.whois,
         bundle.broker_registry,
@@ -736,10 +710,7 @@ def _cmd_legacy(args: argparse.Namespace) -> int:
     oracle = RelatednessOracle(bundle.relationships, bundle.as2org)
     verdicts = LegacyLeasePipeline(
         bundle.whois, bundle.routing_table, oracle
-    ).run(
-        workers=getattr(args, "workers", 1),
-        shard_size=getattr(args, "shard_size", None),
-    )
+    ).run()
     if getattr(args, "json", False):
         import json
 
@@ -780,18 +751,14 @@ def _cmd_rpki(args: argparse.Namespace) -> int:
         bundle.relationships,
         bundle.as2org,
     )
-    workers = getattr(args, "workers", 1)
-    shard_size = getattr(args, "shard_size", None)
-    result = pipeline.run(workers=workers, shard_size=shard_size)
+    result = pipeline.run()
     profiler = RpkiValidationPipeline(
         bundle.routing_table, bundle.roas, context=pipeline.context
     )
     leased = result.leased_prefixes()
     other = set(bundle.routing_table.prefixes()) - leased
     profiles = {
-        label: profiler.profile(
-            sorted(population), workers=workers, shard_size=shard_size
-        )
+        label: profiler.profile(sorted(population))
         for label, population in (("leased", leased), ("non-leased", other))
     }
     if getattr(args, "json", False):
@@ -848,7 +815,7 @@ def _lease_index(args: argparse.Namespace):
         label = (
             "small world" if args.small else f"paper world (1/{args.scale})"
         )
-    result = pipeline.run(workers=args.workers, shard_size=args.shard_size)
+    result = pipeline.run()
     assert pipeline.context is not None
     index = LeaseIndex.build(pipeline.context, result)
     return index, label, pipeline, result, world
@@ -1108,8 +1075,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         world.routing_table,
         world.relationships,
         world.as2org,
-        workers=getattr(args, "workers", 1),
-        shard_size=getattr(args, "shard_size", None),
     )
     print(render_table1(result, world.routing_table.num_prefixes()))
     print()

@@ -32,7 +32,13 @@ if TYPE_CHECKING:
         TreeLeaf,
     )
     from .baseline import maintainer_baseline
-    from .classify import Category, MemoizedClassifier, classify_leaf
+    from .classify import (
+        CacheStats,
+        Category,
+        LeafClassifier,
+        MemoizedClassifier,
+        classify_leaf,
+    )
     from .ecosystem import (
         HijackerOverlap,
         hijacker_overlap,
@@ -83,16 +89,6 @@ if TYPE_CHECKING:
     from .reference import ReferenceDataset, curate_reference
     from .relatedness import RelatednessOracle
     from .results import InferenceResult, LeafInference, RegionalTally
-    from .sharding import (
-        DEFAULT_SHARD_SIZE,
-        CacheStats,
-        Shard,
-        ShardClassifier,
-        effective_workers,
-        fork_available,
-        plan_shards,
-        run_sharded,
-    )
     from .timeline import (
         BgpOriginHistory,
         PeriodKind,
@@ -112,7 +108,10 @@ __getattr__ = lazy_exports(
             "DEFAULT_MAX_LEAF_LENGTH", "AllocationScan", "AllocationTree", "TreeLeaf",
         ),
         ".baseline": ("maintainer_baseline",),
-        ".classify": ("Category", "MemoizedClassifier", "classify_leaf"),
+        ".classify": (
+            "CacheStats", "Category", "LeafClassifier", "MemoizedClassifier",
+            "classify_leaf",
+        ),
         ".ecosystem": (
             "HijackerOverlap", "hijacker_overlap", "resolve_maintainer_names",
             "top_facilitators", "top_holders", "top_originators",
@@ -145,10 +144,6 @@ __getattr__ = lazy_exports(
         ".reference": ("ReferenceDataset", "curate_reference"),
         ".relatedness": ("RelatednessOracle",),
         ".results": ("InferenceResult", "LeafInference", "RegionalTally"),
-        ".sharding": (
-            "DEFAULT_SHARD_SIZE", "CacheStats", "Shard", "ShardClassifier",
-            "effective_workers", "fork_available", "plan_shards", "run_sharded",
-        ),
         ".timeline": (
             "BgpOriginHistory", "PeriodKind", "PrefixTimeline", "TimelinePeriod",
             "build_timeline",
@@ -170,16 +165,10 @@ __all__ = [
     "replay_into_table",
     "result_digest",
     "CacheStats",
-    "DEFAULT_SHARD_SIZE",
+    "LeafClassifier",
     "MemoizedClassifier",
     "RibSnapshot",
     "RoaSnapshot",
-    "Shard",
-    "ShardClassifier",
-    "effective_workers",
-    "fork_available",
-    "plan_shards",
-    "run_sharded",
     "BootstrapCI",
     "GeoConsistency",
     "HolderProfile",

@@ -14,12 +14,8 @@ table those engines query into **one** aligned byte image:
   UTF-8 string table ordered by CRC-32;
 * the per-registry leaf keys ``(leaf, root, root organisation)``.
 
-Every lookup answers from typed memoryviews over that image, so the
-same class serves a local image and one in shared memory:
-:class:`~repro.core.shm.SharedAnalysisContext` copies the finished
-image into a segment byte for byte, and pool workers attach to it by
-name.  Only the building process keeps the full ``TreeLeaf`` records
-(:meth:`AnalysisContext.leaves`).
+Every lookup answers from typed memoryviews over that image.  The
+full ``TreeLeaf`` records ride beside it (:meth:`AnalysisContext.leaves`).
 
 Covering lookups need no trie because CIDR prefixes nest or are
 disjoint: every covering prefix of ``p`` is a truncation
@@ -66,11 +62,11 @@ from .allocation_tree import (
     TreeLeaf,
 )
 
-__all__ = ["AnalysisContext", "ImageLayout", "RibSnapshot", "RoaSnapshot"]
+__all__ = ["AnalysisContext", "RibSnapshot", "RoaSnapshot"]
 
 _EMPTY: FrozenSet[int] = frozenset()
 
-#: The compact per-leaf classification input workers read:
+#: The compact per-leaf classification input:
 #: ``(leaf_prefix, root_prefix, root_org_id)``.  Everything the §5.2
 #: decision needs that is not already in the shared context.
 LeafKey = Tuple[Prefix, Optional[Prefix], Optional[str]]
@@ -93,8 +89,7 @@ _Buffer = Union[bytes, memoryview, "array[int]"]
 class ImageLayout(NamedTuple):
     """Where each table sits in a context image, plus the small fields.
 
-    With the image bytes, this is all a process needs to answer
-    lookups — a few hundred bytes, and what a pool worker unpickles.
+    With the image bytes, this is all it takes to answer lookups.
     """
 
     size: int
@@ -187,33 +182,21 @@ def _find(slots: Sequence[int], keys: Sequence[int], key: int) -> Optional[int]:
 
 
 class _Views:
-    """Typed memoryviews over an image's sections, released in order.
-
-    ``SharedMemory.close`` raises ``BufferError`` while any view over
-    its buffer is alive, so every slice and cast is tracked and
-    released newest first — the image view itself last.
-    """
+    """Typed memoryviews over an image's sections."""
 
     def __init__(self, image: memoryview, sections: Sections) -> None:
         self._image = image
         self._sections = sections
-        self._open: List[memoryview] = [image]
 
     def array(self, name: str) -> memoryview:
         offset, count, typecode = self._sections[name]
         view = self._image[offset : offset + count * array(typecode).itemsize]
-        cast = view.cast(typecode)
-        self._open += (view, cast)
-        return cast
+        return view.cast(typecode)
 
     def strings(self, name: str) -> "_StrTable":
         return _StrTable(
             self.array(f"{name}_blob_offsets"), self.array(f"{name}_blob")
         )
-
-    def release(self) -> None:
-        while self._open:
-            self._open.pop().release()
 
 
 class _StrTable:
@@ -239,8 +222,7 @@ class RibSnapshot:
     :meth:`RoutingTable.covering_origins`, backed by four flat buffers:
     the sorted packed prefix keys, their slot table (exact lookups),
     per-key origin offsets, and the origin pool.  They are views into a
-    context image (or local arrays from :meth:`from_routing_table`);
-    pickling copies their bytes.
+    context image (or local arrays from :meth:`from_routing_table`).
     """
 
     __slots__ = ("_keys", "_slots", "_offsets", "_origins", "_lengths")
@@ -324,35 +306,6 @@ class RibSnapshot:
 
     def __len__(self) -> int:
         return len(self._keys)
-
-    def __reduce__(self) -> Tuple[object, Tuple[object, ...]]:
-        return (
-            _rib_from_bytes,
-            (
-                bytes(self._keys),
-                bytes(self._slots),
-                bytes(self._offsets),
-                bytes(self._origins),
-                self._lengths,
-            ),
-        )
-
-
-def _rib_from_bytes(
-    keys: bytes,
-    slots: bytes,
-    offsets: bytes,
-    origins: bytes,
-    lengths: Tuple[int, ...],
-) -> RibSnapshot:
-    """Unpickle a :class:`RibSnapshot` over its own copied bytes."""
-    return RibSnapshot(
-        memoryview(keys).cast("Q"),
-        memoryview(slots).cast("I"),
-        memoryview(offsets).cast("I"),
-        memoryview(origins).cast("I"),
-        lengths,
-    )
 
 
 class _FlatLeafKeys:
@@ -443,15 +396,15 @@ class AnalysisContext:
     Build with :meth:`build`; hand the instance to
     ``LeaseInferencePipeline.run``, ``LegacyLeasePipeline``, and friends
     so they share one substrate instead of recomputing per pass.  The
-    constructor attaches to a finished *image* laid out by *layout*;
-    *leaves* (the full records) exists only where the image was built.
+    constructor reads a finished *image* laid out by *layout*, beside
+    the full *leaves* records it was built from.
     """
 
     def __init__(
         self,
         image: memoryview,
         layout: ImageLayout,
-        leaves: Optional[Dict[RIR, List[TreeLeaf]]] = None,
+        leaves: Dict[RIR, List[TreeLeaf]],
     ) -> None:
         self.image = image
         self.layout = layout
@@ -459,7 +412,7 @@ class AnalysisContext:
         self.max_leaf_length = layout.max_leaf_length
         self.stats = layout.stats
         self._leaves = leaves
-        views = self._views = _Views(image, layout.sections)
+        views = _Views(image, layout.sections)
         self.rib = RibSnapshot(
             views.array("rib_keys"),
             views.array("rib_slots"),
@@ -669,12 +622,7 @@ class AnalysisContext:
         return _EMPTY
 
     def leaves(self, rir: RIR) -> List[TreeLeaf]:
-        """The full leaf records for *rir* (building process only)."""
-        if self._leaves is None:
-            raise RuntimeError(
-                "this context holds flat classification keys only; the "
-                "process that built it keeps the leaf records"
-            )
+        """The full leaf records for *rir*."""
         return self._leaves.get(rir, [])
 
     def total_leaves(self) -> int:

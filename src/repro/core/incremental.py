@@ -42,9 +42,9 @@ from ..bgp.updates import SequencedUpdate
 from ..net import Prefix, PrefixTrie
 from ..rir import RIR
 from .context import AnalysisContext, RibSnapshot
+from .classify import CacheStats, LeafClassifier
 from .pipeline import LeaseInferencePipeline
 from .results import InferenceResult, LeafInference
-from .sharding import CacheStats, ShardClassifier
 
 __all__ = [
     "BurstReport",
@@ -65,7 +65,7 @@ class MutableRibOverlay:
     """A mutable dict copy of a frozen RIB snapshot, update by update.
 
     Answers ``exact_origins`` / ``covering_origins`` exactly like
-    :class:`RibSnapshot` (so the shard classifier reads it unchanged)
+    :class:`RibSnapshot` (so the leaf classifier reads it unchanged)
     while accepting the stream's mutations with :class:`RoutingTable`
     semantics: ``announce`` adds one origin to a prefix's set,
     ``withdraw`` evicts the prefix's exact-index entry wholly.  Origin
@@ -183,13 +183,13 @@ class IncrementalEngine:
         self._context = context
         self._use_covering = use_covering_root_lookup
         self._overlay = MutableRibOverlay(context.rib)
-        self._classifiers: Dict[RIR, ShardClassifier] = {}
+        self._classifiers: Dict[RIR, LeafClassifier] = {}
         self._rows: Dict[RIR, List[LeafInference]] = {}
         self._by_exact: Dict[Prefix, List[_LeafSlot]] = {}
         self._root_slots: "PrefixTrie[List[_LeafSlot]]" = PrefixTrie()
         self._root_resolution: Dict[Prefix, FrozenSet[int]] = {}
         for rir in context.rirs:
-            classifier = ShardClassifier(
+            classifier = LeafClassifier(
                 context, rir, use_covering_root_lookup, rib=self._overlay
             )
             rows: List[LeafInference] = []

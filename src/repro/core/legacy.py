@@ -32,8 +32,6 @@ from ..whois.objects import InetnumRecord
 from .allocation_tree import DEFAULT_MAX_LEAF_LENGTH
 from .context import AnalysisContext
 from .relatedness import RelatednessOracle
-from .sharding import effective_workers, run_sharded
-from .shm import SharedAnalysisContext
 
 __all__ = [
     "LegacyVerdict",
@@ -79,8 +77,8 @@ def infer_legacy_leases(
 
     This is the **frozen reference engine** (prefix-map parents, per-block
     oracle queries).  :class:`LegacyLeasePipeline` runs the same
-    classification from the shared :class:`AnalysisContext`, serially or
-    sharded, with bit-identical output; this function is the executable
+    classification from the shared :class:`AnalysisContext` with
+    bit-identical output; this function is the executable
     specification its equivalence tests diff against.
     """
     results: List[LegacyInference] = []
@@ -176,23 +174,20 @@ def _registration_differs(
 
 # -- fast engine ----------------------------------------------------------
 #
-# The fast engine splits the reference loop into a parent-side scan and a
+# The fast engine splits the reference loop into a sorted scan and a
 # context-only verdict step.  The scan resolves each legacy block's
 # most-specific registered parent with a sorted enclosing-interval stack
 # (prefixes nest or are disjoint, so the stack top after popping closed
-# intervals *is* ``trie.parent``) and reduces every block to a compact
-# key.  Keys are what ships to worker processes; verdicts come entirely
-# from the context — the :class:`AnalysisContext` serially, the
-# :class:`SharedAnalysisContext` attached to its image in a pool —
-# through the identical code path.
+# intervals *is* ``trie.parent``); verdicts then come entirely from the
+# :class:`AnalysisContext`.
 
-#: ``(prefix, record_org, parent_prefix, parent_org, registration_signal)``
-_LegacyKey = Tuple[Prefix, Optional[str], Optional[Prefix], Optional[str], bool]
+#: ``(prefix, record, parent_prefix, parent_record)`` per legacy block.
+_ScanRow = Tuple[Prefix, InetnumRecord, Optional[Prefix], Optional[InetnumRecord]]
 
 
 def _scan_region(
     database: WhoisDatabase, max_leaf_length: int
-) -> List[Tuple[Prefix, InetnumRecord, Optional[Prefix], Optional[InetnumRecord]]]:
+) -> List[_ScanRow]:
     """Replicate the reference trie walk with one sorted pass.
 
     First-wins dedup per prefix (matching ``trie.insert`` guarded by
@@ -230,25 +225,32 @@ def _scan_region(
     ]
 
 
-def _legacy_rows(
-    context: AnalysisContext, rir: RIR, keys: Tuple[_LegacyKey, ...]
-) -> List[Tuple[str, Tuple[int, ...]]]:
-    """Verdict rows for a slice of keys, entirely from the context.
+def _legacy_verdicts(
+    context: AnalysisContext, rir: RIR, scan: List[_ScanRow]
+) -> List[LegacyInference]:
+    """One region's verdicts, entirely from the context.
 
-    A pool passes the :class:`SharedAnalysisContext` attached to the
-    parent's image.
+    The relatedness targets depend only on the record organisation, the
+    parent organisation and the parent prefix, so they are resolved once
+    per distinct triple.
     """
     targets_memo: Dict[
         Tuple[Optional[str], Optional[str], Optional[Prefix]], FrozenSet[int]
     ] = {}
-    rows: List[Tuple[str, Tuple[int, ...]]] = []
-    for prefix, record_org, parent_prefix, parent_org, signal in keys:
+    results: List[LegacyInference] = []
+    for prefix, record, parent_prefix, parent_record in scan:
         origins = context.rib.exact_origins(prefix)
         if not origins:
             verdict = (
-                LegacyVerdict.SUSPECTED if signal else LegacyVerdict.UNUSED
+                LegacyVerdict.SUSPECTED
+                if _registration_differs(record, parent_record)
+                else LegacyVerdict.UNUSED
             )
         else:
+            record_org = record.org_id or None
+            parent_org = (
+                (parent_record.org_id or None) if parent_record else None
+            )
             memo_key = (record_org, parent_org, parent_prefix)
             targets = targets_memo.get(memo_key)
             if targets is None:
@@ -263,25 +265,26 @@ def _legacy_rows(
                 verdict = LegacyVerdict.IN_USE
             else:
                 verdict = LegacyVerdict.LEASED
-        rows.append((verdict.name, tuple(sorted(origins))))
-    return rows
-
-
-def _legacy_shard(payload, shard):
-    """Module-level shard runner for :func:`run_sharded`."""
-    context, units = payload
-    rir, keys = units[shard.work_index]
-    return _legacy_rows(context, rir, keys[shard.start : shard.stop])
+        results.append(
+            LegacyInference(
+                prefix=prefix,
+                verdict=verdict,
+                record=record,
+                parent_prefix=parent_prefix,
+                parent_record=parent_record,
+                origins=origins,
+            )
+        )
+    return results
 
 
 class LegacyLeasePipeline:
-    """Context-backed legacy inference with serial and sharded engines.
+    """Context-backed legacy inference beside its frozen reference.
 
     Mirrors ``LeaseInferencePipeline``: :meth:`run` is the fast path
-    (``workers``/``shard_size`` select process-parallel sharding over
-    the shared-memory context),
-    :meth:`run_reference` delegates to the frozen
-    :func:`infer_legacy_leases`, and both produce bit-identical output.
+    over the shared :class:`AnalysisContext`, :meth:`run_reference`
+    delegates to the frozen :func:`infer_legacy_leases`, and both
+    produce bit-identical output.
     """
 
     def __init__(
@@ -309,62 +312,13 @@ class LegacyLeasePipeline:
             )
         return self.context
 
-    def run(
-        self, workers: int = 1, shard_size: Optional[int] = None
-    ) -> List[LegacyInference]:
+    def run(self) -> List[LegacyInference]:
         """Classify every legacy block; bit-equal to the reference."""
         context = self._ensure_context()
-        units = []
+        results: List[LegacyInference] = []
         for database in self.whois:
             scan = _scan_region(database, self.max_leaf_length)
-            keys = tuple(
-                (
-                    prefix,
-                    record.org_id or None,
-                    parent_prefix,
-                    (parent_record.org_id or None) if parent_record else None,
-                    _registration_differs(record, parent_record),
-                )
-                for prefix, record, parent_prefix, parent_record in scan
-            )
-            units.append((database.rir, scan, keys))
-
-        total = sum(len(keys) for _rir, _scan, keys in units)
-        pool_size = effective_workers(workers, total, shard_size)
-        if pool_size <= 1:
-            rows_per_unit = [
-                _legacy_rows(context, rir, keys)
-                for rir, _scan, keys in units
-            ]
-        else:
-            with SharedAnalysisContext.from_context(context) as shared:
-                shards, outputs = run_sharded(
-                    (shared, tuple((rir, keys) for rir, _scan, keys in units)),
-                    _legacy_shard,
-                    [len(keys) for _rir, _scan, keys in units],
-                    pool_size,
-                    shard_size,
-                )
-            rows_per_unit = [[] for _ in units]
-            for shard, rows in zip(shards, outputs):
-                rows_per_unit[shard.work_index].extend(rows)
-
-        results: List[LegacyInference] = []
-        for (rir, scan, _keys), rows in zip(units, rows_per_unit):
-            for (prefix, record, parent_prefix, parent_record), (
-                verdict_name,
-                origins,
-            ) in zip(scan, rows):
-                results.append(
-                    LegacyInference(
-                        prefix=prefix,
-                        verdict=LegacyVerdict[verdict_name],
-                        record=record,
-                        parent_prefix=parent_prefix,
-                        parent_record=parent_record,
-                        origins=frozenset(origins),
-                    )
-                )
+            results.extend(_legacy_verdicts(context, database.rir, scan))
         return results
 
     def run_reference(self) -> List[LegacyInference]:

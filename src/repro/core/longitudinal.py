@@ -9,12 +9,11 @@ lessee, the pattern Fig. 3 shows for one prefix).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Set, Tuple
 
 from ..net import Prefix
 from ..rir import RIR
 from .results import InferenceResult
-from .sharding import effective_workers, run_sharded
 
 __all__ = ["LeaseChurn", "compare_epochs", "compare_epochs_fast"]
 
@@ -64,7 +63,7 @@ def compare_epochs(
 
     This is the **frozen reference engine** (per-region list scans,
     per-prefix lookups); :func:`compare_epochs_fast` computes the same
-    churn with single-pass views and optional sharding, and is tested
+    churn with single-pass views, and is tested
     for equality against it.
     """
     earlier_leased = earlier.leased_prefixes()
@@ -125,64 +124,24 @@ def _epoch_view(
     return frozenset(leased), by_rir, origins
 
 
-def _releases_rows(
-    persisting: Tuple[Prefix, ...],
-    earlier_origins: Dict[Prefix, FrozenSet[int]],
-    later_origins: Dict[Prefix, FrozenSet[int]],
-) -> Tuple[Prefix, ...]:
-    """The persisting prefixes whose origin AS set changed."""
-    return tuple(
+def compare_epochs_fast(
+    earlier: InferenceResult, later: InferenceResult
+) -> LeaseChurn:
+    """Churn equal to :func:`compare_epochs`, from single-pass views.
+
+    Each epoch is reduced to (leased set, per-region leased sets,
+    last-wins origins map) in one iteration; a re-lease is then one
+    dict lookup per persisting prefix on each side.
+    """
+    earlier_leased, earlier_by_rir, earlier_origins = _epoch_view(earlier)
+    later_leased, later_by_rir, later_origins = _epoch_view(later)
+    persisting = earlier_leased & later_leased
+    re_leased = frozenset(
         prefix
         for prefix in persisting
         if earlier_origins.get(prefix, _EMPTY)
         != later_origins.get(prefix, _EMPTY)
     )
-
-
-def _releases_shard(payload, shard):
-    """Module-level shard runner for :func:`run_sharded`."""
-    persisting, earlier_origins, later_origins = payload
-    return _releases_rows(
-        persisting[shard.start : shard.stop], earlier_origins, later_origins
-    )
-
-
-def compare_epochs_fast(
-    earlier: InferenceResult,
-    later: InferenceResult,
-    workers: int = 1,
-    shard_size: Optional[int] = None,
-) -> LeaseChurn:
-    """Churn equal to :func:`compare_epochs`, from single-pass views.
-
-    Each epoch is reduced to (leased set, per-region leased sets,
-    last-wins origins map) in one iteration; the re-lease scan over the
-    persisting prefixes can then be sharded across processes — only the
-    persisting-restricted origin maps ship to workers.
-    """
-    earlier_leased, earlier_by_rir, earlier_origins = _epoch_view(earlier)
-    later_leased, later_by_rir, later_origins = _epoch_view(later)
-    persisting = earlier_leased & later_leased
-    ordered = tuple(sorted(persisting))
-
-    earlier_persisting = {p: earlier_origins.get(p, _EMPTY) for p in ordered}
-    later_persisting = {p: later_origins.get(p, _EMPTY) for p in ordered}
-    pool_size = effective_workers(workers, len(ordered), shard_size)
-    if pool_size <= 1:
-        re_leased = frozenset(
-            _releases_rows(ordered, earlier_persisting, later_persisting)
-        )
-    else:
-        _shards, outputs = run_sharded(
-            (ordered, earlier_persisting, later_persisting),
-            _releases_shard,
-            [len(ordered)],
-            pool_size,
-            shard_size,
-        )
-        re_leased = frozenset(
-            prefix for rows in outputs for prefix in rows
-        )
 
     by_rir: Dict[RIR, RegionChurn] = {}
     for rir in RIR:

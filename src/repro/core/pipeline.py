@@ -7,9 +7,9 @@ and classifies every non-portable leaf.
 Two engines produce bit-for-bit identical results:
 
 * :meth:`LeaseInferencePipeline.run` — the fast path: sort-based tree
-  construction (:class:`~repro.core.allocation_tree.AllocationScan`),
-  memoized per-shard lookups, and optional process-parallel sharding
-  via ``workers``/``shard_size`` over a shared-memory context.
+  construction (:class:`~repro.core.allocation_tree.AllocationScan`)
+  into one :class:`~repro.core.context.AnalysisContext`, then memoized
+  per-registry lookups (:class:`~repro.core.classify.LeafClassifier`).
 * :meth:`LeaseInferencePipeline.run_reference` — the straight-line
   per-leaf loop over :class:`AllocationTree`, kept as the executable
   specification the fast path is tested (and benchmarked) against.
@@ -30,18 +30,10 @@ from .allocation_tree import (
     AllocationTree,
     TreeLeaf,
 )
-from .classify import Category, classify_leaf
+from .classify import CacheStats, Category, LeafClassifier, classify_leaf
 from .context import AnalysisContext
 from .relatedness import RelatednessOracle
 from .results import InferenceResult, LeafInference
-from .sharding import (
-    CacheStats,
-    ShardClassifier,
-    classify_shard_rows,
-    effective_workers,
-    run_sharded,
-)
-from .shm import SharedAnalysisContext, payload_pickle_bytes
 
 __all__ = ["LeaseInferencePipeline", "infer_leases"]
 
@@ -57,8 +49,6 @@ class LeaseInferencePipeline:
         as2org: Optional[AS2Org] = None,
         max_leaf_length: int = DEFAULT_MAX_LEAF_LENGTH,
         use_covering_root_lookup: bool = True,
-        workers: int = 1,
-        shard_size: Optional[int] = None,
     ) -> None:
         if isinstance(whois, WhoisDatabase):
             collection = WhoisCollection({whois.rir: whois})
@@ -69,11 +59,6 @@ class LeaseInferencePipeline:
         self.oracle = RelatednessOracle(relationships, as2org)
         self.max_leaf_length = max_leaf_length
         self.use_covering_root_lookup = use_covering_root_lookup
-        self.workers = workers
-        self.shard_size = shard_size
-        #: Filled by parallel runs: segment + descriptor sizes, for the
-        #: bench payload-bytes column.
-        self.shm_stats: Optional[Dict[str, int]] = None
         self.trees: Dict[RIR, AllocationTree] = {}
         #: The shared substrate snapshot of the last :meth:`run`; reuse
         #: it across the extension pipelines to skip rebuilding.
@@ -87,26 +72,15 @@ class LeaseInferencePipeline:
     def run(
         self,
         rirs: Optional[Iterable[RIR]] = None,
-        workers: Optional[int] = None,
-        shard_size: Optional[int] = None,
         context: Optional[AnalysisContext] = None,
     ) -> InferenceResult:
         """Classify every leaf in the selected registries (default: all).
 
         Builds (or reuses, via ``context``) the shared
-        :class:`AnalysisContext` snapshot, then classifies from it.
-        ``workers`` > 1 copies the context's image into one
-        shared-memory segment and classifies shards across a process
-        pool — fork where available, spawn otherwise — whose workers
-        receive an O(1) attach-by-name descriptor; the segment is
-        unlinked before this method returns, crash or not.  Small
-        inputs (at most one shard) fall back to the identical serial
-        path.  Output is bit-for-bit equal to :meth:`run_reference` in
-        every mode.
+        :class:`AnalysisContext` snapshot, then classifies from it with
+        one memoized :class:`LeafClassifier` per registry.  Output is
+        bit-for-bit equal to :meth:`run_reference`.
         """
-        workers = self.workers if workers is None else workers
-        shard_size = self.shard_size if shard_size is None else shard_size
-        self.shm_stats = None
         result = InferenceResult()
 
         tree_started = time.perf_counter()
@@ -128,69 +102,30 @@ class LeaseInferencePipeline:
         tree_elapsed = time.perf_counter() - tree_started
 
         classify_started = time.perf_counter()
-        total = sum(len(context.leaf_keys[rir]) for rir in work_rirs)
-        pool_size = effective_workers(workers, total, shard_size)
         cache_stats = CacheStats()
-        if pool_size <= 1:
-            for rir in work_rirs:
-                classifier = ShardClassifier(
-                    context, rir, self.use_covering_root_lookup
+        for rir in work_rirs:
+            classifier = LeafClassifier(
+                context, rir, self.use_covering_root_lookup
+            )
+            for leaf in context.leaves(rir):
+                category, leaf_origins, root_origins, assigned = (
+                    classifier.classify(
+                        leaf.prefix,
+                        leaf.root_prefix,
+                        leaf.root_record.org_id if leaf.root_record else None,
+                    )
                 )
-                for leaf in context.leaves(rir):
-                    category, leaf_origins, root_origins, assigned = (
-                        classifier.classify(
-                            leaf.prefix,
-                            leaf.root_prefix,
-                            leaf.root_record.org_id
-                            if leaf.root_record
-                            else None,
-                        )
+                result.add(
+                    self._make_inference(
+                        rir,
+                        leaf,
+                        category,
+                        leaf_origins,
+                        root_origins,
+                        assigned,
                     )
-                    result.add(
-                        self._make_inference(
-                            rir,
-                            leaf,
-                            category,
-                            leaf_origins,
-                            root_origins,
-                            assigned,
-                        )
-                    )
-                cache_stats.merge(classifier.stats())
-        else:
-            rir_order = tuple(work_rirs)
-            # Leaving the block unlinks the segment before reassembly:
-            # a worker crash (pool raises) leaves no /dev/shm segment.
-            with SharedAnalysisContext.from_context(context) as shared:
-                payload = (shared, self.use_covering_root_lookup, rir_order)
-                self.shm_stats = {
-                    "segment_bytes": shared.segment_bytes,
-                    "payload_bytes": payload_pickle_bytes(payload),
-                }
-                shards, outputs = run_sharded(
-                    payload,
-                    classify_shard_rows,
-                    [len(context.leaf_keys[rir]) for rir in rir_order],
-                    pool_size,
-                    shard_size,
                 )
-            for shard, (rows, shard_stats) in zip(shards, outputs):
-                rir = rir_order[shard.work_index]
-                leaves = context.leaves(rir)[shard.start : shard.stop]
-                for leaf, (name, leaf_origins, root_origins, assigned) in zip(
-                    leaves, rows
-                ):
-                    result.add(
-                        self._make_inference(
-                            rir,
-                            leaf,
-                            Category[name],
-                            frozenset(leaf_origins),
-                            frozenset(root_origins),
-                            frozenset(assigned),
-                        )
-                    )
-                cache_stats.merge(shard_stats)
+            cache_stats.merge(classifier.stats())
 
         self._stats = {
             rir: dict(context.stats[rir]) for rir in work_rirs
@@ -285,7 +220,7 @@ class LeaseInferencePipeline:
         return {rir: dict(counters) for rir, counters in self._stats.items()}
 
     def cache_stats(self) -> CacheStats:
-        """Aggregated per-shard cache counters from the last :meth:`run`.
+        """Aggregated per-registry cache counters from the last :meth:`run`.
 
         Raises :class:`RuntimeError` before the first :meth:`run` (the
         reference engine uses no caches, so it never populates these).
@@ -344,15 +279,8 @@ def infer_leases(
     routing_table: RoutingTable,
     relationships: ASRelationships,
     as2org: Optional[AS2Org] = None,
-    workers: int = 1,
-    shard_size: Optional[int] = None,
 ) -> InferenceResult:
     """One-call convenience wrapper around the pipeline."""
     return LeaseInferencePipeline(
-        whois,
-        routing_table,
-        relationships,
-        as2org,
-        workers=workers,
-        shard_size=shard_size,
+        whois, routing_table, relationships, as2org
     ).run()

@@ -49,5 +49,5 @@ class RelatednessOracle:
 # the pair memo never saw a repeated query — every committed
 # BENCH_pipeline.json run recorded a 0.0 hit rate.  Its replacement is
 # the eager ``(leaf_origin, root_org)`` memo in
-# :class:`repro.core.sharding.ShardClassifier`, which is consulted
+# :class:`repro.core.classify.LeafClassifier`, which is consulted
 # above the category cache and actually hits.

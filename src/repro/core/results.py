@@ -141,7 +141,7 @@ class InferenceResult:
     def merge(self, other: "InferenceResult") -> "InferenceResult":
         """Fold another result's verdicts into this one (returns self).
 
-        Equality between results is order-independent, so shard results
+        Equality between results is order-independent, so partial results
         can be merged in any order without changing the outcome.
         """
         for inference in other._inferences:

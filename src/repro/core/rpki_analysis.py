@@ -10,14 +10,13 @@ outcome of every announcement in a population.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 from ..bgp.rib import RoutingTable
 from ..net import Prefix
 from ..rpki.roa import RoaSet
 from ..rpki.validation import ValidationState, validate_origin
 from .context import AnalysisContext, RibSnapshot, RoaSnapshot
-from .sharding import effective_workers, run_sharded
 
 __all__ = [
     "RpkiValidationPipeline",
@@ -78,36 +77,10 @@ def validation_profile(
 
 # -- fast engine ----------------------------------------------------------
 
-def _profile_rows(
-    rib: RibSnapshot,
-    roas: RoaSnapshot,
-    population: Tuple[Prefix, ...],
-) -> Tuple[int, int, int]:
-    """``(valid, invalid, not_found)`` over a slice of the population."""
-    valid = invalid = not_found = 0
-    for prefix in population:
-        for origin in rib.exact_origins(prefix):
-            outcome = roas.validate(prefix, origin)
-            if outcome == "valid":
-                valid += 1
-            elif outcome == "invalid":
-                invalid += 1
-            else:
-                not_found += 1
-    return valid, invalid, not_found
-
-
-def _profile_shard(payload, shard):
-    """Module-level shard runner for :func:`run_sharded`."""
-    rib, roas, population = payload
-    return _profile_rows(rib, roas, population[shard.start : shard.stop])
-
-
 class RpkiValidationPipeline:
-    """Snapshot-backed RFC 6811 profiling with serial and sharded engines.
+    """Snapshot-backed RFC 6811 profiling beside its frozen reference.
 
-    Counts are order-independent, so the population can be sharded
-    freely; every mode produces a :class:`ValidationProfile` equal to
+    :meth:`profile` produces a :class:`ValidationProfile` equal to
     :func:`validation_profile` (enforced by the equivalence tests).  The
     RIB snapshot comes from a shared :class:`AnalysisContext` when one is
     supplied, so the base inference and this profiler index BGP once.
@@ -127,30 +100,18 @@ class RpkiValidationPipeline:
             self.rib = RibSnapshot.from_routing_table(routing_table)
         self.roa_snapshot = RoaSnapshot(roas)
 
-    def profile(
-        self,
-        prefixes: Iterable[Prefix],
-        workers: int = 1,
-        shard_size: Optional[int] = None,
-    ) -> ValidationProfile:
+    def profile(self, prefixes: Iterable[Prefix]) -> ValidationProfile:
         """Profile the population; equal to :meth:`profile_reference`."""
-        population = tuple(prefixes)
-        pool_size = effective_workers(workers, len(population), shard_size)
-        if pool_size <= 1:
-            valid, invalid, not_found = _profile_rows(
-                self.rib, self.roa_snapshot, population
-            )
-        else:
-            _shards, outputs = run_sharded(
-                (self.rib, self.roa_snapshot, population),
-                _profile_shard,
-                [len(population)],
-                pool_size,
-                shard_size,
-            )
-            valid = sum(row[0] for row in outputs)
-            invalid = sum(row[1] for row in outputs)
-            not_found = sum(row[2] for row in outputs)
+        valid = invalid = not_found = 0
+        for prefix in prefixes:
+            for origin in self.rib.exact_origins(prefix):
+                outcome = self.roa_snapshot.validate(prefix, origin)
+                if outcome == "valid":
+                    valid += 1
+                elif outcome == "invalid":
+                    invalid += 1
+                else:
+                    not_found += 1
         return ValidationProfile(
             valid=valid, invalid=invalid, not_found=not_found
         )

@@ -251,9 +251,9 @@ class PrefixTrie(Generic[V]):
 # A prefix set can be frozen into one sorted array of packed uint64 keys
 # (``network << 8 | length``) — the packing preserves ``Prefix`` order
 # (network first, then length), so binary search finds any key and the
-# array can live in shared memory as raw bytes.  These helpers run over
-# any sorted integer sequence: a list, an ``array('Q')``, or a
-# ``memoryview`` cast over a ``multiprocessing.shared_memory`` buffer.
+# array can live in a flat byte image.  These helpers run over any
+# sorted integer sequence: a list, an ``array('Q')``, or a
+# ``memoryview`` cast over an image section.
 
 #: Keys are 40-bit (32-bit network + 8-bit length) stored as uint64.
 _KEY_LENGTH_MASK = 0xFF
@@ -268,7 +268,7 @@ def unpack_prefix(key: int) -> Prefix:
     """The :class:`Prefix` a packed key encodes.
 
     Keys come from :func:`pack_prefix`, so the prefix is built without
-    re-running its validation (half the cost on the shm hot path).
+    re-running its validation (half the cost of decoding a key).
     """
     prefix = object.__new__(Prefix)
     object.__setattr__(prefix, "network", key >> 8)

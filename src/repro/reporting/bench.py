@@ -14,6 +14,8 @@ def render_bench_report(report: Dict[str, object]) -> str:
 
     Accepts a single run payload (``{"worlds": [...]}``) or a v2
     trajectory file (``{"runs": [...]}``), rendering the latest run.
+    Runs recorded before schema v4 also carry pool modes
+    (``parallel-N``); they render as further rows.
     """
     runs = report.get("runs")  # type: ignore[union-attr]
     if isinstance(runs, list) and runs:
@@ -22,12 +24,9 @@ def render_bench_report(report: Dict[str, object]) -> str:
     for world in report["worlds"]:  # type: ignore[union-attr]
         headers = (
             "mode",
-            "workers",
             "wall s",
             "leaves/s",
             "vs reference",
-            "vs serial",
-            "payload",
             "peak rss",
             "cat hit%",
             "root hit%",
@@ -40,12 +39,9 @@ def render_bench_report(report: Dict[str, object]) -> str:
             rows.append(
                 (
                     mode["mode"],
-                    mode["workers"],
                     f"{mode['wall_s']:.2f}",
                     f"{mode['leaves_per_s']:,.0f}",
                     f"{mode['speedup_vs_reference']:.2f}x",
-                    _speedup(mode["speedup_vs_serial"]),
-                    _bytes(mode.get("payload_bytes")),
                     _bytes(mode.get("peak_rss_bytes")),
                     _percent(rates.get("category")),
                     _percent(rates.get("root_origin")),
@@ -68,7 +64,6 @@ def _render_extensions(size: object, extensions: Dict[str, object]) -> str:
     headers = (
         "pipeline",
         "mode",
-        "workers",
         "items",
         "wall s",
         "vs reference",
@@ -84,7 +79,6 @@ def _render_extensions(size: object, extensions: Dict[str, object]) -> str:
                 (
                     pipeline,
                     mode["mode"],
-                    mode["workers"],
                     section["items"],  # type: ignore[index]
                     f"{mode['wall_s']:.4f}",
                     f"{mode['speedup_vs_reference']:.2f}x",
@@ -100,16 +94,6 @@ def _percent(rate: object) -> str:
     if rate is None:
         return "-"
     return f"{float(rate) * 100:.0f}%"
-
-
-def _speedup(value: object) -> str:
-    """Schema-v3 ``speedup_vs_serial``: a ratio, a marker string
-    (``"insufficient_cpus"``), or ``None`` for the reference mode."""
-    if value is None:
-        return "-"
-    if isinstance(value, str):
-        return value
-    return f"{float(value):.2f}x"
 
 
 def _bytes(value: object) -> str:

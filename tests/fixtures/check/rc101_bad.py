@@ -1,4 +1,4 @@
-"""RC101 must fire: pool primitives imported outside the sharding funnel."""
+"""RC101 must fire: pool primitives imported outside repro.check.engine."""
 
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor

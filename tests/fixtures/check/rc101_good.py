@@ -1,11 +1,10 @@
-"""RC101 must stay silent: parallelism goes through run_sharded."""
+"""RC101 must stay silent: the check engine's --jobs fan-out is the one
+module allowed a process pool."""
+# repro-check: module=repro.check.engine
 
-from repro.core.sharding import run_sharded
-
-
-def fan_out(payload, unit_lengths):
-    return run_sharded(payload, _runner, unit_lengths, workers=2)
+from concurrent.futures import ProcessPoolExecutor
 
 
-def _runner(shard):
-    return [str(item) for item in shard]
+def fan_out(chunks):
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        return list(pool.map(str, chunks))

@@ -1,13 +1,10 @@
 """RC107 must fire: a frozen reference leaning on fast-engine code."""
 
+from repro.core.classify import LeafClassifier
 from repro.core.context import AnalysisContext
-from repro.core.sharding import run_sharded
 
 
-def run_reference(records, unit_lengths):
+def run_reference(records, rir):
     context = AnalysisContext.build(records)
-    return run_sharded((context,), _runner, unit_lengths, workers=2)
-
-
-def _runner(shard):
-    return list(shard)
+    classifier = LeafClassifier(context, rir)
+    return [classifier.classify(*record) for record in records]

@@ -167,7 +167,6 @@ def test_class_and_export_facts(tmp_path):
     cls = next(c for c in facts.classes if c.name == "Wired")
     assert isinstance(cls, ClassFact)
     assert cls.registered
-    assert cls.spawn_safe
     assert "CheckRule" in cls.bases
     exports = {exp.name: exp for exp in facts.exports}
     assert isinstance(exports["Wired"], ExportFact)

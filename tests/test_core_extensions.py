@@ -18,12 +18,10 @@ from repro.core import (
     RpkiValidationPipeline,
     compare_epochs,
     compare_epochs_fast,
-    fork_available,
     infer_leases,
     infer_legacy_leases,
     validation_profile,
 )
-from repro.core.shm import SharedAnalysisContext, attached_segment_names
 from repro.net import AddressRange, Prefix
 from repro.rir import RIR
 from repro.rpki import AS0, ROA, RoaSet
@@ -272,7 +270,7 @@ class TestValidationProfile:
 
 class TestExtensionEngineEquivalence:
     """Tentpole: the context-backed fast engines must be bit-identical
-    to their frozen references, serially and sharded."""
+    to their frozen references."""
 
     @pytest.fixture(scope="class")
     def world(self):
@@ -303,43 +301,6 @@ class TestExtensionEngineEquivalence:
         assert self._legacy_rows(pipeline.run()) == self._legacy_rows(
             reference
         )
-        assert self._legacy_rows(
-            pipeline.run(workers=2, shard_size=1)
-        ) == self._legacy_rows(reference)
-
-    @pytest.mark.parametrize("start", ["fork", "spawn"])
-    def test_legacy_pool_runs_over_shm(self, request, monkeypatch, start):
-        """The legacy pool attaches to a byte copy of the built image,
-        under fork and under forced spawn, and matches the frozen
-        reference."""
-        if start == "spawn":
-            request.getfixturevalue("force_spawn")
-        elif not fork_available():
-            pytest.skip("fork start method not available")
-        packed = []
-        pack = SharedAnalysisContext.from_context
-
-        def spy(context):
-            shared = pack(context)
-            packed.append(shared.total_leaves())
-            return shared
-
-        monkeypatch.setattr(
-            SharedAnalysisContext, "from_context", staticmethod(spy)
-        )
-        pipeline = make_legacy_pipeline()
-        reference = pipeline.run_reference()
-        pipeline.run()  # builds the context serially
-        # The segment copies the image: a key planted in the local
-        # context after the build never reaches it.
-        pipeline.context.leaf_keys[RIR.RIPE] = (
-            (Prefix.parse("192.80.5.0/24"), None, None),
-        )
-        assert self._legacy_rows(
-            pipeline.run(workers=2, shard_size=1)
-        ) == self._legacy_rows(reference)
-        assert packed == [0]
-        assert attached_segment_names() == []
 
     def test_legacy_engines_match_on_world(self, world, base):
         _result, context = base
@@ -351,9 +312,6 @@ class TestExtensionEngineEquivalence:
         assert self._legacy_rows(pipeline.run()) == self._legacy_rows(
             reference
         )
-        assert self._legacy_rows(
-            pipeline.run(workers=2, shard_size=1)
-        ) == self._legacy_rows(reference)
 
     def test_rpki_engines_match_on_world(self, world, base):
         result, context = base
@@ -367,10 +325,6 @@ class TestExtensionEngineEquivalence:
         for population in (leased, other):
             reference = profiler.profile_reference(population)
             assert profiler.profile(population) == reference
-            assert (
-                profiler.profile(population, workers=2, shard_size=8)
-                == reference
-            )
 
     def test_longitudinal_engines_match(self, world, base):
         result, _context = base
@@ -393,12 +347,6 @@ class TestExtensionEngineEquivalence:
         ):
             reference = compare_epochs(earlier_epoch, later_epoch)
             assert compare_epochs_fast(earlier_epoch, later_epoch) == reference
-            assert (
-                compare_epochs_fast(
-                    earlier_epoch, later_epoch, workers=2, shard_size=4
-                )
-                == reference
-            )
 
 
 class TestMultihomedInjection:

@@ -17,12 +17,12 @@ from repro.core.results import InferenceResult
 from repro.simulation import build_world, small_world
 
 
-def _run(seed, workers=1, shard_size=None):
+def _run(seed):
     world = build_world(small_world(seed=seed))
     pipeline = LeaseInferencePipeline(
         world.whois, world.routing_table, world.relationships, world.as2org
     )
-    return pipeline.run(workers=workers, shard_size=shard_size)
+    return pipeline.run()
 
 
 def _ordered(result):
@@ -37,12 +37,6 @@ class TestRunDeterminism:
     def test_same_seed_same_result_and_order(self):
         first = _run(seed=11)
         second = _run(seed=11)
-        assert first == second
-        assert _ordered(first) == _ordered(second)
-
-    def test_same_seed_parallel_is_deterministic(self):
-        first = _run(seed=11, workers=2, shard_size=16)
-        second = _run(seed=11, workers=2, shard_size=16)
         assert first == second
         assert _ordered(first) == _ordered(second)
 
@@ -92,14 +86,14 @@ class TestBenchSchemaDeterminism:
 
     def test_quick_payload_sanity(self, quick_reports):
         report = quick_reports[0]
-        assert report["schema"] == {"name": "BENCH_pipeline", "version": 3}
+        assert report["schema"] == {"name": "BENCH_pipeline", "version": 4}
         assert report["config"]["quick"] is True
         assert report["config"]["extensions"] is True
         assert all_equivalent(report)
         (world,) = report["worlds"]
         assert world["size"] == "small"
         assert [mode["mode"] for mode in world["modes"]] == [
-            "reference", "serial", "parallel-2",
+            "reference", "serial",
         ]
         for mode in world["modes"]:
             assert mode["equivalent"] is True
@@ -121,7 +115,7 @@ class TestBenchSchemaDeterminism:
         assert set(extensions) == {"legacy", "rpki", "longitudinal"}
         for section in extensions.values():
             assert [mode["mode"] for mode in section["modes"]] == [
-                "reference", "serial", "parallel-2",
+                "reference", "serial",
             ]
             for mode in section["modes"]:
                 assert mode["equivalent"] is True
@@ -144,14 +138,11 @@ class TestBenchSchemaDeterminism:
     def test_memory_columns_null_without_flag(self, quick_reports):
         (world,) = quick_reports[0]["worlds"]
         for mode in world["modes"]:
-            assert mode["payload_bytes"] is None
-            assert mode["segment_bytes"] is None
             assert mode["peak_rss_bytes"] is None
-            assert mode["peak_child_rss_bytes"] is None
 
 
 class TestBenchMemoryModes:
-    """The v3 memory accounting (`--memory`)."""
+    """The memory accounting (`--memory`)."""
 
     @pytest.fixture(scope="class")
     def report(self):
@@ -165,33 +156,9 @@ class TestBenchMemoryModes:
     def test_mode_grid(self, report):
         (world,) = report["worlds"]
         assert [mode["mode"] for mode in world["modes"]] == [
-            "reference", "serial", "parallel-2",
+            "reference", "serial",
         ]
         assert all(mode["equivalent"] for mode in world["modes"])
-
-    def test_speedup_vs_serial_tri_state(self, report):
-        (world,) = report["worlds"]
-        modes = {mode["mode"]: mode for mode in world["modes"]}
-        # null for the reference row, a ratio when the host has the
-        # cores, the explicit marker when it does not (oversubscription
-        # measures the scheduler, not the code)
-        assert modes["reference"]["speedup_vs_serial"] is None
-        assert modes["serial"]["speedup_vs_serial"] == 1.0
-        value = modes["parallel-2"]["speedup_vs_serial"]
-        if report["host"]["cpus"] < 2:
-            assert value == "insufficient_cpus"
-        else:
-            assert isinstance(value, float)
-
-    def test_spawn_payload_drops_to_o1_descriptor(self, report):
-        # The headline of the shared-memory transport: what a spawn
-        # worker unpickles is the O(1) attach-by-name descriptor, while
-        # the tables live in one segment.
-        (world,) = report["worlds"]
-        modes = {mode["mode"]: mode for mode in world["modes"]}
-        assert modes["parallel-2"]["payload_bytes"] < 4 * 1024
-        assert modes["parallel-2"]["segment_bytes"] > 0
-        assert modes["serial"]["segment_bytes"] is None
 
     def test_peak_rss_populated(self, report):
         (world,) = report["worlds"]
@@ -203,7 +170,6 @@ class TestBenchMemoryModes:
         from repro.reporting.bench import render_bench_report
 
         text = render_bench_report(report)
-        assert "payload" in text
         assert "peak rss" in text
         assert "KB" in text or "MB" in text
 
@@ -221,7 +187,7 @@ class TestBenchCli:
         import json
 
         payload = json.loads(out.read_text())
-        assert payload["schema"] == {"name": "BENCH_pipeline", "version": 3}
+        assert payload["schema"] == {"name": "BENCH_pipeline", "version": 4}
         assert len(payload["runs"]) == 1
         assert "Pipeline bench" in captured
         assert f"wrote {out}" in captured
@@ -245,19 +211,22 @@ class TestBenchCli:
         write_benchmark(run, out)
         write_benchmark(run, out)
         payload = json.loads(out.read_text())
-        assert payload["schema"] == {"name": "BENCH_pipeline", "version": 3}
+        assert payload["schema"] == {"name": "BENCH_pipeline", "version": 4}
         assert len(payload["runs"]) == 3
         # the migrated v1 run keeps its original stamp as provenance
         assert payload["runs"][0]["schema"]["version"] == 1
-        assert payload["runs"][1]["schema"]["version"] == 3
+        assert payload["runs"][1]["schema"]["version"] == 4
 
     def test_bad_size_and_workers_are_rejected(self, tmp_path, capsys):
         from repro.cli import main
 
         out = tmp_path / "BENCH.json"
         assert main(["bench", "--sizes", "galactic", "--out", str(out)]) == 2
-        assert main(["bench", "--workers", "two", "--out", str(out)]) == 2
+        # There is no pool to size: argparse rejects the old option.
+        with pytest.raises(SystemExit) as raised:
+            main(["bench", "--workers", "2", "--out", str(out)])
+        assert raised.value.code == 2
         assert not out.exists()
-        stdout = capsys.readouterr().out
-        assert "unknown bench sizes" in stdout
-        assert "bad --workers" in stdout
+        captured = capsys.readouterr()
+        assert "unknown bench sizes" in captured.out
+        assert "unrecognized arguments: --workers" in captured.err

@@ -51,42 +51,20 @@ class TestGoldenTables:
         produced = _cli_json(["infer", "--data", str(data_dir), "--json"])
         assert produced == _golden("table1_small_world.json")
 
-    def test_table1_parallel_matches_golden(self, data_dir):
-        produced = _cli_json([
-            "infer", "--data", str(data_dir), "--json",
-            "--workers", "2", "--shard-size", "16",
-        ])
-        assert produced == _golden("table1_small_world.json")
-
     def test_table2_matches_golden(self, data_dir):
         produced = _cli_json(["evaluate", "--data", str(data_dir), "--json"])
         assert produced == _golden("table2_small_world.json")
 
 
 class TestGoldenExtensionPipelines:
-    """Legacy and RPKI pipeline outputs are pinned for both the
-    frozen-reference path (serial, default) and the sharded engine."""
+    """Legacy and RPKI pipeline outputs are pinned."""
 
     def test_legacy_matches_golden(self, data_dir):
         produced = _cli_json(["legacy", "--data", str(data_dir), "--json"])
         assert produced == _golden("legacy_small_world.json")
 
-    def test_legacy_parallel_matches_golden(self, data_dir):
-        produced = _cli_json([
-            "legacy", "--data", str(data_dir), "--json",
-            "--workers", "2", "--shard-size", "1",
-        ])
-        assert produced == _golden("legacy_small_world.json")
-
     def test_rpki_matches_golden(self, data_dir):
         produced = _cli_json(["rpki", "--data", str(data_dir), "--json"])
-        assert produced == _golden("rpki_small_world.json")
-
-    def test_rpki_parallel_matches_golden(self, data_dir):
-        produced = _cli_json([
-            "rpki", "--data", str(data_dir), "--json",
-            "--workers", "2", "--shard-size", "16",
-        ])
         assert produced == _golden("rpki_small_world.json")
 
 

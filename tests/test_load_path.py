@@ -120,6 +120,9 @@ class TestLazyPackages:
             "repro.bgp.simulator",
             "repro.core.legacy",
             "repro.core.longitudinal",
+            "multiprocessing",
+            "multiprocessing.shared_memory",
+            "concurrent.futures.process",
         ]
         script = (
             "import sys, repro.serve, repro.simulation.io\n"

@@ -10,9 +10,7 @@ mutated routing table.  This harness proves it three ways:
   withdraws of absent prefixes, duplicate announces, re-announces from
   fresh origins, covering supernets appearing and vanishing — shapes
   the simulator (which keeps its feeds state-consistent) never emits;
-* the from-scratch side also runs through the sharded parallel path
-  under both fork and spawn start methods, so the equality holds
-  against every execution mode the pipeline ships.
+* committed replay logs pin every shrunk regression feed.
 
 Failures are actionable: every assertion message carries the feed as
 :class:`ReplayLog` JSON, ready to commit under
@@ -26,7 +24,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.sharding as sharding
 from repro.bgp import ASPath
 from repro.bgp.history import AnnounceUpdate, WithdrawUpdate
 from repro.bgp.updates import SequencedUpdate
@@ -79,9 +76,7 @@ def medium_context(medium):
     return make_context(medium)
 
 
-def assert_differential(
-    world, context, feed, size, *, workers=1, shard_size=None
-):
+def assert_differential(world, context, feed, size):
     """Apply *feed* burst by burst, checking the digest after each."""
     engine = IncrementalEngine(context)
     mutated = clone_routing_table(world.routing_table)
@@ -91,12 +86,7 @@ def assert_differential(
         scratch_pipeline = LeaseInferencePipeline(
             world.whois, mutated, world.relationships, world.as2org
         )
-        if workers == 1:
-            scratch = scratch_pipeline.run()
-        else:
-            scratch = scratch_pipeline.run(
-                workers=workers, shard_size=shard_size
-            )
+        scratch = scratch_pipeline.run()
         assert engine.digest() == result_digest(scratch), (
             f"diverged after burst {index}; commit this under "
             f"tests/fixtures/stream/replays/ to pin it:\n"
@@ -195,41 +185,6 @@ class TestInterleavedBursts:
         prefixes, origins, peer = pools
         feed = data.draw(interleaved_feed(prefixes, origins, peer))
         assert_differential(small, small_context, feed, "small")
-
-
-class TestStartMethods:
-    """The scratch side must agree through the parallel engine too."""
-
-    @pytest.mark.parametrize("stream_seed", [11, 12])
-    def test_fork_parallel_scratch(
-        self, small, small_context, stream_seed
-    ):
-        if not sharding.fork_available():
-            pytest.skip("fork start method not available")
-        feed = simulate_update_bursts(small, 3, 16, stream_seed)
-        assert_differential(
-            small,
-            small_context,
-            feed,
-            "small",
-            workers=2,
-            shard_size=32,
-        )
-
-    @pytest.mark.parametrize("stream_seed", [21, 22])
-    def test_spawn_parallel_scratch(
-        self, small, small_context, stream_seed, force_spawn
-    ):
-        assert not sharding.fork_available()
-        feed = simulate_update_bursts(small, 2, 16, stream_seed)
-        assert_differential(
-            small,
-            small_context,
-            feed,
-            "small",
-            workers=2,
-            shard_size=32,
-        )
 
 
 class TestCommittedReplays:
