@@ -15,7 +15,7 @@ The analyzer mirrors the diagnostics design: small independent
 the rule docstrings render into ``docs/STATIC_ANALYSIS.md``.  Findings
 can be suppressed inline with a mandatory justification::
 
-    risky_call()  # repro-check: ignore[RC104] -- why this is fine
+    risky_call()  # repro-check: ignore[RC110] -- why this is fine
 
 Entry points: ``repro check`` (CLI), ``make check``, and the CI
 ``static-check`` job.  ``python -m repro.check.ratchet`` guards the

@@ -20,8 +20,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import is_dataclass
 from pathlib import Path
-from typing import Dict, Optional
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Optional,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 from ..diagnostics.model import Severity
 from .model import CheckFinding, Fix, WitnessStep
@@ -32,6 +41,7 @@ __all__ = [
     "file_sha",
     "finding_from_dict",
     "finding_to_dict",
+    "from_plain",
     "load_entries",
     "save_entries",
 ]
@@ -41,7 +51,10 @@ __all__ = [
 #: ride inside ``ModuleFacts`` and findings may carry witness paths.
 #: v3: ``ModuleFacts.payload_refs`` and ``ClassFact.spawn_safe`` are
 #: gone with RC105.
-CACHE_VERSION = 3
+#: v4: ``FunctionFact.mutated_params`` moved into ``FlowFact`` and
+#: ``FunctionFact.frozen_writes`` arrived, as RC102 and RC104 folded
+#: into RC111 and RC110.
+CACHE_VERSION = 4
 
 #: Cache file name when ``--cache`` is not given (created under the
 #: analyzed root; gitignored).
@@ -105,6 +118,65 @@ def finding_from_dict(payload: Dict[str, object]) -> CheckFinding:
             for step in payload.get("flow", ())  # type: ignore[union-attr]
         ),
     )
+
+
+def from_plain(hint: Any, value: Any) -> Any:
+    """Rebuild *value* — ``dataclasses.asdict`` output after a JSON
+    round trip — as the type *hint* describes.
+
+    Covers the shapes the facts records use: frozen dataclasses,
+    ``Tuple[X, ...]`` and fixed-length tuples, ``Optional[X]``.  Plain
+    values (``str``, ``int``, ``bool``, ``object``) pass through, and a
+    field missing from *value* keeps its dataclass default.
+    """
+    return _rebuilder(hint)(value)
+
+
+_REBUILDERS: Dict[Any, Callable[[Any], Any]] = {}
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+def _rebuilder(hint: Any) -> Callable[[Any], Any]:
+    """The function rebuilding values of *hint* (compiled once)."""
+    cached = _REBUILDERS.get(hint)
+    if cached is not None:
+        return cached
+    rebuild: Callable[[Any], Any] = _same
+    args = get_args(hint)
+    if is_dataclass(hint):
+        fields = [
+            (name, _rebuilder(field_hint))
+            for name, field_hint in get_type_hints(hint).items()
+        ]
+        nested = [(name, fn) for name, fn in fields if fn is not _same]
+
+        def build(value: Any) -> Any:
+            kwargs = dict(value)
+            for name, fn in nested:
+                if name in kwargs:
+                    kwargs[name] = fn(kwargs[name])
+            return hint(**kwargs)
+
+        rebuild = build
+    elif get_origin(hint) is tuple and args[-1:] == (Ellipsis,):
+        item = _rebuilder(args[0])
+        rebuild = tuple if item is _same else (
+            lambda value: tuple(map(item, value))
+        )
+    elif get_origin(hint) is tuple:
+        items = [_rebuilder(arg) for arg in args]
+        rebuild = tuple if all(fn is _same for fn in items) else (
+            lambda value: tuple(fn(item) for fn, item in zip(items, value))
+        )
+    elif args:  # Optional[X]
+        inner = _rebuilder(args[0])
+        if inner is not _same:
+            rebuild = lambda value: None if value is None else inner(value)
+    _REBUILDERS[hint] = rebuild
+    return rebuild
 
 
 def load_entries(

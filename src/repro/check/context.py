@@ -2,16 +2,17 @@
 
 :class:`ModuleSource` is one parsed Python file: text, line table, AST,
 and the inline-suppression map.  :class:`ProjectContext` is the whole
-checked tree — it resolves class definitions across modules (for the
-pickle-safety rule), concatenates ``docs/*.md`` (for the CLI-flag
-rule), and owns the shared *local type inference* heuristic used by the
-immutability and pickle-safety rules.
+checked tree and builds its whole-program graph on demand.  The module
+also owns the text corpora the project rules read (``docs/*.md`` for
+the CLI-flag rule, tests and examples for the dead-API rule) and the
+shared *local type inference* heuristic behind RC111's frozen types.
 
-Suppressions are deliberately strict: ``# repro-check: ignore[RC104]``
+Suppressions are deliberately strict: ``# repro-check: ignore[RC110]``
 only takes effect when followed by ``-- <justification>``.  A
 suppression without a reason is inert, so the underlying finding stays
 visible until someone writes down *why* the code is allowed to break
-the invariant.
+the invariant.  A retired code in a suppression suppresses its
+successor's findings.
 """
 
 from __future__ import annotations
@@ -21,20 +22,24 @@ import io
 import re
 import tokenize
 from pathlib import Path
-from typing import Container, Dict, List, Optional, Set, Tuple
+from typing import Container, Dict, Iterator, List, Optional, Set, Tuple
+
+from .model import resolve_code
 
 __all__ = [
     "ModuleSource",
     "ProjectContext",
     "infer_local_types",
     "annotation_class_name",
+    "attribute_writes",
+    "docs_corpus",
     "iter_scopes",
     "reference_corpus",
     "walk_scope",
 ]
 
-#: Matches suppression comments — ``ignore[RC104]`` or
-#: ``ignore[RC104,RC106]`` after the tool prefix, with a mandatory
+#: Matches suppression comments — ``ignore[RC110]`` or
+#: ``ignore[RC110,RC106]`` after the tool prefix, with a mandatory
 #: ``-- reason`` tail for the suppression to take effect.
 _SUPPRESS_RE = re.compile(
     r"#\s*repro-check:\s*ignore\[(?P<codes>[A-Z0-9,\s]+)\]"
@@ -103,21 +108,18 @@ class ModuleSource:
 
 
 class ProjectContext:
-    """The whole checked tree plus lazily built cross-module indexes."""
+    """The whole checked tree plus its lazily built project graph."""
 
     def __init__(self, root: Path, modules: List[ModuleSource]) -> None:
         self.root = root
         self.modules = modules
-        self._classes: Optional[Dict[str, List[Tuple[ModuleSource, ast.ClassDef]]]]
-        self._classes = None
-        self._docs_text: Optional[str] = None
         self._graph = None
 
     def graph(self):
         """The whole-program :class:`~repro.check.graph.ProjectGraph`.
 
         Built lazily from every module's facts plus the reference
-        corpus, and cached — the RC109–RC112 family shares one graph
+        corpus, and cached — every project-scope rule shares one graph
         per run.
         """
         if self._graph is None:
@@ -126,40 +128,20 @@ class ProjectContext:
             self._graph = ProjectGraph(
                 [module.facts for module in self.modules],
                 reference_corpus(self.root),
-                self.docs_text(),
+                docs_corpus(self.root),
             )
         return self._graph
 
-    def class_defs(
-        self, name: str
-    ) -> List[Tuple[ModuleSource, ast.ClassDef]]:
-        """Every project-wide ``class <name>`` definition."""
-        if self._classes is None:
-            index: Dict[str, List[Tuple[ModuleSource, ast.ClassDef]]] = {}
-            for module in self.modules:
-                for node in ast.walk(module.tree):
-                    if isinstance(node, ast.ClassDef):
-                        index.setdefault(node.name, []).append((module, node))
-            self._classes = index
-        return self._classes.get(name, [])
 
-    def docs_text(self) -> str:
-        """Concatenated text of every ``docs/*.md`` under the root."""
-        if self._docs_text is None:
-            docs_dir = self.root / "docs"
-            chunks: List[str] = []
-            if docs_dir.is_dir():
-                for path in sorted(docs_dir.glob("*.md")):
-                    chunks.append(path.read_text(encoding="utf-8"))
-            self._docs_text = "\n".join(chunks)
-        return self._docs_text
-
-    def module_by_name(self, dotted: str) -> Optional[ModuleSource]:
-        """The module whose dotted name is *dotted*, or None."""
-        for module in self.modules:
-            if module.module == dotted:
-                return module
-        return None
+def docs_corpus(root: Path) -> str:
+    """Concatenated ``docs/*.md`` under *root* (RC108's corpus)."""
+    docs_dir = root / "docs"
+    if not docs_dir.is_dir():
+        return ""
+    return "\n".join(
+        path.read_text(encoding="utf-8")
+        for path in sorted(docs_dir.glob("*.md"))
+    )
 
 
 def reference_corpus(root: Path) -> str:
@@ -237,8 +219,10 @@ def _parse_suppressions(
         targets = [lineno]
         if _standalone(text, lineno, column):
             targets.append(lineno + 1)
+        resolved = [resolve_code(code) for code in codes.split(",")]
+        live = {code for code in resolved if code is not None}
         for target in targets:
-            covered.setdefault(target, set()).update(codes.split(","))
+            covered.setdefault(target, set()).update(live)
     return covered, raw
 
 
@@ -297,6 +281,24 @@ def walk_scope(scope: ast.AST):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         stack.extend(ast.iter_child_nodes(node))
+
+
+def attribute_writes(node: ast.AST) -> Iterator[Tuple[str, ast.expr]]:
+    """``(name, target)`` for each ``name.attr`` or ``name.attr[...]``
+    that the statement *node* assigns or deletes."""
+    targets: List[ast.expr] = []
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    for target in targets:
+        inner = target
+        if isinstance(inner, ast.Subscript):
+            inner = inner.value  # x.attr[...] = ... mutates interior state
+        if isinstance(inner, ast.Attribute) and isinstance(
+            inner.value, ast.Name
+        ):
+            yield inner.value.id, target
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Per-function CFG and forward dataflow for the path-sensitive rules.
 
-The AST rules judge one expression at a time; the RC113–RC115 family
-needs *paths*: did this wall-clock read flow, through assignments and
-helper calls, into a digest?  does this ``SharedMemory`` segment reach
-``close()`` on the exception path too?  which async handlers can reach
-this unlocked state write?  This module supplies the machinery in
-three layers:
+The AST rules judge one expression at a time; the call-graph rules
+need *paths*: did this wall-clock read flow, through assignments and
+helper calls, into a digest?  does this file handle reach ``close()``
+on the exception path too?  which async handlers can reach this
+unlocked state write, or this ``time.sleep``?  does a frozen snapshot
+reach a helper that assigns its attributes?  This module supplies the
+machinery in three layers:
 
 1. A statement-level control-flow graph per function
    (:class:`ControlFlowGraph`): branches, loops, ``try``/``except``/
@@ -23,10 +24,12 @@ three layers:
 3. :func:`analyze_function` distills one function scope into a
    serializable :class:`FlowFact` (stored inside the incremental cache
    alongside the other module facts), and :class:`FlowResolver` runs
-   the *interprocedural* part at project time over cached facts:
-   taint summaries propagate along the PR-6 call graph, release
-   obligations resolve against callee summaries, and async-handler
-   reachability is computed once per run.
+   the *interprocedural* part at project time over cached facts.  It
+   is the one place a rule walks the call graph: return taint
+   (RC113), one walk per parameter answering sink/release/mutation
+   (RC113, RC114, RC111), and one async-reachability walk answering
+   which handlers reach a function and which blocking sites a
+   coroutine reaches through sync calls only (RC115, RC110).
 
 Everything here is conservative in the repo's established sense:
 an interprocedural conclusion is drawn only when the call graph
@@ -37,9 +40,11 @@ the flow rules under-report rather than guess.
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
+    Deque,
     Dict,
     Iterator,
     List,
@@ -49,8 +54,11 @@ from typing import (
     Tuple,
 )
 
+from .cache import from_plain
+from .context import attribute_writes, walk_scope
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .graph import FunctionFact, ModuleFacts, ProjectGraph
+    from .graph import BlockingSite, CallFact, ProjectGraph
 
 __all__ = [
     "ACQUIRE_LABELS",
@@ -61,6 +69,7 @@ __all__ = [
     "FlowFact",
     "FlowResolver",
     "FlowStep",
+    "ParamEffect",
     "ResourceFlow",
     "SharedWrite",
     "SinkFlow",
@@ -232,77 +241,14 @@ class FlowFact:
     tainted_args: Tuple[CallOrigin, ...] = ()
     param_calls: Tuple[Tuple[str, CallOrigin], ...] = ()
     releases_params: Tuple[str, ...] = ()
+    mutated_params: Tuple[str, ...] = ()
     resources: Tuple[ResourceFlow, ...] = ()
     shared_writes: Tuple[SharedWrite, ...] = ()
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "FlowFact":
         """Rebuild a flow record from ``dataclasses.asdict`` output."""
-
-        def steps(seq: object) -> Tuple[FlowStep, ...]:
-            return tuple(FlowStep(**d) for d in seq)  # type: ignore[union-attr]
-
-        def origin(d: Dict[str, object]) -> CallOrigin:
-            return CallOrigin(
-                base=d["base"],  # type: ignore[arg-type]
-                name=str(d["name"]),
-                lineno=int(d["lineno"]),  # type: ignore[arg-type]
-                col=int(d["col"]),  # type: ignore[arg-type]
-                position=d.get("position"),
-                steps=steps(d.get("steps", ())),
-            )
-
-        return cls(
-            return_taint=steps(payload.get("return_taint", ())),
-            params_to_return=tuple(payload.get("params_to_return", ())),
-            calls_to_return=tuple(
-                origin(d) for d in payload.get("calls_to_return", ())
-            ),
-            sinks=tuple(
-                SinkFlow(
-                    label=str(d["label"]),
-                    lineno=int(d["lineno"]),
-                    col=int(d["col"]),
-                    taint_steps=steps(d.get("taint_steps", ())),
-                    from_calls=tuple(
-                        origin(c) for c in d.get("from_calls", ())
-                    ),
-                    from_params=tuple(
-                        (str(name), steps(ps))
-                        for name, ps in d.get("from_params", ())
-                    ),
-                )
-                for d in payload.get("sinks", ())
-            ),
-            tainted_args=tuple(
-                origin(d) for d in payload.get("tainted_args", ())
-            ),
-            param_calls=tuple(
-                (str(name), origin(c))
-                for name, c in payload.get("param_calls", ())
-            ),
-            releases_params=tuple(payload.get("releases_params", ())),
-            resources=tuple(
-                ResourceFlow(
-                    label=str(d["label"]),
-                    var=str(d["var"]),
-                    lineno=int(d["lineno"]),
-                    col=int(d["col"]),
-                    leak_steps=steps(d.get("leak_steps", ())),
-                    guards=tuple(origin(c) for c in d.get("guards", ())),
-                )
-                for d in payload.get("resources", ())
-            ),
-            shared_writes=tuple(
-                SharedWrite(
-                    target=str(d["target"]),
-                    lineno=int(d["lineno"]),
-                    col=int(d["col"]),
-                    locked=bool(d["locked"]),
-                )
-                for d in payload.get("shared_writes", ())
-            ),
-        )
+        return from_plain(cls, payload)  # type: ignore[no-any-return]
 
 
 # ---------------------------------------------------------------------------
@@ -1089,9 +1035,29 @@ def analyze_function(scope: ast.AST) -> FlowFact:
         tainted_args=tuple(collector.tainted_args),
         param_calls=tuple(collector.param_calls),
         releases_params=tuple(sorted(collector.releases_params)),
+        mutated_params=tuple(sorted(_mutated_params(scope, params))),
         resources=tuple(_leak_analysis(cfg)),
         shared_writes=tuple(_shared_writes(scope)),
     )
+
+
+def _mutated_params(scope: ast.AST, params: Sequence[str]) -> Set[str]:
+    """Parameters whose attributes the function assigns or deletes.
+
+    ``self``/``cls`` are excluded: a method mutating its own instance
+    is ordinary object construction (RC111's depth-0 case judges
+    whether the instance was frozen), not a parameter the caller's
+    arguments flow into.
+    """
+    param_set = set(params) - {"self", "cls"}
+    if not param_set:
+        return param_set
+    return {
+        var
+        for node in walk_scope(scope)
+        for var, _target in attribute_writes(node)
+        if var in param_set
+    }
 
 
 class _FactCollector:
@@ -1590,183 +1556,170 @@ def _is_lockish(expr: ast.expr) -> bool:
 # Project-time interprocedural resolution
 
 
+@dataclass(frozen=True)
+class ParamEffect:
+    """What a function does with one parameter, itself or via helpers.
+
+    ``sink`` is ``(sink_label, witness)`` when the parameter reaches a
+    taint sink (RC113), ``released`` when the function releases it
+    (RC114), ``mutated`` when it assigns or deletes one of its
+    attributes (RC111).
+    """
+
+    sink: Optional[Tuple[str, Tuple[Tuple[str, FlowStep], ...]]] = None
+    released: bool = False
+    mutated: bool = False
+
+
+_NO_EFFECT = ParamEffect()
+
+#: A blocking site a coroutine reaches through sync calls only:
+#: ``(first call in the coroutine, (callee_rel, callee_qualname), site,
+#: qualname path from the coroutine to the callee)``.
+BlockingPath = Tuple["CallFact", Tuple[str, str], "BlockingSite", Tuple[str, ...]]
+
+
 class FlowResolver:
     """Interprocedural closure over per-function flow summaries.
 
     Built once per run from the :class:`~repro.check.graph.ProjectGraph`
-    and shared by the RC113–RC115 rules.  All methods memoize; all
-    recursion is cycle-guarded; witnesses returned here are
-    ``(rel, FlowStep)`` pairs — module-qualified, ready to become
-    SARIF ``codeFlow`` locations.
+    and shared by every rule that needs a call-graph walk (RC110,
+    RC111, RC113–RC115).  All methods memoize; all recursion is
+    cycle-guarded; witnesses returned here are ``(rel, FlowStep)``
+    pairs — module-qualified, ready to become SARIF ``codeFlow``
+    locations.
     """
 
     def __init__(self, graph: "ProjectGraph") -> None:
         self.graph = graph
         self._return_taint: Dict[Tuple[str, str], Optional[tuple]] = {}
-        self._param_sinks: Dict[
-            Tuple[str, str, str], Optional[tuple]
-        ] = {}
-        self._releases: Dict[Tuple[str, str, str], bool] = {}
+        self._param_effects: Dict[Tuple[str, str, str], ParamEffect] = {}
         self._async_reach: Optional[
             Dict[Tuple[str, str], List[tuple]]
         ] = None
+        self._blocking: Dict[Tuple[str, str], List[BlockingPath]] = {}
 
     # -- taint summaries ---------------------------------------------------
 
     def return_taint(
-        self,
-        rel: str,
-        qualname: str,
-        _visiting: Optional[Set[Tuple[str, str]]] = None,
+        self, rel: str, qualname: str
     ) -> Optional[Tuple[Tuple[str, FlowStep], ...]]:
         """Witness when the function's return value is tainted."""
-        key = (rel, qualname)
+        return self._taint_walk((rel, qualname), set())[0]
+
+    def _taint_walk(
+        self, key: Tuple[str, str], visiting: Set[Tuple[str, str]]
+    ) -> Tuple[Optional[Tuple[Tuple[str, FlowStep], ...]], Set[tuple]]:
+        """``(witness, cut)``, memoized like :meth:`_param_walk`."""
         if key in self._return_taint:
-            return self._return_taint[key]
-        visiting = _visiting or set()
+            return self._return_taint[key], set()
         if key in visiting:
-            return None
+            return None, {key}
         visiting.add(key)
-        fn = self.graph.function(rel, qualname)
+        rel, qualname = key
         result: Optional[Tuple[Tuple[str, FlowStep], ...]] = None
-        if fn is not None:
-            flow = fn.flow
-            if flow.return_taint:
-                result = tuple((rel, step) for step in flow.return_taint)
-            else:
-                for origin in flow.calls_to_return:
-                    callee = self.graph.resolve_call(
-                        rel, fn.owner_class, origin.base, origin.name
-                    )
-                    if callee is None or callee == key:
-                        continue
-                    sub = self.return_taint(*callee, _visiting=visiting)
-                    if sub is None:
-                        continue
-                    bridge = (
-                        rel,
-                        FlowStep(
-                            origin.lineno,
-                            origin.col,
-                            f"tainted result returned by {origin.name}()",
-                        ),
-                    )
-                    result = sub + (bridge,) + tuple(
-                        (rel, step) for step in origin.steps
-                    )
-                    break
+        cut: Set[tuple] = set()
+        fn = self.graph.function(rel, qualname)
+        if fn is not None and fn.flow.return_taint:
+            result = tuple((rel, step) for step in fn.flow.return_taint)
+        elif fn is not None:
+            for origin in fn.flow.calls_to_return:
+                callee = self.graph.resolve_call(
+                    rel, fn.owner_class, origin.base, origin.name
+                )
+                if callee is None or callee == key:
+                    continue
+                sub, sub_cut = self._taint_walk(callee, visiting)
+                cut |= sub_cut
+                if sub is None:
+                    continue
+                bridge = (
+                    rel,
+                    FlowStep(
+                        origin.lineno,
+                        origin.col,
+                        f"tainted result returned by {origin.name}()",
+                    ),
+                )
+                result = sub + (bridge,) + tuple(
+                    (rel, step) for step in origin.steps
+                )
+                break
         visiting.discard(key)
-        if _visiting is None or not visiting & set(self._return_taint):
+        cut.discard(key)
+        if not cut:
             self._return_taint[key] = result
-        return result
+        return result, cut
 
-    def param_sink(
+    # -- parameter effects -------------------------------------------------
+
+    def param_effect(self, rel: str, qualname: str, param: str) -> ParamEffect:
+        """What ``qualname`` does with *param*, directly or via helpers.
+
+        One walk over the parameter's summary and the calls it is
+        passed into answers all three questions at once.
+        """
+        return self._param_walk((rel, qualname, param), set())[0]
+
+    def _param_walk(
         self,
-        rel: str,
-        qualname: str,
-        param: str,
-        _visiting: Optional[Set[Tuple[str, str, str]]] = None,
-    ) -> Optional[Tuple[str, Tuple[Tuple[str, FlowStep], ...]]]:
-        """``(sink_label, witness)`` when *param* reaches a sink."""
-        key = (rel, qualname, param)
-        if key in self._param_sinks:
-            return self._param_sinks[key]
-        visiting = _visiting or set()
+        key: Tuple[str, str, str],
+        visiting: Set[Tuple[str, str, str]],
+    ) -> Tuple[ParamEffect, Set[Tuple[str, str, str]]]:
+        """``(effect, cut)``: *cut* holds the in-progress keys a cycle
+        skipped.  An effect is memoized only when nothing was cut, so a
+        cycle member never caches an answer missing its ancestors'."""
+        if key in self._param_effects:
+            return self._param_effects[key], set()
         if key in visiting:
-            return None
+            return _NO_EFFECT, {key}
         visiting.add(key)
+        rel, qualname, param = key
+        sink = None
+        released = mutated = False
+        cut: Set[Tuple[str, str, str]] = set()
         fn = self.graph.function(rel, qualname)
-        result = None
         if fn is not None:
             flow = fn.flow
-            for sink in flow.sinks:
-                for name, steps in sink.from_params:
-                    if name == param:
-                        result = (
-                            sink.label,
-                            tuple((rel, step) for step in steps),
-                        )
-                        break
-                if result:
+            released = param in flow.releases_params
+            mutated = param in flow.mutated_params
+            for found in flow.sinks:
+                steps = next(
+                    (ps for name, ps in found.from_params if name == param),
+                    None,
+                )
+                if steps is not None:
+                    sink = (found.label, tuple((rel, step) for step in steps))
                     break
-            if result is None:
-                for name, origin in flow.param_calls:
-                    if name != param:
-                        continue
-                    callee = self.graph.resolve_call(
-                        rel, fn.owner_class, origin.base, origin.name
-                    )
-                    if callee is None or callee == (rel, qualname):
-                        continue
-                    offset = 1 if origin.base in ("self", "cls") else 0
-                    callee_param = self.graph.param_name(
-                        callee, origin.position, offset
-                    )
-                    if callee_param is None:
-                        continue
-                    sub = self.param_sink(
-                        callee[0],
-                        callee[1],
-                        callee_param,
-                        _visiting=visiting,
-                    )
-                    if sub is None:
-                        continue
-                    label, sub_steps = sub
+            for name, origin in flow.param_calls:
+                if name != param:
+                    continue
+                callee = self.graph.resolve_call(
+                    rel, fn.owner_class, origin.base, origin.name
+                )
+                if callee is None or callee == (rel, qualname):
+                    continue
+                callee_param = self.graph.param_name(
+                    callee, origin.position, origin.base
+                )
+                if callee_param is None:
+                    continue
+                sub, sub_cut = self._param_walk(
+                    (callee[0], callee[1], callee_param), visiting
+                )
+                cut |= sub_cut
+                if sink is None and sub.sink is not None:
+                    label, sub_steps = sub.sink
                     here = tuple((rel, step) for step in origin.steps)
-                    result = (label, here + sub_steps)
-                    break
+                    sink = (label, here + sub_steps)
+                released = released or sub.released
+                mutated = mutated or sub.mutated
         visiting.discard(key)
-        self._param_sinks[key] = result
-        return result
-
-    def releases(
-        self,
-        rel: str,
-        qualname: str,
-        param: str,
-        _visiting: Optional[Set[Tuple[str, str, str]]] = None,
-    ) -> bool:
-        """True when the function releases *param* (maybe via helpers)."""
-        key = (rel, qualname, param)
-        if key in self._releases:
-            return self._releases[key]
-        visiting = _visiting or set()
-        if key in visiting:
-            return False
-        visiting.add(key)
-        fn = self.graph.function(rel, qualname)
-        result = False
-        if fn is not None:
-            flow = fn.flow
-            if param in flow.releases_params:
-                result = True
-            else:
-                for name, origin in flow.param_calls:
-                    if name != param:
-                        continue
-                    callee = self.graph.resolve_call(
-                        rel, fn.owner_class, origin.base, origin.name
-                    )
-                    if callee is None or callee == (rel, qualname):
-                        continue
-                    offset = 1 if origin.base in ("self", "cls") else 0
-                    callee_param = self.graph.param_name(
-                        callee, origin.position, offset
-                    )
-                    if callee_param is None:
-                        continue
-                    if self.releases(
-                        callee[0],
-                        callee[1],
-                        callee_param,
-                        _visiting=visiting,
-                    ):
-                        result = True
-                        break
-        visiting.discard(key)
-        self._releases[key] = result
-        return result
+        cut.discard(key)
+        effect = ParamEffect(sink, released, mutated)
+        if not cut:
+            self._param_effects[key] = effect
+        return effect, cut
 
     # -- async reachability ------------------------------------------------
 
@@ -1779,13 +1732,31 @@ class FlowResolver:
         witness walks the call chain from the handler to the target.
         Sorted for deterministic reporting.
         """
-        if self._async_reach is None:
-            self._async_reach = self._compute_async_reach()
+        self._walk_async()
+        assert self._async_reach is not None
         return self._async_reach.get((rel, qualname), [])
 
-    def _compute_async_reach(
-        self,
-    ) -> Dict[Tuple[str, str], List[tuple]]:
+    def blocking_paths(self, rel: str, qualname: str) -> List[BlockingPath]:
+        """Blocking sites the coroutine ``(rel, qualname)`` reaches
+        through synchronous project functions only.
+
+        One entry per blocking site of each such function, sorted by
+        the coroutine's call that starts the path.  Sites in the
+        coroutine's own body are not included; an awaited coroutine
+        reports its own.
+        """
+        self._walk_async()
+        return self._blocking.get((rel, qualname), [])
+
+    def _walk_async(self) -> None:
+        """One breadth-first walk per ``async def`` over the call graph.
+
+        Each queued path remembers whether it ran through sync calls
+        only: every path feeds :meth:`async_roots`, and the sync-only
+        ones feed :meth:`blocking_paths`.
+        """
+        if self._async_reach is not None:
+            return
         from .graph import MODULE_QUALNAME
 
         reach: Dict[Tuple[str, str], List[tuple]] = {}
@@ -1803,32 +1774,52 @@ class FlowResolver:
                         f"async def {fn.qualname} can run concurrently",
                     ),
                 )
-                queue: List[Tuple[Tuple[str, str], tuple]] = [
-                    (root, (root_step,))
-                ]
-                seen: Set[Tuple[str, str]] = set()
+                blocking: List[BlockingPath] = []
+                # (function, witness trail, sync-only path or None);
+                # the sync-only path is (first call, qualname chain).
+                queue: Deque[tuple] = deque(
+                    [(root, (root_step,), (None, (fn.qualname,)))]
+                )
+                seen: Set[Tuple[Tuple[str, str], bool]] = set()
                 while queue:
-                    (cur_rel, cur_qual), trail = queue.pop(0)
-                    if (cur_rel, cur_qual) in seen:
+                    current, trail, sync = queue.popleft()
+                    if (current, sync is not None) in seen:
                         continue
-                    seen.add((cur_rel, cur_qual))
-                    entry = reach.setdefault((cur_rel, cur_qual), [])
+                    seen.add((current, sync is not None))
+                    entry = reach.setdefault(current, [])
                     if all(existing[:2] != root for existing in entry):
                         entry.append((root[0], root[1], trail))
-                    cur_fn = self.graph.function(cur_rel, cur_qual)
+                    cur_fn = self.graph.function(*current)
                     if cur_fn is None:
                         continue
+                    if sync is not None and current != root:
+                        first, chain = sync
+                        for site in cur_fn.blocking:
+                            blocking.append((first, current, site, chain))
                     for call in cur_fn.calls:
                         callee = self.graph.resolve_call(
-                            cur_rel,
+                            current[0],
                             cur_fn.owner_class,
                             call.base,
                             call.name,
                         )
-                        if callee is None or callee in seen:
+                        if callee is None:
+                            continue
+                        callee_fn = self.graph.function(*callee)
+                        callee_sync = None
+                        if (
+                            sync is not None
+                            and callee_fn is not None
+                            and not callee_fn.is_async
+                        ):
+                            callee_sync = (
+                                sync[0] or call,
+                                sync[1] + (callee[1],),
+                            )
+                        if (callee, callee_sync is not None) in seen:
                             continue
                         hop = (
-                            cur_rel,
+                            current[0],
                             FlowStep(
                                 call.lineno,
                                 call.col,
@@ -1836,9 +1827,17 @@ class FlowResolver:
                             ),
                         )
                         if len(trail) < _MAX_STEPS - 1:
-                            queue.append((callee, trail + (hop,)))
+                            queue.append(
+                                (callee, trail + (hop,), callee_sync)
+                            )
                         else:
-                            queue.append((callee, trail))
+                            queue.append((callee, trail, callee_sync))
+                blocking.sort(
+                    key=lambda item: (
+                        item[0].lineno, item[0].col, item[1], item[2].lineno
+                    )
+                )
+                self._blocking[root] = blocking
         for entries in reach.values():
             entries.sort(key=lambda item: (item[0], item[1]))
-        return reach
+        self._async_reach = reach

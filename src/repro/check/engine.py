@@ -48,10 +48,11 @@ from .cache import (
 from .context import (
     ModuleSource,
     ProjectContext,
+    docs_corpus,
     reference_corpus,
 )
 from .graph import ModuleFacts, ProjectGraph
-from .model import CheckFinding, CheckRule, all_check_rules
+from .model import CheckFinding, CheckRule, all_check_rules, resolve_code
 
 __all__ = ["CheckEngine", "CheckReport", "load_project"]
 
@@ -72,7 +73,7 @@ def _iter_python_files(root: Path, targets: Sequence[str]) -> List[Path]:
     """Python files under *targets*, explicit files first.
 
     An explicitly named file is never excluded — passing
-    ``tests/fixtures/check/rc104_bad.py`` means "analyze this file" —
+    ``tests/fixtures/check/rc110_bad.py`` means "analyze this file" —
     while globbed directory walks skip the exclusion patterns.
     Listing a file both ways (explicitly and via a directory that
     globs it) yields it once, as explicit, regardless of argument
@@ -295,7 +296,7 @@ class CheckEngine:
     ) -> None:
         classes = list(rules) if rules is not None else all_check_rules()
         if select is not None:
-            wanted = {code.strip().upper() for code in select}
+            wanted = {resolve_code(code) for code in select}
             classes = [cls for cls in classes if cls.code in wanted]
         overrides = severity_overrides or {}
         self.rules = [cls(overrides.get(cls.code)) for cls in classes]
@@ -401,7 +402,7 @@ class CheckEngine:
                 findings.append(_inert_finding(facts.rel, lineno, codes))
 
         graph = ProjectGraph(
-            facts_list, reference_corpus(root), _docs_text(root)
+            facts_list, reference_corpus(root), docs_corpus(root)
         )
         for rule in self.project_rules:
             for facts in facts_list:
@@ -520,14 +521,3 @@ def _ripple_name(rel: str) -> str:
     if dotted or not rel.endswith(".py"):
         return dotted
     return rel[: -len(".py")].replace("/", ".")
-
-
-def _docs_text(root: Path) -> str:
-    """Concatenated ``docs/*.md`` (RC108's documentation corpus)."""
-    docs_dir = root / "docs"
-    if not docs_dir.is_dir():
-        return ""
-    return "\n".join(
-        path.read_text(encoding="utf-8")
-        for path in sorted(docs_dir.glob("*.md"))
-    )

@@ -1,14 +1,17 @@
 """Whole-program facts, import graph, and conservative call graph.
 
-PR 5's rules see one file at a time, so a blocking call or snapshot
-mutation hidden one helper-function away is invisible.  This module is
-the whole-program layer underneath the RC109–RC112 rule family: every
-parsed module is distilled into a :class:`ModuleFacts` record — imports,
-function/call summaries, blocking sites, mutated parameters, exported
-names — and :class:`ProjectGraph` folds those records into a
-project-wide import graph plus a *conservative* call graph (an edge
-exists only when the callee resolves unambiguously; unresolvable calls
-are dropped, never guessed).
+Module-scope rules see one file at a time, so a blocking call or
+snapshot mutation hidden one helper-function away is invisible to them.
+This module is the whole-program layer underneath the project-scope
+rules (RC108–RC115): every parsed module is distilled into a
+:class:`ModuleFacts` record — imports, function/call summaries,
+blocking sites, frozen-snapshot writes and arguments, exported names —
+and :class:`ProjectGraph` folds those records into a project-wide
+import graph plus a *conservative* call graph (an edge exists only when
+the callee resolves unambiguously; unresolvable calls are dropped,
+never guessed).  Walking that call graph for a rule is the job of
+:class:`~repro.check.dataflow.FlowResolver`; the graph only resolves
+calls and parameters.
 
 Facts are plain data and round-trip through JSON: the incremental cache
 (:mod:`repro.check.cache`) stores them per file, so a warm ``repro
@@ -32,7 +35,8 @@ from typing import (
     Tuple,
 )
 
-from .context import infer_local_types, walk_scope
+from .cache import from_plain
+from .context import attribute_writes, infer_local_types, walk_scope
 from .dataflow import FlowFact, FlowResolver, analyze_function
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -45,6 +49,7 @@ __all__ = [
     "ClassFact",
     "ExportFact",
     "FrozenArgFact",
+    "FrozenWrite",
     "FunctionFact",
     "ImportFact",
     "ModuleFacts",
@@ -56,8 +61,8 @@ __all__ = [
 
 #: Frozen snapshot classes → the one module allowed to touch their
 #: attributes (their defining module, i.e. ``__init__`` and friends).
-#: Shared by RC102 (direct mutation) and RC111 (mutation through helper
-#: aliases).
+#: RC111 reads it for both of its depths: a write through a local of a
+#: frozen type, and a frozen instance handed to a mutating helper.
 FROZEN_CLASSES: Dict[str, str] = {
     "AnalysisContext": "repro.core.context",
     "RibSnapshot": "repro.core.context",
@@ -65,13 +70,11 @@ FROZEN_CLASSES: Dict[str, str] = {
     "LeaseIndex": "repro.core.leaseindex",
 }
 
-#: Call patterns that block the event loop: plain built-ins, and
+#: Call patterns that block the event loop (RC110): plain built-ins, and
 #: ``module.function`` attribute calls keyed by the receiver name.
 #: Any attribute call on a name ``subprocess``/``socket`` is flagged.
-#: Shared by RC104 (direct calls in async bodies) and RC110 (calls
-#: reachable from async bodies through sync helpers).
-BLOCKING_NAME_CALLS = frozenset({"open", "input"})
-BLOCKING_ATTR_CALLS = frozenset(
+_BLOCKING_NAME_CALLS = frozenset({"open", "input"})
+_BLOCKING_ATTR_CALLS = frozenset(
     {
         ("time", "sleep"),
         ("os", "system"),
@@ -83,7 +86,7 @@ BLOCKING_ATTR_CALLS = frozenset(
         ("subprocess", "Popen"),
     }
 )
-BLOCKING_METHODS = frozenset(
+_BLOCKING_METHODS = frozenset(
     {"read_text", "write_text", "read_bytes", "write_bytes"}
 )
 
@@ -102,22 +105,22 @@ MODULE_QUALNAME = "<module>"
 def blocking_call_label(node: ast.Call) -> Optional[str]:
     """A display label when *node* is a blocking call, else None.
 
-    The label matches the spelling RC104 has always reported:
-    ``open()``, ``time.sleep()``, ``.read_text()``.
+    The label is the spelling RC110 reports: ``open()``,
+    ``time.sleep()``, ``.read_text()``.
     """
     target = node.func
-    if isinstance(target, ast.Name) and target.id in BLOCKING_NAME_CALLS:
+    if isinstance(target, ast.Name) and target.id in _BLOCKING_NAME_CALLS:
         return f"{target.id}()"
     if isinstance(target, ast.Attribute):
         receiver = target.value
         if isinstance(receiver, ast.Name):
             pair = (receiver.id, target.attr)
-            if pair in BLOCKING_ATTR_CALLS or receiver.id in (
+            if pair in _BLOCKING_ATTR_CALLS or receiver.id in (
                 "subprocess",
                 "socket",
             ):
                 return f"{receiver.id}.{target.attr}()"
-        if target.attr in BLOCKING_METHODS:
+        if target.attr in _BLOCKING_METHODS:
             return f".{target.attr}()"
     return None
 
@@ -179,6 +182,17 @@ class FrozenArgFact:
 
 
 @dataclass(frozen=True)
+class FrozenWrite:
+    """An attribute write or ``del`` through a local of a frozen type."""
+
+    cls: str
+    var: str
+    deleted: bool
+    lineno: int
+    col: int
+
+
+@dataclass(frozen=True)
 class FunctionFact:
     """One function scope: identity, parameters, and call summary."""
 
@@ -190,7 +204,7 @@ class FunctionFact:
     params: Tuple[str, ...] = ()
     calls: Tuple[CallFact, ...] = ()
     blocking: Tuple[BlockingSite, ...] = ()
-    mutated_params: Tuple[str, ...] = ()
+    frozen_writes: Tuple[FrozenWrite, ...] = ()
     frozen_args: Tuple[FrozenArgFact, ...] = ()
     flow: FlowFact = FlowFact()
 
@@ -240,63 +254,7 @@ class ModuleFacts:
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "ModuleFacts":
         """Rebuild a facts record from :meth:`to_dict` output."""
-
-        def _t(seq: object) -> tuple:
-            if isinstance(seq, (list, tuple)):
-                return tuple(_t(item) for item in seq)
-            return seq  # type: ignore[return-value]
-
-        return cls(
-            rel=str(payload["rel"]),
-            module=str(payload["module"]),
-            imports=tuple(
-                ImportFact(**{**d, "names": tuple(d["names"])})
-                for d in payload.get("imports", ())
-            ),
-            functions=tuple(
-                FunctionFact(
-                    qualname=d["qualname"],
-                    owner_class=d["owner_class"],
-                    is_async=d["is_async"],
-                    lineno=d["lineno"],
-                    col=d["col"],
-                    params=tuple(d["params"]),
-                    calls=tuple(
-                        CallFact(
-                            base=c["base"],
-                            name=c["name"],
-                            lineno=c["lineno"],
-                            col=c["col"],
-                            args=tuple(c["args"]),
-                            keywords=_t(c["keywords"]),
-                        )
-                        for c in d["calls"]
-                    ),
-                    blocking=tuple(
-                        BlockingSite(**b) for b in d["blocking"]
-                    ),
-                    mutated_params=tuple(d["mutated_params"]),
-                    frozen_args=tuple(
-                        FrozenArgFact(**f) for f in d["frozen_args"]
-                    ),
-                    flow=FlowFact.from_dict(d.get("flow", {})),
-                )
-                for d in payload.get("functions", ())
-            ),
-            classes=tuple(
-                ClassFact(**{**d, "bases": tuple(d["bases"])})
-                for d in payload.get("classes", ())
-            ),
-            exports=tuple(
-                ExportFact(**d) for d in payload.get("exports", ())
-            ),
-            cli_flags=_t(payload.get("cli_flags", ())),
-            identifiers=tuple(payload.get("identifiers", ())),
-            import_aliases=_t(payload.get("import_aliases", ())),
-            symbol_aliases=_t(payload.get("symbol_aliases", ())),
-            suppressions=_t(payload.get("suppressions", ())),
-            inert_suppressions=_t(payload.get("inert_suppressions", ())),
-        )
+        return from_plain(cls, payload)  # type: ignore[no-any-return]
 
 
 # ---------------------------------------------------------------------------
@@ -492,23 +450,34 @@ class _FactsExtractor:
             if args.kwarg is not None:
                 names.append(args.kwarg)
             params = tuple(arg.arg for arg in names)
+        types = infer_local_types(scope, FROZEN_CLASSES)
         calls: List[CallFact] = []
         blocking: List[BlockingSite] = []
-        for node in walk_scope(scope):
-            if not isinstance(node, ast.Call):
-                continue
-            calls.append(_call_fact(node))
-            label = blocking_call_label(node)
-            if label is not None:
-                blocking.append(
-                    BlockingSite(label, node.lineno, node.col_offset)
-                )
-        types = infer_local_types(scope, FROZEN_CLASSES)
+        frozen_writes: List[FrozenWrite] = []
         frozen_args: List[FrozenArgFact] = []
-        if types:
-            for node in walk_scope(scope):
-                if isinstance(node, ast.Call):
-                    frozen_args.extend(_frozen_args(node, types))
+        for node in walk_scope(scope):
+            if isinstance(node, ast.Call):
+                call = _call_fact(node)
+                calls.append(call)
+                label = blocking_call_label(node)
+                if label is not None:
+                    blocking.append(
+                        BlockingSite(label, node.lineno, node.col_offset)
+                    )
+                if types and call.name:
+                    frozen_args.extend(_frozen_args(call, types))
+            elif types:
+                frozen_writes.extend(
+                    FrozenWrite(
+                        cls=types[var],
+                        var=var,
+                        deleted=isinstance(node, ast.Delete),
+                        lineno=target.lineno,
+                        col=target.col_offset,
+                    )
+                    for var, target in attribute_writes(node)
+                    if var in types
+                )
         return FunctionFact(
             qualname=qualname,
             owner_class=owner,
@@ -518,7 +487,7 @@ class _FactsExtractor:
             params=params,
             calls=tuple(calls),
             blocking=tuple(blocking),
-            mutated_params=tuple(sorted(_mutated_params(scope, params))),
+            frozen_writes=tuple(frozen_writes),
             frozen_args=tuple(frozen_args),
             flow=analyze_function(scope),
         )
@@ -643,70 +612,20 @@ def _call_fact(node: ast.Call) -> CallFact:
 
 
 def _frozen_args(
-    node: ast.Call, types: Dict[str, str]
+    call: CallFact, types: Dict[str, str]
 ) -> Iterator[FrozenArgFact]:
-    fact = _call_fact(node)
-    if not fact.name:
-        return
-    for position, arg in enumerate(node.args):
-        if isinstance(arg, ast.Name) and arg.id in types:
+    """Arguments of *call* that are locals of a frozen type."""
+    for position, var in [*enumerate(call.args), *call.keywords]:
+        if var is not None and var in types:
             yield FrozenArgFact(
-                base=fact.base,
-                name=fact.name,
+                base=call.base,
+                name=call.name,
                 position=position,
-                cls=types[arg.id],
-                var=arg.id,
-                lineno=node.lineno,
-                col=node.col_offset,
+                cls=types[var],
+                var=var,
+                lineno=call.lineno,
+                col=call.col,
             )
-    for kw in node.keywords:
-        if (
-            kw.arg is not None
-            and isinstance(kw.value, ast.Name)
-            and kw.value.id in types
-        ):
-            yield FrozenArgFact(
-                base=fact.base,
-                name=fact.name,
-                position=kw.arg,
-                cls=types[kw.value.id],
-                var=kw.value.id,
-                lineno=node.lineno,
-                col=node.col_offset,
-            )
-
-
-def _mutated_params(scope: ast.AST, params: Tuple[str, ...]) -> Set[str]:
-    """Parameters whose attributes the function assigns or deletes.
-
-    ``self``/``cls`` are excluded: a method mutating its own instance
-    is ordinary object construction (RC102 judges whether the instance
-    was frozen), not a parameter the caller's arguments flow into.
-    """
-    mutated: Set[str] = set()
-    if not params:
-        return mutated
-    param_set = set(params) - {"self", "cls"}
-    if not param_set:
-        return mutated
-    for node in walk_scope(scope):
-        targets: List[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets = [node.target]
-        elif isinstance(node, ast.Delete):
-            targets = node.targets
-        for target in targets:
-            inner = target
-            if isinstance(inner, ast.Subscript):
-                inner = inner.value
-            if isinstance(inner, ast.Attribute) and isinstance(
-                inner.value, ast.Name
-            ):
-                if inner.value.id in param_set:
-                    mutated.add(inner.value.id)
-    return mutated
 
 
 def _top_level_names(tree: ast.Module) -> Set[str]:
@@ -743,9 +662,10 @@ class ProjectGraph:
     """Import graph + conservative call graph over a set of facts.
 
     Built once per run (from live or cached facts) and consumed by the
-    RC109–RC112 rule family.  All resolution is *conservative*: an edge
+    project-scope rules.  All resolution is *conservative*: an edge
     exists only when the target is unambiguous, so reachability-based
-    rules under-report rather than guess.
+    rules under-report rather than guess.  The walks over the call
+    graph live in :class:`~repro.check.dataflow.FlowResolver`.
     """
 
     def __init__(
@@ -763,7 +683,6 @@ class ProjectGraph:
             self._functions[f.rel] = {
                 fn.qualname: fn for fn in f.functions
             }
-        self._mutating: Optional[Dict[Tuple[str, str], Set[str]]] = None
         self._cycles: Optional[List[List[str]]] = None
         self._flow_resolver: Optional[FlowResolver] = None
 
@@ -878,127 +797,20 @@ class ProjectGraph:
             return None
         return None
 
-    def blocking_reachable(
-        self, rel: str, root: FunctionFact
-    ) -> List[Tuple[CallFact, Tuple[str, str], BlockingSite, Tuple[str, ...]]]:
-        """Blocking sites reachable from *root* through sync helpers.
-
-        Returns ``(first_call, (callee_rel, callee_qualname), site,
-        path)`` tuples — one per reachable *function* that blocks, with
-        the path of qualnames from the root to it.  Direct blocking in
-        the root body itself is RC104's finding and is excluded here.
-        """
-        results: List[
-            Tuple[CallFact, Tuple[str, str], BlockingSite, Tuple[str, ...]]
-        ] = []
-        seen: Set[Tuple[str, str]] = set()
-        queue: List[
-            Tuple[Tuple[str, str], CallFact, Tuple[str, ...]]
-        ] = []
-        for call in root.calls:
-            callee = self.resolve_call(
-                rel, root.owner_class, call.base, call.name
-            )
-            if callee is not None and callee != (rel, root.qualname):
-                queue.append((callee, call, (root.qualname,)))
-        while queue:
-            (callee_rel, callee_qual), first_call, path = queue.pop(0)
-            if (callee_rel, callee_qual) in seen:
-                continue
-            seen.add((callee_rel, callee_qual))
-            fn = self.function(callee_rel, callee_qual)
-            if fn is None or fn.is_async:
-                continue  # async callees report their own reachability
-            here = path + (callee_qual,)
-            for site in fn.blocking:
-                results.append(
-                    (first_call, (callee_rel, callee_qual), site, here)
-                )
-            for call in fn.calls:
-                nxt = self.resolve_call(
-                    callee_rel, fn.owner_class, call.base, call.name
-                )
-                if nxt is not None and nxt not in seen:
-                    queue.append((nxt, first_call, here))
-        results.sort(
-            key=lambda item: (item[0].lineno, item[0].col, item[1], item[2].lineno)
-        )
-        return results
-
-    # -- transitive parameter mutation ------------------------------------
-
-    def mutating_params(self) -> Dict[Tuple[str, str], Set[str]]:
-        """``(rel, qualname) -> params`` mutated directly or transitively.
-
-        A parameter is *mutating* when the function assigns/deletes an
-        attribute through it, or passes it into another function's
-        mutating parameter — computed to a fixpoint over the call graph.
-        """
-        if self._mutating is not None:
-            return self._mutating
-        mutating: Dict[Tuple[str, str], Set[str]] = {}
-        for rel, functions in self._functions.items():
-            for qualname, fn in functions.items():
-                if fn.mutated_params:
-                    mutating[(rel, qualname)] = set(fn.mutated_params)
-        changed = True
-        while changed:
-            changed = False
-            for rel, functions in sorted(self._functions.items()):
-                for qualname, fn in sorted(functions.items()):
-                    params = set(fn.params)
-                    if not params:
-                        continue
-                    current = mutating.get((rel, qualname), set())
-                    for call in fn.calls:
-                        callee = self.resolve_call(
-                            rel, fn.owner_class, call.base, call.name
-                        )
-                        if callee is None or callee == (rel, qualname):
-                            continue
-                        callee_mut = mutating.get(callee)
-                        if not callee_mut:
-                            continue
-                        callee_fn = self.function(*callee)
-                        if callee_fn is None:
-                            continue
-                        offset = 1 if call.base in ("self", "cls") else 0
-                        for position, arg in enumerate(call.args):
-                            if arg is None or arg not in params:
-                                continue
-                            index = position + offset
-                            if index < len(callee_fn.params) and (
-                                callee_fn.params[index] in callee_mut
-                            ):
-                                if arg not in current:
-                                    current.add(arg)
-                                    changed = True
-                        for kw, arg in call.keywords:
-                            if arg is None or arg not in params:
-                                continue
-                            if kw in callee_mut:
-                                if arg not in current:
-                                    current.add(arg)
-                                    changed = True
-                    if current:
-                        mutating[(rel, qualname)] = current
-        self._mutating = mutating
-        return mutating
-
     def param_name(
-        self, callee: Tuple[str, str], position: object, offset: int = 0
+        self, callee: Tuple[str, str], position: object, base: Optional[str]
     ) -> Optional[str]:
         """The callee's parameter bound at *position* (int or keyword).
 
-        *offset* is 1 for calls through an instance receiver
-        (``self.method(arg)``), where the implicit ``self`` shifts every
+        *base* is the call's receiver name: through ``self``/``cls``
+        (``self.method(arg)``) the implicit first parameter shifts every
         positional argument right by one.
         """
         fn = self.function(*callee)
         if fn is None:
             return None
         if isinstance(position, int):
-            index = position + offset
+            index = position + (1 if base in ("self", "cls") else 0)
             if 0 <= index < len(fn.params):
                 return fn.params[index]
             return None

@@ -30,6 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .graph import ModuleFacts, ProjectGraph
 
 __all__ = [
+    "RETIRED_CODES",
     "CheckFinding",
     "CheckRule",
     "Fix",
@@ -37,6 +38,7 @@ __all__ = [
     "all_check_rules",
     "check_rule_for_code",
     "register_check_rule",
+    "resolve_code",
 ]
 
 
@@ -239,6 +241,21 @@ class CheckRule:
 
 _REGISTRY: Dict[str, Type[CheckRule]] = {}
 
+#: Retired codes → the rule that now reports their findings (None when
+#: no rule does).  A retired code is never reused; ``--select``,
+#: ``# repro-check: ignore[...]`` and ``--explain`` resolve it here.
+RETIRED_CODES: Dict[str, Optional[str]] = {
+    "RC102": "RC111",
+    "RC104": "RC110",
+    "RC105": None,
+}
+
+
+def resolve_code(code: str) -> Optional[str]:
+    """The live code *code* names: itself, or its retired successor."""
+    code = code.strip().upper()
+    return RETIRED_CODES.get(code, code)
+
 
 def register_check_rule(rule_class: Type[CheckRule]) -> Type[CheckRule]:
     """Class decorator adding *rule_class* to the check registry.
@@ -269,7 +286,9 @@ def all_check_rules() -> List[Type[CheckRule]]:
 
 
 def check_rule_for_code(code: str) -> Optional[Type[CheckRule]]:
-    """The rule class registered under *code*, or None."""
+    """The rule class *code* (or the successor of a retired *code*)
+    names, or None."""
     from . import rules as _rules  # noqa: F401
 
-    return _REGISTRY.get(code.strip().upper())
+    live = resolve_code(code)
+    return _REGISTRY.get(live) if live else None

@@ -1,11 +1,12 @@
-"""Concurrency invariants: RC101 (one process pool), RC104/RC110 (async
+"""Concurrency invariants: RC101 (one process pool), RC110 (async
 purity).
 
 The analysis engines are serial; the only process pool left is the
 ``repro check --jobs`` fan-out in :mod:`repro.check.engine`.  The serve
 loop is a single asyncio event loop; one blocking call stalls every
-in-flight request — whether it sits in the coroutine body (RC104) or
-one sync helper away from it (RC110, via the project call graph).
+in-flight request — whether it sits in the coroutine body or any
+number of sync helpers away from it (RC110, via the project call
+graph).
 """
 
 from __future__ import annotations
@@ -13,13 +14,7 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING, Iterator
 
-from ..context import walk_scope
-from ..graph import (
-    BLOCKING_ATTR_CALLS,
-    BLOCKING_METHODS,
-    BLOCKING_NAME_CALLS,
-    MODULE_QUALNAME,
-)
+from ..graph import MODULE_QUALNAME
 from ..model import CheckFinding, CheckRule, register_check_rule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -28,7 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "MultiprocessingConfined",
-    "NoBlockingInAsync",
     "NoBlockingReachableFromAsync",
 ]
 
@@ -96,122 +90,60 @@ class MultiprocessingConfined(CheckRule):
                     )
 
 
-# The shared blocking-call vocabulary lives in ``repro.check.graph`` so
-# RC104 (direct calls) and RC110 (call-graph reachability) can never
-# disagree about what "blocking" means.
-_BLOCKING_NAME_CALLS = BLOCKING_NAME_CALLS
-_BLOCKING_ATTR_CALLS = BLOCKING_ATTR_CALLS
-_BLOCKING_METHODS = BLOCKING_METHODS
-
-
 @register_check_rule
-class NoBlockingInAsync(CheckRule):
-    """No blocking calls inside ``async def`` bodies.
+class NoBlockingReachableFromAsync(CheckRule):
+    """No blocking calls in ``async def`` bodies, nor reachable from
+    them through synchronous helpers.
 
     The serve layer runs a single asyncio event loop; a synchronous
     ``open``, ``time.sleep``, ``subprocess`` or ``socket`` call inside a
-    coroutine stalls every concurrent request for its full duration.
-    The snapshot reload path shows the sanctioned pattern: blocking I/O
-    lives in a sync helper handed to ``asyncio.to_thread``.
+    coroutine stalls every concurrent request for its full duration —
+    and stalls it exactly the same when the call sits in a helper the
+    coroutine calls.  The rule flags a blocking call written directly
+    in the coroutine body (depth 0), then walks the project call graph
+    from every ``async def``, descending only through *synchronous*
+    project functions (an ``await``-ed coroutine reports its own body),
+    and flags the first call in the async body whose transitive
+    closure contains a blocking site.  The snapshot reload path shows
+    the sanctioned escape hatch: a helper handed to
+    ``asyncio.to_thread`` is never *called* by the coroutine, so no
+    call edge exists and nothing fires.  RC110 absorbed the retired
+    RC104, which saw depth 0 only.
 
-    Remediation: Move the blocking work into a synchronous helper
-    function and await it via ``asyncio.to_thread``, or use the asyncio
-    native (``asyncio.sleep``, ``asyncio.open_connection``).
-    """
-
-    code = "RC104"
-    title = "no blocking calls in async def bodies"
-
-    def check(
-        self, module: "ModuleSource", project: "ProjectContext"
-    ) -> Iterator[CheckFinding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.AsyncFunctionDef):
-                yield from self._scan_async_body(module, node)
-
-    def _scan_async_body(
-        self, module: "ModuleSource", func: ast.AsyncFunctionDef
-    ) -> Iterator[CheckFinding]:
-        for node in walk_scope(func):
-            if not isinstance(node, ast.Call):
-                continue
-            target = node.func
-            if (
-                isinstance(target, ast.Name)
-                and target.id in _BLOCKING_NAME_CALLS
-            ):
-                yield self.finding(
-                    module,
-                    node,
-                    f"blocking call {target.id}() inside async def "
-                    f"{func.name}",
-                )
-            elif isinstance(target, ast.Attribute):
-                receiver = target.value
-                if isinstance(receiver, ast.Name):
-                    pair = (receiver.id, target.attr)
-                    if pair in _BLOCKING_ATTR_CALLS or receiver.id in (
-                        "subprocess",
-                        "socket",
-                    ):
-                        yield self.finding(
-                            module,
-                            node,
-                            f"blocking call {receiver.id}.{target.attr}() "
-                            f"inside async def {func.name}",
-                        )
-                        continue
-                if target.attr in _BLOCKING_METHODS:
-                    yield self.finding(
-                        module,
-                        node,
-                        f"blocking call .{target.attr}() inside async def "
-                        f"{func.name}",
-                    )
-
-
-@register_check_rule
-class NoBlockingReachableFromAsync(CheckRule):
-    """No blocking calls reachable from ``async def`` bodies through
-    synchronous helpers.
-
-    RC104 catches ``time.sleep`` written directly inside a coroutine;
-    it is blind the moment the sleep moves into a helper function the
-    coroutine calls.  The event loop stalls exactly the same either
-    way.  This rule walks the project call graph from every ``async
-    def``, descending only through *synchronous* project functions
-    (an ``await``-ed coroutine reports its own body), and flags the
-    first call in the async body whose transitive closure contains a
-    blocking site.  The sanctioned escape hatch is unchanged: a helper
-    handed to ``asyncio.to_thread`` is never *called* by the
-    coroutine, so no call edge exists and nothing fires.
-
-    Remediation: Hand the blocking helper to ``asyncio.to_thread``
-    (or an executor) instead of calling it from the coroutine, or
-    replace the blocking primitive inside the helper with the asyncio
-    native and make the helper a coroutine.
+    Remediation: Move the blocking work into a synchronous helper and
+    hand it to ``asyncio.to_thread`` (or an executor) instead of
+    calling it from the coroutine, or use the asyncio native
+    (``asyncio.sleep``, ``asyncio.open_connection``) and make the
+    helper a coroutine.
     """
 
     code = "RC110"
-    title = "no blocking calls reachable from async def via sync helpers"
+    title = "no blocking calls in or reachable from async def bodies"
     scope = "project"
 
     def check_facts(
         self, facts: "ModuleFacts", graph: "ProjectGraph"
     ) -> Iterator[CheckFinding]:
+        resolver = graph.flow_resolver()
         for func in facts.functions:
             if not func.is_async or func.qualname == MODULE_QUALNAME:
                 continue
             name = func.qualname.rsplit(".", 1)[-1]
-            for entry, callee, site, path in graph.blocking_reachable(
-                facts.rel, func
+            for site in func.blocking:
+                yield self.finding_at(
+                    facts.rel,
+                    site.lineno,
+                    site.col,
+                    f"blocking call {site.label} inside async def {name}",
+                )
+            for entry, callee, site, path in resolver.blocking_paths(
+                facts.rel, func.qualname
             ):
-                callee_rel, _callee_qual = callee
                 via = " -> ".join(path[1:])
                 yield self.finding_at(
                     facts.rel,
                     entry.lineno,
                     entry.col,
                     f"blocking call {site.label} reachable from async def "
-                    f"{name} via {via} ({callee_rel}:{site.lineno})",
+                    f"{name} via {via} ({callee[0]}:{site.lineno})",
                 )

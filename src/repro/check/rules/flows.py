@@ -4,7 +4,7 @@
 These three consume the per-function CFG summaries distilled by
 :mod:`repro.check.dataflow` and the interprocedural closure
 (:class:`~repro.check.dataflow.FlowResolver`) built over the project
-call graph.  Unlike the RC103/RC104 pattern rules they reason about
+call graph.  Unlike the RC103 pattern rule they reason about
 *paths*: each finding carries a step-by-step witness — where the value
 was born, how it moved, where it sank — rendered as indented steps in
 text mode and as SARIF ``codeFlows`` on the PR diff.
@@ -17,7 +17,7 @@ rare and always justified.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Set, Tuple
 
 from ..dataflow import FlowStep
 from ..graph import MODULE_QUALNAME
@@ -187,11 +187,10 @@ def bench(ctx):
             )
             if callee is None:
                 continue
-            offset = 1 if arg.base in ("self", "cls") else 0
-            param = graph.param_name(callee, arg.position, offset)
+            param = graph.param_name(callee, arg.position, arg.base)
             if param is None:
                 continue
-            sunk = resolver.param_sink(callee[0], callee[1], param)
+            sunk = resolver.param_effect(*callee, param).sink
             if sunk is None:
                 continue
             seen.add(site)
@@ -214,12 +213,11 @@ class NoLeakedResources(CheckRule):
     """Every acquired OS resource reaches its release on every CFG
     path, including the exception edges.
 
-    A ``SharedMemory`` segment that misses ``close()``/``unlink()``
-    outlives the process as a ``/dev/shm`` file; a leaked file handle
-    or socket exhausts descriptors exactly under the serve-layer load
-    the roadmap is building toward.  The analysis walks the function's
-    CFG from each acquisition (``SharedMemory(...)``, ``open(...)``,
-    ``socket.socket(...)``, pool constructors) looking for a path to
+    A leaked file handle or socket exhausts descriptors exactly under
+    the concurrent load the serve layer exists for; a leaked pool keeps
+    its worker processes alive.  The analysis walks the function's CFG
+    from each acquisition (``open(...)``, ``socket.socket(...)``,
+    ``SharedMemory(...)``, pool constructors) looking for a path to
     the function exit that crosses no release, no ownership transfer
     (``return``/store/``yield``), and no call the resource was handed
     to — the classic miss being the *raise* edge of a call between the
@@ -281,11 +279,10 @@ its parameter on every path — is discharged by the callee summary."""
             )
             if callee is None:
                 continue  # unresolvable callee assumed to release
-            offset = 1 if guard.base in ("self", "cls") else 0
-            param = graph.param_name(callee, guard.position, offset)
+            param = graph.param_name(callee, guard.position, guard.base)
             if param is None:
                 continue
-            if resolver.releases(callee[0], callee[1], param):
+            if resolver.param_effect(*callee, param).released:
                 continue
             yield self.finding_at(
                 facts.rel,

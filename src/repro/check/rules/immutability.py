@@ -1,38 +1,31 @@
-"""Snapshot immutability invariants: RC102, RC111.
+"""Snapshot immutability invariant: RC111.
 
 The whole scaling architecture hangs off frozen snapshots: one
 ``AnalysisContext`` (with its ``RibSnapshot``/``RoaSnapshot``) is built
 per run and read by every engine, and the serve layer swaps
 immutable ``LeaseIndex`` generations atomically.  Mutating one of
 these after construction corrupts every consumer that assumed the
-freeze — whether the assignment is written in place (RC102) or hidden
-behind a helper the snapshot is passed into (RC111, via the project
-call graph).
+freeze — whether the assignment is written in place or hidden behind
+any number of helpers the snapshot is passed into.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Iterator
 
-from ..context import infer_local_types, iter_scopes, walk_scope
 from ..graph import FROZEN_CLASSES
 from ..model import CheckFinding, CheckRule, register_check_rule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..context import ModuleSource, ProjectContext
     from ..graph import ModuleFacts, ProjectGraph
 
-__all__ = [
-    "SnapshotImmutability",
-    "NoTransitiveSnapshotMutation",
-]
+__all__ = ["NoTransitiveSnapshotMutation"]
 
 
 @register_check_rule
-class SnapshotImmutability(CheckRule):
-    """No attribute assignment on frozen snapshot instances outside
-    their defining module.
+class NoTransitiveSnapshotMutation(CheckRule):
+    """Frozen snapshots are never mutated outside their defining
+    module, directly or through helpers.
 
     ``AnalysisContext``, ``RibSnapshot``, ``RoaSnapshot`` and
     ``LeaseIndex`` are built once and then shared — across every engine
@@ -42,114 +35,61 @@ class SnapshotImmutability(CheckRule):
     stop matching, and digest equivalence with the frozen references
     breaks in ways no local test sees.
 
+    The rule has two depths.  At depth 0 it flags an attribute
+    assignment or ``del`` through a local known to hold a snapshot (an
+    annotated parameter, or a ``T(...)``/``T.build(...)``/``T.from_*``
+    result).  Deeper, it closes the alias hole with the project call
+    graph: a parameter is *mutating* when the function assigns or
+    deletes one of its attributes, or passes it on into another
+    function's mutating parameter, and passing a frozen snapshot into
+    a mutating parameter is flagged at the call site, where the freeze
+    contract is actually broken.  RC111 absorbed the retired RC102,
+    which saw depth 0 only.
+
     Remediation: Build a *new* snapshot with the changed value (the
     constructors and ``from_*``/``build`` factories exist for this) or,
     if the field genuinely must vary per run, move it out of the
-    snapshot into the call path.
-    """
-
-    code = "RC102"
-    title = "frozen snapshots are never mutated outside their module"
-
-    def check(
-        self, module: "ModuleSource", project: "ProjectContext"
-    ) -> Iterator[CheckFinding]:
-        for scope in iter_scopes(module.tree):
-            types = infer_local_types(scope, FROZEN_CLASSES)
-            if not types:
-                continue
-            for node in walk_scope(scope):
-                yield from self._scan_statement(module, node, types)
-
-    def _scan_statement(
-        self,
-        module: "ModuleSource",
-        node: ast.AST,
-        types: Dict[str, str],
-    ) -> Iterator[CheckFinding]:
-        targets: List[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets = [node.target]
-        elif isinstance(node, ast.Delete):
-            targets = node.targets
-        for target in targets:
-            hit = _frozen_attribute_target(target, types)
-            if hit is None:
-                continue
-            name, cls = hit
-            if module.module == FROZEN_CLASSES[cls]:
-                continue  # the defining module may initialize itself
-            verb = "del" if isinstance(node, ast.Delete) else "assignment"
-            yield self.finding(
-                module,
-                target,
-                f"{verb} on attribute of frozen {cls} instance "
-                f"{name!r} outside {FROZEN_CLASSES[cls]}",
-            )
-
-
-def _frozen_attribute_target(
-    target: ast.expr, types: Dict[str, str]
-) -> Optional[tuple]:
-    """``(name, class)`` when *target* writes through a frozen instance."""
-    node = target
-    if isinstance(node, ast.Subscript):
-        node = node.value  # x.attr[...] = ... mutates interior state
-    if not isinstance(node, ast.Attribute):
-        return None
-    base = node.value
-    if isinstance(base, ast.Name) and base.id in types:
-        return base.id, types[base.id]
-    return None
-
-
-@register_check_rule
-class NoTransitiveSnapshotMutation(CheckRule):
-    """No passing frozen snapshots into helpers that mutate their
-    parameters.
-
-    RC102 sees ``ctx.cache = {}`` only where the *variable* is known to
-    hold a snapshot; rename the parameter, drop the annotation, and the
-    same mutation one call away goes dark.  This rule closes the alias
-    hole with the project call graph: every function whose parameter is
-    attribute-assigned — directly, or by forwarding the parameter into
-    another mutating function, computed to a fixpoint — is *mutating*,
-    and passing a frozen snapshot instance into a mutating parameter
-    from outside the snapshot's defining module is flagged at the call
-    site, where the freeze contract is actually broken.
-
-    Remediation: Same as RC102 — build a new snapshot instead of
-    editing one through a helper.  Helpers that legitimately assemble a
+    snapshot into the call path.  Helpers that legitimately assemble a
     snapshot belong in its defining module, where the freeze has not
     happened yet.
     """
 
     code = "RC111"
-    title = "frozen snapshots never flow into mutating parameters"
+    title = "frozen snapshots are never mutated, directly or via helpers"
     scope = "project"
 
     def check_facts(
         self, facts: "ModuleFacts", graph: "ProjectGraph"
     ) -> Iterator[CheckFinding]:
-        mutating = graph.mutating_params()
+        resolver = graph.flow_resolver()
         for func in facts.functions:
+            for write in func.frozen_writes:
+                home = FROZEN_CLASSES[write.cls]
+                if facts.module == home:
+                    continue  # the defining module may initialize itself
+                verb = "del" if write.deleted else "assignment"
+                yield self.finding_at(
+                    facts.rel,
+                    write.lineno,
+                    write.col,
+                    f"{verb} on attribute of frozen {write.cls} instance "
+                    f"{write.var!r} outside {home}",
+                )
             for passed in func.frozen_args:
-                home = FROZEN_CLASSES.get(passed.cls)
-                if home is None or facts.module == home:
+                home = FROZEN_CLASSES[passed.cls]
+                if facts.module == home:
                     continue
                 callee = graph.resolve_call(
                     facts.rel, func.owner_class, passed.base, passed.name
                 )
                 if callee is None:
                     continue
-                callee_facts = graph.facts.get(callee[0])
-                if callee_facts is not None and callee_facts.module == home:
+                if graph.facts[callee[0]].module == home:
                     continue  # defining-module helpers may assemble
-                offset = 1 if passed.base in ("self", "cls") else 0
-                param = graph.param_name(callee, passed.position, offset)
-                if param is None or param not in mutating.get(callee, set()):
+                param = graph.param_name(callee, passed.position, passed.base)
+                if param is None:
+                    continue
+                if not resolver.param_effect(*callee, param).mutated:
                     continue
                 yield self.finding_at(
                     facts.rel,

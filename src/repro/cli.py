@@ -956,9 +956,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _explain_check_rule(code: str) -> int:
     """``repro check --explain RC###``: the rule's model on stdout."""
-    from .check.model import check_rule_for_code
+    from .check.model import RETIRED_CODES, check_rule_for_code
 
+    code = code.strip().upper()
     rule = check_rule_for_code(code)
+    if code in RETIRED_CODES:
+        successor = rule.code if rule else "no rule"
+        print(f"{code} is retired; its findings are reported by {successor}")
+        if rule is None:
+            return 0
+        print()
     if rule is None:
         print(f"unknown check rule code: {code}", file=sys.stderr)
         return 1

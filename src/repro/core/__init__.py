@@ -36,7 +36,6 @@ if TYPE_CHECKING:
         CacheStats,
         Category,
         LeafClassifier,
-        MemoizedClassifier,
         classify_leaf,
     )
     from .ecosystem import (
@@ -109,8 +108,7 @@ __getattr__ = lazy_exports(
         ),
         ".baseline": ("maintainer_baseline",),
         ".classify": (
-            "CacheStats", "Category", "LeafClassifier", "MemoizedClassifier",
-            "classify_leaf",
+            "CacheStats", "Category", "LeafClassifier", "classify_leaf",
         ),
         ".ecosystem": (
             "HijackerOverlap", "hijacker_overlap", "resolve_maintainer_names",
@@ -166,7 +164,6 @@ __all__ = [
     "result_digest",
     "CacheStats",
     "LeafClassifier",
-    "MemoizedClassifier",
     "RibSnapshot",
     "RoaSnapshot",
     "BootstrapCI",

@@ -44,7 +44,6 @@ __all__ = [
     "CacheStats",
     "Category",
     "LeafClassifier",
-    "MemoizedClassifier",
     "classify_leaf",
 ]
 
@@ -86,44 +85,6 @@ def classify_leaf(
     if oracle.any_related(leaf_origins, related_targets):
         return Category.DELEGATED_CUSTOMER
     return Category.LEASED_GROUP4
-
-
-_ClassifyKey = Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]
-
-
-class MemoizedClassifier:
-    """Memoized §5.2 classification over one oracle.
-
-    The category is a pure function of the ``(leaf origins, root
-    origins, root assigned ASNs)`` triple, and real registries repeat the
-    same triple across thousands of sibling leaves (every leaf of one
-    hoster under one root, say).
-    """
-
-    def __init__(self, oracle: RelatednessOracle) -> None:
-        self.oracle = oracle
-        self._cache: Dict[_ClassifyKey, Category] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def classify(
-        self,
-        leaf_origins: FrozenSet[int],
-        root_origins: FrozenSet[int],
-        root_assigned_asns: FrozenSet[int],
-    ) -> Category:
-        """Cached :func:`classify_leaf`."""
-        key = (leaf_origins, root_origins, root_assigned_asns)
-        category = self._cache.get(key)
-        if category is None:
-            self.misses += 1
-            category = classify_leaf(
-                leaf_origins, root_origins, root_assigned_asns, self.oracle
-            )
-            self._cache[key] = category
-        else:
-            self.hits += 1
-        return category
 
 
 @dataclass

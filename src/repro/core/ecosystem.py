@@ -4,11 +4,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..asdata.hijackers import SerialHijackerList
 from ..bgp.rib import RoutingTable
-from ..net import Prefix
 from ..rir import ALL_RIRS, RIR
 from ..whois.database import WhoisCollection
 from .results import InferenceResult

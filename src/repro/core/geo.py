@@ -10,7 +10,7 @@ continents across five databases).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Set
+from typing import Dict, Iterable, Sequence, Set
 
 from ..geo.database import GeoDatabase, continent_of
 from ..net import Prefix

@@ -13,7 +13,7 @@ leased.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 from ..bgp.rib import RoutingTable
 from ..brokers.matching import MatchReport, match_brokers

@@ -15,7 +15,6 @@ memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 __all__ = ["BootstrapCI", "share_ci", "risk_ratio_ci"]
 

@@ -23,6 +23,7 @@ from repro.check.dataflow import (
     FlowFact,
     FlowResolver,
     FlowStep,
+    ParamEffect,
     ResourceFlow,
     SharedWrite,
     SinkFlow,
@@ -358,6 +359,35 @@ def test_resolver_return_taint_chain(tmp_path):
     assert any("stamp" in step.note for _rel, step in chained)
 
 
+def test_resolver_return_taint_through_a_cycle(tmp_path):
+    graph = _graph(
+        tmp_path,
+        {
+            "mod.py": """
+            import time
+
+
+            def a(flag):
+                return b() if flag else c()
+
+
+            def b():
+                return a(True)
+
+
+            def c():
+                return time.time()
+            """
+        },
+    )
+    resolver = graph.flow_resolver()
+    rel = next(iter(graph.facts))
+    # b is first reached while a is still being walked; its answer then
+    # lacks a's other branch and must not be the one remembered.
+    assert resolver.return_taint(rel, "a")
+    assert resolver.return_taint(rel, "b")
+
+
 def test_resolver_param_sink(tmp_path):
     graph = _graph(
         tmp_path,
@@ -374,9 +404,10 @@ def test_resolver_param_sink(tmp_path):
     )
     resolver = graph.flow_resolver()
     rel = next(iter(graph.facts))
-    hit = resolver.param_sink(rel, "commit", "value")
-    assert hit is not None and hit[0] == "result_digest()"
-    assert resolver.param_sink(rel, "untouched", "value") is None
+    effect = resolver.param_effect(rel, "commit", "value")
+    assert isinstance(effect, ParamEffect)
+    assert effect.sink is not None and effect.sink[0] == "result_digest()"
+    assert resolver.param_effect(rel, "untouched", "value").sink is None
 
 
 def test_resolver_releases_transitively(tmp_path):
@@ -399,9 +430,9 @@ def test_resolver_releases_transitively(tmp_path):
     )
     resolver = graph.flow_resolver()
     rel = next(iter(graph.facts))
-    assert resolver.releases(rel, "close_it", "handle")
-    assert resolver.releases(rel, "consume", "handle")
-    assert not resolver.releases(rel, "hoard", "handle")
+    assert resolver.param_effect(rel, "close_it", "handle").released
+    assert resolver.param_effect(rel, "consume", "handle").released
+    assert not resolver.param_effect(rel, "hoard", "handle").released
 
 
 def test_resolver_async_roots_with_witness_trails(tmp_path):

@@ -17,6 +17,7 @@ from repro.check.graph import (
     ClassFact,
     ExportFact,
     FrozenArgFact,
+    FrozenWrite,
     FunctionFact,
     ImportFact,
     MODULE_QUALNAME,
@@ -192,16 +193,44 @@ def test_frozen_arg_facts_track_snapshot_flow(tmp_path):
     assert passed.position == 0
 
 
+def test_frozen_write_facts_record_each_shape(tmp_path):
+    facts = _facts(
+        tmp_path,
+        "mod.py",
+        "from repro.core.context import AnalysisContext\n"
+        "def poke(context: AnalysisContext, other):\n"
+        "    context.flag = True\n"
+        "    context.table['key'] = 1\n"
+        "    del context.cache\n"
+        "    other.flag = True\n",
+    )
+    poke = next(fn for fn in facts.functions if fn.qualname == "poke")
+    assert all(isinstance(w, FrozenWrite) for w in poke.frozen_writes)
+    assert sorted(
+        (w.cls, w.var, w.deleted, w.lineno, w.col)
+        for w in poke.frozen_writes
+    ) == [
+        ("AnalysisContext", "context", False, 3, 4),
+        ("AnalysisContext", "context", False, 4, 4),
+        ("AnalysisContext", "context", True, 5, 8),
+    ]
+
+
 def test_facts_round_trip_through_dicts(tmp_path):
     facts = _facts(
         tmp_path,
         "mod.py",
         "import time\n"
+        "from repro.core.context import AnalysisContext\n"
         "__all__ = ['stall']\n"
-        "def stall(ctx):\n"
+        "def stall(ctx, frozen: AnalysisContext):\n"
         "    ctx.cache = {}\n"
+        "    del frozen.cache\n"
         "    time.sleep(1)\n",
     )
+    stall = next(fn for fn in facts.functions if fn.qualname == "stall")
+    assert stall.flow.mutated_params == ("ctx", "frozen")
+    assert stall.frozen_writes
     assert ModuleFacts.from_dict(facts.to_dict()) == facts
 
 
@@ -249,18 +278,18 @@ def test_blocking_reachable_walks_sync_helpers_only(tmp_path):
             "    return outer()\n",
         },
     )
-    facts = graph.facts["mod.py"]
-    outer = next(fn for fn in facts.functions if fn.qualname == "outer")
-    hits = graph.blocking_reachable(facts.rel, outer)
+    resolver = graph.flow_resolver()
+    hits = resolver.blocking_paths("mod.py", "outer")
     assert len(hits) == 1
-    _entry, (_rel, qual), site, path = hits[0]
+    entry, (_rel, qual), site, path = hits[0]
+    assert (entry.name, entry.lineno) == ("helper", 5)
     assert qual == "helper"
     assert site.label == "time.sleep()"
     assert path == ("outer", "helper")
-    stops = next(
-        fn for fn in facts.functions if fn.qualname == "stops_at_async"
-    )
-    assert graph.blocking_reachable(facts.rel, stops) == []
+    assert resolver.blocking_paths("mod.py", "stops_at_async") == []
+    # The async walk still reaches through the awaited coroutine.
+    roots = {qual for _rel, qual, _ in resolver.async_roots("mod.py", "helper")}
+    assert roots == {"outer", "stops_at_async"}
 
 
 def test_mutating_params_reach_fixpoint(tmp_path):
@@ -272,14 +301,28 @@ def test_mutating_params_reach_fixpoint(tmp_path):
             "def forward(thing):\n"
             "    direct(thing)\n"
             "def reader(ctx):\n"
-            "    return ctx.cache\n",
+            "    return ctx.cache\n"
+            "def ping(ctx, hops):\n"
+            "    ctx.seen = True\n"
+            "    if hops:\n"
+            "        pong(ctx, hops)\n"
+            "def pong(ctx, hops):\n"
+            "    ping(ctx, hops - 1)\n",
         },
     )
-    facts = graph.facts["mod.py"]
-    mutating = graph.mutating_params()
-    assert mutating[(facts.rel, "direct")] == {"ctx"}
-    assert mutating[(facts.rel, "forward")] == {"thing"}
-    assert (facts.rel, "reader") not in mutating
+    resolver = graph.flow_resolver()
+
+    def mutated(qualname, param):
+        return resolver.param_effect("mod.py", qualname, param).mutated
+
+    assert mutated("direct", "ctx")
+    assert mutated("forward", "thing")
+    assert not mutated("reader", "ctx")
+    # A cycle: pong mutates only through ping, and is first reached
+    # while ping is still being walked.
+    assert mutated("ping", "ctx")
+    assert mutated("pong", "ctx")
+    assert not mutated("ping", "hops")
 
 
 def test_name_used_outside_checks_modules_then_corpus(tmp_path):

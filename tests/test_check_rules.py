@@ -77,7 +77,10 @@ def test_rc101_pinpoints_every_import_form():
 
 
 def test_rc102_sees_all_mutation_shapes():
-    messages = [f.message for f in _findings_for("RC102", "rc102_bad.py")]
+    """The retired RC102's cases, now RC111 at depth 0."""
+    messages = [
+        f.message for f in _findings_for("RC111", "rc111_bad_direct.py")
+    ]
     assert len(messages) == 5
     assert any("del" in message for message in messages)
     assert any("LeaseIndex" in message for message in messages)
@@ -101,10 +104,38 @@ def test_rc103_offers_sorted_fixes():
 
 
 def test_rc104_names_the_coroutine():
-    findings = _findings_for("RC104", "rc104_bad.py")
+    """The retired RC104's cases, now RC110 at depth 0."""
+    findings = _findings_for("RC110", "rc110_bad_direct.py")
+    assert len(findings) == 4
     assert {"handler", "slow_config"} == {
         f.message.rsplit(" ", 1)[-1] for f in findings
     }
+
+
+def test_retired_codes_act_on_their_successor(tmp_path, capsys):
+    from repro.cli import main
+
+    (tmp_path / "serve.py").write_text(
+        "import time\n"
+        "async def tick():\n"
+        "    time.sleep(1)\n"
+        "async def tock():\n"
+        "    time.sleep(1)  # repro-check: ignore[RC104] -- test fixture\n"
+    )
+    report = CheckEngine(select=["RC104"]).run(
+        load_project(tmp_path, ["serve.py"])
+    )
+    assert report.rules_run == ["RC110"]
+    assert [(f.code, f.line) for f in report.findings] == [("RC110", 3)]
+    assert report.suppressed == 1
+    assert CheckEngine(select=["RC105"]).rules == []
+
+    assert main(["check", "--explain", "RC104"]) == 0
+    out = capsys.readouterr().out
+    assert "RC104 is retired; its findings are reported by RC110" in out
+    assert "RC110: no blocking calls" in out
+    assert main(["check", "--explain", "RC105"]) == 0
+    assert "reported by no rule" in capsys.readouterr().out
 
 
 def test_rc106_flags_bare_and_silent_separately():

@@ -10,7 +10,7 @@ import dataclasses
 
 import pytest
 
-from repro.asdata import AS2Org, ASRelationships
+from repro.asdata import ASRelationships
 from repro.bgp import P2C, RoutingTable
 from repro.core import (
     AllocationScan,
@@ -19,12 +19,10 @@ from repro.core import (
     Category,
     LeafClassifier,
     LeaseInferencePipeline,
-    MemoizedClassifier,
     RelatednessOracle,
     RibSnapshot,
 )
 from repro.core.allocation_tree import AllocationTree
-from repro.core.classify import classify_leaf
 from repro.core.context import build_related_sets
 from repro.core.results import InferenceResult
 from repro.net import Prefix
@@ -292,15 +290,6 @@ class TestRoutingTableIndex:
 
 
 class TestMemoization:
-    def _oracle(self):
-        relationships = ASRelationships()
-        relationships.add(100, 200, P2C)
-        as2org = AS2Org()
-        as2org.add_org("ORG-X")
-        as2org.map_asn(300, "ORG-X")
-        as2org.map_asn(400, "ORG-X")
-        return RelatednessOracle(relationships, as2org)
-
     def test_relatedness_cache_hits_on_real_world(self, world):
         """Satellite: the re-keyed (leaf_origin, root_org) memo must
         actually hit — the old per-AS-pair memo recorded 0.0 forever."""
@@ -335,22 +324,6 @@ class TestMemoization:
             Category.LEASED_GROUP3
         )
         assert classifier.stats().relatedness_misses == 2
-
-    def test_memoized_classifier_is_transparent(self):
-        oracle = self._oracle()
-        memo = MemoizedClassifier(oracle)
-        cases = [
-            (frozenset(), frozenset(), frozenset()),
-            (frozenset({200}), frozenset({100}), frozenset()),
-            (frozenset({999}), frozenset({100}), frozenset()),
-            (frozenset({200}), frozenset({100}), frozenset()),  # repeat
-        ]
-        for leaf_origins, root_origins, assigned in cases:
-            assert memo.classify(
-                leaf_origins, root_origins, assigned
-            ) == classify_leaf(leaf_origins, root_origins, assigned, oracle)
-        assert memo.hits == 1
-        assert memo.misses == 3
 
     def test_cache_stats_merge_and_rates(self):
         left = CacheStats(relatedness_hits=3, relatedness_misses=1)
