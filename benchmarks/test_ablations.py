@@ -12,7 +12,6 @@
 from repro.core import (
     Category,
     LeaseInferencePipeline,
-    curate_reference,
     evaluate_inference,
 )
 from repro.simulation import build_world, paper_world

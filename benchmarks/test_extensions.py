@@ -7,8 +7,6 @@
   often than the background (the §6.4 bypass effect).
 """
 
-import dataclasses
-
 from repro.bgp import RoutingTable
 from repro.core import (
     RelatednessOracle,

@@ -25,7 +25,6 @@ from repro.core import (
     maintainer_baseline,
 )
 from repro.reporting import render_table2
-from repro.rir import RIR
 from repro.simulation import TruthKind, build_world, paper_world
 
 

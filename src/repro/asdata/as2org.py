@@ -12,7 +12,7 @@ selected mappings.
 from __future__ import annotations
 
 import json
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set
 
 __all__ = ["AS2Org", "As2OrgError"]
 

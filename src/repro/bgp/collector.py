@@ -9,7 +9,7 @@ dataset").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..net import Prefix, int_to_address

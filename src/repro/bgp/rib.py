@@ -185,13 +185,13 @@ class RoutingTable:
         exact = self._trie.get(prefix)
         if exact:
             return exact
-        hit = self._trie.least_specific_match(prefix)
-        return hit[1] if hit else _EMPTY
+        hit = self._trie.least_specific_value(prefix)
+        return _EMPTY if hit is None else hit
 
     def longest_match_origins(self, prefix: Prefix) -> FrozenSet[int]:
         """Origins of the most-specific covering prefix (data-plane view)."""
-        hit = self._trie.longest_match(prefix)
-        return hit[1] if hit else _EMPTY
+        hit = self._trie.longest_match_value(prefix)
+        return _EMPTY if hit is None else hit
 
     def is_advertised(self, prefix: Prefix) -> bool:
         """True when the exact prefix appears in the table."""
@@ -227,6 +227,18 @@ class RoutingTable:
     def items(self) -> Iterator[Tuple[Prefix, FrozenSet[int]]]:
         """Iterate ``(prefix, origins)`` pairs in ``Prefix`` order."""
         return self._trie.items()
+
+    def packed_items(self) -> Iterator[Tuple[int, FrozenSet[int]]]:
+        """Iterate ``(packed prefix, origins)`` pairs in ``Prefix`` order.
+
+        The key is :func:`~repro.net.radix.pack_prefix` of the prefix,
+        read straight from the trie with no ``Prefix`` built.
+        """
+        return self._trie.packed_items()
+
+    def prefix_lengths(self) -> Tuple[int, ...]:
+        """The distinct announced prefix lengths, ascending."""
+        return self._trie.lengths()
 
     def moas_prefixes(self) -> List[Tuple[Prefix, FrozenSet[int]]]:
         """Prefixes with multiple origin ASes (MOAS conflicts)."""

@@ -383,7 +383,9 @@ class CheckEngine:
         for rel, fresh in self._analyze_misses(root, misses, jobs).items():
             fresh["sha"] = shas[rel]
             entries[rel] = fresh
-        if cache_path is not None:
+        # A run that reused every entry and saw no file come or go has
+        # nothing new to write.
+        if cache_path is not None and (misses or entries.keys() != cached.keys()):
             save_entries(cache_path, fingerprint, entries)
 
         findings: List[CheckFinding] = []

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..net import Prefix, PrefixTrie
+from ..net.slots import slotted
 from ..whois.database import WhoisDatabase
 from ..whois.objects import InetnumRecord
 from ..whois.statuses import Portability, classify_status
@@ -29,6 +30,7 @@ __all__ = [
 DEFAULT_MAX_LEAF_LENGTH = 24
 
 
+@slotted
 @dataclass(frozen=True)
 class TreeLeaf:
     """One leaf node with its covering root.

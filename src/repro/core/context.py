@@ -244,16 +244,15 @@ class RibSnapshot:
     @classmethod
     def from_routing_table(cls, routing_table: RoutingTable) -> "RibSnapshot":
         """Freeze the table's exact index into sorted flat arrays."""
-        items = list(routing_table.items())  # ascending by prefix
-        keys = array("Q", [pack_prefix(prefix) for prefix, _ in items])
+        items = list(routing_table.packed_items())  # ascending by prefix
+        keys = array("Q", [key for key, _ in items])
         offsets, origins = _pool(origins for _, origins in items)
-        lengths = tuple(sorted({prefix.length for prefix, _ in items}))
         return cls(
             memoryview(keys),
             memoryview(_slot_table(keys)),
             memoryview(offsets),
             memoryview(origins),
-            lengths,
+            routing_table.prefix_lengths(),
         )
 
     def _bucket(self, index: int) -> FrozenSet[int]:

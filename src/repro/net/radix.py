@@ -10,15 +10,19 @@ Supports the lookups the paper's inference needs:
 :class:`PrefixTrie` maps each stored :class:`~repro.net.ipaddr.Prefix`
 to an arbitrary value; inserting the same prefix twice replaces the
 value.  It and the flat sorted-array helpers below share one key
-packing, ``network << 8 | length``.
+packing, ``network << 8 | length``, and the key is the prefix: the trie
+stores the value alone under it and rebuilds a ``Prefix`` only for the
+views that return one.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from typing import (
+    Any,
     Dict,
     Generic,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -40,6 +44,9 @@ __all__ = [
 
 V = TypeVar("V")
 
+#: A dict-probe miss (a stored value may itself be None).
+_MISSING: Any = object()
+
 #: ``_MASKS[L]`` is the 32-bit netmask of a /L prefix.
 _MASKS = tuple((MAX_IPV4 << (32 - length)) & MAX_IPV4 for length in range(33))
 
@@ -52,18 +59,22 @@ def _subtree_end(key: int) -> int:
 class PrefixTrie(Generic[V]):
     """Mutable mapping from IPv4 prefixes to values with covering lookups.
 
-    Entries live in one dict keyed by the packed prefix (``network << 8 |
-    length``, see :func:`pack_prefix`); a sorted list of the stored
-    lengths turns every covering lookup into one dict probe per length:
-    CIDR prefixes nest or are disjoint, so each cover of ``p`` is its
-    truncation to some stored length.  Ordered views read a sorted key
-    list, built on first use and dropped by any insert of a new prefix
-    or removal.  Packed-key order is ``Prefix`` order, in which every
-    prefix precedes its more-specifics (a pre-order of the prefix tree).
+    The key is the prefix: entries live in one dict from the packed
+    prefix (``network << 8 | length``, see :func:`pack_prefix`) to the
+    value alone, and views that return a prefix rebuild it from its key
+    with :func:`unpack_prefix`.  The inserted ``Prefix`` object is not
+    kept, so views return equal prefixes, not the same objects.  A
+    sorted list of the stored lengths turns every covering lookup into
+    one dict probe per length: CIDR prefixes nest or are disjoint, so
+    each cover of ``p`` is its truncation to some stored length.
+    Ordered views read a sorted key list, built on first use and dropped
+    by any insert of a new prefix or removal.  Packed-key order is
+    ``Prefix`` order, in which every prefix precedes its more-specifics
+    (a pre-order of the prefix tree).
     """
 
     def __init__(self) -> None:
-        self._entries: Dict[int, Tuple[Prefix, V]] = {}
+        self._entries: Dict[int, V] = {}
         #: Ascending stored lengths, and how many entries have each.
         self._lengths: List[int] = []
         self._length_counts = [0] * 33
@@ -80,7 +91,7 @@ class PrefixTrie(Generic[V]):
             self._length_counts[length] += 1
             if self._length_counts[length] == 1:
                 insort(self._lengths, length)
-        entries[key] = (prefix, value)
+        entries[key] = value
 
     def remove(self, prefix: Prefix) -> bool:
         """Delete *prefix*; returns False when it was not stored.
@@ -92,7 +103,8 @@ class PrefixTrie(Generic[V]):
         hot-reload diffing snapshots — return the map to its old size.
         """
         length = prefix.length
-        if self._entries.pop((prefix.network << 8) | length, None) is None:
+        key = (prefix.network << 8) | length
+        if self._entries.pop(key, _MISSING) is _MISSING:
             return False
         self._sorted_keys = None
         self._length_counts[length] -= 1
@@ -109,13 +121,15 @@ class PrefixTrie(Generic[V]):
 
     def exact(self, prefix: Prefix) -> Optional[V]:
         """The value stored at exactly *prefix*, or None."""
-        entry = self._entries.get((prefix.network << 8) | prefix.length)
-        return None if entry is None else entry[1]
+        return self._entries.get((prefix.network << 8) | prefix.length)
 
     def get(self, prefix: Prefix, default: Optional[V] = None) -> Optional[V]:
         """Dict-style exact lookup with a default."""
-        entry = self._entries.get((prefix.network << 8) | prefix.length)
-        return default if entry is None else entry[1]
+        return self._entries.get((prefix.network << 8) | prefix.length, default)
+
+    def lengths(self) -> Tuple[int, ...]:
+        """The distinct stored prefix lengths, ascending."""
+        return tuple(self._lengths)
 
     # -- covering lookups ------------------------------------------------------
     def covering(self, prefix: Prefix) -> List[Tuple[Prefix, V]]:
@@ -123,31 +137,57 @@ class PrefixTrie(Generic[V]):
 
         A stored prefix equal to *prefix* is included.
         """
-        network, entries = prefix.network, self._entries
+        network, get = prefix.network, self._entries.get
         found: List[Tuple[Prefix, V]] = []
         for length in self._lengths:
             if length > prefix.length:
                 break
-            entry = entries.get(((network & _MASKS[length]) << 8) | length)
-            if entry is not None:
-                found.append(entry)
+            key = ((network & _MASKS[length]) << 8) | length
+            value = get(key, _MISSING)
+            if value is not _MISSING:
+                found.append((unpack_prefix(key), value))
         return found
 
     def _probe_down(
         self, prefix: Prefix, below: int
-    ) -> Optional[Tuple[Prefix, V]]:
-        """The most-specific stored cover of *prefix* shorter than *below*."""
-        network, entries = prefix.network, self._entries
+    ) -> Optional[Tuple[int, V]]:
+        """``(key, value)`` of the most-specific cover shorter than *below*."""
+        network, get = prefix.network, self._entries.get
         for length in reversed(self._lengths):
             if length < below:
-                entry = entries.get(((network & _MASKS[length]) << 8) | length)
-                if entry is not None:
-                    return entry
+                key = ((network & _MASKS[length]) << 8) | length
+                value = get(key, _MISSING)
+                if value is not _MISSING:
+                    return key, value
         return None
+
+    def _least_specific_hit(self, prefix: Prefix) -> Optional[Tuple[int, V]]:
+        """``(key, value)`` of the least-specific stored cover of *prefix*."""
+        network, get = prefix.network, self._entries.get
+        for length in self._lengths:
+            if length > prefix.length:
+                break
+            key = ((network & _MASKS[length]) << 8) | length
+            value = get(key, _MISSING)
+            if value is not _MISSING:
+                return key, value
+        return None
+
+    @staticmethod
+    def _entry(hit: Optional[Tuple[int, V]]) -> Optional[Tuple[Prefix, V]]:
+        return None if hit is None else (unpack_prefix(hit[0]), hit[1])
+
+    @staticmethod
+    def _value(hit: Optional[Tuple[int, V]]) -> Optional[V]:
+        return None if hit is None else hit[1]
 
     def longest_match(self, prefix: Prefix) -> Optional[Tuple[Prefix, V]]:
         """The most-specific stored prefix covering *prefix*, or None."""
-        return self._probe_down(prefix, prefix.length + 1)
+        return self._entry(self._probe_down(prefix, prefix.length + 1))
+
+    def longest_match_value(self, prefix: Prefix) -> Optional[V]:
+        """The value of :meth:`longest_match`, with no prefix built."""
+        return self._value(self._probe_down(prefix, prefix.length + 1))
 
     def least_specific_match(self, prefix: Prefix) -> Optional[Tuple[Prefix, V]]:
         """The least-specific stored prefix covering *prefix*, or None.
@@ -156,18 +196,15 @@ class PrefixTrie(Generic[V]):
         prefix is absent from BGP: "search for its least-specific covering
         prefix and origin AS" (§5.1 step 4).
         """
-        network, entries = prefix.network, self._entries
-        for length in self._lengths:
-            if length > prefix.length:
-                break
-            entry = entries.get(((network & _MASKS[length]) << 8) | length)
-            if entry is not None:
-                return entry
-        return None
+        return self._entry(self._least_specific_hit(prefix))
+
+    def least_specific_value(self, prefix: Prefix) -> Optional[V]:
+        """The value of :meth:`least_specific_match`, with no prefix built."""
+        return self._value(self._least_specific_hit(prefix))
 
     def parent(self, prefix: Prefix) -> Optional[Tuple[Prefix, V]]:
         """The most-specific stored *strict* ancestor of *prefix*, or None."""
-        return self._probe_down(prefix, prefix.length)
+        return self._entry(self._probe_down(prefix, prefix.length))
 
     # -- ordered views --------------------------------------------------------
     def _keys(self) -> List[int]:
@@ -176,16 +213,19 @@ class PrefixTrie(Generic[V]):
             self._sorted_keys = sorted(self._entries)
         return self._sorted_keys
 
+    def _pairs(self, keys: Iterable[int]) -> List[Tuple[Prefix, V]]:
+        entries = self._entries
+        return [(unpack_prefix(key), entries[key]) for key in keys]
+
     def _tops(self, keys: Sequence[int]) -> List[Tuple[Prefix, V]]:
         """Entries among ascending *keys* not inside an earlier one."""
-        entries = self._entries
-        result: List[Tuple[Prefix, V]] = []
+        tops: List[int] = []
         end = -1
         for key in keys:
             if key >= end:
-                result.append(entries[key])
+                tops.append(key)
                 end = _subtree_end(key)
-        return result
+        return self._pairs(tops)
 
     def covered(self, prefix: Prefix) -> Iterator[Tuple[Prefix, V]]:
         """Iterate stored prefixes equal to or more specific than *prefix*."""
@@ -193,7 +233,7 @@ class PrefixTrie(Generic[V]):
         start, stop = flat_covered_range(keys, prefix)
         entries = self._entries
         for key in keys[start:stop]:
-            yield entries[key]
+            yield unpack_prefix(key), entries[key]
 
     def children_of(self, prefix: Prefix) -> List[Tuple[Prefix, V]]:
         """Direct stored descendants of *prefix* (no stored prefix between)."""
@@ -207,12 +247,18 @@ class PrefixTrie(Generic[V]):
         """Iterate all stored ``(prefix, value)`` pairs in ``Prefix`` order."""
         entries = self._entries
         for key in self._keys():
-            yield entries[key]
+            yield unpack_prefix(key), entries[key]
+
+    def packed_items(self) -> Iterator[Tuple[int, V]]:
+        """Iterate ``(packed key, value)`` pairs in ``Prefix`` order."""
+        entries = self._entries
+        for key in self._keys():
+            yield key, entries[key]
 
     def keys(self) -> Iterator[Prefix]:
         """Iterate all stored prefixes in ``Prefix`` order."""
-        for prefix, _value in self.items():
-            yield prefix
+        for key in self._keys():
+            yield unpack_prefix(key)
 
     # -- structural roles (allocation tree) ----------------------------------
     def roots(self) -> List[Tuple[Prefix, V]]:
@@ -225,12 +271,12 @@ class PrefixTrie(Generic[V]):
         A prefix's descendants directly follow it in key order, so it is
         a leaf exactly when the next key lies outside its subtree.
         """
-        keys, entries = self._keys(), self._entries
-        result: List[Tuple[Prefix, V]] = []
-        for index, key in enumerate(keys, 1):
-            if index == len(keys) or keys[index] >= _subtree_end(key):
-                result.append(entries[key])
-        return result
+        keys = self._keys()
+        return self._pairs(
+            key
+            for index, key in enumerate(keys, 1)
+            if index == len(keys) or keys[index] >= _subtree_end(key)
+        )
 
     # -- conversion ---------------------------------------------------------
     def to_dict(self) -> Dict[Prefix, V]:
@@ -270,10 +316,17 @@ def unpack_prefix(key: int) -> Prefix:
     Keys come from :func:`pack_prefix`, so the prefix is built without
     re-running its validation (half the cost of decoding a key).
     """
-    prefix = object.__new__(Prefix)
-    object.__setattr__(prefix, "network", key >> 8)
-    object.__setattr__(prefix, "length", key & _KEY_LENGTH_MASK)
+    prefix = _new_object(Prefix)
+    _set_network(prefix, key >> 8)
+    _set_length(prefix, key & _KEY_LENGTH_MASK)
     return prefix
+
+
+# ``Prefix`` is slotted and frozen: its slot descriptors set a field past
+# the frozen ``__setattr__``, a third cheaper than ``object.__setattr__``.
+_new_object = object.__new__
+_set_network = Prefix.__dict__["network"].__set__
+_set_length = Prefix.__dict__["length"].__set__
 
 
 def flat_covered_range(keys: Sequence[int], prefix: Prefix) -> Tuple[int, int]:

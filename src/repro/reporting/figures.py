@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
 from ..core.timeline import PrefixTimeline
 from ..rpki.roa import AS0
 

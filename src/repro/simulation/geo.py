@@ -13,7 +13,6 @@ import random
 from typing import Dict, List
 
 from ..geo.database import CONTINENT_OF, GeoDatabase
-from ..net import Prefix
 from .groundtruth import TruthKind
 from .world import World
 

@@ -11,7 +11,7 @@ disagree, mirroring §6.2.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
 from ..net import Prefix

@@ -32,7 +32,6 @@ and each first-read decode run with the cyclic garbage collector paused
 from __future__ import annotations
 
 import csv
-import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property

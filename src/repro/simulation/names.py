@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import difflib
 import random
-from typing import List, Set
+from typing import Set
 
 __all__ = ["NameForge"]
 

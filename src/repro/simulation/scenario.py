@@ -10,8 +10,8 @@ tiny :func:`small_world` keeps unit tests fast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Optional, Tuple
 
 from ..rir import RIR
 

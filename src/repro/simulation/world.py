@@ -36,7 +36,7 @@ from ..net.gcpause import gc_paused
 from ..rir import RIR
 from ..rpki.archive import RpkiArchive
 from ..rpki.roa import AS0, ROA, RoaSet
-from ..whois.database import WhoisCollection, WhoisDatabase
+from ..whois.database import WhoisCollection
 from ..whois.objects import AutNumRecord, InetnumRecord, OrgRecord
 from .groundtruth import GroundTruth, TruthEntry, TruthKind
 from .names import NameForge, maintainer_handle, org_handle

@@ -1,7 +1,7 @@
 """Indexed in-memory WHOIS databases.
 
-A :class:`WhoisDatabase` holds the normalized records of one registry and
-maintains the indexes the inference needs:
+A :class:`WhoisDatabase` holds the normalized records of one registry and,
+from its first query on, the indexes the inference needs:
 
 * address blocks by maintainer handle and by organisation (broker matching,
   §5.3, and facilitator attribution, §6.3),
@@ -13,7 +13,6 @@ A :class:`WhoisCollection` bundles the five regional databases.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Union
 
@@ -32,8 +31,51 @@ from .reader import Record, WhoisError, read_records
 __all__ = ["WhoisDatabase", "WhoisCollection"]
 
 
+class _Indexes:
+    """A database's secondary indexes, all built together from its records."""
+
+    __slots__ = (
+        "inetnums_by_maintainer",
+        "inetnums_by_org",
+        "autnums_by_org",
+        "autnum_by_asn",
+        "orgs_by_name",
+    )
+
+    def __init__(self, database: WhoisDatabase) -> None:
+        by_maintainer: Dict[str, List[InetnumRecord]] = {}
+        inetnums_by_org: Dict[str, List[InetnumRecord]] = {}
+        for inetnum in database.inetnums:
+            for handle in inetnum.maintainers:
+                by_maintainer.setdefault(handle, []).append(inetnum)
+            if inetnum.org_id:
+                inetnums_by_org.setdefault(inetnum.org_id, []).append(inetnum)
+        autnums_by_org: Dict[str, List[AutNumRecord]] = {}
+        autnum_by_asn: Dict[int, AutNumRecord] = {}
+        for autnum in database.autnums:
+            if autnum.org_id:
+                autnums_by_org.setdefault(autnum.org_id, []).append(autnum)
+            autnum_by_asn[autnum.asn] = autnum
+        orgs_by_name: Dict[str, List[OrgRecord]] = {}
+        for org in database.orgs.values():
+            orgs_by_name.setdefault(org.normalized_name(), []).append(org)
+        self.inetnums_by_maintainer = by_maintainer
+        self.inetnums_by_org = inetnums_by_org
+        self.autnums_by_org = autnums_by_org
+        self.autnum_by_asn = autnum_by_asn
+        self.orgs_by_name = orgs_by_name
+
+
 class WhoisDatabase:
-    """Normalized, indexed WHOIS snapshot for a single registry."""
+    """Normalized WHOIS snapshot for a single registry.
+
+    ``add`` only files each record in :attr:`inetnums`, :attr:`autnums`,
+    :attr:`orgs` or :attr:`mntners`.  The secondary indexes behind the
+    query methods (by maintainer, by organisation, by AS number and by
+    organisation name) are built from those on the first query; an
+    ``add`` drops them and the next query builds them again.  A database
+    that is never queried, as on the serve path, never holds them.
+    """
 
     def __init__(self, rir: RIR) -> None:
         self.rir = rir
@@ -41,42 +83,33 @@ class WhoisDatabase:
         self.autnums: List[AutNumRecord] = []
         self.orgs: Dict[str, OrgRecord] = {}
         self.mntners: Dict[str, MntnerRecord] = {}
-        self._inetnums_by_maintainer: Dict[str, List[InetnumRecord]] = (
-            defaultdict(list)
-        )
-        self._inetnums_by_org: Dict[str, List[InetnumRecord]] = defaultdict(
-            list
-        )
-        self._autnums_by_org: Dict[str, List[AutNumRecord]] = defaultdict(list)
-        self._autnum_by_asn: Dict[int, AutNumRecord] = {}
-        self._orgs_by_name: Dict[str, List[OrgRecord]] = defaultdict(list)
+        self._indexes: Optional[_Indexes] = None
 
     # -- loading -------------------------------------------------------------
     def add(self, record: Record) -> None:
-        """Insert one normalized record and update indexes."""
+        """Insert one normalized record (the next query re-indexes)."""
         if isinstance(record, InetnumRecord):
             self.inetnums.append(record)
-            for handle in record.maintainers:
-                self._inetnums_by_maintainer[handle].append(record)
-            if record.org_id:
-                self._inetnums_by_org[record.org_id].append(record)
         elif isinstance(record, AutNumRecord):
             self.autnums.append(record)
-            if record.org_id:
-                self._autnums_by_org[record.org_id].append(record)
-            self._autnum_by_asn[record.asn] = record
         elif isinstance(record, OrgRecord):
             self.orgs[record.org_id] = record
-            self._orgs_by_name[record.normalized_name()].append(record)
         elif isinstance(record, MntnerRecord):
             self.mntners[record.handle] = record
         else:  # pragma: no cover - defensive
             raise TypeError(f"unsupported record type: {type(record)!r}")
+        self._indexes = None
 
     def add_all(self, records: Iterable[Record]) -> None:
         """Insert many records."""
         for record in records:
             self.add(record)
+
+    def _index(self) -> _Indexes:
+        """The secondary indexes, built on first use."""
+        if self._indexes is None:
+            self._indexes = _Indexes(self)
+        return self._indexes
 
     @classmethod
     def from_file(cls, rir: RIR, path: Union[str, Path]) -> "WhoisDatabase":
@@ -154,15 +187,15 @@ class WhoisDatabase:
     # -- queries -------------------------------------------------------------
     def inetnums_by_maintainer(self, handle: str) -> List[InetnumRecord]:
         """Address blocks whose maintainers include *handle*."""
-        return list(self._inetnums_by_maintainer.get(handle, ()))
+        return list(self._index().inetnums_by_maintainer.get(handle, ()))
 
     def inetnums_by_org(self, org_id: str) -> List[InetnumRecord]:
         """Address blocks registered to organisation *org_id*."""
-        return list(self._inetnums_by_org.get(org_id, ()))
+        return list(self._index().inetnums_by_org.get(org_id, ()))
 
     def autnums_by_org(self, org_id: str) -> List[AutNumRecord]:
         """AS registrations of organisation *org_id* (§5.1 step 3)."""
-        return list(self._autnums_by_org.get(org_id, ()))
+        return list(self._index().autnums_by_org.get(org_id, ()))
 
     def asns_of_org(self, org_id: str) -> List[int]:
         """The AS numbers registered to *org_id*."""
@@ -170,7 +203,7 @@ class WhoisDatabase:
 
     def autnum(self, asn: int) -> Optional[AutNumRecord]:
         """The registration of *asn*, or None."""
-        return self._autnum_by_asn.get(asn)
+        return self._index().autnum_by_asn.get(asn)
 
     def org(self, org_id: str) -> Optional[OrgRecord]:
         """The organisation with handle *org_id*, or None."""
@@ -178,7 +211,8 @@ class WhoisDatabase:
 
     def orgs_named(self, name: str) -> List[OrgRecord]:
         """Organisations whose normalized name equals *name* (case-folded)."""
-        return list(self._orgs_by_name.get(" ".join(name.split()).casefold(), ()))
+        key = " ".join(name.split()).casefold()
+        return list(self._index().orgs_by_name.get(key, ()))
 
     def org_names(self) -> List[str]:
         """All organisation display names (for fuzzy matching)."""
@@ -186,7 +220,7 @@ class WhoisDatabase:
 
     def maintainer_handles(self) -> List[str]:
         """All maintainer handles appearing on address blocks."""
-        return list(self._inetnums_by_maintainer)
+        return list(self._index().inetnums_by_maintainer)
 
     def __len__(self) -> int:
         return (

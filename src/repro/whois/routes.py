@@ -12,7 +12,7 @@ registry; :mod:`repro.core.irr` quantifies the mismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Iterator, List, Optional
+from typing import FrozenSet, Iterable, Iterator, Optional
 
 from ..net import Prefix, PrefixTrie
 from ..rir import RIR
@@ -93,7 +93,7 @@ class RouteRegistry:
 
     def has_route_for(self, prefix: Prefix) -> bool:
         """True when any route object covers *prefix*."""
-        return bool(self._trie.covering(prefix))
+        return self._trie.least_specific_value(prefix) is not None
 
     def __len__(self) -> int:
         return self._count

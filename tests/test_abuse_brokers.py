@@ -9,7 +9,6 @@ from repro.brokers import (
     match_brokers,
     normalize_company_name,
 )
-from repro.net import AddressRange
 from repro.rir import RIR
 from repro.whois import OrgRecord, WhoisDatabase
 

@@ -7,6 +7,7 @@ document is structurally valid 2.1.0.
 """
 
 import json
+import os
 
 import pytest
 
@@ -54,6 +55,32 @@ def test_cold_then_warm_reuses_everything(project):
     assert warm.analyzed == 0 and warm.reused == 2
     assert warm.to_json() == cold.to_json()
     assert warm.render_text() == cold.render_text()
+
+
+def _age(path):
+    """Backdate *path*'s mtime to the epoch, so any rewrite shows."""
+    os.utime(path, ns=(0, 0))
+
+
+def test_unchanged_warm_run_does_not_rewrite_the_cache(project):
+    cache = project / DEFAULT_CACHE_NAME
+    _analyze(project, cache)
+    _age(cache)
+    warm = _analyze(project, cache)
+    assert warm.analyzed == 0 and warm.reused == 2
+    assert cache.stat().st_mtime_ns == 0
+
+
+def test_deleted_file_still_rewrites_the_cache(project):
+    cache = project / DEFAULT_CACHE_NAME
+    engine = CheckEngine(select=["RC106"])
+    engine.analyze(project, ["."], cache_path=cache)
+    _age(cache)
+    (project / "clean.py").unlink()
+    report = engine.analyze(project, ["."], cache_path=cache)
+    assert report.analyzed == 0 and report.reused == 1
+    assert cache.stat().st_mtime_ns != 0
+    assert set(load_entries(cache, engine.fingerprint())) == {"bad.py"}
 
 
 def test_edit_reanalyzes_only_the_changed_file(project):

@@ -2,8 +2,6 @@
 
 import math
 
-import pytest
-
 from repro.asdata import SerialHijackerList
 from repro.bgp import RoutingTable
 from repro.core import (

@@ -20,7 +20,11 @@ from repro.asdata.relationships import RelationshipError
 from repro.bgp.aspath import ASPath
 from repro.bgp.history import UpdateStreamError
 from repro.bgp.rib import RibEntry
+from repro.core.allocation_tree import TreeLeaf
 from repro.core.classify import Category
+from repro.core.context import AnalysisContext
+from repro.core.leaseindex import LeaseIndex
+from repro.core.pipeline import LeaseInferencePipeline
 from repro.core.results import LeafInference
 from repro.net import AddressRange, Prefix
 from repro.rir import RIR
@@ -62,6 +66,7 @@ VALUES = [
         Prefix.parse("62.0.0.0/8"), INETNUM,
         frozenset({64500}), frozenset({3356}), frozenset({3356, 1299}),
     ),
+    TreeLeaf(PREFIX, INETNUM, Prefix.parse("62.0.0.0/8"), INETNUM),
 ]
 IDS = [type(value).__name__ for value in VALUES]
 
@@ -236,3 +241,33 @@ class TestLocatedLoadErrors:
             data_dir, tmp_path, "featured/updates.txt", bad,
             UpdateStreamError, "featured",
         )
+
+
+class TestLazyWhoisIndexes:
+    """The serve path never builds the WHOIS secondary indexes."""
+
+    def test_serve_path_builds_none_and_first_query_answers(self, data_dir):
+        eager = load_datasets(data_dir).whois
+        for database in eager:
+            database._index()
+        bundle = load_datasets(data_dir)
+        context = AnalysisContext.build(
+            bundle.whois, bundle.routing_table, bundle.relationships,
+            bundle.as2org,
+        )
+        pipeline = LeaseInferencePipeline(
+            bundle.whois, bundle.routing_table, bundle.relationships,
+            bundle.as2org,
+        )
+        LeaseIndex.build(context, pipeline.run(context=context))
+        assert [db._indexes for db in bundle.whois] == [None] * 5
+        for database, indexed in zip(bundle.whois, eager):
+            assert database.orgs and indexed._indexes is not None
+            for org_id, org in indexed.orgs.items():
+                assert database.asns_of_org(org_id) == indexed.asns_of_org(
+                    org_id
+                )
+                assert database.orgs_named(org.name) == indexed.orgs_named(
+                    org.name
+                )
+            assert database._indexes is not None

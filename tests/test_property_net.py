@@ -9,6 +9,12 @@ import ipaddress
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.net import (
     MAX_IPV4,
@@ -20,6 +26,7 @@ from repro.net import (
     prefixes_to_ranges,
     range_to_prefixes,
 )
+from repro.net.radix import pack_prefix
 
 addresses = st.integers(min_value=0, max_value=MAX_IPV4)
 lengths = st.integers(min_value=0, max_value=32)
@@ -264,3 +271,78 @@ class TestPrefixMapAgainstDictOracle:
                 assert _trie_answers(trie, query) == _oracle_answers(
                     model, query
                 )
+
+
+class PrefixTrieModel(RuleBasedStateMachine):
+    """A ``PrefixTrie`` driven side by side with a dict of ``Prefix`` keys.
+
+    The trie keeps only packed keys and rebuilds each prefix it returns,
+    so every view must hand back prefixes equal to (and hashing like)
+    the model's, in ``Prefix`` order where the view is ordered.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.trie = PrefixTrie()
+        self.model = {}
+        self.step = 0
+
+    def _value(self):
+        self.step += 1
+        return self.step
+
+    @rule(prefix=nested_prefixes())
+    def insert(self, prefix):
+        value = self._value()
+        self.trie.insert(prefix, value)
+        self.model[prefix] = value
+
+    @precondition(lambda self: self.model)
+    @rule(pick=st.integers(min_value=0))
+    def replace(self, pick):
+        prefix = sorted(self.model)[pick % len(self.model)]
+        value = self._value()
+        self.trie.insert(prefix, value)
+        self.model[prefix] = value
+        assert len(self.trie) == len(self.model)
+
+    @rule(prefix=nested_prefixes())
+    def remove(self, prefix):
+        assert self.trie.remove(prefix) == (prefix in self.model)
+        self.model.pop(prefix, None)
+
+    @precondition(lambda self: self.model)
+    @rule(pick=st.integers(min_value=0))
+    def remove_stored(self, pick):
+        prefix = sorted(self.model)[pick % len(self.model)]
+        assert self.trie.remove(prefix)
+        del self.model[prefix]
+
+    @rule(probe=nested_prefixes(max_length=16))
+    def views_match(self, probe):
+        expected = _oracle_answers(self.model, probe)
+        assert _trie_answers(self.trie, probe) == expected
+        assert self.trie.get(probe, "absent") == self.model.get(probe, "absent")
+        hit = expected["longest_match"]
+        assert self.trie.longest_match_value(probe) == (hit and hit[1])
+        hit = expected["least_specific_match"]
+        assert self.trie.least_specific_value(probe) == (hit and hit[1])
+
+    @invariant()
+    def ordered_views_match(self):
+        stored = sorted(self.model)
+        keys = list(self.trie.keys())
+        assert keys == stored
+        assert all(type(key) is Prefix for key in keys)
+        assert [hash(key) for key in keys] == [hash(key) for key in stored]
+        assert [str(key) for key in keys] == [str(key) for key in stored]
+        assert list(self.trie.packed_items()) == [
+            (pack_prefix(p), self.model[p]) for p in stored
+        ]
+        assert self.trie.to_dict() == self.model
+
+
+PrefixTrieModel.TestCase.settings = settings(
+    max_examples=100, stateful_step_count=30, deadline=None
+)
+TestPrefixTrieModel = PrefixTrieModel.TestCase

@@ -11,7 +11,6 @@ from repro.core import (
     evaluate_inference,
     infer_leases,
 )
-from repro.net import Prefix
 from repro.rir import RIR
 from repro.simulation import (
     TruthKind,

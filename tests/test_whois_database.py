@@ -7,7 +7,6 @@ from repro.rir import ALL_RIRS, RIR
 from repro.whois import (
     AutNumRecord,
     InetnumRecord,
-    MntnerRecord,
     OrgRecord,
     WhoisCollection,
     WhoisDatabase,
@@ -78,6 +77,75 @@ class TestLoading:
 
     def test_maintainer_handles(self, ripe_db):
         assert set(ripe_db.maintainer_handles()) == {"MNT-GCICOM", "IPXO-MNT"}
+
+
+def _answers(database, org_ids, asns, handles, names):
+    """Every secondary-index answer of *database* for the given keys."""
+    return {
+        "by_maintainer": {h: database.inetnums_by_maintainer(h) for h in handles},
+        "by_org": {o: database.inetnums_by_org(o) for o in org_ids},
+        "autnums_by_org": {o: database.autnums_by_org(o) for o in org_ids},
+        "asns_of_org": {o: database.asns_of_org(o) for o in org_ids},
+        "autnum": {asn: database.autnum(asn) for asn in asns},
+        "orgs_named": {n: database.orgs_named(n) for n in names},
+        "handles": sorted(database.maintainer_handles()),
+    }
+
+
+RENAMED = OrgRecord(RIR.RIPE, "ORG-GCI1-RIPE", "GCI Communications")
+
+
+class TestLazyIndexes:
+    """Secondary indexes are built on the first query, dropped by ``add``."""
+
+    def test_loading_builds_no_index(self, ripe_db):
+        assert ripe_db._indexes is None
+        ripe_db.org("ORG-GCI1-RIPE")
+        assert ripe_db._indexes is None
+        ripe_db.autnum(8851)
+        assert ripe_db._indexes is not None
+        ripe_db.add(RENAMED)
+        assert ripe_db._indexes is None
+
+    @pytest.mark.parametrize("query_first", [False, True])
+    def test_replaced_org_leaves_the_name_index(self, ripe_db, query_first):
+        if query_first:
+            assert ripe_db.orgs_named("GCI Network")
+        ripe_db.add(RENAMED)
+        assert ripe_db.org("ORG-GCI1-RIPE") is RENAMED
+        assert ripe_db.orgs_named("GCI Network") == []
+        assert ripe_db.orgs_named("gci communications") == [RENAMED]
+
+    def test_adds_after_first_query_match_a_fresh_build(self, ripe_db):
+        later = [
+            InetnumRecord(
+                RIR.RIPE,
+                AddressRange.parse("213.210.34.0/24"),
+                "ASSIGNED PA",
+                "ORG-GCI1-RIPE",
+                ("IPXO-MNT", "NEW-MNT"),
+            ),
+            AutNumRecord(RIR.RIPE, 8851, "ORG-NEW", as_name="MOVED"),
+            AutNumRecord(RIR.RIPE, 64500, "ORG-GCI1-RIPE"),
+            OrgRecord(RIR.RIPE, "ORG-NEW", "GCI  network"),
+            RENAMED,
+        ]
+        keys = (
+            ["ORG-GCI1-RIPE", "ORG-NEW", "ORG-NONE"],
+            [8851, 64500, 1],
+            ["MNT-GCICOM", "IPXO-MNT", "NEW-MNT", "NONE-MNT"],
+            ["GCI Network", "gci communications", "nobody"],
+        )
+        _answers(ripe_db, *keys)  # builds the indexes
+        ripe_db.add_all(later)
+        fresh = WhoisDatabase.from_text(RIR.RIPE, RIPE_DUMP)
+        fresh.add_all(later)
+        assert fresh._indexes is None
+        assert _answers(ripe_db, *keys) == _answers(fresh, *keys)
+        assert ripe_db.autnum(8851).as_name == "MOVED"
+        assert [org.org_id for org in fresh.orgs_named("gci network")] == [
+            "ORG-NEW"
+        ]
 
 
 class TestRoundTrip:

@@ -4,7 +4,6 @@ import dataclasses
 
 import pytest
 
-from repro.bgp import Announcement
 from repro.net import Prefix
 from repro.simulation import build_world, small_world
 from repro.simulation.validate import validate_world
