@@ -27,9 +27,26 @@ from ..net import Prefix, PrefixTrie
 from ..net.slots import slotted
 from .aspath import ASPath
 
-__all__ = ["OriginSets", "RibEntry", "RoutingTable"]
+__all__ = ["OriginSets", "RibEntry", "RoutingTable", "covering_lookup"]
 
 _EMPTY: FrozenSet[int] = frozenset()
+
+
+def covering_lookup(
+    trie: PrefixTrie[FrozenSet[int]], prefix: Prefix
+) -> FrozenSet[int]:
+    """Origins via exact match, else the least-specific covering prefix.
+
+    The §5.1 step 4 root-node rule, shared by every origin map: a
+    non-empty exact value wins; otherwise the least-specific stored
+    cover answers (a stored but empty exact value answers for itself
+    when nothing shorter covers it), and nothing stored answers empty.
+    """
+    exact = trie.get(prefix)
+    if exact:
+        return exact
+    hit = trie.least_specific_value(prefix)
+    return _EMPTY if hit is None else hit
 
 
 @slotted
@@ -182,11 +199,7 @@ class RoutingTable:
         exact-matching prefix does not exist, we then search for its
         least-specific covering prefix and origin AS".
         """
-        exact = self._trie.get(prefix)
-        if exact:
-            return exact
-        hit = self._trie.least_specific_value(prefix)
-        return _EMPTY if hit is None else hit
+        return covering_lookup(self._trie, prefix)
 
     def longest_match_origins(self, prefix: Prefix) -> FrozenSet[int]:
         """Origins of the most-specific covering prefix (data-plane view)."""
@@ -228,17 +241,13 @@ class RoutingTable:
         """Iterate ``(prefix, origins)`` pairs in ``Prefix`` order."""
         return self._trie.items()
 
-    def packed_items(self) -> Iterator[Tuple[int, FrozenSet[int]]]:
-        """Iterate ``(packed prefix, origins)`` pairs in ``Prefix`` order.
+    def copy_trie(self) -> PrefixTrie[FrozenSet[int]]:
+        """An independent copy of the prefix map (see :meth:`PrefixTrie.copy`).
 
-        The key is :func:`~repro.net.radix.pack_prefix` of the prefix,
-        read straight from the trie with no ``Prefix`` built.
+        The copy holds the table's shared origin sets; later mutations of
+        the table do not reach it.
         """
-        return self._trie.packed_items()
-
-    def prefix_lengths(self) -> Tuple[int, ...]:
-        """The distinct announced prefix lengths, ascending."""
-        return self._trie.lengths()
+        return self._trie.copy()
 
     def moas_prefixes(self) -> List[Tuple[Prefix, FrozenSet[int]]]:
         """Prefixes with multiple origin ASes (MOAS conflicts)."""

@@ -38,7 +38,9 @@ from ..rir import RIR
 from .relatedness import RelatednessOracle
 
 if TYPE_CHECKING:
+    from .allocation_tree import TreeLeaf
     from .context import AnalysisContext
+    from .results import LeafInference
 
 __all__ = [
     "CacheStats",
@@ -145,7 +147,8 @@ _CategoryKey = Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]
 class OriginLookups(Protocol):
     """The RIB reads of the classifier: the context's frozen
     :class:`~repro.core.context.RibSnapshot` or the incremental
-    engine's mutable overlay."""
+    engine's mutable overlay.  Both hold a copy of the routing table's
+    prefix map and answer with :func:`~repro.bgp.rib.covering_lookup`."""
 
     def exact_origins(self, prefix: Prefix) -> FrozenSet[int]: ...
 
@@ -176,6 +179,10 @@ class LeafClassifier:
         use_covering_root_lookup: bool = True,
         rib: Optional[OriginLookups] = None,
     ) -> None:
+        # Deferred: the results module imports ``Category`` from here.
+        from .results import LeafInference
+
+        self._row = LeafInference
         self._context = context
         self._rib: OriginLookups = context.rib if rib is None else rib
         self._rir = rir
@@ -218,6 +225,26 @@ class LeafClassifier:
         else:
             self._category_hits += 1
         return category, leaf_origins, root_origins, root_assigned
+
+    def infer(self, leaf: "TreeLeaf") -> "LeafInference":
+        """The inference row for one tree leaf of this registry."""
+        root_record = leaf.root_record
+        category, leaf_origins, root_origins, assigned = self.classify(
+            leaf.prefix,
+            leaf.root_prefix,
+            root_record.org_id if root_record else None,
+        )
+        return self._row(
+            rir=self._rir,
+            prefix=leaf.prefix,
+            category=category,
+            record=leaf.record,
+            root_prefix=leaf.root_prefix,
+            root_record=root_record,
+            leaf_origins=leaf_origins,
+            root_origins=root_origins,
+            root_assigned_asns=assigned,
+        )
 
     def _decide(
         self,

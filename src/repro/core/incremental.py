@@ -2,10 +2,10 @@
 
 The frozen-snapshot engines rebuild everything per run; this module is
 the streaming path between collector dumps.  A burst of announce/
-withdraw updates lands on :class:`MutableRibOverlay` — a mutable dict
-copy of the run's :class:`~repro.core.context.RibSnapshot` exact index —
-and :class:`IncrementalEngine` reclassifies **only** the leaves whose §5.1
-lookups could have changed:
+withdraw updates lands on :class:`MutableRibOverlay` — a mutable copy
+of the prefix map in the run's :class:`~repro.core.context.RibSnapshot`,
+answering with the same covering rule — and :class:`IncrementalEngine`
+reclassifies **only** the leaves whose §5.1 lookups could have changed:
 
 * a leaf's own origins come from the exact index at its prefix, so a
   changed prefix dirties exactly the leaves keyed by it;
@@ -37,13 +37,12 @@ from typing import (
 )
 
 from ..bgp.history import AnnounceUpdate, Update
-from ..bgp.rib import OriginSets, RoutingTable
+from ..bgp.rib import OriginSets, RoutingTable, covering_lookup
 from ..bgp.updates import SequencedUpdate
 from ..net import Prefix, PrefixTrie
 from ..rir import RIR
 from .context import AnalysisContext, RibSnapshot
 from .classify import CacheStats, LeafClassifier
-from .pipeline import LeaseInferencePipeline
 from .results import InferenceResult, LeafInference
 
 __all__ = [
@@ -62,66 +61,43 @@ _LeafSlot = Tuple[RIR, int]
 
 
 class MutableRibOverlay:
-    """A mutable dict copy of a frozen RIB snapshot, update by update.
+    """A mutable copy of a frozen RIB snapshot, update by update.
 
     Answers ``exact_origins`` / ``covering_origins`` exactly like
     :class:`RibSnapshot` (so the leaf classifier reads it unchanged)
     while accepting the stream's mutations with :class:`RoutingTable`
     semantics: ``announce`` adds one origin to a prefix's set,
-    ``withdraw`` evicts the prefix's exact-index entry wholly.  Origin
-    sets come from one :class:`OriginSets` table, so prefixes with
-    equal origins share one frozenset before and after updates.  The
-    advertised-length index is kept in sync so covering walks stay
-    correct as lengths appear and vanish.
+    ``withdraw`` evicts the prefix's entry wholly.  The prefix map is a
+    copy of the snapshot's, and the intern table starts from the
+    snapshot's sets, so prefixes with equal origins share one frozenset
+    before and after updates.
     """
 
-    __slots__ = ("_exact", "_interned", "_lengths", "_length_counts")
+    __slots__ = ("_trie", "_interned")
 
     def __init__(self, base: RibSnapshot) -> None:
+        self._trie = base.copy_trie()
         self._interned = OriginSets()
-        self._exact: Dict[Prefix, FrozenSet[int]] = dict(
-            base.exact_items(self._interned)
-        )
-        counts: Dict[int, int] = {}
-        for prefix in self._exact:
-            counts[prefix.length] = counts.get(prefix.length, 0) + 1
-        self._length_counts = counts
-        self._lengths: Tuple[int, ...] = tuple(sorted(counts))
+        for origins in self._trie.values():
+            self._interned.setdefault(origins, origins)
 
     def exact_origins(self, prefix: Prefix) -> FrozenSet[int]:
         """Origins of the exact-matching prefix (empty when absent)."""
-        return self._exact.get(prefix, _EMPTY)
+        return self._trie.get(prefix, _EMPTY)
 
     def covering_origins(self, prefix: Prefix) -> FrozenSet[int]:
-        """Exact match, else the least-specific covering prefix's origins.
-
-        Probes the truncations of *prefix* at every advertised length,
-        ascending, so the first hit is the least-specific cover.
-        """
-        exact = self._exact.get(prefix)
-        if exact:
-            return exact
-        for length in self._lengths:
-            if length > prefix.length:
-                break
-            origins = self._exact.get(prefix.supernet(length))
-            if origins is not None:
-                return origins
-        return _EMPTY
+        """Exact match, else the least-specific covering prefix's origins."""
+        return covering_lookup(self._trie, prefix)
 
     def announce(self, prefix: Prefix, origin: int) -> bool:
         """Add *origin* to the prefix's set; True when state changed."""
-        current = self._exact.get(prefix)
-        if current is not None:
-            if origin in current:
-                return False
-            self._exact[prefix] = self._interned[current | {origin}]
-            return True
-        self._exact[prefix] = self._interned[origin]
-        count = self._length_counts.get(prefix.length, 0)
-        self._length_counts[prefix.length] = count + 1
-        if count == 0:
-            self._refresh_lengths()
+        current = self._trie.get(prefix)
+        if current is None:
+            self._trie.insert(prefix, self._interned[origin])
+        elif origin in current:
+            return False
+        else:
+            self._trie.insert(prefix, self._interned[current | {origin}])
         return True
 
     def withdraw(self, prefix: Prefix) -> bool:
@@ -131,18 +107,7 @@ class MutableRibOverlay:
         prefix from the exact index regardless of how many origins were
         announcing it.
         """
-        if self._exact.pop(prefix, None) is None:
-            return False
-        remaining = self._length_counts[prefix.length] - 1
-        if remaining:
-            self._length_counts[prefix.length] = remaining
-        else:
-            del self._length_counts[prefix.length]
-            self._refresh_lengths()
-        return True
-
-    def _refresh_lengths(self) -> None:
-        self._lengths = tuple(sorted(self._length_counts))
+        return self._trie.remove(prefix)
 
 
 @dataclass(frozen=True)
@@ -167,12 +132,12 @@ class BurstReport:
 class IncrementalEngine:
     """Burst-at-a-time reclassification over a mutable RIB overlay.
 
-    Built from the :class:`AnalysisContext` the process built itself,
-    which holds the leaf records (a shared-memory attachment does not).
-    Construction runs one full classification — bit-identical to the
-    pipeline's serial path — and indexes every leaf by its exact prefix
-    and by its root prefix; each :meth:`apply` then touches only the
-    dirty subset.
+    Built from a run's :class:`AnalysisContext`, whose RIB snapshot
+    seeds the overlay and whose leaf records are reclassified.
+    Construction runs one full classification — the same
+    :meth:`LeafClassifier.infer` step as ``pipeline.run()`` — and
+    indexes every leaf by its exact prefix and by its root prefix; each
+    :meth:`apply` then touches only the dirty subset.
     """
 
     def __init__(
@@ -194,19 +159,8 @@ class IncrementalEngine:
             )
             rows: List[LeafInference] = []
             for position, leaf in enumerate(context.leaves(rir)):
-                category, leaf_origins, root_origins, assigned = (
-                    classifier.classify(
-                        leaf.prefix,
-                        leaf.root_prefix,
-                        leaf.root_record.org_id if leaf.root_record else None,
-                    )
-                )
-                rows.append(
-                    LeaseInferencePipeline._make_inference(
-                        rir, leaf, category, leaf_origins, root_origins,
-                        assigned,
-                    )
-                )
+                row = classifier.infer(leaf)
+                rows.append(row)
                 slot: _LeafSlot = (rir, position)
                 self._by_exact.setdefault(leaf.prefix, []).append(slot)
                 if leaf.root_prefix is not None:
@@ -215,7 +169,7 @@ class IncrementalEngine:
                         self._root_slots.insert(leaf.root_prefix, [slot])
                     else:
                         slots.append(slot)
-                    self._root_resolution[leaf.root_prefix] = root_origins
+                    self._root_resolution[leaf.root_prefix] = row.root_origins
             self._classifiers[rir] = classifier
             self._rows[rir] = rows
 
@@ -267,17 +221,7 @@ class IncrementalEngine:
             dirty, key=lambda slot: (slot[0].name, slot[1])
         ):
             leaf = self._context.leaves(rir)[position]
-            classifier = self._classifiers[rir]
-            category, leaf_origins, root_origins, assigned = (
-                classifier.classify(
-                    leaf.prefix,
-                    leaf.root_prefix,
-                    leaf.root_record.org_id if leaf.root_record else None,
-                )
-            )
-            row = LeaseInferencePipeline._make_inference(
-                rir, leaf, category, leaf_origins, root_origins, assigned
-            )
+            row = self._classifiers[rir].infer(leaf)
             if row != self._rows[rir][position]:
                 self._rows[rir][position] = row
                 changed_rows.append(row)

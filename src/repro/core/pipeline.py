@@ -30,7 +30,7 @@ from .allocation_tree import (
     AllocationTree,
     TreeLeaf,
 )
-from .classify import CacheStats, Category, LeafClassifier, classify_leaf
+from .classify import CacheStats, LeafClassifier, classify_leaf
 from .context import AnalysisContext
 from .relatedness import RelatednessOracle
 from .results import InferenceResult, LeafInference
@@ -108,23 +108,7 @@ class LeaseInferencePipeline:
                 context, rir, self.use_covering_root_lookup
             )
             for leaf in context.leaves(rir):
-                category, leaf_origins, root_origins, assigned = (
-                    classifier.classify(
-                        leaf.prefix,
-                        leaf.root_prefix,
-                        leaf.root_record.org_id if leaf.root_record else None,
-                    )
-                )
-                result.add(
-                    self._make_inference(
-                        rir,
-                        leaf,
-                        category,
-                        leaf_origins,
-                        root_origins,
-                        assigned,
-                    )
-                )
+                result.add(classifier.infer(leaf))
             cache_stats.merge(classifier.stats())
 
         self._stats = {
@@ -136,27 +120,6 @@ class LeaseInferencePipeline:
             "classify_s": time.perf_counter() - classify_started,
         }
         return result
-
-    @staticmethod
-    def _make_inference(
-        rir: RIR,
-        leaf: TreeLeaf,
-        category: Category,
-        leaf_origins: FrozenSet[int],
-        root_origins: FrozenSet[int],
-        root_assigned: FrozenSet[int],
-    ) -> LeafInference:
-        return LeafInference(
-            rir=rir,
-            prefix=leaf.prefix,
-            category=category,
-            record=leaf.record,
-            root_prefix=leaf.root_prefix,
-            root_record=leaf.root_record,
-            leaf_origins=leaf_origins,
-            root_origins=root_origins,
-            root_assigned_asns=root_assigned,
-        )
 
     # -- reference engine ------------------------------------------------
     def run_reference(

@@ -9,10 +9,9 @@ Supports the lookups the paper's inference needs:
 
 :class:`PrefixTrie` maps each stored :class:`~repro.net.ipaddr.Prefix`
 to an arbitrary value; inserting the same prefix twice replaces the
-value.  It and the flat sorted-array helpers below share one key
-packing, ``network << 8 | length``, and the key is the prefix: the trie
-stores the value alone under it and rebuilds a ``Prefix`` only for the
-views that return one.
+value.  The key is the prefix packed as ``network << 8 | length``: the
+trie stores the value alone under it and rebuilds a ``Prefix`` only for
+the views that return one.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .ipaddr import MAX_IPV4, Prefix
 __all__ = [
     "PrefixTrie",
     "flat_covered_range",
-    "flat_covering_index",
     "pack_prefix",
     "resolve_covering_chain",
     "unpack_prefix",
@@ -130,6 +128,19 @@ class PrefixTrie(Generic[V]):
     def lengths(self) -> Tuple[int, ...]:
         """The distinct stored prefix lengths, ascending."""
         return tuple(self._lengths)
+
+    def copy(self) -> "PrefixTrie[V]":
+        """An independent map holding the same keys and value objects.
+
+        Mutating either trie afterwards leaves the other unchanged; the
+        values themselves are shared, not copied.
+        """
+        clone: PrefixTrie[V] = PrefixTrie()
+        clone._entries = dict(self._entries)
+        clone._lengths = list(self._lengths)
+        clone._length_counts = list(self._length_counts)
+        clone._sorted_keys = self._sorted_keys  # replaced, never mutated
+        return clone
 
     # -- covering lookups ------------------------------------------------------
     def covering(self, prefix: Prefix) -> List[Tuple[Prefix, V]]:
@@ -249,11 +260,9 @@ class PrefixTrie(Generic[V]):
         for key in self._keys():
             yield unpack_prefix(key), entries[key]
 
-    def packed_items(self) -> Iterator[Tuple[int, V]]:
-        """Iterate ``(packed key, value)`` pairs in ``Prefix`` order."""
-        entries = self._entries
-        for key in self._keys():
-            yield key, entries[key]
+    def values(self) -> Iterator[V]:
+        """Iterate all stored values, in no particular order."""
+        return iter(self._entries.values())
 
     def keys(self) -> Iterator[Prefix]:
         """Iterate all stored prefixes in ``Prefix`` order."""
@@ -292,16 +301,13 @@ class PrefixTrie(Generic[V]):
         return trie
 
 
-# -- flat sorted-array lookups ---------------------------------------------
+# -- packed keys --------------------------------------------------------------
 #
-# A prefix set can be frozen into one sorted array of packed uint64 keys
-# (``network << 8 | length``) — the packing preserves ``Prefix`` order
-# (network first, then length), so binary search finds any key and the
-# array can live in a flat byte image.  These helpers run over any
-# sorted integer sequence: a list, an ``array('Q')``, or a
-# ``memoryview`` cast over an image section.
+# A prefix packs into one integer, ``network << 8 | length``.  The
+# packing preserves ``Prefix`` order (network first, then length), so a
+# sorted list of packed keys bisects like the prefixes themselves.
 
-#: Keys are 40-bit (32-bit network + 8-bit length) stored as uint64.
+#: The low byte of a packed key is the prefix length.
 _KEY_LENGTH_MASK = 0xFF
 
 
@@ -342,28 +348,6 @@ def flat_covered_range(keys: Sequence[int], prefix: Prefix) -> Tuple[int, int]:
     start = bisect_left(keys, pack_prefix(prefix))
     stop = bisect_left(keys, (prefix.last_address + 1) << 8)
     return start, stop
-
-
-def flat_covering_index(
-    keys: Sequence[int], lengths: Sequence[int], prefix: Prefix
-) -> Optional[int]:
-    """Index of the least-specific stored prefix covering *prefix*.
-
-    *lengths* is the ascending set of lengths present in *keys*.  CIDR
-    prefixes nest or are disjoint, so every cover of *prefix* is
-    ``prefix.supernet(L)``, and probing each advertised length
-    ascending finds the least-specific cover first.  The truncations
-    are packed straight from the network bits.
-    """
-    network = prefix.network
-    for length in lengths:
-        if length > prefix.length:
-            break
-        packed = ((network & _MASKS[length]) << 8) | length
-        index = bisect_left(keys, packed)
-        if index < len(keys) and keys[index] == packed:
-            return index
-    return None
 
 
 def resolve_covering_chain(

@@ -370,8 +370,7 @@ def internet_world(seed: int = 20240401, scale: int = 5) -> Scenario:
 #: Benchmark world sizes, smallest first.  ``small`` doubles as the CI
 #:  smoke world (sub-second end to end); ``large`` is the world the
 #: committed ``BENCH_pipeline.json`` speedups were historically measured
-#: on; ``xlarge``/``internet`` are the :func:`internet_world` tiers the
-#: shared-memory RIB is sized for.
+#: on; ``xlarge``/``internet`` are the :func:`internet_world` tiers.
 BENCH_SIZES: Tuple[str, ...] = (
     "small", "medium", "large", "xlarge", "internet"
 )

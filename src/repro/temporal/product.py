@@ -94,9 +94,9 @@ def build_temporal_product(
     rows, so timing callers reuse them instead of re-applying.
     """
     rir_of = {
-        key[0]: rir.name
+        leaf.prefix: rir.name
         for rir in context.rirs
-        for key in context.leaf_keys[rir]
+        for leaf in context.leaves(rir)
     }
     engine = IncrementalEngine(context)
     base = LeaseIndex.build(context, result)

@@ -1,10 +1,11 @@
-"""Tests for the analysis context's byte image.
+"""Tests for the analysis context.
 
-Covers the flat-array radix helpers against the trie structures they
-mirror, and the image-backed context against the reference semantics
-it must reproduce (``RoutingTable``, ``RelatednessOracle``,
-``WhoisDatabase``) — on the small world and on Hypothesis-drawn
-substrates with absent, covered-only and stored-but-emptied prefixes.
+Covers the packed-key radix helpers against the trie structures they
+mirror, and the context against the reference semantics it must
+reproduce (``RoutingTable``, ``RelatednessOracle``, ``WhoisDatabase``)
+— on the small world and on Hypothesis-drawn substrates with absent,
+covered-only and stored-but-emptied prefixes — plus the freeze and the
+origin-set sharing of its RIB snapshot.
 """
 
 import pytest
@@ -20,7 +21,6 @@ from repro.net import Prefix
 from repro.net.radix import (
     PrefixTrie,
     flat_covered_range,
-    flat_covering_index,
     pack_prefix,
     unpack_prefix,
 )
@@ -49,10 +49,10 @@ def context(pipeline):
     return pipeline.context
 
 
-def _probe_prefixes(context):
+def _probe_prefixes(table):
     """Exact, covered, covering, and absent prefixes to interrogate."""
     probes = []
-    for prefix, _origins in context.rib.exact_items():
+    for prefix in table.prefixes():
         probes.append(prefix)
         if prefix.length < 30:
             probes.append(Prefix(prefix.network, prefix.length + 2))
@@ -78,19 +78,19 @@ class TestFlatHelpers:
         packed = [pack_prefix(p) for p in prefixes]
         assert packed == sorted(packed)
 
-    def test_flat_lookups_match_prefix_trie(self, context):
+    def test_flat_lookups_match_prefix_trie(self, world, context):
         trie = PrefixTrie()
-        for prefix, _ in context.rib.exact_items():
+        for prefix in world.routing_table.prefixes():
             trie.insert(prefix, prefix)
-        for probe in _probe_prefixes(context):
+        for probe in _probe_prefixes(world.routing_table):
             assert (probe in context.rib) == (trie.exact(probe) is not None)
 
-    def test_flat_covered_range_is_the_subtree(self, context):
+    def test_flat_covered_range_is_the_subtree(self, world):
         entries = sorted(
-            (pack_prefix(p), p) for p, _ in context.rib.exact_items()
+            (pack_prefix(p), p) for p in world.routing_table.prefixes()
         )
         keys = [packed for packed, _ in entries]
-        for probe in _probe_prefixes(context):
+        for probe in _probe_prefixes(world.routing_table):
             start, stop = flat_covered_range(keys, probe)
             covered = {entries[i][1] for i in range(start, stop)}
             expected = {
@@ -98,43 +98,74 @@ class TestFlatHelpers:
             }
             assert covered == expected
 
-    def test_flat_covering_index_finds_least_specific(self, context):
-        entries = sorted(
-            (pack_prefix(p), p) for p, _ in context.rib.exact_items()
-        )
-        keys = [packed for packed, _ in entries]
-        lengths = tuple(sorted({key & 0xFF for key in keys}))
-        stored = {prefix for _, prefix in entries}
-        for probe in _probe_prefixes(context):
-            found = flat_covering_index(keys, lengths, probe)
-            expected = None
-            for length in sorted(lengths):
-                if length > probe.length:
-                    break
-                candidate = probe.supernet(length)
-                if candidate in stored:
-                    expected = candidate
-                    break
-            if expected is None:
-                assert found is None
-            else:
-                assert found is not None
-                assert unpack_prefix(keys[found]) == expected
-
 
 class TestFlatRib:
     def test_matches_rib_snapshot_everywhere(self, world, context):
-        """The image-backed RIB answers like the routing table it was
-        built from."""
+        """The snapshot answers like the routing table it was built
+        from."""
         table = world.routing_table
         rib = context.rib
         assert len(rib) == len(table.exact_index())
-        for probe in _probe_prefixes(context):
+        for probe in _probe_prefixes(table):
             assert rib.exact_origins(probe) == table.exact_origins(probe)
             assert rib.covering_origins(probe) == table.covering_origins(
                 probe
             )
             assert (probe in rib) == (probe in table.exact_index())
+
+    def test_rows_share_the_tables_origin_sets(
+        self, world, pipeline, context
+    ):
+        """Every originated leaf's origin set is the routing table's own
+        interned object: the snapshot copies the prefix map, not the
+        sets."""
+        table = world.routing_table
+        rows = [
+            row
+            for row in pipeline.run(context=context)
+            if row.leaf_origins
+        ]
+        assert rows
+        for row in rows:
+            assert row.leaf_origins is table.exact_origins(row.prefix)
+
+    def test_source_mutations_do_not_reach_the_snapshot(self):
+        """The context's RIB is frozen at build time: announcing and
+        withdrawing on the source table afterwards changes nothing."""
+        table = RoutingTable()
+        for text, origin in (
+            ("10.0.0.0/8", 1),
+            ("10.1.0.0/16", 2),
+            ("10.1.2.0/24", 3),
+        ):
+            table.add_route(Prefix.parse(text), origin)
+        context = AnalysisContext.build(
+            WhoisCollection(), table, ASRelationships()
+        )
+        probes = [
+            Prefix.parse(text)
+            for text in ("10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24",
+                         "10.1.3.0/24", "10.2.0.0/16", "11.0.0.0/8",
+                         "9.0.0.0/8")
+        ]
+        before = [
+            (context.rib.exact_origins(p), context.rib.covering_origins(p))
+            for p in probes
+        ]
+        length = len(context.rib)
+        table.add_route(Prefix.parse("10.1.0.0/16"), 4)
+        table.add_route(Prefix.parse("9.0.0.0/8"), 5)
+        table.add_route(Prefix.parse("10.0.0.0/7"), 6)
+        table.withdraw(Prefix.parse("10.1.2.0/24"))
+        table.withdraw(Prefix.parse("10.0.0.0/8"))
+        after = [
+            (context.rib.exact_origins(p), context.rib.covering_origins(p))
+            for p in probes
+        ]
+        assert after == before
+        assert len(context.rib) == length
+        assert Prefix.parse("10.1.2.0/24") in context.rib
+        assert Prefix.parse("9.0.0.0/8") not in context.rib
 
 
 # -- the context against the reference semantics ---------------------------
@@ -208,10 +239,10 @@ class TestReferenceSemantics:
         _assert_reference_semantics(context, table, oracle, whois, probes)
 
     def test_exact_items_match_routing_table(self, world, context):
-        assert dict(context.rib.exact_items()) == {
-            prefix: frozenset(origins)
-            for prefix, origins in world.routing_table.exact_index().items()
-        }
+        table = world.routing_table
+        assert len(context.rib) == table.num_prefixes()
+        for prefix, origins in table.items():
+            assert context.rib.exact_origins(prefix) is origins
 
 
 def _assert_reference_semantics(context, table, oracle, whois, probes):

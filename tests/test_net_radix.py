@@ -215,6 +215,30 @@ class TestRemovalAndPruning:
         assert small_trie.longest_match(Prefix.parse("10.2.0.0/16")) is None
 
 
+class TestCopy:
+    def test_copy_shares_values_not_state(self, small_trie):
+        value = ["shared"]
+        small_trie.insert(Prefix.parse("10.1.2.0/24"), value)
+        list(small_trie.items())  # build the sorted key cache
+        clone = small_trie.copy()
+        assert clone.to_dict() == small_trie.to_dict()
+        assert clone.exact(Prefix.parse("10.1.2.0/24")) is value
+        clone.insert(Prefix.parse("10.1.2.128/25"), "clone-only")
+        clone.remove(Prefix.parse("10.0.0.0/8"))
+        small_trie.remove(Prefix.parse("192.168.0.0/16"))
+        assert [str(p) for p in small_trie.keys()] == [
+            "10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24"
+        ]
+        assert small_trie.lengths() == (8, 16, 24)
+        assert [str(p) for p in clone.keys()] == [
+            "10.1.0.0/16", "10.1.2.0/24", "10.1.2.128/25", "192.168.0.0/16"
+        ]
+        assert clone.lengths() == (16, 24, 25)
+        assert clone.least_specific_value(Prefix.parse("10.1.2.0/26")) == (
+            "mid16"
+        )
+
+
 class TestResolveCoveringChain:
     def test_exact_match_is_best(self, small_trie):
         from repro.net import resolve_covering_chain

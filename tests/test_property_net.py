@@ -26,7 +26,6 @@ from repro.net import (
     prefixes_to_ranges,
     range_to_prefixes,
 )
-from repro.net.radix import pack_prefix
 
 addresses = st.integers(min_value=0, max_value=MAX_IPV4)
 lengths = st.integers(min_value=0, max_value=32)
@@ -336,10 +335,10 @@ class PrefixTrieModel(RuleBasedStateMachine):
         assert all(type(key) is Prefix for key in keys)
         assert [hash(key) for key in keys] == [hash(key) for key in stored]
         assert [str(key) for key in keys] == [str(key) for key in stored]
-        assert list(self.trie.packed_items()) == [
-            (pack_prefix(p), self.model[p]) for p in stored
-        ]
         assert self.trie.to_dict() == self.model
+        clone = self.trie.copy()
+        assert clone.to_dict() == self.model
+        assert clone.lengths() == self.trie.lengths()
 
 
 PrefixTrieModel.TestCase.settings = settings(
