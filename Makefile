@@ -59,7 +59,7 @@ bench-pipeline:
 # (world build dominates). See PERFORMANCE.md.
 bench-xlarge:
 	PYTHONPATH=src $(PYTHON) -m repro.cli bench --out BENCH_pipeline.json \
-		--sizes xlarge --repeats 1 --no-extensions --memory
+		--sizes xlarge --repeats 1 --memory
 
 bench-stream:
 	PYTHONPATH=src $(PYTHON) -m repro.cli stream --size large --out BENCH_stream.json

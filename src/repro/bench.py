@@ -3,9 +3,7 @@
 Times the three stages of a full reproduction run — world generation,
 tree build, classification — for both engine modes (the frozen
 reference engine and the fast serial engine) over synthetic worlds of
-increasing size, then times the
-legacy, RPKI, and longitudinal extension pipelines per engine off the
-shared ``AnalysisContext``, and **appends** the run to the
+increasing size, and **appends** the run to the
 ``BENCH_pipeline.json`` trajectory so every future PR has a number to
 beat and the history survives regeneration.  Every mode's output is
 digested and checked equivalent to its reference engine; a benchmark
@@ -37,12 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .core import (
     IncrementalEngine,
     LeaseInferencePipeline,
-    LegacyLeasePipeline,
-    RelatednessOracle,
-    RpkiValidationPipeline,
     clone_routing_table,
-    compare_epochs,
-    compare_epochs_fast,
     replay_into_table,
     result_digest,
 )
@@ -95,7 +88,11 @@ __all__ = [
 #: ``payload_bytes``, ``segment_bytes``, ``speedup_vs_serial`` and
 #: ``peak_child_rss_bytes`` fields and ``config.workers`` are gone;
 #: v3 runs keep them as recorded.
-SCHEMA_VERSION = 4
+#: v5: no extension pipelines — ``config.extensions`` and the
+#: per-world ``extensions`` section are gone, since the legacy, RPKI
+#: and longitudinal analyses have one engine each; v2–v4 runs keep
+#: theirs as recorded.
+SCHEMA_VERSION = 5
 
 #: A digest of one result: enough to prove equivalence, small enough to
 #: keep alive across modes.
@@ -165,7 +162,6 @@ def run_benchmark(
     repeats: int = 2,
     seed: int = 20240401,
     quick: bool = False,
-    extensions: bool = True,
     memory: bool = False,
     internet_scale: Optional[int] = None,
     log: Optional[Callable[[str], None]] = None,
@@ -173,13 +169,10 @@ def run_benchmark(
     """Run the harness and return one ``BENCH_pipeline.json`` run payload.
 
     ``quick`` is the CI smoke configuration: one repeat and — unless
-    ``sizes`` is given explicitly — the small world only.
-    ``extensions`` additionally times the legacy, RPKI, and
-    longitudinal pipelines per engine from the shared
-    :class:`AnalysisContext` of the base run.  ``memory`` records peak
-    RSS per mode.  ``internet_scale`` overrides the downsampling divisor
-    of the ``xlarge`` / ``internet`` tiers (larger divisor, smaller
-    world).
+    ``sizes`` is given explicitly — the small world only.  ``memory``
+    records peak RSS per mode.  ``internet_scale`` overrides the
+    downsampling divisor of the ``xlarge`` / ``internet`` tiers (larger
+    divisor, smaller world).
     """
 
     def say(message: str) -> None:
@@ -251,9 +244,6 @@ def run_benchmark(
             "stages": {"generate_s": round(generate_s, 4)},
             "modes": modes,
         }
-        if extensions:
-            say(f"[bench] {size}: extension pipelines ...")
-            world_payload["extensions"] = _bench_extensions(world, repeats)
         worlds.append(world_payload)
         del make_pipeline, world
         gc.collect()
@@ -265,7 +255,6 @@ def run_benchmark(
             "sizes": sizes,
             "repeats": max(1, repeats),
             "quick": quick,
-            "extensions": extensions,
             "memory": memory,
             "internet_scale": internet_scale,
         },
@@ -300,138 +289,6 @@ def _mode_payload(
     }
 
 
-# -- extension pipelines ---------------------------------------------------
-
-def _time_callable(fn: Callable[[], object], repeats: int):
-    """Best wall time across repeats and the (identical) last output."""
-    best: Optional[float] = None
-    output: object = None
-    for _ in range(max(1, repeats)):
-        gc.collect()
-        started = time.perf_counter()
-        output = fn()
-        wall = time.perf_counter() - started
-        if best is None or wall < best:
-            best = wall
-    assert best is not None
-    return best, output
-
-
-def _ext_mode(
-    mode: str, wall: float, ref_wall: float, equivalent: bool
-) -> Dict[str, object]:
-    return {
-        "mode": mode,
-        "wall_s": round(wall, 4),
-        "speedup_vs_reference": round(ref_wall / wall, 2) if wall else 0.0,
-        "equivalent": equivalent,
-    }
-
-
-def _ext_modes(
-    run_reference: Callable[[], object],
-    run_fast: Callable[[], object],
-    digest: Callable[[object], object],
-    count: Callable[[object], int],
-    repeats: int,
-) -> Dict[str, object]:
-    """Time one extension pipeline's reference and fast engines."""
-    ref_wall, ref_out = _time_callable(run_reference, repeats)
-    serial_wall, out = _time_callable(run_fast, repeats)
-    return {
-        "items": count(ref_out),
-        "modes": [
-            _ext_mode("reference", ref_wall, ref_wall, True),
-            _ext_mode(
-                "serial", serial_wall, ref_wall,
-                digest(out) == digest(ref_out),
-            ),
-        ],
-    }
-
-
-def _legacy_digest(inferences) -> List[Tuple]:
-    return [
-        (
-            inference.prefix.network,
-            inference.prefix.length,
-            inference.verdict.name,
-            tuple(sorted(inference.origins)),
-        )
-        for inference in inferences
-    ]
-
-
-def _churn_digest(churn) -> Tuple:
-    def prefixes(values):
-        return tuple(sorted((p.network, p.length) for p in values))
-
-    return (
-        prefixes(churn.new_leases),
-        prefixes(churn.ended_leases),
-        prefixes(churn.persisting),
-        prefixes(churn.re_leased),
-        tuple(
-            sorted(
-                (rir.name, rc.new, rc.ended, rc.persisting, rc.re_leased)
-                for rir, rc in churn.by_rir.items()
-            )
-        ),
-    )
-
-
-def _bench_extensions(world, repeats: int) -> Dict[str, object]:
-    """Time legacy / RPKI / longitudinal engines off one shared context.
-
-    The base fast-serial result supplies the extension inputs (the
-    leased population for RPKI, the epochs for churn); its
-    :class:`AnalysisContext` is built once and reused by every fast
-    engine, which is exactly the production configuration.
-    """
-    pipeline = LeaseInferencePipeline(
-        world.whois,
-        world.routing_table,
-        world.relationships,
-        world.as2org,
-    )
-    base = pipeline.run()
-    context = pipeline.context
-    oracle = RelatednessOracle(world.relationships, world.as2org)
-    leased = sorted(base.leased_prefixes())
-
-    legacy_pipeline = LegacyLeasePipeline(
-        world.whois, world.routing_table, oracle, context=context
-    )
-    legacy = _ext_modes(
-        run_reference=legacy_pipeline.run_reference,
-        run_fast=legacy_pipeline.run,
-        digest=_legacy_digest,
-        count=len,
-        repeats=repeats,
-    )
-
-    rpki_pipeline = RpkiValidationPipeline(
-        world.routing_table, world.roas, context=context
-    )
-    rpki = _ext_modes(
-        run_reference=lambda: rpki_pipeline.profile_reference(leased),
-        run_fast=lambda: rpki_pipeline.profile(leased),
-        digest=lambda p: (p.valid, p.invalid, p.not_found),
-        count=lambda _profile: len(leased),
-        repeats=repeats,
-    )
-
-    longitudinal = _ext_modes(
-        run_reference=lambda: compare_epochs(base, base),
-        run_fast=lambda: compare_epochs_fast(base, base),
-        digest=_churn_digest,
-        count=lambda churn: len(churn.persisting),
-        repeats=repeats,
-    )
-
-    return {"legacy": legacy, "rpki": rpki, "longitudinal": longitudinal}
-
-
 def _cpu_count() -> int:
     try:
         import os
@@ -444,17 +301,12 @@ def _cpu_count() -> int:
 
 
 def all_equivalent(report: Dict[str, object]) -> bool:
-    """True when every mode of every world (and every extension pipeline)
-    matched its reference engine."""
-    for world in report["worlds"]:  # type: ignore[union-attr]
-        for mode in world["modes"]:  # type: ignore[index]
-            if not bool(mode["equivalent"]):
-                return False
-        for section in world.get("extensions", {}).values():  # type: ignore[union-attr]
-            for mode in section["modes"]:
-                if not bool(mode["equivalent"]):
-                    return False
-    return True
+    """True when every mode of every world matched its reference engine."""
+    return all(
+        bool(mode["equivalent"])
+        for world in report["worlds"]  # type: ignore[union-attr]
+        for mode in world["modes"]  # type: ignore[index]
+    )
 
 
 def load_trajectory(path: Path) -> List[Dict[str, object]]:
@@ -1011,7 +863,6 @@ def run_from_args(args) -> int:
         repeats=args.repeats,
         seed=args.seed,
         quick=args.quick,
-        extensions=not getattr(args, "no_extensions", False),
         memory=getattr(args, "memory", False),
         internet_scale=getattr(args, "xlarge_scale", None),
         log=print,

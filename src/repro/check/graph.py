@@ -66,7 +66,6 @@ __all__ = [
 FROZEN_CLASSES: Dict[str, str] = {
     "AnalysisContext": "repro.core.context",
     "RibSnapshot": "repro.core.context",
-    "RoaSnapshot": "repro.core.context",
     "LeaseIndex": "repro.core.leaseindex",
 }
 

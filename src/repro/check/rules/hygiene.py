@@ -109,7 +109,12 @@ _FAST_ENGINE_MODULES = frozenset(
 
 #: Function names that are frozen executable specifications.
 _REFERENCE_FUNCTIONS = frozenset(
-    {"run_reference", "profile_reference", "compare_epochs"}
+    {
+        "run_reference",
+        "compare_epochs",
+        "infer_legacy_leases",
+        "validation_profile",
+    }
 )
 
 
@@ -117,16 +122,20 @@ _REFERENCE_FUNCTIONS = frozenset(
 class ReferencePurity(CheckRule):
     """Frozen reference implementations must not use fast-engine code.
 
-    ``run_reference`` / ``profile_reference`` / ``compare_epochs`` are
-    the executable specifications that the context-backed engines are
-    proven bit-identical against.  The moment a reference calls into
-    ``repro.core.context`` or the memoized ``LeafClassifier``, the
-    proof becomes circular: a bug in the shared code changes both sides
-    of the comparison and the equivalence tests keep passing.
+    ``run_reference`` is the executable specification that the
+    context-backed lease engine is proven bit-identical against.  The
+    moment it calls into ``repro.core.context`` or the memoized
+    ``LeafClassifier``, the proof becomes circular: a bug in the shared
+    code changes both sides of the comparison and the equivalence tests
+    keep passing.  ``compare_epochs``, ``infer_legacy_leases`` and
+    ``validation_profile`` are frozen too, as the only engines of their
+    analyses: they read the datasets directly, so the context stays
+    out of them as well.
 
-    Remediation: Keep references self-contained (allocation tree +
-    per-leaf classification only).  If logic must be shared, move it to
-    a module neither engine owns and have both import it.
+    Remediation: Keep references self-contained (allocation tree,
+    per-leaf classification and the plain dataset lookups only).  If
+    logic must be shared, move it to a module neither engine owns and
+    have both import it.
     """
 
     code = "RC107"

@@ -1,8 +1,8 @@
 """Snapshot immutability invariant: RC111.
 
 The whole scaling architecture hangs off frozen snapshots: one
-``AnalysisContext`` (with its ``RibSnapshot``/``RoaSnapshot``) is built
-per run and read by every engine, and the serve layer swaps
+``AnalysisContext`` (with its ``RibSnapshot``) is built per run and
+read by every engine, and the serve layer swaps
 immutable ``LeaseIndex`` generations atomically.  Mutating one of
 these after construction corrupts every consumer that assumed the
 freeze — whether the assignment is written in place or hidden behind
@@ -27,8 +27,8 @@ class NoTransitiveSnapshotMutation(CheckRule):
     """Frozen snapshots are never mutated outside their defining
     module, directly or through helpers.
 
-    ``AnalysisContext``, ``RibSnapshot``, ``RoaSnapshot`` and
-    ``LeaseIndex`` are built once and then shared — across every engine
+    ``AnalysisContext``, ``RibSnapshot`` and ``LeaseIndex`` are built
+    once and then shared — across every engine
     of a run and across concurrent requests (generation-swapped).  Any
     post-construction mutation desynchronizes consumers silently: an
     engine reads a value its neighbour never saw, the serve cache keys

@@ -305,11 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="CI smoke mode: small world, one repeat",
     )
     bench.add_argument(
-        "--no-extensions",
-        action="store_true",
-        help="skip the legacy/RPKI/longitudinal pipeline timings",
-    )
-    bench.add_argument(
         "--memory",
         action="store_true",
         help="record peak RSS per mode",
@@ -704,13 +699,11 @@ def _cmd_abuse(args: argparse.Namespace) -> int:
 
 
 def _cmd_legacy(args: argparse.Namespace) -> int:
-    from .core import LegacyLeasePipeline
+    from .core import infer_legacy_leases
 
     bundle = load_datasets(args.data)
     oracle = RelatednessOracle(bundle.relationships, bundle.as2org)
-    verdicts = LegacyLeasePipeline(
-        bundle.whois, bundle.routing_table, oracle
-    ).run()
+    verdicts = infer_legacy_leases(bundle.whois, bundle.routing_table, oracle)
     if getattr(args, "json", False):
         import json
 
@@ -742,23 +735,15 @@ def _cmd_legacy(args: argparse.Namespace) -> int:
 
 
 def _cmd_rpki(args: argparse.Namespace) -> int:
-    from .core import LeaseInferencePipeline, RpkiValidationPipeline
+    from .core import validation_profile
 
     bundle = load_datasets(args.data)
-    pipeline = LeaseInferencePipeline(
-        bundle.whois,
-        bundle.routing_table,
-        bundle.relationships,
-        bundle.as2org,
-    )
-    result = pipeline.run()
-    profiler = RpkiValidationPipeline(
-        bundle.routing_table, bundle.roas, context=pipeline.context
-    )
-    leased = result.leased_prefixes()
+    leased = _infer_bundle(bundle).leased_prefixes()
     other = set(bundle.routing_table.prefixes()) - leased
     profiles = {
-        label: profiler.profile(sorted(population))
+        label: validation_profile(
+            sorted(population), bundle.routing_table, bundle.roas
+        )
         for label, population in (("leased", leased), ("non-leased", other))
     }
     if getattr(args, "json", False):

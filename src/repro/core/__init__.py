@@ -3,8 +3,8 @@
 Public surface:
 
 * :class:`LeaseInferencePipeline` / :func:`infer_leases` — §5 end to end.
-* :class:`AnalysisContext` — the shared substrate snapshot
-  every fast engine (base, legacy, RPKI, longitudinal) draws from.
+* :class:`AnalysisContext` — the substrate snapshot the fast lease
+  engine and the incremental engine draw from.
 * :class:`AllocationTree` — §5.1 address allocation trees.
 * :class:`Category` / :func:`classify_leaf` — §5.2 leaf classification.
 * :func:`curate_reference` / :func:`evaluate_inference` — §5.3/§6.2.
@@ -56,7 +56,7 @@ if TYPE_CHECKING:
         attribute_alarms,
         origin_changes,
     )
-    from .context import AnalysisContext, RibSnapshot, RoaSnapshot
+    from .context import AnalysisContext, RibSnapshot
     from .incremental import (
         BurstReport,
         IncrementalEngine,
@@ -65,24 +65,10 @@ if TYPE_CHECKING:
         replay_into_table,
         result_digest,
     )
-    from .legacy import (
-        LegacyInference,
-        LegacyLeasePipeline,
-        LegacyVerdict,
-        infer_legacy_leases,
-    )
-    from .longitudinal import (
-        LeaseChurn,
-        RegionChurn,
-        compare_epochs,
-        compare_epochs_fast,
-    )
+    from .legacy import LegacyInference, LegacyVerdict, infer_legacy_leases
+    from .longitudinal import LeaseChurn, RegionChurn, compare_epochs
     from .metrics import ConfusionMatrix
-    from .rpki_analysis import (
-        RpkiValidationPipeline,
-        ValidationProfile,
-        validation_profile,
-    )
+    from .rpki_analysis import ValidationProfile, validation_profile
     from .stats import BootstrapCI, risk_ratio_ci, share_ci
     from .pipeline import LeaseInferencePipeline, infer_leases
     from .reference import ReferenceDataset, curate_reference
@@ -121,22 +107,15 @@ __getattr__ = lazy_exports(
             "AlarmAttribution", "AlarmReport", "OriginChange", "attribute_alarms",
             "origin_changes",
         ),
-        ".context": ("AnalysisContext", "RibSnapshot", "RoaSnapshot"),
+        ".context": ("AnalysisContext", "RibSnapshot"),
         ".incremental": (
             "BurstReport", "IncrementalEngine", "MutableRibOverlay",
             "clone_routing_table", "replay_into_table", "result_digest",
         ),
-        ".legacy": (
-            "LegacyInference", "LegacyLeasePipeline", "LegacyVerdict",
-            "infer_legacy_leases",
-        ),
-        ".longitudinal": (
-            "LeaseChurn", "RegionChurn", "compare_epochs", "compare_epochs_fast",
-        ),
+        ".legacy": ("LegacyInference", "LegacyVerdict", "infer_legacy_leases"),
+        ".longitudinal": ("LeaseChurn", "RegionChurn", "compare_epochs"),
         ".metrics": ("ConfusionMatrix",),
-        ".rpki_analysis": (
-            "RpkiValidationPipeline", "ValidationProfile", "validation_profile",
-        ),
+        ".rpki_analysis": ("ValidationProfile", "validation_profile"),
         ".stats": ("BootstrapCI", "risk_ratio_ci", "share_ci"),
         ".pipeline": ("LeaseInferencePipeline", "infer_leases"),
         ".reference": ("ReferenceDataset", "curate_reference"),
@@ -165,7 +144,6 @@ __all__ = [
     "CacheStats",
     "LeafClassifier",
     "RibSnapshot",
-    "RoaSnapshot",
     "BootstrapCI",
     "GeoConsistency",
     "HolderProfile",
@@ -181,10 +159,8 @@ __all__ = [
     "LeaseChurn",
     "LeaseInferencePipeline",
     "LegacyInference",
-    "LegacyLeasePipeline",
     "LegacyVerdict",
     "RegionChurn",
-    "RpkiValidationPipeline",
     "ValidationProfile",
     "PeriodKind",
     "PrefixTimeline",
@@ -198,7 +174,6 @@ __all__ = [
     "build_timeline",
     "classify_leaf",
     "compare_epochs",
-    "compare_epochs_fast",
     "origin_changes",
     "resolve_maintainer_names",
     "curate_reference",

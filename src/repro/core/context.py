@@ -1,9 +1,8 @@
 """The analysis substrate every engine reads, built once per run.
 
 One :class:`AnalysisContext` is built per run and handed to the lease
-classifier, the legacy-space extension, the RPKI profiler, and the
-longitudinal comparison.  :meth:`AnalysisContext.build` gathers every
-table those engines query:
+classifier, the incremental engine and the serving index.
+:meth:`AnalysisContext.build` gathers every table those engines query:
 
 * the RIB's exact index (:class:`RibSnapshot`): a frozen copy of the
   routing table's prefix map, sharing its interned origin sets;
@@ -29,7 +28,6 @@ from ..bgp.rib import RoutingTable, covering_lookup
 from ..net import Prefix, PrefixTrie
 from ..net.gcpause import gc_paused
 from ..rir import ALL_RIRS, RIR
-from ..rpki.roa import RoaSet
 from ..whois.database import WhoisCollection
 from .allocation_tree import (
     DEFAULT_MAX_LEAF_LENGTH,
@@ -37,7 +35,7 @@ from .allocation_tree import (
     TreeLeaf,
 )
 
-__all__ = ["AnalysisContext", "RibSnapshot", "RoaSnapshot"]
+__all__ = ["AnalysisContext", "RibSnapshot"]
 
 _EMPTY: FrozenSet[int] = frozenset()
 
@@ -82,54 +80,13 @@ class RibSnapshot:
         return len(self._trie)
 
 
-class RoaSnapshot:
-    """Frozen RFC 6811 validation over one ROA snapshot.
-
-    The covering ROAs of a prefix live at its supernets, so probing a
-    dict keyed by ROA prefix at each stored length replaces the
-    covering-trie walk.  Outcomes are identical to
-    :func:`repro.rpki.validation.validate_origin` — VALID/INVALID/
-    NOT_FOUND do not depend on the order covering ROAs are visited.
-    """
-
-    __slots__ = ("_buckets", "_lengths")
-
-    def __init__(self, roas: RoaSet) -> None:
-        buckets: Dict[Prefix, List] = {}
-        for roa in roas:
-            buckets.setdefault(roa.prefix, []).append(roa)
-        self._buckets: Dict[Prefix, Tuple] = {
-            prefix: tuple(bucket) for prefix, bucket in buckets.items()
-        }
-        self._lengths: Tuple[int, ...] = tuple(
-            sorted({prefix.length for prefix in self._buckets})
-        )
-
-    def validate(self, prefix: Prefix, origin: int) -> str:
-        """The RFC 6811 outcome name: ``valid``/``invalid``/``not-found``."""
-        covered = False
-        for length in self._lengths:
-            if length > prefix.length:
-                break
-            bucket = self._buckets.get(prefix.supernet(length))
-            if bucket is None:
-                continue
-            covered = True
-            for roa in bucket:
-                if roa.authorizes(prefix, origin):
-                    return "valid"
-        return "invalid" if covered else "not-found"
-
-    def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._buckets.values())
-
-
 class AnalysisContext:
     """Everything the fast engines query, snapshotted once per run.
 
     Build with :meth:`build`; hand the instance to
-    ``LeaseInferencePipeline.run``, ``LegacyLeasePipeline``, and friends
-    so they share one substrate instead of recomputing per pass.
+    ``LeaseInferencePipeline.run``, ``IncrementalEngine`` and
+    ``LeaseIndex.build`` so they share one substrate instead of
+    recomputing per pass.
     """
 
     def __init__(

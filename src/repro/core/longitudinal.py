@@ -9,15 +9,13 @@ lessee, the pattern Fig. 3 shows for one prefix).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Set, Tuple
+from typing import Dict, FrozenSet
 
 from ..net import Prefix
 from ..rir import RIR
 from .results import InferenceResult
 
-__all__ = ["LeaseChurn", "compare_epochs", "compare_epochs_fast"]
-
-_EMPTY: FrozenSet[int] = frozenset()
+__all__ = ["LeaseChurn", "compare_epochs"]
 
 
 @dataclass
@@ -62,9 +60,7 @@ def compare_epochs(
     """Diff the leased sets of two epochs, with per-region breakdowns.
 
     This is the **frozen reference engine** (per-region list scans,
-    per-prefix lookups); :func:`compare_epochs_fast` computes the same
-    churn with single-pass views, and is tested
-    for equality against it.
+    per-prefix lookups) and the only one.
     """
     earlier_leased = earlier.leased_prefixes()
     later_leased = later.leased_prefixes()
@@ -104,61 +100,3 @@ def compare_epochs(
 def _origins(result: InferenceResult, prefix: Prefix) -> FrozenSet[int]:
     inference = result.lookup(prefix)
     return inference.leaf_origins if inference else frozenset()
-
-
-# -- fast engine ----------------------------------------------------------
-
-def _epoch_view(
-    result: InferenceResult,
-) -> Tuple[FrozenSet[Prefix], Dict[RIR, Set[Prefix]], Dict[Prefix, FrozenSet[int]]]:
-    """One pass over a result: leased set, per-region leased sets, and the
-    last-wins prefix → origins map (``lookup`` semantics)."""
-    leased: Set[Prefix] = set()
-    by_rir: Dict[RIR, Set[Prefix]] = {rir: set() for rir in RIR}
-    origins: Dict[Prefix, FrozenSet[int]] = {}
-    for inference in result:
-        origins[inference.prefix] = inference.leaf_origins
-        if inference.is_leased:
-            leased.add(inference.prefix)
-            by_rir[inference.rir].add(inference.prefix)
-    return frozenset(leased), by_rir, origins
-
-
-def compare_epochs_fast(
-    earlier: InferenceResult, later: InferenceResult
-) -> LeaseChurn:
-    """Churn equal to :func:`compare_epochs`, from single-pass views.
-
-    Each epoch is reduced to (leased set, per-region leased sets,
-    last-wins origins map) in one iteration; a re-lease is then one
-    dict lookup per persisting prefix on each side.
-    """
-    earlier_leased, earlier_by_rir, earlier_origins = _epoch_view(earlier)
-    later_leased, later_by_rir, later_origins = _epoch_view(later)
-    persisting = earlier_leased & later_leased
-    re_leased = frozenset(
-        prefix
-        for prefix in persisting
-        if earlier_origins.get(prefix, _EMPTY)
-        != later_origins.get(prefix, _EMPTY)
-    )
-
-    by_rir: Dict[RIR, RegionChurn] = {}
-    for rir in RIR:
-        region_earlier = earlier_by_rir[rir]
-        region_later = later_by_rir[rir]
-        region_persisting = region_earlier & region_later
-        by_rir[rir] = RegionChurn(
-            rir=rir,
-            new=len(region_later - region_earlier),
-            ended=len(region_earlier - region_later),
-            persisting=len(region_persisting),
-            re_leased=len(region_persisting & re_leased),
-        )
-    return LeaseChurn(
-        new_leases=frozenset(later_leased - earlier_leased),
-        ended_leases=frozenset(earlier_leased - later_leased),
-        persisting=frozenset(persisting),
-        re_leased=re_leased,
-        by_rir=by_rir,
-    )

@@ -60,8 +60,9 @@ class LeaseInferencePipeline:
         self.max_leaf_length = max_leaf_length
         self.use_covering_root_lookup = use_covering_root_lookup
         self.trees: Dict[RIR, AllocationTree] = {}
-        #: The shared substrate snapshot of the last :meth:`run`; reuse
-        #: it across the extension pipelines to skip rebuilding.
+        #: The shared substrate snapshot of the last :meth:`run`; hand
+        #: it to ``LeaseIndex.build`` or the temporal product to skip
+        #: rebuilding.
         self.context: Optional[AnalysisContext] = None
         #: Wall-clock stage breakdown of the last run, seconds.
         self.timings: Dict[str, float] = {}

@@ -10,7 +10,7 @@ __all__ = ["render_bench_report"]
 
 
 def render_bench_report(report: Dict[str, object]) -> str:
-    """Tables per benched world: engine modes, then extension pipelines.
+    """One table of engine modes per benched world.
 
     Accepts a single run payload (``{"worlds": [...]}``) or a v2
     trajectory file (``{"runs": [...]}``), rendering the latest run.
@@ -54,40 +54,7 @@ def render_bench_report(report: Dict[str, object]) -> str:
             f"generate {world['stages']['generate_s']:.2f}s"
         )
         sections.append(render_table(headers, rows, title=title))
-        extensions = world.get("extensions")  # type: ignore[union-attr]
-        if extensions:
-            sections.append(_render_extensions(world["size"], extensions))
     return "\n\n".join(sections)
-
-
-def _render_extensions(size: object, extensions: Dict[str, object]) -> str:
-    headers = (
-        "pipeline",
-        "mode",
-        "items",
-        "wall s",
-        "vs reference",
-        "ok",
-    )
-    rows = []
-    for pipeline in ("legacy", "rpki", "longitudinal"):
-        section = extensions.get(pipeline)
-        if not section:
-            continue
-        for mode in section["modes"]:  # type: ignore[index]
-            rows.append(
-                (
-                    pipeline,
-                    mode["mode"],
-                    section["items"],  # type: ignore[index]
-                    f"{mode['wall_s']:.4f}",
-                    f"{mode['speedup_vs_reference']:.2f}x",
-                    "yes" if mode["equivalent"] else "NO",
-                )
-            )
-    return render_table(
-        headers, rows, title=f"Extension pipelines — {size} world"
-    )
 
 
 def _percent(rate: object) -> str:

@@ -11,13 +11,9 @@ from repro.asdata import ASRelationships
 from repro.bgp import P2C, RoutingTable
 from repro.core import (
     Category,
-    LeaseInferencePipeline,
-    LegacyLeasePipeline,
     LegacyVerdict,
     RelatednessOracle,
-    RpkiValidationPipeline,
     compare_epochs,
-    compare_epochs_fast,
     infer_leases,
     infer_legacy_leases,
     validation_profile,
@@ -78,18 +74,6 @@ def make_legacy_registry():
         )
     )
     return db
-
-
-def make_legacy_pipeline():
-    """A legacy pipeline over :func:`make_legacy_registry` with routes."""
-    table = RoutingTable()
-    table.add_route(Prefix.parse("192.80.5.0/24"), 999)
-    table.add_route(Prefix.parse("192.80.9.0/24"), 100)
-    rels = ASRelationships()
-    rels.add(3356, 100, P2C)
-    rels.add(3356, 999, P2C)
-    collection = WhoisCollection({RIR.RIPE: make_legacy_registry()})
-    return LegacyLeasePipeline(collection, table, RelatednessOracle(rels))
 
 
 class TestLegacyInference:
@@ -266,87 +250,6 @@ class TestValidationProfile:
         # without their own ROA, caught by the holder's root ROA.
         assert profile.valid > 0
         assert profile.valid > profile.invalid
-
-
-class TestExtensionEngineEquivalence:
-    """Tentpole: the context-backed fast engines must be bit-identical
-    to their frozen references."""
-
-    @pytest.fixture(scope="class")
-    def world(self):
-        return build_world(small_world())
-
-    @pytest.fixture(scope="class")
-    def base(self, world):
-        pipeline = LeaseInferencePipeline(
-            world.whois,
-            world.routing_table,
-            world.relationships,
-            world.as2org,
-        )
-        result = pipeline.run()
-        return result, pipeline.context
-
-    @staticmethod
-    def _legacy_rows(inferences):
-        return [
-            (inf.prefix, inf.verdict, inf.record, inf.parent_prefix,
-             inf.parent_record, inf.origins)
-            for inf in inferences
-        ]
-
-    def test_legacy_engines_match_on_fixture_registry(self):
-        pipeline = make_legacy_pipeline()
-        reference = pipeline.run_reference()
-        assert self._legacy_rows(pipeline.run()) == self._legacy_rows(
-            reference
-        )
-
-    def test_legacy_engines_match_on_world(self, world, base):
-        _result, context = base
-        oracle = RelatednessOracle(world.relationships, world.as2org)
-        pipeline = LegacyLeasePipeline(
-            world.whois, world.routing_table, oracle, context=context
-        )
-        reference = pipeline.run_reference()
-        assert self._legacy_rows(pipeline.run()) == self._legacy_rows(
-            reference
-        )
-
-    def test_rpki_engines_match_on_world(self, world, base):
-        result, context = base
-        profiler = RpkiValidationPipeline(
-            world.routing_table, world.roas, context=context
-        )
-        leased = sorted(result.leased_prefixes())
-        other = sorted(
-            set(world.routing_table.prefixes()) - set(leased)
-        )
-        for population in (leased, other):
-            reference = profiler.profile_reference(population)
-            assert profiler.profile(population) == reference
-
-    def test_longitudinal_engines_match(self, world, base):
-        result, _context = base
-        # Perturb an epoch: drop one leased block, re-originate another.
-        leased = sorted(result.leased(), key=lambda inf: inf.prefix)
-        table2 = RoutingTable()
-        for prefix, origins in world.routing_table.items():
-            if prefix == leased[0].prefix:
-                continue
-            for origin in origins:
-                if prefix == leased[1].prefix:
-                    origin = 64_999
-                table2.add_route(prefix, origin)
-        later = infer_leases(
-            world.whois, table2, world.relationships, world.as2org
-        )
-        for earlier_epoch, later_epoch in (
-            (result, later),
-            (result, result),
-        ):
-            reference = compare_epochs(earlier_epoch, later_epoch)
-            assert compare_epochs_fast(earlier_epoch, later_epoch) == reference
 
 
 class TestMultihomedInjection:

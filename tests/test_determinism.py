@@ -86,12 +86,13 @@ class TestBenchSchemaDeterminism:
 
     def test_quick_payload_sanity(self, quick_reports):
         report = quick_reports[0]
-        assert report["schema"] == {"name": "BENCH_pipeline", "version": 4}
+        assert report["schema"] == {"name": "BENCH_pipeline", "version": 5}
         assert report["config"]["quick"] is True
-        assert report["config"]["extensions"] is True
+        assert "extensions" not in report["config"]
         assert all_equivalent(report)
         (world,) = report["worlds"]
         assert world["size"] == "small"
+        assert "extensions" not in world
         assert [mode["mode"] for mode in world["modes"]] == [
             "reference", "serial",
         ]
@@ -108,24 +109,6 @@ class TestBenchSchemaDeterminism:
             mode for mode in world["modes"] if mode["mode"] == "serial"
         )
         assert serial["cache"]["hit_rates"]["relatedness"] > 0.0
-
-    def test_extension_sections(self, quick_reports):
-        (world,) = quick_reports[0]["worlds"]
-        extensions = world["extensions"]
-        assert set(extensions) == {"legacy", "rpki", "longitudinal"}
-        for section in extensions.values():
-            assert [mode["mode"] for mode in section["modes"]] == [
-                "reference", "serial",
-            ]
-            for mode in section["modes"]:
-                assert mode["equivalent"] is True
-                assert mode["wall_s"] >= 0
-
-    def test_no_extensions_flag(self):
-        report = run_benchmark(quick=True, seed=3, extensions=False)
-        assert report["config"]["extensions"] is False
-        assert "extensions" not in report["worlds"][0]
-        assert all_equivalent(report)
 
     def test_digests_deterministic_across_runs(self, quick_reports):
         # Identical classification counts both runs (not just shape).
@@ -146,12 +129,7 @@ class TestBenchMemoryModes:
 
     @pytest.fixture(scope="class")
     def report(self):
-        return run_benchmark(
-            quick=True,
-            seed=3,
-            extensions=False,
-            memory=True,
-        )
+        return run_benchmark(quick=True, seed=3, memory=True)
 
     def test_mode_grid(self, report):
         (world,) = report["worlds"]
@@ -179,15 +157,14 @@ class TestBenchCli:
         from repro.cli import main
 
         out = tmp_path / "BENCH_smoke.json"
-        rc = main(["bench", "--quick", "--out", str(out), "--seed", "3",
-                   "--no-extensions"])
+        rc = main(["bench", "--quick", "--out", str(out), "--seed", "3"])
         captured = capsys.readouterr().out
         assert rc == 0
         assert out.exists()
         import json
 
         payload = json.loads(out.read_text())
-        assert payload["schema"] == {"name": "BENCH_pipeline", "version": 4}
+        assert payload["schema"] == {"name": "BENCH_pipeline", "version": 5}
         assert len(payload["runs"]) == 1
         assert "Pipeline bench" in captured
         assert f"wrote {out}" in captured
@@ -207,15 +184,15 @@ class TestBenchCli:
             "worlds": [{"size": "small", "modes": []}],
         }
         out.write_text(json.dumps(v1_payload))
-        run = run_benchmark(quick=True, seed=3, extensions=False)
+        run = run_benchmark(quick=True, seed=3)
         write_benchmark(run, out)
         write_benchmark(run, out)
         payload = json.loads(out.read_text())
-        assert payload["schema"] == {"name": "BENCH_pipeline", "version": 4}
+        assert payload["schema"] == {"name": "BENCH_pipeline", "version": 5}
         assert len(payload["runs"]) == 3
         # the migrated v1 run keeps its original stamp as provenance
         assert payload["runs"][0]["schema"]["version"] == 1
-        assert payload["runs"][1]["schema"]["version"] == 4
+        assert payload["runs"][1]["schema"]["version"] == 5
 
     def test_bad_size_and_workers_are_rejected(self, tmp_path, capsys):
         from repro.cli import main

@@ -63,6 +63,16 @@ class TestGoldenExtensionPipelines:
         produced = _cli_json(["legacy", "--data", str(data_dir), "--json"])
         assert produced == _golden("legacy_small_world.json")
 
+    def test_legacy_builds_no_context(self, data_dir, monkeypatch):
+        from repro.core import AnalysisContext
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("repro legacy built an AnalysisContext")
+
+        monkeypatch.setattr(AnalysisContext, "build", refuse)
+        produced = _cli_json(["legacy", "--data", str(data_dir), "--json"])
+        assert produced == _golden("legacy_small_world.json")
+
     def test_rpki_matches_golden(self, data_dir):
         produced = _cli_json(["rpki", "--data", str(data_dir), "--json"])
         assert produced == _golden("rpki_small_world.json")
