@@ -54,7 +54,9 @@ __all__ = [
 #: v4: ``FunctionFact.mutated_params`` moved into ``FlowFact`` and
 #: ``FunctionFact.frozen_writes`` arrived, as RC102 and RC104 folded
 #: into RC111 and RC110.
-CACHE_VERSION = 4
+#: v5: flow facts come from a walk of the statement tree, which enters
+#: ``match`` arms the CFG kept as one opaque node.
+CACHE_VERSION = 5
 
 #: Cache file name when ``--cache`` is not given (created under the
 #: analyzed root; gitignored).

@@ -1,4 +1,4 @@
-"""Per-function CFG and forward dataflow for the path-sensitive rules.
+"""Per-function forward dataflow for the path-sensitive rules.
 
 The AST rules judge one expression at a time; the call-graph rules
 need *paths*: did this wall-clock read flow, through assignments and
@@ -8,28 +8,33 @@ unlocked state write, or this ``time.sleep``?  does a frozen snapshot
 reach a helper that assigns its attributes?  This module supplies the
 machinery in three layers:
 
-1. A statement-level control-flow graph per function
-   (:class:`ControlFlowGraph`): branches, loops, ``try``/``except``/
-   ``finally``, ``with``, early ``return``/``raise``, and — crucially —
-   *exception edges*: every statement that can raise gets an edge to
-   the innermost handler, finally block, or the function exit.
-
-2. A generic forward worklist solver (:func:`solve_forward`) plus a
-   taint instance over it: variable states carry taint kinds
+1. A structured walk over one function's statement tree (:class:`_Walk`).
+   Python has only structured control flow, so the tree already is the
+   control-flow graph: ``if`` and ``match`` join their arms, a loop
+   iterates its body to a fixpoint, ``try`` sends the body's exceptions
+   to its handlers and its other exits through ``finally``, and every
+   statement that can raise adds an exception exit.  Two domains plug
+   in.  The taint domain carries variable states with taint kinds
    (wall-clock, unseeded randomness, ``os.environ``, ``id()``,
    set-iteration order), call-site provenance, and parameter
    provenance, each with an accumulated *witness* — the step-by-step
-   path later rendered as a SARIF ``codeFlow``.
+   path later rendered as a SARIF ``codeFlow``.  The held domain runs
+   once per resource acquisition and finds a path to the function exit
+   that never releases it.  The walk stays path-sensitive on purpose:
+   ``release_both_branches`` and ``leak_on_branch`` in the RC114
+   fixtures differ only in which ``if`` arm releases.
 
-3. :func:`analyze_function` distills one function scope into a
+2. :func:`analyze_function` distills one function scope into a
    serializable :class:`FlowFact` (stored inside the incremental cache
-   alongside the other module facts), and :class:`FlowResolver` runs
-   the *interprocedural* part at project time over cached facts.  It
-   is the one place a rule walks the call graph: return taint
-   (RC113), one walk per parameter answering sink/release/mutation
-   (RC113, RC114, RC111), and one async-reachability walk answering
-   which handlers reach a function and which blocking sites a
-   coroutine reaches through sync calls only (RC115, RC110).
+   alongside the other module facts).
+
+3. :class:`FlowResolver` runs the *interprocedural* part at project
+   time over cached facts.  It is the one place a rule walks the call
+   graph: return taint (RC113), one walk per parameter answering
+   sink/release/mutation (RC113, RC114, RC111), and one
+   async-reachability walk answering which handlers reach a function
+   and which blocking sites a coroutine reaches through sync calls
+   only (RC115, RC110).
 
 Everything here is conservative in the repo's established sense:
 an interprocedural conclusion is drawn only when the call graph
@@ -40,10 +45,12 @@ the flow rules under-report rather than guess.
 from __future__ import annotations
 
 import ast
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
+from dataclasses import dataclass
+from functools import reduce
 from typing import (
     TYPE_CHECKING,
+    Any,
     Deque,
     Dict,
     Iterator,
@@ -65,7 +72,6 @@ __all__ = [
     "RELEASE_METHODS",
     "TAINT_SINKS",
     "CallOrigin",
-    "ControlFlowGraph",
     "FlowFact",
     "FlowResolver",
     "FlowStep",
@@ -74,8 +80,6 @@ __all__ = [
     "SharedWrite",
     "SinkFlow",
     "analyze_function",
-    "build_cfg",
-    "solve_forward",
 ]
 
 #: Cap on witness length so cached facts stay small; witnesses keep the
@@ -203,7 +207,7 @@ class SinkFlow:
 class ResourceFlow:
     """One resource acquisition and its path-sensitive verdict.
 
-    ``leak_steps`` non-empty means a CFG path reaches the function exit
+    ``leak_steps`` non-empty means a path reaches the function exit
     with no release, no ownership transfer, and no call that could
     plausibly release — a definite leak.  ``guards`` are calls the
     variable was passed into where *that call releasing the resource*
@@ -252,323 +256,185 @@ class FlowFact:
 
 
 # ---------------------------------------------------------------------------
-# Control-flow graph
+# Structured walk
 
-ENTRY = 0
-EXIT = 1
+#: ``match`` (3.10) and ``except*`` (3.11) are reached through
+#: ``getattr`` so the walker still imports on 3.9, where nothing is an
+#: instance of the empty tuple.
+_MATCH = getattr(ast, "Match", ())
+_MATCH_AS = getattr(ast, "MatchAs", ())
+_TRIES = (ast.Try, getattr(ast, "TryStar", ()))
+_LOOPS = (ast.While, ast.For, ast.AsyncFor)
+_WITHS = (ast.With, ast.AsyncWith)
+#: Statements that may raise whatever their expressions are.
+_ALWAYS_RAISE = (ast.Raise, ast.Assert) + _LOOPS + _WITHS
+#: The exit a jump statement leaves by (a ``raise`` only by ``exc``).
+_JUMPS = {ast.Return: "ret", ast.Raise: "", ast.Break: "brk", ast.Continue: "cont"}
 
-#: Edge kinds, used to annotate witnesses and to keep raise edges
-#: distinguishable from fall-through during the leak search.
-SEQ, BRANCH, LOOP, RAISE, FINALLY = "seq", "branch", "loop", "raise", "final"
-
-
-@dataclass
-class CfgNode:
-    """One statement occurrence (ENTRY and EXIT carry no statement)."""
-
-    index: int
-    stmt: Optional[ast.stmt] = None
-    succs: List[Tuple[int, str]] = field(default_factory=list)
-
-
-class ControlFlowGraph:
-    """Statement-level CFG of one function body."""
-
-    def __init__(self) -> None:
-        self.nodes: List[CfgNode] = [CfgNode(ENTRY), CfgNode(EXIT)]
-
-    def add_node(self, stmt: ast.stmt) -> int:
-        node = CfgNode(len(self.nodes), stmt)
-        self.nodes.append(node)
-        return node.index
-
-    def add_edge(self, src: int, dst: int, kind: str = SEQ) -> None:
-        pair = (dst, kind)
-        if pair not in self.nodes[src].succs:
-            self.nodes[src].succs.append(pair)
-
-    def preds(self) -> Dict[int, List[int]]:
-        incoming: Dict[int, List[int]] = {n.index: [] for n in self.nodes}
-        for node in self.nodes:
-            for dst, _kind in node.succs:
-                incoming[dst].append(node.index)
-        return incoming
-
-    def stmt_nodes(self) -> Iterator[CfgNode]:
-        for node in self.nodes:
-            if node.stmt is not None:
-                yield node
+#: Safety bound on the passes over one loop body.  Capped witnesses
+#: and fan-ins keep both domains finite, so real loops settle in a few.
+_MAX_PASSES = 50
 
 
-class _LoopCtx:
-    def __init__(self, header: int) -> None:
-        self.header = header
-        self.breaks: List[int] = []
+#: The states leaving a statement list, one per way out.
+_Exits = namedtuple("_Exits", "normal ret exc brk cont")
 
 
-class _CfgBuilder:
-    """Recursive-descent CFG construction over a statement list.
+class _Walk:
+    """Forward analysis of one function body over its statement tree.
 
-    ``raise_targets`` is the stack-resolved set of nodes an exception
-    transfers control to (handler entries, a finally entry, or EXIT);
-    ``finally_entry`` is where an early ``return`` must detour first.
+    Python has only structured control flow, so the statement tree is
+    the control-flow graph.  The *domain* supplies ``bottom`` (no path
+    gets here), ``join``, ``same`` (the loop fixpoint test),
+    ``node(stmt, state, raises) -> (out, exc)`` for a simple statement
+    or a compound statement's header, and ``branch(stmt, arm, state)``
+    for entering an arm.  Two coarse spots are deliberate: ``break``
+    and ``continue`` leave a ``try`` without its ``finally``, and a
+    ``finally`` block both falls through and re-raises, so a ``return``
+    through it continues after the ``try``.
     """
 
-    def __init__(self) -> None:
-        self.cfg = ControlFlowGraph()
-        self.loops: List[_LoopCtx] = []
+    def __init__(self, domain: Any) -> None:
+        self.domain = domain
+        self.none = _Exits(*[domain.bottom] * 5)
 
-    def build(self, body: Sequence[ast.stmt]) -> ControlFlowGraph:
-        first, exits = self._stmts(body, (EXIT,), None)
-        entry_to = first if first is not None else EXIT
-        self.cfg.add_edge(ENTRY, entry_to)
-        for index in exits:
-            self.cfg.add_edge(index, EXIT)
-        return self.cfg
+    def run(self, body: Sequence[ast.stmt], state: Any) -> Any:
+        """The state reaching the function exit."""
+        exits = self.block(body, state)
+        return self._join(exits.normal, exits.ret, exits.exc)
 
-    # -- statement sequences ----------------------------------------------
+    def _join(self, *states: Any) -> Any:
+        return reduce(self.domain.join, states, self.domain.bottom)
 
-    def _stmts(
-        self,
-        body: Sequence[ast.stmt],
-        raise_targets: Tuple[int, ...],
-        finally_entry: Optional[int],
-    ) -> Tuple[Optional[int], List[int]]:
-        first: Optional[int] = None
-        dangling: List[int] = []
+    def _merge(self, *exits: _Exits) -> _Exits:
+        return _Exits(*(self._join(*states) for states in zip(*exits)))
+
+    def _node(self, stmt: ast.stmt, state: Any) -> Tuple[Any, Any]:
+        return self.domain.node(stmt, state, _may_raise(stmt))
+
+    def block(self, body: Sequence[ast.stmt], state: Any) -> _Exits:
+        exits = self.none._replace(normal=state)
         for stmt in body:
-            head, exits = self._stmt(stmt, raise_targets, finally_entry)
-            if head is None:
-                continue
-            if first is None:
-                first = head
-            for index in dangling:
-                self.cfg.add_edge(index, head)
-            dangling = exits
-        return first, dangling
+            step = self.stmt(stmt, exits.normal)
+            exits = self._merge(exits._replace(normal=self.domain.bottom), step)
+        return exits
 
-    def _stmt(
-        self,
-        stmt: ast.stmt,
-        raise_targets: Tuple[int, ...],
-        finally_entry: Optional[int],
-    ) -> Tuple[Optional[int], List[int]]:
+    def stmt(self, stmt: ast.stmt, state: Any) -> _Exits:
         if isinstance(stmt, ast.If):
-            return self._if(stmt, raise_targets, finally_entry)
-        if isinstance(stmt, (ast.While, ast.For, ast.AsyncFor)):
-            return self._loop(stmt, raise_targets, finally_entry)
-        if isinstance(stmt, ast.Try):
-            return self._try(stmt, raise_targets, finally_entry)
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            return self._with(stmt, raise_targets, finally_entry)
-        node = self.cfg.add_node(stmt)
-        if isinstance(stmt, ast.Return):
-            if _may_raise(stmt):  # the returned expression can raise
-                for target in raise_targets:
-                    self.cfg.add_edge(node, target, RAISE)
-            target = finally_entry if finally_entry is not None else EXIT
-            self.cfg.add_edge(node, target, FINALLY if target != EXIT else SEQ)
-            return node, []
-        if isinstance(stmt, ast.Raise):
-            for target in raise_targets:
-                self.cfg.add_edge(node, target, RAISE)
-            return node, []
-        if isinstance(stmt, ast.Break):
-            if self.loops:
-                self.loops[-1].breaks.append(node)
-            return node, []
-        if isinstance(stmt, ast.Continue):
-            if self.loops:
-                self.cfg.add_edge(node, self.loops[-1].header, LOOP)
-            return node, []
-        if _may_raise(stmt):
-            for target in raise_targets:
-                self.cfg.add_edge(node, target, RAISE)
-        return node, [node]
-
-    # -- compound statements ----------------------------------------------
-
-    def _if(
-        self,
-        stmt: ast.If,
-        raise_targets: Tuple[int, ...],
-        finally_entry: Optional[int],
-    ) -> Tuple[int, List[int]]:
-        node = self.cfg.add_node(stmt)
-        if _expr_may_raise(stmt.test):
-            for target in raise_targets:
-                self.cfg.add_edge(node, target, RAISE)
-        exits: List[int] = []
-        body_first, body_exits = self._stmts(
-            stmt.body, raise_targets, finally_entry
-        )
-        if body_first is not None:
-            self.cfg.add_edge(node, body_first, BRANCH)
-        exits.extend(body_exits if body_first is not None else [node])
-        if stmt.orelse:
-            else_first, else_exits = self._stmts(
-                stmt.orelse, raise_targets, finally_entry
+            bodies = [stmt.body, stmt.orelse] if stmt.orelse else [stmt.body]
+            return self._branches(stmt, state, bodies, not stmt.orelse)
+        if isinstance(stmt, _MATCH):
+            last = stmt.cases[-1]
+            irrefutable = (
+                last.guard is None
+                and isinstance(last.pattern, _MATCH_AS)
+                and last.pattern.pattern is None
             )
-            if else_first is not None:
-                self.cfg.add_edge(node, else_first, BRANCH)
-                exits.extend(else_exits)
-            else:
-                exits.append(node)
-        else:
-            exits.append(node)  # condition false falls through
-        return node, exits
+            bodies = [case.body for case in stmt.cases]
+            return self._branches(stmt, state, bodies, not irrefutable)
+        if isinstance(stmt, _LOOPS):
+            return self._loop(stmt, state)
+        if isinstance(stmt, _TRIES):
+            return self._try(stmt, state)
+        out, exc = self._node(stmt, state)
+        if isinstance(stmt, _WITHS):
+            body = self.block(stmt.body, out)
+            return body._replace(exc=self._join(exc, body.exc))
+        exits = self.none._replace(exc=exc)
+        way = _JUMPS.get(type(stmt), "normal")
+        return exits._replace(**{way: out}) if way else exits
 
-    def _loop(
+    def _branches(
         self,
         stmt: ast.stmt,
-        raise_targets: Tuple[int, ...],
-        finally_entry: Optional[int],
-    ) -> Tuple[int, List[int]]:
-        node = self.cfg.add_node(stmt)
-        for target in raise_targets:
-            self.cfg.add_edge(node, target, RAISE)
-        ctx = _LoopCtx(node)
-        self.loops.append(ctx)
-        body = getattr(stmt, "body", [])
-        body_first, body_exits = self._stmts(
-            body, raise_targets, finally_entry
+        state: Any,
+        bodies: List[List[ast.stmt]],
+        falls_through: bool,
+    ) -> _Exits:
+        """``if``/``match``: each arm from the header, then joined."""
+        head, exc = self._node(stmt, state)
+        arms = [
+            self.block(body, self.domain.branch(stmt, arm, head))
+            for arm, body in enumerate(bodies)
+        ]
+        rest = self.none._replace(
+            normal=head if falls_through else self.domain.bottom, exc=exc
         )
-        self.loops.pop()
-        if body_first is not None:
-            self.cfg.add_edge(node, body_first, BRANCH)
-            for index in body_exits:
-                self.cfg.add_edge(index, node, LOOP)
-        orelse = getattr(stmt, "orelse", [])
-        exits: List[int] = list(ctx.breaks)
-        if orelse:
-            else_first, else_exits = self._stmts(
-                orelse, raise_targets, finally_entry
-            )
-            if else_first is not None:
-                self.cfg.add_edge(node, else_first, BRANCH)
-                exits.extend(else_exits)
-            else:
-                exits.append(node)
-        else:
-            exits.append(node)  # loop exhausts (or never runs)
-        return node, exits
+        return self._merge(*arms, rest)
 
-    def _with(
-        self,
-        stmt: ast.stmt,
-        raise_targets: Tuple[int, ...],
-        finally_entry: Optional[int],
-    ) -> Tuple[int, List[int]]:
-        node = self.cfg.add_node(stmt)
-        for target in raise_targets:
-            self.cfg.add_edge(node, target, RAISE)
-        body_first, body_exits = self._stmts(
-            getattr(stmt, "body", []), raise_targets, finally_entry
+    def _loop(self, stmt: Any, state: Any) -> _Exits:
+        """Iterate the body to a fixpoint; the statements keep the
+        in-states of the last pass."""
+        domain = self.domain
+        back = domain.bottom
+        for _ in range(_MAX_PASSES):
+            head, exc = self._node(stmt, domain.join(state, back))
+            body = self.block(stmt.body, domain.branch(stmt, 0, head))
+            again = domain.join(body.normal, body.cont)
+            if domain.same(again, back):
+                break
+            back = again
+        orelse = (
+            self.block(stmt.orelse, domain.branch(stmt, 1, head))
+            if stmt.orelse
+            else self.none._replace(normal=head)
         )
-        if body_first is None:
-            return node, [node]
-        self.cfg.add_edge(node, body_first)
-        return node, body_exits
+        return _Exits(
+            self._join(orelse.normal, body.brk),
+            self._join(body.ret, orelse.ret),
+            self._join(exc, body.exc, orelse.exc),
+            orelse.brk,
+            orelse.cont,
+        )
 
-    def _try(
-        self,
-        stmt: ast.Try,
-        raise_targets: Tuple[int, ...],
-        finally_entry: Optional[int],
-    ) -> Tuple[Optional[int], List[int]]:
-        exits: List[int] = []
-        # Build the finally block first so everything can route into it.
-        fin_first: Optional[int] = None
-        fin_exits: List[int] = []
-        if stmt.finalbody:
-            fin_first, fin_exits = self._stmts(
-                stmt.finalbody, raise_targets, finally_entry
-            )
-        inner_finally = fin_first if fin_first is not None else finally_entry
-        handler_entries: List[int] = []
-        handler_exits: List[int] = []
-        handler_raise = (
-            (fin_first,) if fin_first is not None else raise_targets
+    def _try(self, stmt: Any, state: Any) -> _Exits:
+        """The body's exceptions go to every handler (or straight on);
+        every other exit but ``break``/``continue`` runs ``finally``."""
+        body = self.block(stmt.body, state)
+        handlers = [self.block(h.body, body.exc) for h in stmt.handlers]
+        orelse = self.block(stmt.orelse, body.normal)
+        escaped = body._replace(
+            normal=self.domain.bottom,
+            exc=self.domain.bottom if handlers else body.exc,
         )
-        for handler in stmt.handlers:
-            h_first, h_exits = self._stmts(
-                handler.body, handler_raise, inner_finally
-            )
-            if h_first is not None:
-                handler_entries.append(h_first)
-                handler_exits.extend(h_exits)
-            # an empty handler body cannot occur (pass is a statement)
-        body_raise: Tuple[int, ...]
-        if handler_entries:
-            body_raise = tuple(handler_entries)
-        elif fin_first is not None:
-            body_raise = (fin_first,)
-        else:
-            body_raise = raise_targets
-        body_first, body_exits = self._stmts(
-            stmt.body, body_raise, inner_finally
+        done = self._merge(escaped, orelse, *handlers)
+        if not stmt.finalbody:
+            return done
+        final = self.block(
+            stmt.finalbody, self._join(done.normal, done.ret, done.exc)
         )
-        else_first, else_exits = self._stmts(
-            stmt.orelse, handler_raise, inner_finally
+        return final._replace(
+            exc=self._join(final.exc, final.normal),
+            brk=self._join(done.brk, final.brk),
+            cont=self._join(done.cont, final.cont),
         )
-        if else_first is not None:
-            for index in body_exits:
-                self.cfg.add_edge(index, else_first)
-            tail_exits = else_exits
-        else:
-            tail_exits = body_exits
-        if fin_first is not None:
-            for index in tail_exits + handler_exits:
-                self.cfg.add_edge(index, fin_first, FINALLY)
-            # The finally block both falls through (normal completion)
-            # and re-raises (exceptional entry); model both exits.
-            for index in fin_exits:
-                for target in raise_targets:
-                    self.cfg.add_edge(index, target, RAISE)
-            exits.extend(fin_exits)
-        else:
-            exits.extend(tail_exits)
-            exits.extend(handler_exits)
-        return body_first if body_first is not None else fin_first, exits
-
-
-def build_cfg(scope: ast.AST) -> ControlFlowGraph:
-    """The statement-level CFG of a function (or module) body."""
-    return _CfgBuilder().build(getattr(scope, "body", []))
 
 
 def _may_raise(stmt: ast.stmt) -> bool:
-    """True when executing *stmt* can transfer control exceptionally."""
-    if isinstance(stmt, (ast.Raise, ast.Assert)):
+    """True when executing *stmt* (a compound one: its header) can
+    transfer control exceptionally."""
+    if isinstance(stmt, _ALWAYS_RAISE):
         return True
-    for node in _walk_exprs(stmt):
-        if isinstance(node, ast.Call):
-            return True
-    return False
-
-
-def _expr_may_raise(expr: ast.expr) -> bool:
-    return any(isinstance(node, ast.Call) for node in ast.walk(expr))
+    return any(isinstance(node, ast.Call) for node in _walk_exprs(stmt))
 
 
 def _walk_exprs(stmt: ast.stmt) -> Iterator[ast.AST]:
     """Walk the expressions *executed by* this statement occurrence.
 
     Compound statements contribute only their header expressions (the
-    body statements are separate CFG nodes), and lambda bodies are
-    skipped — they execute later, if at all.
+    walker visits their bodies statement by statement), and lambda
+    bodies are skipped — they execute later, if at all.
     """
-    headers: List[ast.AST] = []
-    if isinstance(stmt, ast.If):
-        headers = [stmt.test]
-    elif isinstance(stmt, ast.While):
+    headers: List[ast.AST]
+    if isinstance(stmt, (ast.If, ast.While)):
         headers = [stmt.test]
     elif isinstance(stmt, (ast.For, ast.AsyncFor)):
         headers = [stmt.target, stmt.iter]
-    elif isinstance(stmt, (ast.With, ast.AsyncWith)):
+    elif isinstance(stmt, _WITHS):
         headers = [item.context_expr for item in stmt.items]
-    elif isinstance(stmt, ast.Try):
-        headers = []
+    elif isinstance(stmt, _MATCH):
+        headers = [stmt.subject]
+        headers += [case.guard for case in stmt.cases if case.guard]
     elif isinstance(
         stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     ):
@@ -584,51 +450,11 @@ def _walk_exprs(stmt: ast.stmt) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
-# ---------------------------------------------------------------------------
-# Generic forward solver
-
-
-def solve_forward(
-    cfg: ControlFlowGraph,
-    transfer,
-    initial,
-    join,
-    max_passes: int = 50,
-):
-    """Forward worklist solver; returns the IN-state of every node.
-
-    *transfer(node, state) -> state* must be monotone under *join*;
-    *initial* seeds ENTRY.  States are compared with ``==`` so they
-    must be hashable/plain data.  The pass bound is a safety net — the
-    taint lattice is finite by construction (capped witnesses and
-    fan-ins), so real runs converge long before it.
-    """
-    in_states: Dict[int, object] = {ENTRY: initial}
-    out_states: Dict[int, object] = {}
-    all_preds = cfg.preds()
-    order = [node.index for node in cfg.nodes]
-    for _ in range(max_passes):
-        changed = False
-        for index in order:
-            node = cfg.nodes[index]
-            merged = initial if index == ENTRY else None
-            for pred in all_preds[index]:
-                out = out_states.get(pred)
-                if out is None:
-                    continue
-                merged = out if merged is None else join(merged, out)
-            if merged is None:
-                merged = initial if index == ENTRY else {}
-            if in_states.get(index) != merged:
-                in_states[index] = merged
-                changed = True
-            out = transfer(node, merged) if node.stmt is not None else merged
-            if out_states.get(index) != out:
-                out_states[index] = out
-                changed = True
-        if not changed:
-            break
-    return in_states
+def _arm(stmt: Any, arm: int) -> str:
+    """How a witness names arm *arm* of a branching statement."""
+    if isinstance(stmt, _MATCH):
+        return f"case {_short(stmt.cases[arm].pattern)}"
+    return _short(stmt) if arm == 0 else f"else of {_short(stmt)}"
 
 
 # ---------------------------------------------------------------------------
@@ -666,8 +492,10 @@ def _merge_var(a, b):
 
 
 def _join_states(a: Dict[str, tuple], b: Dict[str, tuple]):
+    if not b:
+        return a
     if not a:
-        return dict(b)
+        return b
     merged = dict(a)
     for var, state in b.items():
         if var in merged:
@@ -695,23 +523,50 @@ def _with_step(var_state, step: FlowStep):
 
 
 def _short(node: ast.AST, limit: int = 48) -> str:
+    """*node*'s source, clipped; a compound statement by its header."""
     try:
         text = ast.unparse(node)
     except Exception:  # pragma: no cover - unparse is total on 3.11
         text = type(node).__name__
+    if isinstance(node, ast.stmt):
+        text = text.split("\n", 1)[0].rstrip(":")
     text = " ".join(text.split())
     return text if len(text) <= limit else text[: limit - 1] + "…"
 
 
 class _TaintMachine:
-    """Expression evaluation + statement transfer over the taint state."""
+    """The taint domain of :class:`_Walk`: expression evaluation and
+    statement transfer over variable states.
+
+    A state maps names to var-states; ``{}`` is both "no path" and "no
+    taint", as unreachable code still runs from an empty state.
+    ``states`` keeps each statement's in-state (for a loop body, the
+    last pass's) for :class:`_FactCollector`.
+    """
+
+    join = staticmethod(_join_states)
 
     def __init__(self, params: Sequence[str]) -> None:
+        self.bottom: Dict[str, tuple] = {}
         self.initial = {
             param: _var_state(params=((param, ()),))
             for param in params
             if param not in ("self", "cls")
         }
+        self.states: Dict[ast.stmt, Dict[str, tuple]] = {}
+
+    @staticmethod
+    def same(a: Dict[str, tuple], b: Dict[str, tuple]) -> bool:
+        return a == b
+
+    def node(self, stmt: ast.stmt, state: Any, raises: bool) -> Tuple[Any, Any]:
+        self.states[stmt] = state
+        out = self.transfer(stmt, state)
+        return out, (out if raises else self.bottom)
+
+    @staticmethod
+    def branch(stmt: ast.stmt, arm: int, state: Any) -> Any:
+        return state
 
     # -- expression evaluation --------------------------------------------
 
@@ -873,8 +728,7 @@ class _TaintMachine:
 
     # -- statement transfer -----------------------------------------------
 
-    def transfer(self, node: CfgNode, state):
-        stmt = node.stmt
+    def transfer(self, stmt: ast.stmt, state):
         out = dict(state)
         if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             value = getattr(stmt, "value", None)
@@ -1014,7 +868,6 @@ def _is_setish_literal(node: ast.expr) -> bool:
 
 def analyze_function(scope: ast.AST) -> FlowFact:
     """Distill one function (or module) scope into its flow facts."""
-    cfg = build_cfg(scope)
     params: Tuple[str, ...] = ()
     if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
         args = scope.args
@@ -1022,10 +875,9 @@ def analyze_function(scope: ast.AST) -> FlowFact:
         names += list(args.args) + list(args.kwonlyargs)
         params = tuple(arg.arg for arg in names)
     machine = _TaintMachine(params)
-    in_states = solve_forward(
-        cfg, machine.transfer, machine.initial, _join_states
-    )
-    collector = _FactCollector(machine, cfg, in_states, params)
+    body = getattr(scope, "body", [])
+    _Walk(machine).run(body, machine.initial)
+    collector = _FactCollector(machine, params)
     collector.run()
     return FlowFact(
         return_taint=collector.return_taint,
@@ -1036,7 +888,7 @@ def analyze_function(scope: ast.AST) -> FlowFact:
         param_calls=tuple(collector.param_calls),
         releases_params=tuple(sorted(collector.releases_params)),
         mutated_params=tuple(sorted(_mutated_params(scope, params))),
-        resources=tuple(_leak_analysis(cfg)),
+        resources=tuple(_leak_analysis(body, list(machine.states))),
         shared_writes=tuple(_shared_writes(scope)),
     )
 
@@ -1061,12 +913,11 @@ def _mutated_params(scope: ast.AST, params: Sequence[str]) -> Set[str]:
 
 
 class _FactCollector:
-    """Second pass over the solved CFG: sinks, returns, call arguments."""
+    """Second pass over the walked statements: sinks, returns, call
+    arguments."""
 
-    def __init__(self, machine, cfg, in_states, params) -> None:
+    def __init__(self, machine, params) -> None:
         self.machine = machine
-        self.cfg = cfg
-        self.in_states = in_states
         self.params = set(params)
         self.return_taint: Tuple[FlowStep, ...] = ()
         self.params_to_return: Set[str] = set()
@@ -1077,19 +928,12 @@ class _FactCollector:
         self.releases_params: Set[str] = set()
 
     def run(self) -> None:
-        for node in self.cfg.stmt_nodes():
-            state = self.in_states.get(node.index, {})
-            stmt = node.stmt
-            assert stmt is not None
+        for stmt, state in self.machine.states.items():
             if isinstance(stmt, ast.Return) and stmt.value is not None:
                 self._record_return(stmt, state)
-            for call in self._calls_in(stmt):
-                self._record_call(call, state)
-
-    def _calls_in(self, stmt: ast.stmt) -> Iterator[ast.Call]:
-        for node in _walk_exprs(stmt):
-            if isinstance(node, ast.Call):
-                yield node
+            for node in _walk_exprs(stmt):
+                if isinstance(node, ast.Call):
+                    self._record_call(node, state)
 
     def _record_return(self, stmt: ast.Return, state) -> None:
         value = self.machine.eval(stmt.value, state)
@@ -1265,12 +1109,12 @@ def _bare_names(expr: ast.expr) -> Set[str]:
 def _node_events(stmt: ast.stmt, var: str):
     """Classify *stmt* for the leak search of *var*.
 
-    Returns ``(releases, escapes, tokens)`` where tokens are the calls
-    the variable is passed into — each a potential release resolved
+    Returns ``(ends, tokens)``: *ends* when the statement releases,
+    hands off or rebinds the variable; tokens are the calls the
+    variable is passed into — each a potential release resolved
     against callee summaries at project time.
     """
-    releases = False
-    escapes = False
+    ends = False
     tokens: List[Tuple[Optional[str], str, int, int, object]] = []
     if isinstance(stmt, ast.Return):
         # Only a *bare* name position transfers ownership out
@@ -1278,12 +1122,12 @@ def _node_events(stmt: ast.stmt, var: str):
         # return expression (``return parse(handle)``) is scanned below
         # like any other call so the callee summary decides.
         if stmt.value is not None and var in _bare_names(stmt.value):
-            escapes = True
-    if isinstance(stmt, (ast.With, ast.AsyncWith)):
+            ends = True
+    if isinstance(stmt, _WITHS):
         for item in stmt.items:
             if _mentions(item.context_expr, var):
-                releases = True  # a context manager owns it now
-        return releases, escapes, tokens
+                ends = True  # a context manager owns it now
+        return ends, tokens
     if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
         targets = (
             stmt.targets
@@ -1292,15 +1136,15 @@ def _node_events(stmt: ast.stmt, var: str):
         )
         for target in targets:
             if isinstance(target, ast.Name) and target.id == var:
-                releases = True  # rebinding ends the tracked lifetime
+                ends = True  # rebinding ends the tracked lifetime
             elif isinstance(
                 target, (ast.Attribute, ast.Subscript)
             ) and _mentions(stmt.value, var):
-                escapes = True  # stored into longer-lived state
+                ends = True  # stored into longer-lived state
     for node in _walk_exprs(stmt):
         if isinstance(node, (ast.Yield, ast.YieldFrom)):
             if _mentions(node, var):
-                escapes = True
+                ends = True
         if not isinstance(node, ast.Call):
             continue
         func = node.func
@@ -1310,7 +1154,7 @@ def _node_events(stmt: ast.stmt, var: str):
             and func.value.id == var
             and func.attr in RELEASE_METHODS
         ):
-            releases = True
+            ends = True
         name, base = _call_name(func)
         for position, arg in enumerate(node.args):
             if isinstance(arg, ast.Name) and arg.id == var:
@@ -1326,171 +1170,120 @@ def _node_events(stmt: ast.stmt, var: str):
                 tokens.append(
                     (base, name, node.lineno, node.col_offset, kw.arg)
                 )
-    return releases, escapes, tokens
+    return ends, tokens
 
 
-def _leak_analysis(cfg: ControlFlowGraph) -> Iterator[ResourceFlow]:
-    """Path-sensitive acquire/release audit over one solved CFG."""
-    acquisitions: List[Tuple[int, str, str, ast.stmt]] = []
-    for node in cfg.stmt_nodes():
-        stmt = node.stmt
-        if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
+class _Held:
+    """The leak domain of :class:`_Walk` for one acquisition.
+
+    A state is ``None`` while nothing is held, else the witness so far,
+    whose last step is the provisional "function exit reached" step.
+    A statement releasing, handing off or rebinding the variable ends
+    the path, as does a call the variable is passed into (generously
+    assumed to release) unless it sits in *allow*, the statement whose
+    calls are supposed not to release.
+    """
+
+    bottom = None
+
+    def __init__(
+        self,
+        acquire: ast.stmt,
+        label: str,
+        var: str,
+        events: Dict[ast.stmt, Tuple[bool, list]],
+        allow: Optional[ast.stmt] = None,
+    ) -> None:
+        self.acquire = acquire
+        self.var = var
+        self.events = events
+        self.allow = allow
+        self.start = FlowStep(
+            acquire.lineno, acquire.col_offset, f"{label} acquired into {var!r}"
+        )
+
+    @staticmethod
+    def join(a: Any, b: Any) -> Any:
+        return b if a is None else a
+
+    @staticmethod
+    def same(a: Any, b: Any) -> bool:
+        return (a is None) == (b is None)
+
+    def node(self, stmt: ast.stmt, state: Any, raises: bool) -> Tuple[Any, Any]:
+        if stmt is self.acquire:  # a raising constructor acquired nothing
+            return self._at((self.start,), stmt), None
+        if state is None:
+            return None, None
+        ends, tokens = self.events[stmt]
+        if ends or (tokens and stmt is not self.allow):
+            return None, None
+        out = self._at(state[:-1], stmt)
+        if not raises:
+            return out, None
+        note = (
+            f"if this raises, control leaves without releasing "
+            f"{self.var!r}: {_short(stmt)}"
+        )
+        return out, _noted(out, stmt, note)
+
+    def branch(self, stmt: ast.stmt, arm: int, state: Any) -> Any:
+        if state is None:
+            return None
+        return _noted(state, stmt, f"takes this branch: {_arm(stmt, arm)}")
+
+    def _at(self, steps: Tuple[FlowStep, ...], stmt: ast.stmt) -> tuple:
+        note = f"function exit reached with {self.var!r} still unreleased"
+        return steps + (FlowStep(stmt.lineno, 0, note),)
+
+
+def _noted(
+    state: Tuple[FlowStep, ...], stmt: ast.stmt, note: str
+) -> Tuple[FlowStep, ...]:
+    """*state* with *note* before its exit step, while under the cap."""
+    if len(state) >= _MAX_STEPS:
+        return state
+    step = FlowStep(stmt.lineno, stmt.col_offset, note)
+    return state[:-1] + (step, state[-1])
+
+
+def _leak_analysis(
+    body: Sequence[ast.stmt], nodes: List[ast.stmt]
+) -> Iterator[ResourceFlow]:
+    """Acquire/release audit: one held walk per acquisition, and one
+    more per statement passing the variable into a call."""
+    for acquire in nodes:
+        if not isinstance(acquire, ast.Assign) or len(acquire.targets) != 1:
             continue
-        target = stmt.targets[0]
-        if not isinstance(target, ast.Name):
+        target = acquire.targets[0]
+        label = _acquire_label(acquire.value)
+        if label is None or not isinstance(target, ast.Name):
             continue
-        label = _acquire_label(stmt.value)
-        if label is not None:
-            acquisitions.append((node.index, label, target.id, stmt))
-    for index, label, var, stmt in acquisitions:
-        events: Dict[int, Tuple[bool, bool, list]] = {}
-        for node in cfg.stmt_nodes():
-            if node.index == index:
-                continue
-            assert node.stmt is not None
-            events[node.index] = _node_events(node.stmt, var)
-        strict = _find_leak_path(cfg, index, events, allow_token=None)
-        if strict is not None:
-            yield ResourceFlow(
-                label=label,
-                var=var,
-                lineno=stmt.lineno,
-                col=stmt.col_offset,
-                leak_steps=_leak_witness(cfg, label, var, stmt, strict),
-            )
+        var = target.id
+        events = {
+            stmt: _node_events(stmt, var)
+            for stmt in nodes
+            if stmt is not acquire
+        }
+        place = (label, var, acquire.lineno, acquire.col_offset)
+        leak = _Walk(_Held(acquire, label, var, events)).run(body, None)
+        if leak is not None:
+            yield ResourceFlow(*place, leak_steps=leak)
             continue
         guards: List[CallOrigin] = []
-        seen_tokens: Set[Tuple] = set()
-        for node_index, (_r, _e, tokens) in sorted(events.items()):
-            for token in tokens:
-                key = (node_index,) + tuple(token)
-                if key in seen_tokens:
-                    continue
-                seen_tokens.add(key)
-                path = _find_leak_path(
-                    cfg, index, events, allow_token=node_index
-                )
-                if path is None:
-                    continue
-                base, name, lineno, col, position = token
-                guards.append(
-                    CallOrigin(
-                        base,
-                        name,
-                        lineno,
-                        col,
-                        position,
-                        _leak_witness(cfg, label, var, stmt, path),
-                    )
+        for stmt, (_ends, tokens) in events.items():
+            if not tokens:
+                continue
+            held = _Held(acquire, label, var, events, allow=stmt)
+            path = _Walk(held).run(body, None)
+            if path is not None:
+                guards.extend(
+                    CallOrigin(*token, steps=path)
+                    for token in dict.fromkeys(tokens)
                 )
         if guards:
-            yield ResourceFlow(
-                label=label,
-                var=var,
-                lineno=stmt.lineno,
-                col=stmt.col_offset,
-                guards=tuple(guards),
-            )
+            yield ResourceFlow(*place, guards=tuple(guards))
 
-
-def _find_leak_path(
-    cfg: ControlFlowGraph,
-    acquire: int,
-    events: Dict[int, Tuple[bool, bool, list]],
-    allow_token: Optional[int],
-) -> Optional[List[Tuple[int, str]]]:
-    """A path from the acquisition to EXIT crossing no release.
-
-    Nodes carrying a release/escape/token event are dead ends (a token
-    is generously assumed to release), except *allow_token*, whose call
-    is hypothetically non-releasing.  The acquisition's own raise edge
-    is skipped: if the constructor raises, nothing was acquired.
-    Returns the edge path ``[(node, edge_kind), ...]`` or None.
-    """
-    start_edges = [
-        (dst, kind)
-        for dst, kind in cfg.nodes[acquire].succs
-        if kind != RAISE
-    ]
-    parent: Dict[int, Tuple[int, str]] = {}
-    stack: List[Tuple[int, str]] = []
-    visited: Set[int] = {acquire}
-    for dst, kind in start_edges:
-        if dst not in visited:
-            visited.add(dst)
-            parent[dst] = (acquire, kind)
-            stack.append((dst, kind))
-    while stack:
-        index, _kind = stack.pop()
-        if index == EXIT:
-            path: List[Tuple[int, str]] = []
-            cursor = index
-            while cursor != acquire:
-                prev, edge = parent[cursor]
-                path.append((cursor, edge))
-                cursor = prev
-            path.reverse()
-            return path
-        releases, escapes, tokens = events.get(index, (False, False, []))
-        blocked = releases or escapes
-        if tokens and index != allow_token:
-            blocked = True
-        if blocked:
-            continue
-        for dst, kind in cfg.nodes[index].succs:
-            if dst not in visited:
-                visited.add(dst)
-                parent[dst] = (index, kind)
-                stack.append((dst, kind))
-    return None
-
-
-def _leak_witness(
-    cfg: ControlFlowGraph,
-    label: str,
-    var: str,
-    acquire_stmt: ast.stmt,
-    path: List[Tuple[int, str]],
-) -> Tuple[FlowStep, ...]:
-    steps: List[FlowStep] = [
-        FlowStep(
-            acquire_stmt.lineno,
-            acquire_stmt.col_offset,
-            f"{label} acquired into {var!r}",
-        )
-    ]
-    # Each path entry is ``(dst, edge_kind)``; the edge kind describes
-    # how control *left the previous node*, so notes attach there.
-    prev_stmt: Optional[ast.stmt] = acquire_stmt
-    exit_line = acquire_stmt.lineno
-    for index, kind in path:
-        edge_stmt = prev_stmt
-        node_stmt = (
-            cfg.nodes[index].stmt if index not in (ENTRY, EXIT) else None
-        )
-        if node_stmt is not None:
-            prev_stmt = node_stmt
-            exit_line = node_stmt.lineno
-        note: Optional[str] = None
-        if kind == RAISE and edge_stmt is not None:
-            note = (
-                f"if this raises, control leaves without releasing "
-                f"{var!r}: {_short(edge_stmt)}"
-            )
-        elif kind == BRANCH and edge_stmt is not None:
-            note = f"takes this branch: {_short(edge_stmt)}"
-        if note is not None and len(steps) < _MAX_STEPS - 1:
-            steps.append(
-                FlowStep(edge_stmt.lineno, edge_stmt.col_offset, note)
-            )
-    steps.append(
-        FlowStep(
-            exit_line,
-            0,
-            f"function exit reached with {var!r} still unreleased",
-        )
-    )
-    return tuple(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -1545,6 +1338,8 @@ def _child_bodies(stmt: ast.stmt) -> Iterator[Sequence[ast.stmt]]:
             yield child
     for handler in getattr(stmt, "handlers", []):
         yield handler.body
+    for case in getattr(stmt, "cases", []):
+        yield case.body
 
 
 def _is_lockish(expr: ast.expr) -> bool:

@@ -1,7 +1,7 @@
 """Path-sensitive flow rules: RC113 (nondeterminism taint), RC114
 (resource leaks), RC115 (unserialized shared-state mutation).
 
-These three consume the per-function CFG summaries distilled by
+These three consume the per-function flow summaries distilled by
 :mod:`repro.check.dataflow` and the interprocedural closure
 (:class:`~repro.check.dataflow.FlowResolver`) built over the project
 call graph.  Unlike the RC103 pattern rule they reason about
@@ -210,13 +210,13 @@ def bench(ctx):
 
 @register_check_rule
 class NoLeakedResources(CheckRule):
-    """Every acquired OS resource reaches its release on every CFG
-    path, including the exception edges.
+    """Every acquired OS resource reaches its release on every path,
+    including the exception paths.
 
     A leaked file handle or socket exhausts descriptors exactly under
     the concurrent load the serve layer exists for; a leaked pool keeps
-    its worker processes alive.  The analysis walks the function's CFG
-    from each acquisition (``open(...)``, ``socket.socket(...)``,
+    its worker processes alive.  The analysis walks the function's
+    statement tree from each acquisition (``open(...)``, ``socket.socket(...)``,
     ``SharedMemory(...)``, pool constructors) looking for a path to
     the function exit that crosses no release, no ownership transfer
     (``return``/store/``yield``), and no call the resource was handed

@@ -213,6 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--select",
         action="append",
+        type=_check_code,
         default=[],
         metavar="CODE",
         help="run only these rule codes (repeatable)",
@@ -224,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--jobs",
-        type=int,
+        type=_job_count,
         default=1,
         metavar="N",
         help="analyze changed files over N worker processes (default 1)",
@@ -937,6 +938,31 @@ def _cmd_check(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     return report.exit_code(args.fail_on)
+
+
+def _check_code(text: str) -> str:
+    """``--select`` value: a registered or retired rule code."""
+    from .check.model import RETIRED_CODES, check_rule_for_code
+
+    code = text.strip().upper()
+    if code not in RETIRED_CODES and check_rule_for_code(code) is None:
+        raise argparse.ArgumentTypeError(
+            f"unknown check rule code {text!r} (one code per --select)"
+        )
+    return code
+
+
+def _job_count(text: str) -> int:
+    """``--jobs`` value: a whole number of worker processes, at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"need a whole number of at least 1, got {text!r}"
+        )
+    return jobs
 
 
 def _explain_check_rule(code: str) -> int:

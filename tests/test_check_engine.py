@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.check import CheckEngine, load_project
 from repro.check.catalog import render_check_catalog
 from repro.diagnostics.model import Severity
@@ -144,3 +146,23 @@ def test_cli_check_clean_repo(capsys):
     captured = capsys.readouterr()
     assert code == 0, captured.out
     assert "no findings" in captured.out
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--select", "RC999"),
+        ("--select", "RC113,RC114"),
+        ("--jobs", "0"),
+        ("--jobs", "-3"),
+    ],
+)
+def test_cli_check_rejects_unknown_codes_and_job_counts(option, value, capsys):
+    """A mistyped CI gate must fail loudly, not run zero rules."""
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["check", "--no-cache", "--root", str(FIXTURES), option, value])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: " in err and repr(value) in err

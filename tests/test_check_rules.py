@@ -56,6 +56,49 @@ def test_rule_fires_on_bad_and_passes_good(rule):
         )
 
 
+#: Every finding the flow rules report on their bad fixtures.  The
+#: meta-test above asks for one finding per file, so a second shape in
+#: the same file (``leak_on_raise`` beside ``leak_on_branch``) could go
+#: quiet unnoticed; this list cannot.
+FLOW_FINDINGS = [
+    ("RC110", "rc110_bad.py", 17),
+    ("RC110", "rc110_bad.py", 17),
+    ("RC110", "rc110_bad.py", 25),
+    ("RC110", "rc110_bad_direct.py", 8),
+    ("RC110", "rc110_bad_direct.py", 10),
+    ("RC110", "rc110_bad_direct.py", 11),
+    ("RC110", "rc110_bad_direct.py", 16),
+    ("RC111", "rc111_bad.py", 17),
+    ("RC111", "rc111_bad.py", 18),
+    ("RC111", "rc111_bad.py", 28),
+    ("RC111", "rc111_bad_direct.py", 10),
+    ("RC111", "rc111_bad_direct.py", 15),
+    ("RC111", "rc111_bad_direct.py", 20),
+    ("RC111", "rc111_bad_direct.py", 24),
+    ("RC111", "rc111_bad_direct.py", 28),
+    ("RC113", "rc113_bad.py", 23),
+    ("RC113", "rc113_bad.py", 29),
+    ("RC113", "rc113_bad.py", 35),
+    ("RC113", "rc113_bad_interproc.py", 23),
+    ("RC113", "rc113_bad_interproc.py", 32),
+    ("RC114", "rc114_bad.py", 16),
+    ("RC114", "rc114_bad.py", 23),
+    ("RC114", "rc114_bad_interproc.py", 15),
+    ("RC115", "rc115_bad.py", 11),
+    ("RC115", "rc115_bad_interproc.py", 21),
+]
+
+
+def test_flow_rules_report_every_bad_fixture_finding():
+    found = sorted(
+        (code, name, finding.line)
+        for code in ("RC110", "RC111", "RC113", "RC114", "RC115")
+        for name in _fixture_names(code, "bad")
+        for finding in _findings_for(code, name)
+    )
+    assert found == FLOW_FINDINGS
+
+
 def test_rule_codes_unique_and_well_formed():
     rules = all_check_rules()
     codes = [rule.code for rule in rules]
