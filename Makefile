@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test coverage lint check check-warm ratchet-update docs bench bench-e2e bench-pipeline bench-xlarge bench-stream bench-temporal report data clean
+.PHONY: install test coverage lint check check-warm ratchet-update docs bench bench-e2e bench-pipeline bench-xlarge report data clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
@@ -60,12 +60,6 @@ bench-pipeline:
 bench-xlarge:
 	PYTHONPATH=src $(PYTHON) -m repro.cli bench --out BENCH_pipeline.json \
 		--sizes xlarge --repeats 1 --memory
-
-bench-stream:
-	PYTHONPATH=src $(PYTHON) -m repro.cli stream --size large --out BENCH_stream.json
-
-bench-temporal:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench-temporal --size small --epochs 12 --out BENCH_temporal.json
 
 report:
 	$(PYTHON) -m repro.cli report --out REPORT.md

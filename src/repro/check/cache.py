@@ -56,7 +56,11 @@ __all__ = [
 #: into RC111 and RC110.
 #: v5: flow facts come from a walk of the statement tree, which enters
 #: ``match`` arms the CFG kept as one opaque node.
-CACHE_VERSION = 5
+#: v6: ``break``/``continue`` run a ``try``'s ``finally``, and a
+#: ``while`` header raises only through a call, so cached RC114 leak
+#: facts of those shapes are stale; ``write_benchmark`` joined the RC113
+#: sinks, so cached sink facts of its callers are stale too.
+CACHE_VERSION = 6
 
 #: Cache file name when ``--cache`` is not given (created under the
 #: analyzed root; gitignored).

@@ -127,11 +127,12 @@ _WALLCLOCK_CALLS = frozenset(
 )
 
 #: Calls whose argument values are committed to reproducible artifacts:
-#: the digest of an inference result, and the bench trajectory writers
-#: behind every ``BENCH_*.json`` file.  Golden-fixture writers keep the
-#: same naming convention.
+#: the digest of an inference result, and the trajectory writers behind
+#: the ``BENCH_*.json`` files (``write_benchmark`` for
+#: ``BENCH_pipeline.json``; ``append_trajectory`` is the generic
+#: spelling).  Golden-fixture writers keep the same naming convention.
 TAINT_SINKS = frozenset(
-    {"result_digest", "append_trajectory", "write_golden"}
+    {"result_digest", "append_trajectory", "write_benchmark", "write_golden"}
 )
 
 #: Constructor spellings that acquire an OS-backed resource.
@@ -266,10 +267,16 @@ _MATCH_AS = getattr(ast, "MatchAs", ())
 _TRIES = (ast.Try, getattr(ast, "TryStar", ()))
 _LOOPS = (ast.While, ast.For, ast.AsyncFor)
 _WITHS = (ast.With, ast.AsyncWith)
-#: Statements that may raise whatever their expressions are.
-_ALWAYS_RAISE = (ast.Raise, ast.Assert) + _LOOPS + _WITHS
+#: Statements that may raise whatever their expressions are: a ``for``
+#: header calls ``__next__`` and a ``with`` header ``__enter__``, while
+#: a ``while`` header, like an ``if``, raises only through a call.
+_ALWAYS_RAISE = (ast.Raise, ast.Assert, ast.For, ast.AsyncFor) + _WITHS
 #: The exit a jump statement leaves by (a ``raise`` only by ``exc``).
 _JUMPS = {ast.Return: "ret", ast.Raise: "", ast.Break: "brk", ast.Continue: "cont"}
+#: Nodes a ``break``/``continue`` can sit under, and the ones it
+#: cannot jump out of.
+_JUMP_CARRIERS = (ast.stmt, ast.excepthandler, getattr(ast, "match_case", ()))
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 #: Safety bound on the passes over one loop body.  Capped witnesses
 #: and fan-ins keep both domains finite, so real loops settle in a few.
@@ -288,10 +295,10 @@ class _Walk:
     gets here), ``join``, ``same`` (the loop fixpoint test),
     ``node(stmt, state, raises) -> (out, exc)`` for a simple statement
     or a compound statement's header, and ``branch(stmt, arm, state)``
-    for entering an arm.  Two coarse spots are deliberate: ``break``
-    and ``continue`` leave a ``try`` without its ``finally``, and a
-    ``finally`` block both falls through and re-raises, so a ``return``
-    through it continues after the ``try``.
+    for entering an arm.  One coarse spot is deliberate: a ``finally``
+    entered by falling through, returning or raising both falls
+    through and re-raises, so a ``return`` through it continues after
+    the ``try``.
     """
 
     def __init__(self, domain: Any) -> None:
@@ -389,7 +396,7 @@ class _Walk:
 
     def _try(self, stmt: Any, state: Any) -> _Exits:
         """The body's exceptions go to every handler (or straight on);
-        every other exit but ``break``/``continue`` runs ``finally``."""
+        every other exit runs ``finally``."""
         body = self.block(stmt.body, state)
         handlers = [self.block(h.body, body.exc) for h in stmt.handlers]
         orelse = self.block(stmt.orelse, body.normal)
@@ -400,14 +407,40 @@ class _Walk:
         done = self._merge(escaped, orelse, *handlers)
         if not stmt.finalbody:
             return done
+        # A ``break``/``continue`` runs ``finally`` on a walk of its
+        # own and then leaves the way it came.  The shared walk goes
+        # last, so the in-states a domain records are the shared walk's.
+        jumps: List[_Exits] = []
+        for way in sorted(_loop_jumps(stmt)):
+            final = self.block(stmt.finalbody, getattr(done, way))
+            left = self._join(getattr(final, way), final.normal)
+            jumps.append(final._replace(normal=self.domain.bottom, **{way: left}))
         final = self.block(
             stmt.finalbody, self._join(done.normal, done.ret, done.exc)
         )
-        return final._replace(
-            exc=self._join(final.exc, final.normal),
-            brk=self._join(done.brk, final.brk),
-            cont=self._join(done.cont, final.cont),
+        return self._merge(
+            final._replace(exc=self._join(final.exc, final.normal)), *jumps
         )
+
+
+def _loop_jumps(stmt: Any) -> Set[str]:
+    """The loop exits (``brk``, ``cont``) by which control can leave
+    a ``try`` statement's body, handlers or ``else``."""
+    found: Set[str] = set()
+    stack: List[ast.AST] = [*stmt.body, *stmt.handlers, *stmt.orelse]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Break, ast.Continue)):
+            found.add(_JUMPS[type(node)])
+        elif isinstance(node, _LOOPS):
+            stack.extend(node.orelse)  # the loop's own jumps stay inside
+        elif not isinstance(node, _SCOPES):
+            stack.extend(
+                child
+                for child in ast.iter_child_nodes(node)
+                if isinstance(child, _JUMP_CARRIERS)
+            )
+    return found
 
 
 def _may_raise(stmt: ast.stmt) -> bool:
@@ -435,9 +468,7 @@ def _walk_exprs(stmt: ast.stmt) -> Iterator[ast.AST]:
     elif isinstance(stmt, _MATCH):
         headers = [stmt.subject]
         headers += [case.guard for case in stmt.cases if case.guard]
-    elif isinstance(
-        stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    ):
+    elif isinstance(stmt, _SCOPES):
         headers = list(stmt.decorator_list)
     else:
         headers = [stmt]

@@ -81,8 +81,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "run-all": _cmd_run_all,
         "report": _cmd_report,
         "bench": _cmd_bench,
-        "stream": _cmd_stream,
-        "bench-temporal": _cmd_bench_temporal,
         "history": _cmd_history,
         "serve": _cmd_serve,
     }[args.command]
@@ -318,113 +316,23 @@ def _build_parser() -> argparse.ArgumentParser:
         "tiers (larger divisor, smaller world; default 5 / 2)",
     )
 
-    stream = sub.add_parser(
-        "stream",
-        help="apply BGP update bursts incrementally and write "
-        "BENCH_stream.json",
-    )
-    stream.add_argument(
-        "--size",
-        default="small",
-        help="bench world size: small, medium, or large (default small)",
-    )
-    stream.add_argument(
-        "--seed", type=int, default=20240401, help="world seed"
-    )
-    stream.add_argument(
-        "--stream-seed",
-        type=int,
-        default=20240403,
-        help="update-feed seed (default 20240403)",
-    )
-    stream.add_argument(
-        "--bursts",
-        type=int,
-        default=3,
-        help="update bursts to apply (default 3)",
-    )
-    stream.add_argument(
-        "--burst-size",
-        type=int,
-        default=32,
-        help="updates per burst (default 32)",
-    )
-    stream.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip the bit-identical digest check against full rebuilds",
-    )
-    stream.add_argument(
-        "--replay",
-        type=Path,
-        default=None,
-        help="apply a committed replay-log fixture instead of generating",
-    )
-    stream.add_argument(
-        "--record",
-        type=Path,
-        default=None,
-        help="write the applied feed as a replay-log JSON fixture",
-    )
-    stream.add_argument(
-        "--out",
-        type=Path,
-        default=Path("BENCH_stream.json"),
-        help="trajectory file to append to (default BENCH_stream.json)",
-    )
-
-    def add_evolution_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--epochs",
-            type=int,
-            default=12,
-            help="lease-churn epochs to evolve (default 12)",
-        )
-        p.add_argument(
-            "--evolution-seed",
-            type=int,
-            default=DEFAULT_EVOLUTION_SEED,
-            help=f"lease-churn seed (default {DEFAULT_EVOLUTION_SEED})",
-        )
-
-    bench_temporal = sub.add_parser(
-        "bench-temporal",
-        help="measure the delta-encoded temporal index and write "
-        "BENCH_temporal.json",
-    )
-    bench_temporal.add_argument(
-        "--size",
-        default="small",
-        help="bench world size: small, medium, or large (default small)",
-    )
-    bench_temporal.add_argument(
-        "--seed", type=int, default=20240401, help="world seed"
-    )
-    add_evolution_options(bench_temporal)
-    bench_temporal.add_argument(
-        "--checkpoint-interval",
-        type=int,
-        default=None,
-        help="epochs between retained full views (default 8)",
-    )
-    bench_temporal.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip the per-epoch differential check against full rebuilds",
-    )
-    bench_temporal.add_argument(
-        "--out",
-        type=Path,
-        default=Path("BENCH_temporal.json"),
-        help="trajectory file to append to (default BENCH_temporal.json)",
-    )
-
     history = sub.add_parser(
         "history",
         help="evolve lease churn and print a prefix's lease timeline",
     )
     add_scenario_options(history)
-    add_evolution_options(history)
+    history.add_argument(
+        "--epochs",
+        type=int,
+        default=12,
+        help="lease-churn epochs to evolve (default 12)",
+    )
+    history.add_argument(
+        "--evolution-seed",
+        type=int,
+        default=DEFAULT_EVOLUTION_SEED,
+        help=f"lease-churn seed (default {DEFAULT_EVOLUTION_SEED})",
+    )
     history.add_argument(
         "--prefix",
         default=None,
@@ -575,18 +483,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from .bench import run_from_args
 
     return run_from_args(args)
-
-
-def _cmd_stream(args: argparse.Namespace) -> int:
-    from .bench import stream_from_args
-
-    return stream_from_args(args)
-
-
-def _cmd_bench_temporal(args: argparse.Namespace) -> int:
-    from .bench import temporal_from_args
-
-    return temporal_from_args(args)
 
 
 def _temporal_product(

@@ -180,6 +180,57 @@ def test_raise_routed_through_finally_clears_a_leak():
     assert "if this raises" in leak.leak_steps[-2].note
 
 
+def test_break_and_continue_run_finally():
+    source = """
+    def first_match(paths, wanted):
+        for path in paths:
+            handle = open(path)
+            try:
+                if handle.readline() == wanted:
+                    break
+                if not wanted:
+                    continue
+            finally:
+                handle.close()
+        return None
+
+
+    def unguarded(paths, wanted):
+        for path in paths:
+            handle = open(path)
+            try:
+                if handle.readline() == wanted:
+                    break
+            finally:
+                pass
+            handle.close()
+    """
+    assert _leaks(_flow(source, "first_match")) == []
+    (leak,) = _leaks(_flow(source, "unguarded"))
+    notes = [step.note for step in leak.leak_steps]
+    assert "takes this branch: if handle.readline() == wanted" in notes
+
+
+def test_while_header_raises_only_through_a_call():
+    source = """
+    def count_down(path, n):
+        handle = open(path)
+        while n:
+            n = n - 1
+        handle.close()
+
+
+    def poll(path):
+        handle = open(path)
+        while ready():
+            pass
+        handle.close()
+    """
+    assert _leaks(_flow(source, "count_down")) == []
+    (leak,) = _leaks(_flow(source, "poll"))
+    assert leak.leak_steps[-2].note.startswith("if this raises")
+
+
 def test_early_return_leaks():
     flow = _flow(
         """

@@ -300,6 +300,22 @@ def test_rc112_export_lives_when_another_module_uses_it(tmp_path):
     assert not report.findings
 
 
+def test_rc113_guards_the_pipeline_trajectory_writer(tmp_path):
+    (tmp_path / "bench.py").write_text(
+        "import time\n"
+        "def write_benchmark(report, path):\n"
+        "    path.write_text(str(report))\n"
+        "def record(path):\n"
+        "    write_benchmark({'t': time.time()}, path)\n"
+        "def record_timings(path):\n"
+        "    write_benchmark({'t': time.perf_counter()}, path)\n"
+    )
+    report = CheckEngine(select=["RC113"]).run(
+        load_project(tmp_path, ["bench.py"])
+    )
+    assert [(f.code, f.line) for f in report.findings] == [("RC113", 5)]
+
+
 def test_suppression_requires_justification(tmp_path):
     source = (
         "def swallow(fn):\n"

@@ -170,28 +170,20 @@ class TestBenchCli:
         assert f"wrote {out}" in captured
 
     def test_bench_appends_to_trajectory(self, tmp_path):
-        """Satellite: BENCH_pipeline.json is a trajectory now — a second
-        run appends instead of overwriting, and a v1 single-run file is
-        migrated to runs[0]."""
+        """BENCH_pipeline.json is a trajectory: a second run appends
+        instead of overwriting."""
         import json
 
         from repro.bench import write_benchmark
 
         out = tmp_path / "BENCH.json"
-        v1_payload = {
-            "schema": {"name": "BENCH_pipeline", "version": 1},
-            "config": {"quick": True},
-            "worlds": [{"size": "small", "modes": []}],
-        }
-        out.write_text(json.dumps(v1_payload))
         run = run_benchmark(quick=True, seed=3)
         write_benchmark(run, out)
         write_benchmark(run, out)
         payload = json.loads(out.read_text())
         assert payload["schema"] == {"name": "BENCH_pipeline", "version": 5}
-        assert len(payload["runs"]) == 3
-        # the migrated v1 run keeps its original stamp as provenance
-        assert payload["runs"][0]["schema"]["version"] == 1
+        assert len(payload["runs"]) == 2
+        assert payload["runs"][0]["schema"]["version"] == 5
         assert payload["runs"][1]["schema"]["version"] == 5
 
     def test_bad_size_and_workers_are_rejected(self, tmp_path, capsys):

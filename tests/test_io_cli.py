@@ -342,21 +342,3 @@ class TestTemporalCli:
              "--prefix", "203.0.113.0/24"]
         ) == 1
         assert "no timeline tracked" in capsys.readouterr().out
-
-    def test_bench_temporal_writes_trajectory(self, tmp_path, capsys):
-        import json
-
-        out = tmp_path / "BENCH_temporal.json"
-        assert main(
-            ["bench-temporal", "--size", "small", "--epochs", "2",
-             "--out", str(out)]
-        ) == 0
-        payload = json.loads(out.read_text())
-        assert payload["schema"]["name"] == "BENCH_temporal"
-        run = payload["runs"][-1]
-        assert run["verification"]["differential_identical"] is True
-        assert run["verification"]["timelines_match_ground_truth"] is True
-        assert (
-            run["encoding"]["delta_total_bytes"]
-            < run["encoding"]["naive_total_bytes"]
-        )

@@ -12,6 +12,10 @@ mutated routing table.  This harness proves it three ways:
   the simulator (which keeps its feeds state-consistent) never emits;
 * committed replay logs pin every shrunk regression feed.
 
+A single update also reclassifies only the leaves keyed by its prefix
+or rooted at or under it, never the whole world: the property behind
+the incremental path's latency, checked without timing anything.
+
 Failures are actionable: every assertion message carries the feed as
 :class:`ReplayLog` JSON, ready to commit under
 ``tests/fixtures/stream/replays/`` as a shrunk regression case — and a
@@ -119,6 +123,34 @@ class TestGeneratedFeeds:
     ):
         feed = simulate_update_bursts(medium, bursts, 32, stream_seed)
         assert_differential(medium, medium_context, feed, "medium")
+
+
+class TestSingleUpdate:
+    """One update reclassifies only the leaves its prefix can reach."""
+
+    @given(stream_seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_reclassifies_only_leaves_at_or_under_the_prefix(
+        self, small, small_context, stream_seed
+    ):
+        burst = simulate_update_bursts(small, 1, 1, stream_seed)[0]
+        assert len(burst) == 1
+        prefix = burst[0].update.prefix
+        report = IncrementalEngine(small_context).apply(burst)
+        leaves = [
+            leaf
+            for rir in small_context.rirs
+            for leaf in small_context.leaves(rir)
+        ]
+        keyed = sum(1 for leaf in leaves if leaf.prefix == prefix)
+        rooted = sum(
+            1
+            for leaf in leaves
+            if leaf.root_prefix is not None
+            and prefix.contains(leaf.root_prefix)
+        )
+        assert report.reclassified <= keyed + rooted
+        assert keyed + rooted < small_context.total_leaves()
 
 
 @st.composite
