@@ -52,7 +52,6 @@ __all__ = [
     "Fields",
     "LeaseIndex",
     "MAX_LISTING",
-    "Row",
     "encode_array",
     "encode_fields",
     "encode_object",
@@ -109,7 +108,7 @@ def parse_asn_text(text: str) -> Optional[int]:
     text = text.strip()
     if text.upper().startswith("AS"):
         text = text[2:]
-    if not text.isdigit():
+    if not (text.isascii() and text.isdigit()):
         return None
     return int(text)
 
@@ -357,13 +356,8 @@ class LeaseIndex:
         return sorted(self._trie.keys())
 
     # -- delta-layer accessors ---------------------------------------------
-    # Read-only views over the inverted indexes, for machinery that
-    # derives new generations from this one (the temporal index) without
-    # reaching into name-mangled internals.
-    def origin_prefixes(self, asn: int) -> Tuple[Prefix, ...]:
-        """The by-origin inverted-index row for *asn* (empty when absent)."""
-        return self._by_origin.get(asn, ())
-
+    # Read-only copies of the state a delta generation recomputes, so
+    # tests can compare generations without reaching into internals.
     def origin_rows(self) -> Dict[int, Tuple[Prefix, ...]]:
         """A copy of the full by-origin inverted index."""
         return dict(self._by_origin)
@@ -378,19 +372,6 @@ class LeaseIndex:
         return self._leased
 
     # -- delta generations -------------------------------------------------
-    def delta_base(self) -> "LeaseIndex":
-        """The index whose trie delta layers share (public view)."""
-        return self._delta_base()
-
-    def row_overrides(self) -> Dict[Prefix, Row]:
-        """A copy of the rows patched over the base trie.
-
-        Empty for a base index; a delta generation returns its full
-        (flattened) override map.  The temporal index replays these when
-        materializing historical epochs from a checkpoint.
-        """
-        return dict(self._delta_overrides())
-
     def _delta_base(self) -> "LeaseIndex":
         """The index whose trie a delta layer should share (self here)."""
         return self

@@ -162,7 +162,7 @@ def _parse_int_param(
         return None, None
     stripped = text.strip()
     digits = stripped[1:] if stripped[:1] == "-" else stripped
-    if not digits.isdigit():
+    if not (digits.isascii() and digits.isdigit()):
         return None, f"{name} must be an integer, got {text!r}"
     value = int(stripped)
     if value < 0:
@@ -436,7 +436,11 @@ class LeaseQueryServer:
             headers[name.strip().lower()] = value.strip()
         body = b""
         length_text = headers.get("content-length", "0")
-        length = int(length_text) if length_text.isdigit() else 0
+        length = (
+            int(length_text)
+            if length_text.isascii() and length_text.isdigit()
+            else 0
+        )
         if length:
             if length > _MAX_BODY:
                 return method, "/__too_large__", {"connection": "close"}, b""

@@ -1,8 +1,8 @@
-"""Time-travel attribution: delta-encoded history of the lease index.
+"""Time-travel attribution: the history of the lease index.
 
 The temporal subsystem freezes a run's evolution into two queryable
 artifacts — :class:`TemporalLeaseIndex` (point-in-time attribution
-snapshots, delta-encoded against one shared base) and
+snapshots, each a delta generation over one shared base) and
 :class:`TimelineStore` (per-prefix lease timelines with per-RIR churn
 tallies) — bundled as a :class:`TemporalProduct` for the serving layer
 by :func:`build_temporal_product`.
@@ -17,14 +17,7 @@ from typing import TYPE_CHECKING
 from ..net.lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from .index import (
-        DEFAULT_CHECKPOINT_INTERVAL,
-        DEFAULT_VIEW_CACHE,
-        EpochRecord,
-        EpochSkipList,
-        TemporalLeaseIndex,
-        index_encoded_bytes,
-    )
+    from .index import TemporalLeaseIndex
     from .product import (
         DEFAULT_EVOLUTION_SEED,
         TemporalProduct,
@@ -35,10 +28,7 @@ if TYPE_CHECKING:
 __getattr__ = lazy_exports(
     __name__,
     {
-        ".index": (
-            "DEFAULT_CHECKPOINT_INTERVAL", "DEFAULT_VIEW_CACHE", "EpochRecord",
-            "EpochSkipList", "TemporalLeaseIndex", "index_encoded_bytes",
-        ),
+        ".index": ("TemporalLeaseIndex",),
         ".product": (
             "DEFAULT_EVOLUTION_SEED", "TemporalProduct", "build_temporal_product",
         ),
@@ -47,15 +37,10 @@ __getattr__ = lazy_exports(
 )
 
 __all__ = [
-    "DEFAULT_CHECKPOINT_INTERVAL",
     "DEFAULT_EVOLUTION_SEED",
-    "DEFAULT_VIEW_CACHE",
-    "EpochRecord",
-    "EpochSkipList",
     "TemporalLeaseIndex",
     "TemporalProduct",
     "TimelineStore",
     "build_temporal_product",
     "histories_from_updates",
-    "index_encoded_bytes",
 ]

@@ -1,6 +1,6 @@
 """The bundle the serving layer mounts for time-travel queries.
 
-A :class:`TemporalProduct` pairs the delta-encoded
+A :class:`TemporalProduct` pairs the
 :class:`~repro.temporal.index.TemporalLeaseIndex` (answers "what did
 attribution say at time *t*?") with the
 :class:`~repro.temporal.timeline.TimelineStore` (answers "what happened
@@ -23,7 +23,7 @@ from ..core.context import AnalysisContext
 from ..core.incremental import BurstReport, IncrementalEngine
 from ..core.leaseindex import LeaseIndex
 from ..core.results import InferenceResult, LeafInference
-from .index import DEFAULT_CHECKPOINT_INTERVAL, TemporalLeaseIndex
+from .index import TemporalLeaseIndex
 from .timeline import TimelineStore, histories_from_updates
 
 if TYPE_CHECKING:
@@ -64,12 +64,10 @@ class TemporalProduct:
 
     def stats(self) -> Dict[str, object]:
         """JSON summary for ``/v1/stats`` and diagnostics."""
-        sizes = self.index.delta_encoded_bytes()
         payload: Dict[str, object] = {
             "epochs": self.epochs,
             "timeline_prefixes": len(self.timelines),
             "rirs": self.timelines.rirs(),
-            "encoding": sizes,
         }
         if self.meta:
             payload["meta"] = dict(self.meta)
@@ -84,7 +82,6 @@ def build_temporal_product(
     context: AnalysisContext,
     result: InferenceResult,
     evolution: "WorldEvolution",
-    checkpoint_interval: Optional[int] = None,
 ) -> Tuple[TemporalProduct, LeaseIndex, List[BurstReport]]:
     """Freeze *evolution* (churn over *result*'s world) as a product.
 
@@ -108,17 +105,8 @@ def build_temporal_product(
         burst_report = engine.apply(list(burst))
         epoch_reports.append(burst_report)
         epoch_changes.append((timestamp, burst_report.changed))
-    interval = (
-        checkpoint_interval
-        if checkpoint_interval is not None
-        else DEFAULT_CHECKPOINT_INTERVAL
-    )
     temporal_index = TemporalLeaseIndex.build(
-        context,
-        base,
-        evolution.base_timestamp,
-        epoch_changes,
-        checkpoint_interval=interval,
+        context, base, evolution.base_timestamp, epoch_changes
     )
     timelines = TimelineStore.build(
         histories_from_updates(evolution.all_updates()),

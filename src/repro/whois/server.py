@@ -110,7 +110,8 @@ class WhoisServer:
     def _lookup(self, query: str) -> Optional[List[str]]:
         if not query:
             return None
-        if query.upper().startswith("AS") and query[2:].isdigit():
+        digits = query[2:]
+        if query.upper().startswith("AS") and digits.isascii() and digits.isdigit():
             return self._lookup_asn(query)
         try:
             prefix = Prefix.parse(query)
@@ -143,7 +144,10 @@ class WhoisServer:
         return lines
 
     def _lookup_asn(self, query: str) -> Optional[List[str]]:
-        asn = parse_asn(query)
+        try:
+            asn = parse_asn(query)
+        except ValueError:  # beyond 32 bits: no such aut-num
+            return None
         for database in self.collection:
             record = database.autnum(asn)
             if record is None:

@@ -69,9 +69,10 @@ def get(server, path, headers=None):
 
 
 def _leased_prefix(setup):
-    """A prefix whose lease state churns during the evolution."""
+    """A prefix whose lease state churns during the evolution: the first
+    leaf the epoch-1 view patches over the base."""
     _, product, _ = setup
-    return next(iter(product.index.record(1).overrides))
+    return next(iter(product.index.index_for_epoch(1)._delta_overrides()))
 
 
 class TestPointInTime:

@@ -33,7 +33,7 @@ from repro.simulation import (
     simulate_update_bursts,
     small_world,
 )
-from repro.temporal import build_temporal_product, index_encoded_bytes
+from repro.temporal import build_temporal_product
 
 
 def dumps(payload) -> bytes:
@@ -237,13 +237,6 @@ class TestLiveIndex:
     def test_listings(self, live, client):
         _assert_listings(client, live[1], 1)
 
-    def test_index_encoded_bytes_matches_dumps(self, live):
-        index, oracle = live
-        expected = dumps(
-            {str(p): payload for p, payload in oracle.payloads.items()}
-        )
-        assert index_encoded_bytes(index) == len(expected)
-
 
 class TestDeltaGeneration:
     @pytest.fixture(scope="class")
@@ -324,22 +317,3 @@ class TestHistoricalEpoch:
                     assert body == dumps(dict(expected, **extra)), asn
             finally:
                 client.close()
-
-    def test_record_encoded_bytes_match_dumps(self, history):
-        product = history[0]
-        for epoch in range(1, product.index.epochs + 1):
-            record = product.index.record(epoch)
-            body = {
-                "timestamp": record.timestamp,
-                "overrides": {
-                    str(prefix): json.loads(answer)
-                    for prefix, (_category, answer) in record.overrides.items()
-                },
-                "origin_rows": {
-                    str(asn): [str(p) for p in row]
-                    for asn, row in record.origin_rows.items()
-                },
-                "by_category": record.by_category,
-                "leased": record.leased,
-            }
-            assert record.encoded_bytes() == len(dumps(body))

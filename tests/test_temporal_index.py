@@ -1,4 +1,4 @@
-"""Tests for the delta-encoded temporal lease index."""
+"""Tests for the temporal lease index."""
 
 import dataclasses
 import hashlib
@@ -11,20 +11,14 @@ from repro.core.incremental import clone_routing_table, replay_into_table
 from repro.net import Prefix
 from repro.serve import LeaseIndex
 from repro.simulation import build_world, evolve_world, small_world
-from repro.temporal import (
-    EpochSkipList,
-    TemporalLeaseIndex,
-    build_temporal_product,
-    index_encoded_bytes,
-)
+from repro.temporal import TemporalLeaseIndex, build_temporal_product
 
 EPOCHS = 5
-CHECKPOINT_INTERVAL = 2
 SEED = 77
 
 
 @pytest.fixture(scope="module")
-def setup():
+def built():
     world = build_world(small_world())
     pipeline = LeaseInferencePipeline(
         world.whois, world.routing_table, world.relationships, world.as2org
@@ -33,10 +27,15 @@ def setup():
     evolution = evolve_world(
         world, [i.prefix for i in result], epochs=EPOCHS, seed=SEED
     )
-    product, base, _reports = build_temporal_product(
-        pipeline.context, result, evolution, CHECKPOINT_INTERVAL
+    product, base, reports = build_temporal_product(
+        pipeline.context, result, evolution
     )
-    return world, pipeline, product, evolution, base
+    return world, pipeline, product, evolution, base, reports
+
+
+@pytest.fixture(scope="module")
+def setup(built):
+    return built[:5]
 
 
 def _image(index):
@@ -47,36 +46,6 @@ def _image(index):
         index.category_tallies(),
         index.leased_count,
     )
-
-
-class TestEpochSkipList:
-    def test_locate_bisects_the_rail(self):
-        rail = EpochSkipList([100, 200, 300], interval=8)
-        assert rail.locate(99) is None
-        assert rail.locate(100) == 0
-        assert rail.locate(199) == 0
-        assert rail.locate(200) == 1
-        assert rail.locate(250) == 1
-        assert rail.locate(300) == 2
-        assert rail.locate(10**9) == 2
-
-    def test_checkpoint_below(self):
-        rail = EpochSkipList(list(range(0, 100, 10)), interval=4)
-        assert rail.checkpoint_below(0) == 0
-        assert rail.checkpoint_below(3) == 0
-        assert rail.checkpoint_below(4) == 4
-        assert rail.checkpoint_below(7) == 4
-        assert rail.checkpoint_below(8) == 8
-
-    def test_rejects_bad_interval(self):
-        with pytest.raises(ValueError, match="interval"):
-            EpochSkipList([1, 2], interval=0)
-
-    def test_rejects_non_increasing_timestamps(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            EpochSkipList([100, 100], interval=1)
-        with pytest.raises(ValueError, match="strictly increasing"):
-            EpochSkipList([200, 100], interval=1)
 
 
 class TestResolution:
@@ -123,19 +92,26 @@ class TestResolution:
             index.index_for_epoch(-1)
         with pytest.raises(IndexError):
             index.index_for_epoch(EPOCHS + 1)
-        with pytest.raises(IndexError):
-            index.record(0)
-        with pytest.raises(IndexError):
-            index.record(EPOCHS + 1)
-        assert index.record(1).timestamp == index.timestamps()[1]
+
+    def test_locate_bisects_the_timestamps(self, setup):
+        _, pipeline, _, _, base = setup
+        index = TemporalLeaseIndex.build(
+            pipeline.context, base, 100, [(200, []), (300, [])]
+        )
+        assert index.locate(99) is None
+        assert index.locate(100) == 0
+        assert index.locate(199) == 0
+        assert index.locate(200) == 1
+        assert index.locate(250) == 1
+        assert index.locate(300) == 2
+        assert index.locate(10**9) == 2
 
     def test_view_cache_returns_same_object(self, setup):
-        _, _, product, _, _ = setup
-        index = product.index
-        # Pick a non-checkpoint epoch: replayed once, then served hot.
-        epoch = 1 if CHECKPOINT_INTERVAL > 1 else EPOCHS
-        assert epoch % CHECKPOINT_INTERVAL != 0
-        assert index.index_for_epoch(epoch) is index.index_for_epoch(epoch)
+        """Each epoch's view is built once and held, so repeated queries
+        return the same object and allocate nothing."""
+        index = setup[2].index
+        for epoch in range(EPOCHS + 1):
+            assert index.index_for_epoch(epoch) is index.index_for_epoch(epoch)
 
 
 class TestDifferential:
@@ -165,43 +141,13 @@ class TestDifferential:
         the epoch-0 base directly, no matter how many epochs passed."""
         _, _, product, _, base = setup
         for epoch in range(1, EPOCHS + 1):
-            assert product.index.index_for_epoch(epoch).delta_base() is base
-
-
-class TestEncoding:
-    def test_delta_is_smaller_than_naive(self, setup):
-        _, _, product, _, _ = setup
-        index = product.index
-        encoding = index.delta_encoded_bytes()
-        assert encoding["epochs"] == EPOCHS
-        record_bytes = encoding["record_bytes"]
-        assert len(record_bytes) == EPOCHS
-        assert encoding["records_total_bytes"] == sum(record_bytes)
-        naive_total = sum(
-            index_encoded_bytes(index.index_for_epoch(epoch))
-            for epoch in range(EPOCHS + 1)
-        )
-        delta_total = (
-            encoding["base_bytes"] + encoding["records_total_bytes"]
-        )
-        assert delta_total < naive_total
-
-    def test_stats_payload(self, setup):
-        _, _, product, evolution, base = setup
-        stats = product.index.stats()
-        assert stats["epochs"] == EPOCHS
-        assert stats["first_timestamp"] == evolution.base_timestamp
-        assert stats["last_timestamp"] == evolution.epoch_timestamps[-1]
-        assert stats["checkpoint_interval"] == CHECKPOINT_INTERVAL
-        assert stats["base_leaves"] == len(base)
-        assert stats["changed_leaves_total"] >= EPOCHS
+            assert product.index.index_for_epoch(epoch)._delta_base() is base
 
 
 class TestBuildValidation:
-    def test_rejects_unindexed_leaf(self, setup):
-        _, pipeline, product, evolution, base = setup
-        record = product.index.record(1)
-        changed_prefix = next(iter(record.overrides))
+    def test_rejects_unindexed_leaf(self, built):
+        _, pipeline, _, evolution, base, reports = built
+        changed_prefix = reports[0].changed[0].prefix
         payload = base.exact(changed_prefix)
         assert payload is not None
         # Rebuild a change row naming a leaf the index never held.
@@ -217,16 +163,14 @@ class TestBuildValidation:
                 [(evolution.base_timestamp + 1, [bogus])],
             )
 
-    def test_rejects_mismatched_rail(self, setup):
-        _, _, product, evolution, base = setup
-        rail = EpochSkipList([evolution.base_timestamp], interval=2)
-        with pytest.raises(ValueError, match="records"):
-            TemporalLeaseIndex(
-                base=base,
-                skiplist=rail,
-                records=[product.index.record(1)],
-                checkpoints={},
-            )
+    def test_rejects_non_increasing_timestamps(self, setup):
+        _, pipeline, _, evolution, base = setup
+        start = evolution.base_timestamp
+        for later in (start, start - 1):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                TemporalLeaseIndex.build(
+                    pipeline.context, base, start, [(later, [])]
+                )
 
 
 def _inference_for(pipeline, prefix):
@@ -273,6 +217,6 @@ class TestFrozenDigests:
             "targets": 75,
         }
         assert _digest(product.stats()) == (
-            "3d3a696e8df3974d8d67616511d146c27986ddacdba653417173d4a8905d6f6b"
+            "126f7016c23d35e2cd3f24b4407021164598767c9bbfa51620b5340d1fe3c754"
         )
 

@@ -84,6 +84,10 @@ class TestAnswerLogic:
         assert "no entries found" in server.answer("ORG-NOPE")
         assert "no entries found" in server.answer("")
 
+    @pytest.mark.parametrize("query", ["AS99999999999", "AS\u00b2"])
+    def test_bad_asn_query_is_a_miss(self, server, query):
+        assert "%ERROR:101: no entries found" in server.answer(query)
+
     def test_response_ends_with_blank_line(self, server):
         assert server.answer("AS8851").endswith("\n\n")
 
