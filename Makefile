@@ -62,7 +62,7 @@ bench-xlarge:
 		--sizes xlarge --repeats 1 --memory
 
 report:
-	$(PYTHON) -m repro.cli report --out REPORT.md
+	PYTHONPATH=src $(PYTHON) -m repro.cli report --out REPORT.md
 
 data:
 	$(PYTHON) -m repro.cli generate --out data/

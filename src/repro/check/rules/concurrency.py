@@ -104,11 +104,10 @@ class NoBlockingReachableFromAsync(CheckRule):
     from every ``async def``, descending only through *synchronous*
     project functions (an ``await``-ed coroutine reports its own body),
     and flags the first call in the async body whose transitive
-    closure contains a blocking site.  The snapshot reload path shows
-    the sanctioned escape hatch: a helper handed to
-    ``asyncio.to_thread`` is never *called* by the coroutine, so no
-    call edge exists and nothing fires.  RC110 absorbed the retired
-    RC104, which saw depth 0 only.
+    closure contains a blocking site.  The sanctioned escape hatch is
+    a helper handed to ``asyncio.to_thread``: the coroutine never
+    *calls* it, so no call edge exists and nothing fires.  RC110
+    absorbed the retired RC104, which saw depth 0 only.
 
     Remediation: Move the blocking work into a synchronous helper and
     hand it to ``asyncio.to_thread`` (or an executor) instead of

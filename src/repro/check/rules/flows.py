@@ -303,7 +303,7 @@ class NoUnserializedSharedWrites(CheckRule):
     handler is only written under the serialization lock.
 
     ``SnapshotManager`` and the serve-module objects are shared by
-    every in-flight request: the whole hot-reload design hinges on
+    every in-flight request: the whole snapshot design hinges on
     writes going through the serialized apply path (``swap``/
     ``apply_updates`` under ``self._lock``) so a reader never observes
     a half-updated generation.  A bare ``self.attr = ...`` in a method

@@ -143,6 +143,10 @@ class CacheStats:
 
 _CategoryKey = Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]
 
+#: A leaf's category with the origin triple behind it: leaf origins,
+#: root origins and the root organisation's RIR-assigned ASNs.
+Verdict = Tuple[Category, FrozenSet[int], FrozenSet[int], FrozenSet[int]]
+
 
 class OriginLookups(Protocol):
     """The RIB reads of the classifier: the context's frozen
@@ -205,7 +209,7 @@ class LeafClassifier:
         prefix: Prefix,
         root_prefix: Optional[Prefix],
         root_org: Optional[str],
-    ) -> Tuple[Category, FrozenSet[int], FrozenSet[int], FrozenSet[int]]:
+    ) -> Verdict:
         """The verdict and origin triple for one leaf key."""
         leaf_origins = self._rib.exact_origins(prefix)
         root_origins = self._resolve_root_origins(root_prefix)
@@ -226,21 +230,29 @@ class LeafClassifier:
             self._category_hits += 1
         return category, leaf_origins, root_origins, root_assigned
 
-    def infer(self, leaf: "TreeLeaf") -> "LeafInference":
-        """The inference row for one tree leaf of this registry."""
+    def verdict(self, leaf: "TreeLeaf") -> Verdict:
+        """The verdict and origin triple for one tree leaf."""
         root_record = leaf.root_record
-        category, leaf_origins, root_origins, assigned = self.classify(
+        return self.classify(
             leaf.prefix,
             leaf.root_prefix,
             root_record.org_id if root_record else None,
         )
+
+    def infer(self, leaf: "TreeLeaf") -> "LeafInference":
+        """The inference row for one tree leaf of this registry."""
+        return self.row(leaf, self.verdict(leaf))
+
+    def row(self, leaf: "TreeLeaf", verdict: Verdict) -> "LeafInference":
+        """The inference row carrying *verdict* for one tree leaf."""
+        category, leaf_origins, root_origins, assigned = verdict
         return self._row(
             rir=self._rir,
             prefix=leaf.prefix,
             category=category,
             record=leaf.record,
             root_prefix=leaf.root_prefix,
-            root_record=root_record,
+            root_record=leaf.root_record,
             leaf_origins=leaf_origins,
             root_origins=root_origins,
             root_assigned_asns=assigned,

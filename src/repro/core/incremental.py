@@ -8,29 +8,37 @@ answering with the same covering rule — and :class:`IncrementalEngine`
 reclassifies **only** the leaves whose §5.1 lookups could have changed:
 
 * a leaf's own origins come from the exact index at its prefix, so a
-  changed prefix dirties exactly the leaves keyed by it;
+  changed prefix dirties exactly the leaves keyed by it — one bisection
+  over every registry's leaf prefixes, sorted together, finds them;
 * a root's origins come from the exact index at the root or one of its
   supernets (the covering walk), so a changed prefix ``p`` can only
-  move roots **at or below** ``p`` — the trie of root prefixes answers
-  ``covered(p)`` and each candidate is recomputed, dirtying its leaves
-  only when the resolved origin set actually differs.
+  move roots **at or below** ``p`` — a trie of root prefixes answers
+  ``covered(p)`` with each root's runs of leaves, and each candidate is
+  recomputed, dirtying its leaves only when the resolved origin set
+  actually differs.
 
-Everything else survives: the per-classifier relatedness and category
-memos are RIB-independent, and the per-root origin memo is evicted only
-for roots whose resolution moved.  After every burst the engine's rows
-are bit-identical to a from-scratch ``pipeline.run()`` on the mutated
+The engine starts from the base snapshot and classifies nothing up
+front: until a burst moves a leaf, its row is the one a classifier over
+the unmutated ``context.rib`` gives, and the engine holds only the rows
+and root resolutions that bursts moved.  After every burst the rows are
+bit-identical to a from-scratch ``pipeline.run()`` on the mutated
 table — the differential test harness proves it.
 """
 
 from __future__ import annotations
 
 import hashlib
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, chain, groupby
+from operator import attrgetter
 from typing import (
     Dict,
     FrozenSet,
     Iterable,
     List,
+    Optional,
     Set,
     Tuple,
     Union,
@@ -40,9 +48,9 @@ from ..bgp.history import AnnounceUpdate, Update
 from ..bgp.rib import OriginSets, RoutingTable, covering_lookup
 from ..bgp.updates import SequencedUpdate
 from ..net import Prefix, PrefixTrie
-from ..rir import RIR
+from ..net.radix import pack_prefix
 from .context import AnalysisContext, RibSnapshot
-from .classify import CacheStats, LeafClassifier
+from .classify import CacheStats, LeafClassifier, OriginLookups
 from .results import InferenceResult, LeafInference
 
 __all__ = [
@@ -56,8 +64,9 @@ __all__ = [
 
 _EMPTY: FrozenSet[int] = frozenset()
 
-#: A leaf's position in the engine's row store: ``(rir, index)``.
-_LeafSlot = Tuple[RIR, int]
+#: Bits of a packed leaf entry that hold the leaf's slot number.
+_SLOT_BITS = 24
+_SLOT_MASK = (1 << _SLOT_BITS) - 1
 
 
 class MutableRibOverlay:
@@ -134,10 +143,12 @@ class IncrementalEngine:
 
     Built from a run's :class:`AnalysisContext`, whose RIB snapshot
     seeds the overlay and whose leaf records are reclassified.
-    Construction runs one full classification — the same
-    :meth:`LeafClassifier.infer` step as ``pipeline.run()`` — and
-    indexes every leaf by its exact prefix and by its root prefix; each
-    :meth:`apply` then touches only the dirty subset.
+    Construction classifies nothing.  It numbers every leaf — registry
+    by registry in name order, each in its scan order — and keeps two
+    indexes over those slots: one sorted array of packed leaf prefixes
+    and a trie from each root prefix to the slot ranges under it.
+    :meth:`apply` classifies only the dirty leaves, each against its
+    previous row: the one a burst stored, else the base snapshot's.
     """
 
     def __init__(
@@ -148,30 +159,51 @@ class IncrementalEngine:
         self._context = context
         self._use_covering = use_covering_root_lookup
         self._overlay = MutableRibOverlay(context.rib)
-        self._classifiers: Dict[RIR, LeafClassifier] = {}
-        self._rows: Dict[RIR, List[LeafInference]] = {}
-        self._by_exact: Dict[Prefix, List[_LeafSlot]] = {}
-        self._root_slots: "PrefixTrie[List[_LeafSlot]]" = PrefixTrie()
-        self._root_resolution: Dict[Prefix, FrozenSet[int]] = {}
-        for rir in context.rirs:
-            classifier = LeafClassifier(
+        rirs = sorted(context.rirs, key=attrgetter("name"))
+        self._live = tuple(
+            LeafClassifier(
                 context, rir, use_covering_root_lookup, rib=self._overlay
             )
-            rows: List[LeafInference] = []
-            for position, leaf in enumerate(context.leaves(rir)):
-                row = classifier.infer(leaf)
-                rows.append(row)
-                slot: _LeafSlot = (rir, position)
-                self._by_exact.setdefault(leaf.prefix, []).append(slot)
-                if leaf.root_prefix is not None:
-                    slots = self._root_slots.exact(leaf.root_prefix)
-                    if slots is None:
-                        self._root_slots.insert(leaf.root_prefix, [slot])
-                    else:
-                        slots.append(slot)
-                    self._root_resolution[leaf.root_prefix] = row.root_origins
-            self._classifiers[rir] = classifier
-            self._rows[rir] = rows
+            for rir in rirs
+        )
+        self._leaves = tuple(context.leaves(rir) for rir in rirs)
+        #: ``_offsets[n]`` is the first slot of the n-th registry.
+        self._offsets = tuple(
+            accumulate((len(leaves) for leaves in self._leaves), initial=0)
+        )
+        if self._offsets[-1] >> _SLOT_BITS:
+            raise ValueError(
+                f"{self._offsets[-1]} leaves exceed the engine's "
+                f"{_SLOT_BITS}-bit slot numbers"
+            )
+        leaves = list(chain.from_iterable(self._leaves))
+        #: ``pack_prefix(leaf) << _SLOT_BITS | slot`` for every leaf,
+        #: ascending: a prefix that is a leaf in several registries
+        #: holds one entry per slot.
+        self._entries = array(
+            "Q",
+            sorted(
+                pack_prefix(leaf.prefix) << _SLOT_BITS | slot
+                for slot, leaf in enumerate(leaves)
+            ),
+        )
+        #: Each root prefix's runs of leaf slots.
+        self._root_runs: "PrefixTrie[Tuple[range, ...]]" = PrefixTrie()
+        start = 0
+        for root_prefix, run in groupby(
+            leaves, key=attrgetter("root_prefix")
+        ):
+            stop = start + sum(1 for _ in run)
+            if root_prefix is not None:
+                runs = self._root_runs.exact(root_prefix) or ()
+                self._root_runs.insert(
+                    root_prefix, runs + (range(start, stop),)
+                )
+            start = stop
+        #: Rows that bursts moved off the base snapshot's, by slot.
+        self._rows: Dict[int, LeafInference] = {}
+        #: Root resolutions that bursts moved off the base snapshot's.
+        self._root_resolution: Dict[Prefix, FrozenSet[int]] = {}
 
     @property
     def rib(self) -> MutableRibOverlay:
@@ -197,33 +229,55 @@ class IncrementalEngine:
             else:
                 ignored += 1
 
-        dirty: Set[_LeafSlot] = set()
+        dirty: Set[int] = set()
         dirty_roots: Set[Prefix] = set()
+        entries = self._entries
         for prefix in changed_prefixes:
-            dirty.update(self._by_exact.get(prefix, ()))
+            key = pack_prefix(prefix)
+            at = bisect_left(entries, key << _SLOT_BITS)
+            while at < len(entries) and entries[at] >> _SLOT_BITS == key:
+                dirty.add(entries[at] & _SLOT_MASK)
+                at += 1
             # A changed entry at ``prefix`` can only move the covering
             # resolution of roots at or below it.
-            for root_prefix, slots in self._root_slots.covered(prefix):
+            for root_prefix, runs in self._root_runs.covered(prefix):
                 if root_prefix in dirty_roots:
                     continue
-                resolved = self._resolve_root(root_prefix)
-                if resolved != self._root_resolution[root_prefix]:
+                resolved = self._resolve_root(self._overlay, root_prefix)
+                previous = self._root_resolution.get(root_prefix)
+                if previous is None:
+                    previous = self._resolve_root(
+                        self._context.rib, root_prefix
+                    )
+                if resolved != previous:
                     self._root_resolution[root_prefix] = resolved
                     dirty_roots.add(root_prefix)
-                    dirty.update(slots)
+                    for run in runs:
+                        dirty.update(run)
 
         for root_prefix in dirty_roots:
-            for classifier in self._classifiers.values():
+            for classifier in self._live:
                 classifier.invalidate_root(root_prefix)
 
+        # A leaf's category is a function of its two origin sets and of
+        # its root organisation's assigned ASNs, which no burst moves; so
+        # its row moved exactly when its origin pair did.
         changed_rows: List[LeafInference] = []
-        for rir, position in sorted(
-            dirty, key=lambda slot: (slot[0].name, slot[1])
-        ):
-            leaf = self._context.leaves(rir)[position]
-            row = self._classifiers[rir].infer(leaf)
-            if row != self._rows[rir][position]:
-                self._rows[rir][position] = row
+        for slot in sorted(dirty):
+            number = bisect_right(self._offsets, slot) - 1
+            leaf = self._leaves[number][slot - self._offsets[number]]
+            verdict = self._live[number].verdict(leaf)
+            row = self._rows.get(slot)
+            if row is None:
+                previous = (
+                    self._context.rib.exact_origins(leaf.prefix),
+                    self._resolve_root(self._context.rib, leaf.root_prefix),
+                )
+            else:
+                previous = (row.leaf_origins, row.root_origins)
+            if verdict[1:3] != previous:
+                row = self._live[number].row(leaf, verdict)
+                self._rows[slot] = row
                 changed_rows.append(row)
         return BurstReport(
             applied=applied,
@@ -234,16 +288,33 @@ class IncrementalEngine:
             changed=tuple(changed_rows),
         )
 
-    def _resolve_root(self, root_prefix: Prefix) -> FrozenSet[int]:
+    def _resolve_root(
+        self, rib: OriginLookups, root_prefix: Optional[Prefix]
+    ) -> FrozenSet[int]:
+        if root_prefix is None:
+            return _EMPTY
         if self._use_covering:
-            return self._overlay.covering_origins(root_prefix)
-        return self._overlay.exact_origins(root_prefix)
+            return rib.covering_origins(root_prefix)
+        return rib.exact_origins(root_prefix)
 
     def result(self) -> InferenceResult:
-        """The full current inference (same row order as the pipeline)."""
-        return InferenceResult.from_inferences(
-            row for rir in self._context.rirs for row in self._rows[rir]
+        """The full current inference (same row order as the pipeline).
+
+        Rows no burst moved are classified here, over the base snapshot.
+        """
+        first_slot = dict(
+            zip(sorted(self._context.rirs, key=attrgetter("name")),
+                self._offsets)
         )
+        rows: List[LeafInference] = []
+        for rir in self._context.rirs:
+            base = LeafClassifier(self._context, rir, self._use_covering)
+            for slot, leaf in enumerate(
+                self._context.leaves(rir), first_slot[rir]
+            ):
+                row = self._rows.get(slot)
+                rows.append(base.infer(leaf) if row is None else row)
+        return InferenceResult.from_inferences(rows)
 
     def digest(self) -> str:
         """Content digest of the current rows (for bit-identical checks)."""
@@ -252,8 +323,8 @@ class IncrementalEngine:
     def cache_stats(self) -> CacheStats:
         """Merged memo counters across the per-region classifiers."""
         merged = CacheStats()
-        for rir in self._context.rirs:
-            merged.merge(self._classifiers[rir].stats())
+        for classifier in self._live:
+            merged.merge(classifier.stats())
         return merged
 
 

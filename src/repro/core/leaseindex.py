@@ -27,8 +27,8 @@ already encoded (:data:`Fields`); only :meth:`LeaseIndex.exact` decodes
 a stored answer back into a dict, for in-process callers.
 
 The snapshot holds no reference to the context or the datasets it was
-built from; hot-reload (:mod:`repro.serve.reload`) swaps whole
-instances atomically.
+built from; :mod:`repro.serve.reload` publishes whole instances
+atomically.
 
 The module lives in ``core`` (it is pure data over core results and
 ``net`` tries) so that both of its consumers — the ``serve`` layer and

@@ -3,8 +3,8 @@
 The batch pipeline produces tables; this subsystem makes them *askable*:
 one run is frozen into an immutable :class:`LeaseIndex` snapshot
 (:mod:`~repro.core.leaseindex`), served over an asyncio HTTP/JSON API
-(:mod:`~repro.serve.http`), and hot-swapped atomically between
-generations (:mod:`~repro.serve.reload`).  See ``docs/SERVING.md``; the
+(:mod:`~repro.serve.http`), and published atomically one generation
+at a time (:mod:`~repro.serve.reload`).  See ``docs/SERVING.md``; the
 load generator that benchmarks it is ``bench/run.py``.
 """
 

@@ -33,7 +33,7 @@ bounded LRU cache of encoded bodies keyed by ``(generation, endpoint,
 decoded query text, at, limit)``, so a cache hit does no JSON work, a
 ``/v1/bulk`` item shares the entry of the ``GET /v1/prefix`` naming
 the same prefix, and historical answers cache independently of live
-ones.  A hot-reload implicitly invalidates the cache because new
+ones.  A new generation implicitly invalidates the cache because new
 generations never match old keys, while the LRU bound evicts stale
 generations' entries under pressure.  Per-endpoint request, error, and
 latency counters feed ``/v1/stats`` and ``/metrics``.

@@ -1,24 +1,23 @@
-"""Atomic hot-swap of :class:`~repro.core.leaseindex.LeaseIndex` snapshots.
+"""Atomic publication of :class:`~repro.core.leaseindex.LeaseIndex` snapshots.
 
-The serving layer never mutates an index in place.  A new snapshot is
-built **off the event loop** (in a worker thread — index construction
-is pure CPU over immutable inputs), then :meth:`SnapshotManager.swap`
-publishes it by replacing a single ``(generation, index)`` tuple
+The serving layer never mutates an index in place.
+:meth:`SnapshotManager.swap` publishes the first snapshot and
+:meth:`SnapshotManager.apply_updates` each delta generation derived from
+the published one, by replacing a single ``(generation, index)`` tuple
 reference.  Readers capture that tuple once per request, so
 
 * a request that started on generation *n* finishes on generation *n*
   even if a swap lands mid-flight — nothing is dropped or torn, and
-* the swap itself is wait-free for readers; only concurrent swappers
+* publication is wait-free for readers; only concurrent writers
   serialize on a lock (to keep generation numbers strictly increasing).
 
 Generation numbers start at 1 for the first snapshot and are surfaced
 in every ``/v1/stats`` and ``/healthz`` response so clients can detect
-a reload.
+a new generation.
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
 from typing import Callable, Optional, Tuple
 
@@ -88,16 +87,3 @@ class SnapshotManager:
             self._generation += 1
             self._current = (self._generation, index)
             return self._generation
-
-    def reload_now(self, builder: Callable[[], LeaseIndex]) -> int:
-        """Build synchronously (blocking the caller) and swap."""
-        return self.swap(builder())
-
-    async def reload(self, builder: Callable[[], LeaseIndex]) -> int:
-        """Build the next snapshot off-thread, then swap it in.
-
-        The event loop keeps serving the old generation while *builder*
-        runs; the swap is a single reference replacement.
-        """
-        index = await asyncio.to_thread(builder)
-        return self.swap(index)

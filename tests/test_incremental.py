@@ -2,10 +2,13 @@
 
 import pytest
 
-from repro.bgp import ASPath, RoutingTable
+from repro.asdata import ASRelationships
+from repro.bgp import P2C, ASPath, RoutingTable
 from repro.bgp.history import AnnounceUpdate, WithdrawUpdate
 from repro.bgp.updates import SequencedUpdate
 from repro.core import (
+    AnalysisContext,
+    Category,
     IncrementalEngine,
     LeaseInferencePipeline,
     MutableRibOverlay,
@@ -14,8 +17,16 @@ from repro.core import (
     replay_into_table,
     result_digest,
 )
-from repro.net import Prefix
+from repro.net import AddressRange, Prefix
+from repro.rir import RIR
 from repro.simulation import build_world, small_world
+from repro.whois import (
+    AutNumRecord,
+    InetnumRecord,
+    OrgRecord,
+    WhoisCollection,
+    WhoisDatabase,
+)
 
 
 def announce(prefix, *path):
@@ -162,7 +173,9 @@ class TestEngineBaseline:
         ).run()
         assert engine.digest() == result_digest(scratch)
 
-    def test_cache_stats_merge_regions(self, engine):
+    def test_cache_stats_merge_regions(self, engine, pipeline):
+        originated = next(row for row in pipeline.run() if row.leaf_origins)
+        assert engine.apply([withdraw(str(originated.prefix))]).reclassified
         stats = engine.cache_stats().as_dict()
         assert stats["category_misses"] > 0
         assert set(stats["hit_rates"]) == {
@@ -171,6 +184,121 @@ class TestEngineBaseline:
             "root_origin",
             "assigned",
         }
+
+
+def two_registry_context(table):
+    """RIPE and AFRINIC both register 213.210.0.0/18 and its two leaves.
+
+    The /18 is the holder's root (AS8851 is its assigned AS); the
+    /24 is a leaf originated by the unrelated AS15169 and the /23 an
+    unannounced leaf, in each registry.  Both also register a second
+    root, 213.211.0.0/18, whose one leaf sits between the first root's
+    leaves in the two registries.
+    """
+    databases = {}
+    for rir in (RIR.RIPE, RIR.AFRINIC):
+        db = WhoisDatabase(rir)
+        db.add(OrgRecord(rir=rir, org_id="ORG-GCI1", name="GCI Network"))
+        db.add(AutNumRecord(rir=rir, asn=8851, org_id="ORG-GCI1"))
+        for text, status, org in (
+            ("213.210.0.0/18", "ALLOCATED PA", "ORG-GCI1"),
+            ("213.210.33.0/24", "ASSIGNED PA", None),
+            ("213.210.2.0/23", "ASSIGNED PA", None),
+            ("213.211.0.0/18", "ALLOCATED PA", "ORG-GCI1"),
+            ("213.211.0.0/24", "ASSIGNED PA", None),
+        ):
+            db.add(
+                InetnumRecord(
+                    rir=rir,
+                    range=AddressRange.parse(text),
+                    status=status,
+                    org_id=org,
+                    maintainers=("MNT-GCI",),
+                )
+            )
+        databases[rir] = db
+    relationships = ASRelationships()
+    relationships.add(3356, 8851, P2C)
+    relationships.add(3356, 15169, P2C)
+    return AnalysisContext.build(
+        WhoisCollection(databases), table, relationships
+    )
+
+
+class TestTwoRegistries:
+    """Leaves found by prefix and by root, across registries."""
+
+    @pytest.fixture()
+    def table(self):
+        table = RoutingTable()
+        table.add_route(Prefix.parse("213.210.0.0/18"), 8851)
+        table.add_route(Prefix.parse("213.210.33.0/24"), 15169)
+        return table
+
+    @pytest.fixture()
+    def context(self, table):
+        return two_registry_context(table)
+
+    def scratch_digest(self, table, bursts):
+        mutated = clone_routing_table(table)
+        for burst in bursts:
+            replay_into_table(mutated, burst)
+        return IncrementalEngine(two_registry_context(mutated)).digest()
+
+    def test_one_prefix_reclassifies_both_registries(self, table, context):
+        engine = IncrementalEngine(context)
+        burst = [withdraw("213.210.33.0/24")]
+        report = engine.apply(burst)
+        assert report.reclassified == 2
+        assert [(row.rir, str(row.prefix)) for row in report.changed] == [
+            (RIR.AFRINIC, "213.210.33.0/24"),
+            (RIR.RIPE, "213.210.33.0/24"),
+        ]
+        assert {row.category for row in report.changed} == {
+            Category.AGGREGATED_CUSTOMER
+        }
+        assert engine.digest() == self.scratch_digest(table, [burst])
+
+    def test_root_resolution_away_and_back(self, table, context):
+        engine = IncrementalEngine(context)
+        fresh = engine.digest()
+        root = Prefix.parse("213.210.0.0/18")
+        away = [withdraw("213.210.0.0/18"), announce("213.210.0.0/16", 64500)]
+        back = [withdraw("213.210.0.0/16"), announce("213.210.0.0/18", 8851)]
+        # Registries in name order, each leaf in prefix order.
+        expected = [
+            (rir, leaf)
+            for rir in (RIR.AFRINIC, RIR.RIPE)
+            for leaf in ("213.210.2.0/23", "213.210.33.0/24")
+        ]
+        for burst, origins in ((away, {64500}), (back, {8851})):
+            report = engine.apply(burst)
+            assert report.dirty_roots == (root,)
+            assert [
+                (row.rir, str(row.prefix)) for row in report.changed
+            ] == expected
+            assert {row.root_origins for row in report.changed} == {
+                frozenset(origins)
+            }
+        assert engine.digest() == fresh
+        assert engine.digest() == IncrementalEngine(context).digest()
+
+    def test_dirty_leaf_that_does_not_move_reports_no_row(self, context):
+        engine = IncrementalEngine(context)
+        flap = [withdraw("213.210.33.0/24"), announce("213.210.33.0/24", 15169)]
+        report = engine.apply(flap)
+        assert report.applied == 2
+        assert report.reclassified == 2
+        assert report.changed == ()
+        # Once a leaf has moved, its stored row is the one compared.
+        moved = engine.apply([withdraw("213.210.33.0/24")])
+        assert len(moved.changed) == 2
+        again = engine.apply(
+            [announce("213.210.33.0/24", 15169), withdraw("213.210.33.0/24")]
+        )
+        assert again.reclassified == 2
+        assert again.changed == ()
+        assert engine.digest() != IncrementalEngine(context).digest()
 
 
 class TestTableHelpers:

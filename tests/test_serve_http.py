@@ -22,6 +22,7 @@ from repro.serve import (
     LeaseQueryServer,
     SnapshotManager,
 )
+from repro.net import Prefix
 from repro.serve.http import CACHE_ENTRY_BYTES, ResponseCache
 from repro.simulation import build_world, small_world
 
@@ -402,22 +403,6 @@ class TestHotReload:
         with pytest.raises(RuntimeError):
             SnapshotManager().snapshot()
 
-    def test_reload_now_blocks_and_swaps(self, manager, index):
-        assert manager.reload_now(lambda: index) == 2
-        assert manager.generation == 2
-
-    def test_async_reload_builds_off_thread(self, manager, index):
-        built_on = {}
-
-        def builder():
-            built_on["thread"] = threading.current_thread().name
-            return index
-
-        generation = asyncio.run(manager.reload(builder))
-        assert generation == 2
-        assert built_on["thread"] != threading.main_thread().name
-        assert manager.snapshot() == (2, index)
-
 
 class TestRunAsync:
     def test_serves_in_callers_loop_until_cancelled(self, manager):
@@ -697,6 +682,104 @@ class TestApplyUpdates:
             )
             assert payload["generation"] == 2
             assert headers["ETag"] == '"g2"'
+
+
+class TestWritePath:
+    """The churn write path against concurrent ``/v1/prefix`` readers.
+
+    One thread applies bursts the way the benchmark host's churn does
+    (``IncrementalEngine.apply``, then ``apply_updates`` with
+    ``with_updates``) while readers resolve prefixes over keep-alive
+    connections.  Generation ``g + 1`` holds the rows after ``g``
+    bursts, so every body must equal what a from-scratch index of those
+    rows renders for generation ``g + 1``, and no reader may see its
+    generation go back.
+    """
+
+    BURSTS = 10
+    READERS = 3
+
+    def test_readers_see_whole_generations_in_order(self):
+        from repro.core import IncrementalEngine
+        from repro.core.leaseindex import encode_object, encode_value
+        from repro.simulation import simulate_update_bursts
+
+        world = build_world(small_world())
+        pipeline = LeaseInferencePipeline(
+            world.whois, world.routing_table, world.relationships,
+            world.as2org,
+        )
+        result = pipeline.run()
+        context = pipeline.context
+        bursts = simulate_update_bursts(world, self.BURSTS, 24, 515151)
+        oracle = {1: LeaseIndex.build(context, result)}
+        replay = IncrementalEngine(context)
+        moved = set()
+        for generation, burst in enumerate(bursts, start=2):
+            moved.update(row.prefix for row in replay.apply(burst).changed)
+            oracle[generation] = LeaseIndex.build(context, replay.result())
+        assert moved, "seed 515151 must move at least one leaf"
+        stable = [p for p in oracle[1].prefixes() if p not in moved][:8]
+        paths = [
+            "/v1/prefix/" + str(prefix).replace("/", "%2F")
+            for prefix in sorted(moved) + stable
+        ]
+
+        manager = SnapshotManager(oracle[1])
+        engine = IncrementalEngine(context)
+        written = threading.Event()
+        seen = [[] for _ in range(self.READERS)]
+
+        def write():
+            for burst in bursts:
+                changes = engine.apply(burst).changed
+                manager.apply_updates(
+                    lambda current: current.with_updates(context, changes)
+                )
+                time.sleep(0.02)
+            written.set()
+
+        def read(log):
+            host, port = server.address
+            conn = http.client.HTTPConnection(host, port, timeout=10)
+            try:
+                last_pass = False
+                while not last_pass:
+                    last_pass = written.is_set()
+                    for path in paths:
+                        conn.request("GET", path)
+                        response = conn.getresponse()
+                        log.append((
+                            int(response.getheader("X-Generation")),
+                            path,
+                            response.status,
+                            response.read(),
+                        ))
+            finally:
+                conn.close()
+
+        with LeaseQueryServer(manager) as server:
+            threads = [threading.Thread(target=write)] + [
+                threading.Thread(target=read, args=(log,)) for log in seen
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+
+        final = self.BURSTS + 1
+        assert manager.generation == final
+        for log in seen:
+            generations = [generation for generation, _, _, _ in log]
+            assert generations == sorted(generations)
+            assert generations[-1] == final
+            for generation, path, status, body in log:
+                text = path[len("/v1/prefix/"):].replace("%2F", "/")
+                fields = oracle[generation].resolve(Prefix.parse(text))
+                assert status == 200
+                fields["generation"] = encode_value(generation)
+                assert body == encode_object(fields), (generation, path)
 
 
 class TestCli:
