@@ -8,7 +8,7 @@ install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
 
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 coverage:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/ --cov=repro --cov-report=term --cov-fail-under=90
@@ -37,7 +37,7 @@ docs:
 	PYTHONPATH=src $(PYTHON) -m repro.check > docs/STATIC_ANALYSIS.md
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # End-to-end bench (bench/run.py, dumps on disk to a served answer) on
 # the small world, once per workload.  Gates on the run's "correct"
@@ -65,7 +65,7 @@ report:
 	PYTHONPATH=src $(PYTHON) -m repro.cli report --out REPORT.md
 
 data:
-	$(PYTHON) -m repro.cli generate --out data/
+	PYTHONPATH=src $(PYTHON) -m repro.cli generate --out data/
 
 clean:
 	rm -rf data/ REPORT.md .pytest_cache .benchmarks .repro-check-cache.json

@@ -60,7 +60,9 @@ __all__ = [
 #: ``while`` header raises only through a call, so cached RC114 leak
 #: facts of those shapes are stale; ``write_benchmark`` joined the RC113
 #: sinks, so cached sink facts of its callers are stale too.
-CACHE_VERSION = 6
+#: v7: ``FlowFact`` lost ``resources`` and ``releases_params`` when
+#: RC114 became a module rule asking for ``with`` items.
+CACHE_VERSION = 7
 
 #: Cache file name when ``--cache`` is not given (created under the
 #: analyzed root; gitignored).

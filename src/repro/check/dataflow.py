@@ -2,8 +2,7 @@
 
 The AST rules judge one expression at a time; the call-graph rules
 need *paths*: did this wall-clock read flow, through assignments and
-helper calls, into a digest?  does this file handle reach ``close()``
-on the exception path too?  which async handlers can reach this
+helper calls, into a digest?  which async handlers can reach this
 unlocked state write, or this ``time.sleep``?  does a frozen snapshot
 reach a helper that assigns its attributes?  This module supplies the
 machinery in three layers:
@@ -13,16 +12,15 @@ machinery in three layers:
    control-flow graph: ``if`` and ``match`` join their arms, a loop
    iterates its body to a fixpoint, ``try`` sends the body's exceptions
    to its handlers and its other exits through ``finally``, and every
-   statement that can raise adds an exception exit.  Two domains plug
-   in.  The taint domain carries variable states with taint kinds
-   (wall-clock, unseeded randomness, ``os.environ``, ``id()``,
-   set-iteration order), call-site provenance, and parameter
-   provenance, each with an accumulated *witness* — the step-by-step
-   path later rendered as a SARIF ``codeFlow``.  The held domain runs
-   once per resource acquisition and finds a path to the function exit
-   that never releases it.  The walk stays path-sensitive on purpose:
-   ``release_both_branches`` and ``leak_on_branch`` in the RC114
-   fixtures differ only in which ``if`` arm releases.
+   statement that can raise adds an exception exit.  The taint domain
+   plugs in: variable states with taint kinds (wall-clock, unseeded
+   randomness, ``os.environ``, ``id()``, set-iteration order),
+   call-site provenance, and parameter provenance, each with an
+   accumulated *witness* — the step-by-step path later rendered as a
+   SARIF ``codeFlow``.  The walk stays path-sensitive on purpose: a
+   taint overwritten on every path out of an ``if``, or by a
+   ``while`` loop's ``else`` that every normal exit runs, is clean,
+   and one a ``break`` carries past that ``else`` is not.
 
 2. :func:`analyze_function` distills one function scope into a
    serializable :class:`FlowFact` (stored inside the incremental cache
@@ -31,10 +29,9 @@ machinery in three layers:
 3. :class:`FlowResolver` runs the *interprocedural* part at project
    time over cached facts.  It is the one place a rule walks the call
    graph: return taint (RC113), one walk per parameter answering
-   sink/release/mutation (RC113, RC114, RC111), and one
-   async-reachability walk answering which handlers reach a function
-   and which blocking sites a coroutine reaches through sync calls
-   only (RC115, RC110).
+   sink/mutation (RC113, RC111), and one async-reachability walk
+   answering which handlers reach a function and which blocking sites
+   a coroutine reaches through sync calls only (RC115, RC110).
 
 Everything here is conservative in the repo's established sense:
 an interprocedural conclusion is drawn only when the call graph
@@ -68,15 +65,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .graph import BlockingSite, CallFact, ProjectGraph
 
 __all__ = [
-    "ACQUIRE_LABELS",
-    "RELEASE_METHODS",
     "TAINT_SINKS",
     "CallOrigin",
     "FlowFact",
     "FlowResolver",
     "FlowStep",
     "ParamEffect",
-    "ResourceFlow",
     "SharedWrite",
     "SinkFlow",
     "analyze_function",
@@ -135,24 +129,6 @@ TAINT_SINKS = frozenset(
     {"result_digest", "append_trajectory", "write_benchmark", "write_golden"}
 )
 
-#: Constructor spellings that acquire an OS-backed resource.
-ACQUIRE_LABELS: Dict[str, str] = {
-    "open": "open()",
-    "SharedMemory": "SharedMemory()",
-    "socket": "socket.socket()",
-    "create_connection": "socket.create_connection()",
-    "Pool": "Pool()",
-    "ThreadPool": "ThreadPool()",
-}
-
-#: Method names that release an acquired resource.
-RELEASE_METHODS = frozenset(
-    {
-        "close", "unlink", "destroy", "terminate", "shutdown",
-        "release", "stop", "detach",
-    }
-)
-
 #: Substrings marking a ``with`` context expression as a serialization
 #: primitive (``with self._lock:`` and friends).
 _LOCK_MARKERS = ("lock", "mutex", "sem")
@@ -205,27 +181,6 @@ class SinkFlow:
 
 
 @dataclass(frozen=True)
-class ResourceFlow:
-    """One resource acquisition and its path-sensitive verdict.
-
-    ``leak_steps`` non-empty means a path reaches the function exit
-    with no release, no ownership transfer, and no call that could
-    plausibly release — a definite leak.  ``guards`` are calls the
-    variable was passed into where *that call releasing the resource*
-    is the only thing covering some otherwise-leaking path; each guard
-    carries the witness for the path that leaks if the callee does not
-    release its parameter.
-    """
-
-    label: str
-    var: str
-    lineno: int
-    col: int
-    leak_steps: Tuple[FlowStep, ...] = ()
-    guards: Tuple[CallOrigin, ...] = ()
-
-
-@dataclass(frozen=True)
 class SharedWrite:
     """One rebinding of instance state (``self.attr = ...``)."""
 
@@ -245,9 +200,7 @@ class FlowFact:
     sinks: Tuple[SinkFlow, ...] = ()
     tainted_args: Tuple[CallOrigin, ...] = ()
     param_calls: Tuple[Tuple[str, CallOrigin], ...] = ()
-    releases_params: Tuple[str, ...] = ()
     mutated_params: Tuple[str, ...] = ()
-    resources: Tuple[ResourceFlow, ...] = ()
     shared_writes: Tuple[SharedWrite, ...] = ()
 
     @classmethod
@@ -279,7 +232,7 @@ _JUMP_CARRIERS = (ast.stmt, ast.excepthandler, getattr(ast, "match_case", ()))
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 #: Safety bound on the passes over one loop body.  Capped witnesses
-#: and fan-ins keep both domains finite, so real loops settle in a few.
+#: and fan-ins keep the taint domain finite, so real loops settle in a few.
 _MAX_PASSES = 50
 
 
@@ -292,23 +245,17 @@ class _Walk:
 
     Python has only structured control flow, so the statement tree is
     the control-flow graph.  The *domain* supplies ``bottom`` (no path
-    gets here), ``join``, ``same`` (the loop fixpoint test),
-    ``node(stmt, state, raises) -> (out, exc)`` for a simple statement
-    or a compound statement's header, and ``branch(stmt, arm, state)``
-    for entering an arm.  One coarse spot is deliberate: a ``finally``
-    entered by falling through, returning or raising both falls
-    through and re-raises, so a ``return`` through it continues after
-    the ``try``.
+    gets here), ``join``, and ``node(stmt, state, raises) -> (out,
+    exc)`` for a simple statement or a compound statement's header; a
+    loop settles when its back-edge state compares equal to the last
+    pass's.  One coarse spot is deliberate: a ``finally`` entered by
+    falling through, returning or raising both falls through and
+    re-raises, so a ``return`` through it continues after the ``try``.
     """
 
     def __init__(self, domain: Any) -> None:
         self.domain = domain
         self.none = _Exits(*[domain.bottom] * 5)
-
-    def run(self, body: Sequence[ast.stmt], state: Any) -> Any:
-        """The state reaching the function exit."""
-        exits = self.block(body, state)
-        return self._join(exits.normal, exits.ret, exits.exc)
 
     def _join(self, *states: Any) -> Any:
         return reduce(self.domain.join, states, self.domain.bottom)
@@ -360,10 +307,7 @@ class _Walk:
     ) -> _Exits:
         """``if``/``match``: each arm from the header, then joined."""
         head, exc = self._node(stmt, state)
-        arms = [
-            self.block(body, self.domain.branch(stmt, arm, head))
-            for arm, body in enumerate(bodies)
-        ]
+        arms = [self.block(body, head) for body in bodies]
         rest = self.none._replace(
             normal=head if falls_through else self.domain.bottom, exc=exc
         )
@@ -376,13 +320,13 @@ class _Walk:
         back = domain.bottom
         for _ in range(_MAX_PASSES):
             head, exc = self._node(stmt, domain.join(state, back))
-            body = self.block(stmt.body, domain.branch(stmt, 0, head))
+            body = self.block(stmt.body, head)
             again = domain.join(body.normal, body.cont)
-            if domain.same(again, back):
+            if again == back:
                 break
             back = again
         orelse = (
-            self.block(stmt.orelse, domain.branch(stmt, 1, head))
+            self.block(stmt.orelse, head)
             if stmt.orelse
             else self.none._replace(normal=head)
         )
@@ -479,13 +423,6 @@ def _walk_exprs(stmt: ast.stmt) -> Iterator[ast.AST]:
         if isinstance(node, (ast.Lambda,)):
             continue
         stack.extend(ast.iter_child_nodes(node))
-
-
-def _arm(stmt: Any, arm: int) -> str:
-    """How a witness names arm *arm* of a branching statement."""
-    if isinstance(stmt, _MATCH):
-        return f"case {_short(stmt.cases[arm].pattern)}"
-    return _short(stmt) if arm == 0 else f"else of {_short(stmt)}"
 
 
 # ---------------------------------------------------------------------------
@@ -586,18 +523,10 @@ class _TaintMachine:
         }
         self.states: Dict[ast.stmt, Dict[str, tuple]] = {}
 
-    @staticmethod
-    def same(a: Dict[str, tuple], b: Dict[str, tuple]) -> bool:
-        return a == b
-
     def node(self, stmt: ast.stmt, state: Any, raises: bool) -> Tuple[Any, Any]:
         self.states[stmt] = state
         out = self.transfer(stmt, state)
         return out, (out if raises else self.bottom)
-
-    @staticmethod
-    def branch(stmt: ast.stmt, arm: int, state: Any) -> Any:
-        return state
 
     # -- expression evaluation --------------------------------------------
 
@@ -907,8 +836,8 @@ def analyze_function(scope: ast.AST) -> FlowFact:
         params = tuple(arg.arg for arg in names)
     machine = _TaintMachine(params)
     body = getattr(scope, "body", [])
-    _Walk(machine).run(body, machine.initial)
-    collector = _FactCollector(machine, params)
+    _Walk(machine).block(body, machine.initial)
+    collector = _FactCollector(machine)
     collector.run()
     return FlowFact(
         return_taint=collector.return_taint,
@@ -917,9 +846,7 @@ def analyze_function(scope: ast.AST) -> FlowFact:
         sinks=tuple(collector.sinks),
         tainted_args=tuple(collector.tainted_args),
         param_calls=tuple(collector.param_calls),
-        releases_params=tuple(sorted(collector.releases_params)),
         mutated_params=tuple(sorted(_mutated_params(scope, params))),
-        resources=tuple(_leak_analysis(body, list(machine.states))),
         shared_writes=tuple(_shared_writes(scope)),
     )
 
@@ -947,16 +874,14 @@ class _FactCollector:
     """Second pass over the walked statements: sinks, returns, call
     arguments."""
 
-    def __init__(self, machine, params) -> None:
+    def __init__(self, machine) -> None:
         self.machine = machine
-        self.params = set(params)
         self.return_taint: Tuple[FlowStep, ...] = ()
         self.params_to_return: Set[str] = set()
         self.calls_to_return: List[CallOrigin] = []
         self.sinks: List[SinkFlow] = []
         self.tainted_args: List[CallOrigin] = []
         self.param_calls: List[Tuple[str, CallOrigin]] = []
-        self.releases_params: Set[str] = set()
 
     def run(self) -> None:
         for stmt, state in self.machine.states.items():
@@ -988,13 +913,6 @@ class _FactCollector:
         name, base = _call_name(call.func)
         if not name:
             return
-        if (
-            isinstance(call.func, ast.Attribute)
-            and name in RELEASE_METHODS
-            and isinstance(call.func.value, ast.Name)
-            and call.func.value.id in self.params
-        ):
-            self.releases_params.add(call.func.value.id)
         slots: List[Tuple[object, ast.expr]] = list(enumerate(call.args))
         slots += [
             (kw.arg, kw.value)
@@ -1082,242 +1000,6 @@ def _cap(steps: Tuple[FlowStep, ...]) -> Tuple[FlowStep, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Resource-leak analysis
-
-
-def _acquire_label(value: ast.expr) -> Optional[str]:
-    if not isinstance(value, ast.Call):
-        return None
-    func = value.func
-    if isinstance(func, ast.Name):
-        if func.id == "socket":
-            return None  # bare socket() is not the stdlib spelling
-        return ACQUIRE_LABELS.get(func.id)
-    if isinstance(func, ast.Attribute):
-        if func.attr == "socket" and isinstance(func.value, ast.Name):
-            if func.value.id == "socket":
-                return ACQUIRE_LABELS["socket"]
-            return None
-        if func.attr == "open":
-            return None  # Path.open / gzip.open often wrap with-blocks
-        return ACQUIRE_LABELS.get(func.attr)
-    return None
-
-
-def _mentions(expr: Optional[ast.AST], var: str) -> bool:
-    if expr is None:
-        return False
-    return any(
-        isinstance(node, ast.Name) and node.id == var
-        for node in ast.walk(expr)
-    )
-
-
-def _bare_names(expr: ast.expr) -> Set[str]:
-    """Names appearing as direct value positions of *expr* (not inside
-    calls): the spellings that hand the object itself to the caller."""
-    if isinstance(expr, ast.Name):
-        return {expr.id}
-    if isinstance(expr, (ast.Tuple, ast.List, ast.Set)):
-        out: Set[str] = set()
-        for element in expr.elts:
-            out |= _bare_names(element)
-        return out
-    if isinstance(expr, ast.Dict):
-        out = set()
-        for value in expr.values:
-            out |= _bare_names(value)
-        return out
-    if isinstance(expr, ast.IfExp):
-        return _bare_names(expr.body) | _bare_names(expr.orelse)
-    if isinstance(expr, ast.Starred):
-        return _bare_names(expr.value)
-    if isinstance(expr, ast.Await):
-        return _bare_names(expr.value)
-    return set()
-
-
-def _node_events(stmt: ast.stmt, var: str):
-    """Classify *stmt* for the leak search of *var*.
-
-    Returns ``(ends, tokens)``: *ends* when the statement releases,
-    hands off or rebinds the variable; tokens are the calls the
-    variable is passed into — each a potential release resolved
-    against callee summaries at project time.
-    """
-    ends = False
-    tokens: List[Tuple[Optional[str], str, int, int, object]] = []
-    if isinstance(stmt, ast.Return):
-        # Only a *bare* name position transfers ownership out
-        # (``return handle``, ``return handle, size``); a call in the
-        # return expression (``return parse(handle)``) is scanned below
-        # like any other call so the callee summary decides.
-        if stmt.value is not None and var in _bare_names(stmt.value):
-            ends = True
-    if isinstance(stmt, _WITHS):
-        for item in stmt.items:
-            if _mentions(item.context_expr, var):
-                ends = True  # a context manager owns it now
-        return ends, tokens
-    if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-        targets = (
-            stmt.targets
-            if isinstance(stmt, ast.Assign)
-            else [stmt.target]
-        )
-        for target in targets:
-            if isinstance(target, ast.Name) and target.id == var:
-                ends = True  # rebinding ends the tracked lifetime
-            elif isinstance(
-                target, (ast.Attribute, ast.Subscript)
-            ) and _mentions(stmt.value, var):
-                ends = True  # stored into longer-lived state
-    for node in _walk_exprs(stmt):
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            if _mentions(node, var):
-                ends = True
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and func.value.id == var
-            and func.attr in RELEASE_METHODS
-        ):
-            ends = True
-        name, base = _call_name(func)
-        for position, arg in enumerate(node.args):
-            if isinstance(arg, ast.Name) and arg.id == var:
-                tokens.append(
-                    (base, name, node.lineno, node.col_offset, position)
-                )
-        for kw in node.keywords:
-            if (
-                kw.arg is not None
-                and isinstance(kw.value, ast.Name)
-                and kw.value.id == var
-            ):
-                tokens.append(
-                    (base, name, node.lineno, node.col_offset, kw.arg)
-                )
-    return ends, tokens
-
-
-class _Held:
-    """The leak domain of :class:`_Walk` for one acquisition.
-
-    A state is ``None`` while nothing is held, else the witness so far,
-    whose last step is the provisional "function exit reached" step.
-    A statement releasing, handing off or rebinding the variable ends
-    the path, as does a call the variable is passed into (generously
-    assumed to release) unless it sits in *allow*, the statement whose
-    calls are supposed not to release.
-    """
-
-    bottom = None
-
-    def __init__(
-        self,
-        acquire: ast.stmt,
-        label: str,
-        var: str,
-        events: Dict[ast.stmt, Tuple[bool, list]],
-        allow: Optional[ast.stmt] = None,
-    ) -> None:
-        self.acquire = acquire
-        self.var = var
-        self.events = events
-        self.allow = allow
-        self.start = FlowStep(
-            acquire.lineno, acquire.col_offset, f"{label} acquired into {var!r}"
-        )
-
-    @staticmethod
-    def join(a: Any, b: Any) -> Any:
-        return b if a is None else a
-
-    @staticmethod
-    def same(a: Any, b: Any) -> bool:
-        return (a is None) == (b is None)
-
-    def node(self, stmt: ast.stmt, state: Any, raises: bool) -> Tuple[Any, Any]:
-        if stmt is self.acquire:  # a raising constructor acquired nothing
-            return self._at((self.start,), stmt), None
-        if state is None:
-            return None, None
-        ends, tokens = self.events[stmt]
-        if ends or (tokens and stmt is not self.allow):
-            return None, None
-        out = self._at(state[:-1], stmt)
-        if not raises:
-            return out, None
-        note = (
-            f"if this raises, control leaves without releasing "
-            f"{self.var!r}: {_short(stmt)}"
-        )
-        return out, _noted(out, stmt, note)
-
-    def branch(self, stmt: ast.stmt, arm: int, state: Any) -> Any:
-        if state is None:
-            return None
-        return _noted(state, stmt, f"takes this branch: {_arm(stmt, arm)}")
-
-    def _at(self, steps: Tuple[FlowStep, ...], stmt: ast.stmt) -> tuple:
-        note = f"function exit reached with {self.var!r} still unreleased"
-        return steps + (FlowStep(stmt.lineno, 0, note),)
-
-
-def _noted(
-    state: Tuple[FlowStep, ...], stmt: ast.stmt, note: str
-) -> Tuple[FlowStep, ...]:
-    """*state* with *note* before its exit step, while under the cap."""
-    if len(state) >= _MAX_STEPS:
-        return state
-    step = FlowStep(stmt.lineno, stmt.col_offset, note)
-    return state[:-1] + (step, state[-1])
-
-
-def _leak_analysis(
-    body: Sequence[ast.stmt], nodes: List[ast.stmt]
-) -> Iterator[ResourceFlow]:
-    """Acquire/release audit: one held walk per acquisition, and one
-    more per statement passing the variable into a call."""
-    for acquire in nodes:
-        if not isinstance(acquire, ast.Assign) or len(acquire.targets) != 1:
-            continue
-        target = acquire.targets[0]
-        label = _acquire_label(acquire.value)
-        if label is None or not isinstance(target, ast.Name):
-            continue
-        var = target.id
-        events = {
-            stmt: _node_events(stmt, var)
-            for stmt in nodes
-            if stmt is not acquire
-        }
-        place = (label, var, acquire.lineno, acquire.col_offset)
-        leak = _Walk(_Held(acquire, label, var, events)).run(body, None)
-        if leak is not None:
-            yield ResourceFlow(*place, leak_steps=leak)
-            continue
-        guards: List[CallOrigin] = []
-        for stmt, (_ends, tokens) in events.items():
-            if not tokens:
-                continue
-            held = _Held(acquire, label, var, events, allow=stmt)
-            path = _Walk(held).run(body, None)
-            if path is not None:
-                guards.extend(
-                    CallOrigin(*token, steps=path)
-                    for token in dict.fromkeys(tokens)
-                )
-        if guards:
-            yield ResourceFlow(*place, guards=tuple(guards))
-
-
-
-# ---------------------------------------------------------------------------
 # Shared-state writes (RC115 raw material)
 
 
@@ -1387,13 +1069,11 @@ class ParamEffect:
     """What a function does with one parameter, itself or via helpers.
 
     ``sink`` is ``(sink_label, witness)`` when the parameter reaches a
-    taint sink (RC113), ``released`` when the function releases it
-    (RC114), ``mutated`` when it assigns or deletes one of its
-    attributes (RC111).
+    taint sink (RC113), ``mutated`` when the function assigns or
+    deletes one of its attributes (RC111).
     """
 
     sink: Optional[Tuple[str, Tuple[Tuple[str, FlowStep], ...]]] = None
-    released: bool = False
     mutated: bool = False
 
 
@@ -1410,7 +1090,7 @@ class FlowResolver:
 
     Built once per run from the :class:`~repro.check.graph.ProjectGraph`
     and shared by every rule that needs a call-graph walk (RC110,
-    RC111, RC113–RC115).  All methods memoize; all recursion is
+    RC111, RC113, RC115).  All methods memoize; all recursion is
     cycle-guarded; witnesses returned here are ``(rel, FlowStep)``
     pairs — module-qualified, ready to become SARIF ``codeFlow``
     locations.
@@ -1483,7 +1163,7 @@ class FlowResolver:
         """What ``qualname`` does with *param*, directly or via helpers.
 
         One walk over the parameter's summary and the calls it is
-        passed into answers all three questions at once.
+        passed into answers both questions at once.
         """
         return self._param_walk((rel, qualname, param), set())[0]
 
@@ -1502,12 +1182,11 @@ class FlowResolver:
         visiting.add(key)
         rel, qualname, param = key
         sink = None
-        released = mutated = False
+        mutated = False
         cut: Set[Tuple[str, str, str]] = set()
         fn = self.graph.function(rel, qualname)
         if fn is not None:
             flow = fn.flow
-            released = param in flow.releases_params
             mutated = param in flow.mutated_params
             for found in flow.sinks:
                 steps = next(
@@ -1538,11 +1217,10 @@ class FlowResolver:
                     label, sub_steps = sub.sink
                     here = tuple((rel, step) for step in origin.steps)
                     sink = (label, here + sub_steps)
-                released = released or sub.released
                 mutated = mutated or sub.mutated
         visiting.discard(key)
         cut.discard(key)
-        effect = ParamEffect(sink, released, mutated)
+        effect = ParamEffect(sink, mutated)
         if not cut:
             self._param_effects[key] = effect
         return effect, cut

@@ -461,7 +461,7 @@ def _ripple_dependents(
 ) -> List[str]:
     """Cached files whose flow summaries a changed file invalidates.
 
-    Interprocedural summaries (taint returns, release obligations)
+    Interprocedural summaries (taint returns, parameter mutations)
     cross module boundaries along import edges, so when a file changes,
     every module that imports it — transitively — must be re-analyzed
     too: its cached summaries may mention the edited callee.  Edges are

@@ -1,7 +1,7 @@
-"""Path-sensitive flow rules: RC113 (nondeterminism taint), RC114
-(resource leaks), RC115 (unserialized shared-state mutation).
+"""Path-sensitive flow rules: RC113 (nondeterminism taint) and RC115
+(unserialized shared-state mutation).
 
-These three consume the per-function flow summaries distilled by
+These two consume the per-function flow summaries distilled by
 :mod:`repro.check.dataflow` and the interprocedural closure
 (:class:`~repro.check.dataflow.FlowResolver`) built over the project
 call graph.  Unlike the RC103 pattern rule they reason about
@@ -9,7 +9,7 @@ call graph.  Unlike the RC103 pattern rule they reason about
 was born, how it moved, where it sank — rendered as indented steps in
 text mode and as SARIF ``codeFlows`` on the PR diff.
 
-All three inherit the call graph's conservatism: an interprocedural
+Both inherit the call graph's conservatism: an interprocedural
 step exists only when the callee resolves unambiguously, so the rules
 under-report rather than guess, and a suppression is expected to be
 rare and always justified.
@@ -33,7 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..graph import FunctionFact, ModuleFacts, ProjectGraph
 
 __all__ = [
-    "NoLeakedResources",
     "NoTaintedDigests",
     "NoUnserializedSharedWrites",
 ]
@@ -206,95 +205,6 @@ def bench(ctx):
                 f"{label} inside {callee[1]} ({callee[0]})",
                 flow=witness,
             )
-
-
-@register_check_rule
-class NoLeakedResources(CheckRule):
-    """Every acquired OS resource reaches its release on every path,
-    including the exception paths.
-
-    A leaked file handle or socket exhausts descriptors exactly under
-    the concurrent load the serve layer exists for; a leaked pool keeps
-    its worker processes alive.  The analysis walks the function's
-    statement tree from each acquisition (``open(...)``, ``socket.socket(...)``,
-    ``SharedMemory(...)``, pool constructors) looking for a path to
-    the function exit that crosses no release, no ownership transfer
-    (``return``/store/``yield``), and no call the resource was handed
-    to — the classic miss being the *raise* edge of a call between the
-    acquire and the release.  Calls the resource is passed into are
-    resolved against callee summaries: a helper that provably releases
-    its parameter discharges the obligation; an unresolvable callee is
-    generously assumed to release, so the rule under-reports.
-
-    Remediation: Put the release in a ``finally`` (or use the object as
-    a context manager) so the exception path releases too; if the
-    callee is meant to own the resource, make it actually release its
-    parameter on every path — the summary then discharges the caller.
-    """
-
-    code = "RC114"
-    title = "acquired resources reach their release on every path"
-    scope = "project"
-
-    worked_example = """\
-def load(path):
-    fh = open(path)                # open() acquired into 'fh'
-    data = parse(fh)               # if parse raises, control leaves
-    fh.close()                     #   without releasing 'fh'
-    return data
-
-The witness shows the leaking path (the raise edge of `parse`).
-The fix: `try: ... finally: fh.close()` or `with open(path) as fh`.
-The interprocedural variant — `consume(fh)` where `consume` closes
-its parameter on every path — is discharged by the callee summary."""
-
-    def check_facts(
-        self, facts: "ModuleFacts", graph: "ProjectGraph"
-    ) -> Iterator[CheckFinding]:
-        resolver = graph.flow_resolver()
-        for fn in facts.functions:
-            for resource in fn.flow.resources:
-                if resource.leak_steps:
-                    yield self.finding_at(
-                        facts.rel,
-                        resource.lineno,
-                        resource.col,
-                        f"{resource.label} assigned to "
-                        f"{resource.var!r} leaks on a path to the "
-                        f"function exit",
-                        flow=_localize(facts.rel, resource.leak_steps),
-                    )
-                    continue
-                yield from self._guard_findings(
-                    facts, graph, resolver, fn, resource
-                )
-
-    def _guard_findings(
-        self, facts, graph, resolver: "FlowResolver", fn, resource
-    ) -> Iterator[CheckFinding]:
-        """Paths covered only by a call that does not actually release."""
-        for guard in resource.guards:
-            callee = graph.resolve_call(
-                facts.rel, fn.owner_class, guard.base, guard.name
-            )
-            if callee is None:
-                continue  # unresolvable callee assumed to release
-            param = graph.param_name(callee, guard.position, guard.base)
-            if param is None:
-                continue
-            if resolver.param_effect(*callee, param).released:
-                continue
-            yield self.finding_at(
-                facts.rel,
-                resource.lineno,
-                resource.col,
-                f"{resource.label} assigned to {resource.var!r} leaks: "
-                f"the only covering call {guard.name}() "
-                f"({callee[0]}:{callee[1]}) never releases its "
-                f"{param!r} parameter",
-                flow=_localize(facts.rel, guard.steps),
-            )
-            return  # one finding per acquisition
 
 
 @register_check_rule

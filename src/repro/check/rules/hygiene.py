@@ -1,15 +1,16 @@
-"""Code-hygiene invariants: RC106, RC107, RC108.
+"""Code-hygiene invariants: RC106, RC107, RC108, RC114.
 
 RC106 keeps failures visible (no swallowed exceptions), RC107 keeps the
 frozen reference implementations honest (they must not lean on the fast
-engines they specify), and RC108 keeps the CLI surface documented.
+engines they specify), RC108 keeps the CLI surface documented, and
+RC114 keeps every OS resource under a ``with`` block.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import TYPE_CHECKING, Iterator, Optional, Set
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Set
 
 from ..model import CheckFinding, CheckRule, Fix, register_check_rule
 
@@ -17,7 +18,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..context import ModuleSource, ProjectContext
     from ..graph import ModuleFacts, ProjectGraph
 
-__all__ = ["NoSwallowedExceptions", "ReferencePurity", "CliFlagsDocumented"]
+__all__ = [
+    "ACQUIRE_LABELS",
+    "CliFlagsDocumented",
+    "NoSwallowedExceptions",
+    "ReferencePurity",
+    "ResourcesInWith",
+]
 
 
 @register_check_rule
@@ -265,3 +272,89 @@ class CliFlagsDocumented(CheckRule):
                 col,
                 f"flag {flag} is not documented in any docs/*.md",
             )
+
+
+#: Constructor spellings that acquire an OS-backed resource.
+ACQUIRE_LABELS: Dict[str, str] = {
+    "open": "open()",
+    "SharedMemory": "SharedMemory()",
+    "socket": "socket.socket()",
+    "create_connection": "socket.create_connection()",
+    "Pool": "Pool()",
+    "ThreadPool": "ThreadPool()",
+}
+
+#: Spellings that acquire only as attributes of the ``socket`` module:
+#: ``loop.create_connection`` is asyncio's coroutine, not a socket.
+_SOCKET_MODULE_ONLY = frozenset({"socket", "create_connection"})
+
+
+@register_check_rule
+class ResourcesInWith(CheckRule):
+    """Every file, socket, shared-memory segment or pool is acquired
+    inside the context expression of a ``with`` item.
+
+    The pipeline reads WHOIS, MRT and AS-data dumps from disk and the
+    serve layer answers over sockets; a handle that misses its release
+    on one exception path exhausts descriptors under exactly the load
+    the server exists for.  A ``with`` block releases on every path,
+    the exceptional ones included, with no reasoning about paths, so
+    any acquiring call outside a ``with``/``async with`` item is a
+    finding (``with closing(socket.socket()) as s`` counts as inside).
+
+    Remediation: Acquire the resource in a ``with`` item.  An object
+    that owns a resource for its lifetime and releases it in
+    ``stop()`` takes an inline ``ignore[RC114]`` whose reason says so.
+    """
+
+    code = "RC114"
+    title = "OS resources are acquired only as a with item"
+
+    worked_example = """\
+def load(path):
+    handle = open(path)            # open() outside a with item
+    data = parse(handle)           # a raise here skips the close
+    handle.close()
+    return data
+
+The fix releases on every path, the raising one included:
+
+def load(path):
+    with open(path) as handle:
+        return parse(handle)"""
+
+    def check(
+        self, module: "ModuleSource", project: "ProjectContext"
+    ) -> Iterator[CheckFinding]:
+        managed = {
+            id(node)
+            for stmt in ast.walk(module.tree)
+            if isinstance(stmt, (ast.With, ast.AsyncWith))
+            for item in stmt.items
+            for node in ast.walk(item.context_expr)
+        }
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.Call) or id(node) in managed:
+                continue
+            label = _acquire_label(node)
+            if label is not None:
+                yield self.finding(
+                    module,
+                    node,
+                    f"{label} is acquired outside a with item, so a "
+                    "raise before its release leaks it",
+                )
+
+
+def _acquire_label(call: ast.Call) -> Optional[str]:
+    """The label of the resource *call* acquires, if it acquires one."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return None if func.id == "socket" else ACQUIRE_LABELS.get(func.id)
+    if not isinstance(func, ast.Attribute) or func.attr == "open":
+        return None
+    if func.attr in _SOCKET_MODULE_ONLY and not (
+        isinstance(func.value, ast.Name) and func.value.id == "socket"
+    ):
+        return None
+    return ACQUIRE_LABELS.get(func.attr)

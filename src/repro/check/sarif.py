@@ -10,11 +10,11 @@ metadata (title, rationale, remediation) under ``tool.driver.rules``,
 and one ``result`` per finding.  SARIF regions are 1-based; finding
 columns are 0-based ast offsets, so they shift by one on the way out.
 
-Findings that carry a witness path (the RC113–RC115 flow rules) also
-emit it as ``codeFlows``/``threadFlows`` — one location per step, each
-with its own file (interprocedural witnesses cross modules) and a
-``message`` narrating the step — which code hosts render as a clickable
-taint trace under the annotation.
+Findings that carry a witness path (the RC113 and RC115 flow rules)
+also emit it as ``codeFlows``/``threadFlows`` — one location per step,
+each with its own file (interprocedural witnesses cross modules) and a
+``message`` narrating the step — which code hosts render as a
+clickable taint trace under the annotation.
 """
 
 from __future__ import annotations

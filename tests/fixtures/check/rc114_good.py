@@ -1,11 +1,13 @@
-"""RC114 must stay silent: every path reaches the release.
+"""RC114 must stay silent: every acquisition is a ``with`` item.
 
-The same shapes as the bad twin with the exception edge covered: a
-``finally`` block, a context manager, and an early-return branch that
-releases first.  ``hand_back`` transfers ownership by returning the
-handle — the caller releases, not this frame.
+A file, a socket, a shared-memory segment and a pool, each acquired in
+the context expression of a ``with`` item, which releases it on every
+path; wrapping the call (``closing(...)``) still counts.
 """
 
+import socket
+from contextlib import closing
+from multiprocessing.pool import ThreadPool
 from multiprocessing.shared_memory import SharedMemory
 
 
@@ -13,29 +15,19 @@ def parse(handle):
     return handle.read()
 
 
-def close_in_finally(path):
-    handle = open(path)
-    try:
-        return parse(handle)
-    finally:
-        handle.close()
-
-
 def context_manager(path):
     with open(path) as handle:
         return parse(handle)
 
 
-def release_both_branches(name, skip):
-    segment = SharedMemory(name=name, create=True)
-    if skip:
-        segment.close()
-        return None
-    segment.close()
-    segment.unlink()
-    return name
+def wrapped_socket(host, port):
+    with closing(socket.socket()) as sock:
+        sock.connect((host, port))
+    with socket.create_connection((host, port)) as conn:
+        return conn.recv(1)
 
 
-def hand_back(path):
-    handle = open(path)
-    return handle  # ownership transfers to the caller
+def segment_and_pool(name, items):
+    with SharedMemory(name=name, create=True) as segment, ThreadPool(2) as pool:
+        return segment.size, pool.map(len, items)
+

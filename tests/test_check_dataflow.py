@@ -2,9 +2,9 @@
 
 ``analyze_function`` walks one function's statement tree and distills
 a serializable ``FlowFact``; ``FlowResolver`` composes those facts
-along the project call graph.  The RC113–RC115 rules sit on top; these
-tests pin each layer below them so a rule regression points at the
-rule, not the machinery.
+along the project call graph.  The RC110, RC111, RC113 and RC115
+rules sit on top; these tests pin each layer below them so a rule
+regression points at the rule, not the machinery.
 """
 
 import ast
@@ -17,20 +17,18 @@ import pytest
 
 from repro.check.context import ModuleSource
 from repro.check.dataflow import (
-    ACQUIRE_LABELS,
-    RELEASE_METHODS,
     TAINT_SINKS,
     CallOrigin,
     FlowFact,
     FlowResolver,
     FlowStep,
     ParamEffect,
-    ResourceFlow,
     SharedWrite,
     SinkFlow,
     analyze_function,
 )
 from repro.check.graph import ProjectGraph, extract_facts
+from repro.check.rules.hygiene import ACQUIRE_LABELS
 
 #: ``match`` sources are parsed inline: a fixture file would not even
 #: parse on the 3.9 interpreter CI also runs.
@@ -63,10 +61,6 @@ def _graph(tmp_path, sources):
 
 def _tainted_sinks(flow):
     return [sink.lineno for sink in flow.sinks if sink.taint_steps]
-
-
-def _leaks(flow):
-    return [res for res in flow.resources if res.leak_steps]
 
 
 # -- control flow ---------------------------------------------------------
@@ -158,96 +152,124 @@ def test_loop_carried_taint_reaches_a_sink_after_the_loop():
     assert "assigned to b: b = a" in notes
 
 
-def test_raise_routed_through_finally_clears_a_leak():
+def test_raise_is_routed_through_finally():
     source = """
-    def guarded(path):
-        handle = open(path)
+    def raises(path):
+        stamp = 0
         try:
+            stamp = os.environ["SEED"]
             if not path:
                 raise ValueError(path)
+            stamp = 0
         finally:
-            handle.close()
+            result_digest(stamp)
 
 
-    def bare(path):
-        handle = open(path)
-        if not path:
-            raise ValueError(path)
-        handle.close()
+    def falls_through(path):
+        stamp = 0
+        try:
+            stamp = os.environ["SEED"]
+            if not path:
+                pass
+            stamp = 0
+        finally:
+            result_digest(stamp)
     """
-    assert _flow(source, "guarded").resources == ()
-    (leak,) = _leaks(_flow(source, "bare"))
-    assert "if this raises" in leak.leak_steps[-2].note
+    # Only the raise edge carries the unreset stamp into ``finally``.
+    assert _tainted_sinks(_flow(source, "raises")) == [10]
+    assert _tainted_sinks(_flow(source, "falls_through")) == []
 
 
 def test_break_and_continue_run_finally():
     source = """
-    def first_match(paths, wanted):
-        for path in paths:
-            handle = open(path)
+    def breaks(items):
+        stamp = 0
+        for item in items:
             try:
-                if handle.readline() == wanted:
+                stamp = os.environ["SEED"]
+                if item:
                     break
-                if not wanted:
+            finally:
+                stamp = 0
+        result_digest(stamp)
+
+
+    def continues(items):
+        stamp = 0
+        for item in items:
+            try:
+                stamp = os.environ["SEED"]
+                if item:
                     continue
             finally:
-                handle.close()
-        return None
+                stamp = 0
+        result_digest(stamp)
 
 
-    def unguarded(paths, wanted):
-        for path in paths:
-            handle = open(path)
+    def escapes(items):
+        stamp = 0
+        for item in items:
             try:
-                if handle.readline() == wanted:
+                if item:
+                    stamp = os.environ["SEED"]
                     break
             finally:
                 pass
-            handle.close()
+        result_digest(stamp)
     """
-    assert _leaks(_flow(source, "first_match")) == []
-    (leak,) = _leaks(_flow(source, "unguarded"))
-    notes = [step.note for step in leak.leak_steps]
-    assert "takes this branch: if handle.readline() == wanted" in notes
+    # ``finally`` resets the stamp on the way out of a ``break`` or a
+    # ``continue``; a ``finally`` that leaves it alone lets the break
+    # carry it past the loop.
+    assert _tainted_sinks(_flow(source, "breaks")) == []
+    assert _tainted_sinks(_flow(source, "continues")) == []
+    assert _tainted_sinks(_flow(source, "escapes")) == [35]
 
 
 def test_while_header_raises_only_through_a_call():
     source = """
-    def count_down(path, n):
-        handle = open(path)
-        while n:
-            n = n - 1
-        handle.close()
+    def count_down(n):
+        stamp = 0
+        try:
+            while n:
+                stamp = os.environ["SEED"]
+                n = n - 1
+            stamp = 0
+        except ValueError:
+            result_digest(stamp)
 
 
-    def poll(path):
-        handle = open(path)
-        while ready():
-            pass
-        handle.close()
+    def poll(n):
+        stamp = 0
+        try:
+            while ready(n):
+                stamp = os.environ["SEED"]
+            stamp = 0
+        except ValueError:
+            result_digest(stamp)
     """
-    assert _leaks(_flow(source, "count_down")) == []
-    (leak,) = _leaks(_flow(source, "poll"))
-    assert leak.leak_steps[-2].note.startswith("if this raises")
+    # The handler is reached only from a header that calls something,
+    # and then with the stamp the loop body left behind.
+    assert _tainted_sinks(_flow(source, "count_down")) == []
+    assert _tainted_sinks(_flow(source, "poll")) == [20]
 
 
-def test_early_return_leaks():
+def test_early_return_from_an_if_arm_skips_the_rest():
     flow = _flow(
         """
-        def f(path, skip):
-            handle = open(path)
-            if skip:
-                return None
-            handle.close()
+        def f(skip):
+            stamp = 0
+            try:
+                if skip:
+                    stamp = os.environ["SEED"]
+                    return None
+                result_digest(stamp)
+            finally:
+                result_digest(stamp)
         """
     )
-    (leak,) = _leaks(flow)
-    notes = [(step.lineno, step.note) for step in leak.leak_steps]
-    assert notes == [
-        (3, "open() acquired into 'handle'"),
-        (4, "takes this branch: if skip"),
-        (5, "function exit reached with 'handle' still unreleased"),
-    ]
+    # The return leaves the arm before the first sink and carries the
+    # stamp into ``finally``.
+    assert _tainted_sinks(flow) == [10]
 
 
 def test_while_else_runs_only_when_the_loop_exhausts():
@@ -294,40 +316,62 @@ def test_taint_assigned_in_a_case_arm_reaches_a_sink():
 
 
 @needs_match
-def test_case_arm_returning_with_a_held_open_leaks():
+def test_early_return_from_a_case_arm_skips_the_rest():
     flow = _flow(
         """
-        def f(path, mode):
-            handle = open(path)
-            match mode:
-                case "skip":
-                    return None
-                case _:
-                    handle.close()
-            return mode
+        def f(mode):
+            stamp = 0
+            try:
+                match mode:
+                    case "skip":
+                        stamp = os.environ["SEED"]
+                        return None
+                    case _:
+                        pass
+                result_digest(stamp)
+            finally:
+                result_digest(stamp)
         """
     )
-    (leak,) = _leaks(flow)
-    notes = [step.note for step in leak.leak_steps]
-    assert "takes this branch: case 'skip'" in notes
-    assert leak.leak_steps[-1].lineno == 6
+    assert _tainted_sinks(flow) == [13]
 
 
 @needs_match
-def test_irrefutable_final_case_that_releases_stays_silent():
-    flow = _flow(
-        """
-        def f(path, mode):
-            handle = open(path)
-            match mode:
-                case "a":
-                    handle.close()
-                case _:
-                    handle.close()
-            return mode
-        """
-    )
-    assert flow.resources == ()
+def test_irrefutable_final_case_leaves_no_fall_through():
+    source = """
+    def irrefutable(mode):
+        stamp = os.environ["SEED"]
+        match mode:
+            case "a":
+                stamp = 0
+            case _:
+                stamp = 0
+        result_digest(stamp)
+
+
+    def refutable(mode):
+        stamp = os.environ["SEED"]
+        match mode:
+            case "a":
+                stamp = 0
+            case "b":
+                stamp = 0
+        result_digest(stamp)
+
+
+    def guarded(mode, flag):
+        stamp = os.environ["SEED"]
+        match mode:
+            case "a":
+                stamp = 0
+            case _ if flag:
+                stamp = 0
+        result_digest(stamp)
+    """
+    # Every arm resets the stamp; only a match no arm catches keeps it.
+    assert _tainted_sinks(_flow(source, "irrefutable")) == []
+    assert _tainted_sinks(_flow(source, "refutable")) == [19]
+    assert _tainted_sinks(_flow(source, "guarded")) == [29]
 
 
 @needs_match
@@ -353,7 +397,6 @@ def test_shared_write_in_a_case_arm_is_recorded():
 def test_vocabularies_are_wired():
     assert "result_digest" in TAINT_SINKS
     assert ACQUIRE_LABELS["open"] == "open()"
-    assert "close" in RELEASE_METHODS
 
 
 def test_wall_clock_return_taint():
@@ -406,35 +449,6 @@ def test_unknown_call_provenance_on_return():
         isinstance(origin, CallOrigin) and origin.name == "helper"
         for origin in flow.calls_to_return
     )
-
-
-def test_unreleased_open_is_definite_leak():
-    flow = _flow(
-        """
-        def f(path):
-            handle = open(path)
-            return None
-        """
-    )
-    assert len(flow.resources) == 1
-    leak = flow.resources[0]
-    assert isinstance(leak, ResourceFlow)
-    assert leak.label == "open()"
-    assert leak.leak_steps, "missing leak witness"
-
-
-def test_finally_close_clears_leak():
-    flow = _flow(
-        """
-        def f(path):
-            handle = open(path)
-            try:
-                parse(handle)
-            finally:
-                handle.close()
-        """
-    )
-    assert all(not res.leak_steps for res in flow.resources)
 
 
 def test_shared_write_lock_detection():
@@ -549,29 +563,29 @@ def test_resolver_param_sink(tmp_path):
     assert resolver.param_effect(rel, "untouched", "value").sink is None
 
 
-def test_resolver_releases_transitively(tmp_path):
+def test_resolver_mutation_is_transitive(tmp_path):
     graph = _graph(
         tmp_path,
         {
             "mod.py": """
-            def close_it(handle):
-                handle.close()
+            def set_it(obj):
+                obj.flag = 1
 
 
-            def consume(handle):
-                close_it(handle)
+            def relay(obj):
+                set_it(obj)
 
 
-            def hoard(handle):
-                handle.read()
+            def keep(obj):
+                obj.read()
             """
         },
     )
     resolver = graph.flow_resolver()
     rel = next(iter(graph.facts))
-    assert resolver.param_effect(rel, "close_it", "handle").released
-    assert resolver.param_effect(rel, "consume", "handle").released
-    assert not resolver.param_effect(rel, "hoard", "handle").released
+    assert resolver.param_effect(rel, "set_it", "obj").mutated
+    assert resolver.param_effect(rel, "relay", "obj").mutated
+    assert not resolver.param_effect(rel, "keep", "obj").mutated
 
 
 def test_resolver_async_roots_with_witness_trails(tmp_path):

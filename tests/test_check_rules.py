@@ -316,6 +316,98 @@ def test_rc113_guards_the_pipeline_trajectory_writer(tmp_path):
     assert [(f.code, f.line) for f in report.findings] == [("RC113", 5)]
 
 
+@pytest.mark.parametrize(
+    "source, lines",
+    [
+        pytest.param(
+            "async def dial(loop, host, port):\n"
+            "    return await loop.create_connection(object, host, port)\n",
+            [],
+            id="asyncio-create-connection",
+        ),
+        pytest.param(
+            "from pathlib import Path\n"
+            "def read(p):\n"
+            "    return Path(p).open()\n",
+            [],
+            id="path-open",
+        ),
+        pytest.param(
+            "def dial(socket):\n"
+            "    return socket()\n",
+            [],
+            id="bare-socket",
+        ),
+        pytest.param(
+            "def read(p):\n"
+            "    return open(p)\n",
+            [2],
+            id="return-open",
+        ),
+        pytest.param(
+            "import socket\n"
+            "def dial(host, port):\n"
+            "    conn = socket.create_connection((host, port))\n"
+            "    sock = socket.socket()\n"
+            "    return conn, sock\n",
+            [3, 4],
+            id="socket-module",
+        ),
+        # The shapes the path-sensitive analysis cleared: a release in
+        # ``finally``, one on both arms of an ``if``, and a handle
+        # handed back to the caller.
+        pytest.param(
+            "def read(p):\n"
+            "    handle = open(p)\n"
+            "    try:\n"
+            "        return handle.read()\n"
+            "    finally:\n"
+            "        handle.close()\n",
+            [2],
+            id="close-in-finally",
+        ),
+        pytest.param(
+            "from multiprocessing.shared_memory import SharedMemory\n"
+            "def make(name, skip):\n"
+            "    segment = SharedMemory(name=name, create=True)\n"
+            "    if skip:\n"
+            "        segment.close()\n"
+            "        return None\n"
+            "    segment.close()\n"
+            "    segment.unlink()\n",
+            [3],
+            id="release-both-branches",
+        ),
+        pytest.param(
+            "def hand_back(p):\n"
+            "    handle = open(p)\n"
+            "    return handle\n",
+            [2],
+            id="hand-back",
+        ),
+    ],
+)
+def test_rc114_fires_on_every_acquisition_outside_a_with_item(
+    tmp_path, source, lines
+):
+    (tmp_path / "acquire.py").write_text(source)
+    report = CheckEngine(select=["RC114"]).run(
+        load_project(tmp_path, ["acquire.py"])
+    )
+    assert [f.line for f in report.findings] == lines
+
+
+def test_rc114_finds_nothing_in_src_scripts_or_bench():
+    """Every file or socket the project opens is ``with``-managed."""
+    root = FIXTURES.parents[2]
+    project = load_project(root, ["src", "scripts", "bench"])
+    tops = {module.rel.split("/", 1)[0] for module in project.modules}
+    assert tops == {"src", "scripts", "bench"}
+    report = CheckEngine(select=["RC114"]).run(project)
+    assert [str(f) for f in report.findings] == []
+    assert report.suppressed == 0
+
+
 def test_suppression_requires_justification(tmp_path):
     source = (
         "def swallow(fn):\n"
