@@ -68,5 +68,5 @@ data:
 	PYTHONPATH=src $(PYTHON) -m repro.cli generate --out data/
 
 clean:
-	rm -rf data/ REPORT.md .pytest_cache .benchmarks .repro-check-cache.json
+	rm -rf data/ .pytest_cache .benchmarks .repro-check-cache.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -244,10 +244,20 @@ class RoutingTable:
     def copy_trie(self) -> PrefixTrie[FrozenSet[int]]:
         """An independent copy of the prefix map (see :meth:`PrefixTrie.copy`).
 
-        The copy holds the table's shared origin sets; later mutations of
-        the table do not reach it.
+        The copy holds the table's shared origin sets and shares the
+        map itself until either side mutates; later mutations of the
+        table do not reach it.
         """
         return self._trie.copy()
+
+    def origin_sets(self) -> OriginSets:
+        """The table's intern table of origin sets (shared, not a copy).
+
+        Other tables of AS sets intern through it so that a set equal
+        to a stored origin set, such as ``frozenset({asn})``, is held
+        once.
+        """
+        return self._interned
 
     def moas_prefixes(self) -> List[Tuple[Prefix, FrozenSet[int]]]:
         """Prefixes with multiple origin ASes (MOAS conflicts)."""

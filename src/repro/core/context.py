@@ -4,12 +4,17 @@ One :class:`AnalysisContext` is built per run and handed to the lease
 classifier, the incremental engine and the serving index.
 :meth:`AnalysisContext.build` gathers every table those engines query:
 
-* the RIB's exact index (:class:`RibSnapshot`): a frozen copy of the
-  routing table's prefix map, sharing its interned origin sets;
+* the RIB's exact index (:class:`RibSnapshot`): a copy-on-write copy
+  of the routing table's prefix map, which shares the table's dict
+  until the table changes and always shares its interned origin sets;
 * the AS-relationship closure: per-AS "business family" sets, which
   fold AS relationships and AS2org membership into one frozenset;
 * the per-registry organisation → RIR-assigned-ASN maps;
 * the per-registry classifiable leaves and their tree statistics.
+
+The family and assigned-ASN sets are interned through the routing
+table's :class:`~repro.bgp.rib.OriginSets`, so equal sets are one object
+and a one-AS set is the table's own ``frozenset({asn})``.
 
 Covering lookups follow the routing table's one rule
 (:func:`~repro.bgp.rib.covering_lookup`): CIDR prefixes nest or are
@@ -43,11 +48,12 @@ _EMPTY: FrozenSet[int] = frozenset()
 class RibSnapshot:
     """Frozen exact/covering origin lookups over a routing table.
 
-    Holds a copy of the table's prefix map taken at
-    :meth:`from_routing_table`: the same packed keys and the same
-    interned origin sets, in a dict of its own, so later announcements
-    and withdrawals on the table do not reach it.  Lookups return the
-    shared sets, exactly as :meth:`RoutingTable.exact_origins` and
+    Holds a copy-on-write copy of the table's prefix map taken at
+    :meth:`from_routing_table` (:meth:`PrefixTrie.copy`): it shares the
+    table's dict while the table is unchanged, and the table's first
+    later announcement or withdrawal gives the table a dict of its own,
+    so it never reaches the snapshot.  Lookups return the shared
+    interned sets, exactly as :meth:`RoutingTable.exact_origins` and
     :meth:`RoutingTable.covering_origins` do.
     """
 
@@ -70,7 +76,7 @@ class RibSnapshot:
         return covering_lookup(self._trie, prefix)
 
     def copy_trie(self) -> PrefixTrie[FrozenSet[int]]:
-        """A mutable copy of the snapshot's prefix map."""
+        """A mutable copy-on-write copy of the snapshot's prefix map."""
         return self._trie.copy()
 
     def __contains__(self, prefix: Prefix) -> bool:
@@ -119,7 +125,10 @@ class AnalysisContext:
     ) -> "AnalysisContext":
         """Snapshot the RIB and relatedness, and scan the registries."""
         rib = RibSnapshot.from_routing_table(routing_table)
+        interned = routing_table.origin_sets()
         related = build_related_sets(relationships, as2org)
+        for asn, family in related.items():
+            related[asn] = interned[family]
         assigned: Dict[RIR, Dict[str, FrozenSet[int]]] = {}
         for rir in ALL_RIRS:
             by_org: Dict[str, Set[int]] = {}
@@ -127,7 +136,7 @@ class AnalysisContext:
                 if autnum.org_id:
                     by_org.setdefault(autnum.org_id, set()).add(autnum.asn)
             assigned[rir] = {
-                org: frozenset(asns) for org, asns in by_org.items()
+                org: interned[frozenset(asns)] for org, asns in by_org.items()
             }
         stats: Dict[RIR, Dict[str, int]] = {}
         leaves: Dict[RIR, List[TreeLeaf]] = {}

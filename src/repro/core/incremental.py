@@ -2,10 +2,11 @@
 
 The frozen-snapshot engines rebuild everything per run; this module is
 the streaming path between collector dumps.  A burst of announce/
-withdraw updates lands on :class:`MutableRibOverlay` — a mutable copy
-of the prefix map in the run's :class:`~repro.core.context.RibSnapshot`,
-answering with the same covering rule — and :class:`IncrementalEngine`
-reclassifies **only** the leaves whose §5.1 lookups could have changed:
+withdraw updates lands on :class:`MutableRibOverlay` — a copy-on-write
+copy of the prefix map in the run's
+:class:`~repro.core.context.RibSnapshot`, answering with the same
+covering rule — and :class:`IncrementalEngine` reclassifies **only**
+the leaves whose §5.1 lookups could have changed:
 
 * a leaf's own origins come from the exact index at its prefix, so a
   changed prefix dirties exactly the leaves keyed by it — one bisection
@@ -77,9 +78,11 @@ class MutableRibOverlay:
     while accepting the stream's mutations with :class:`RoutingTable`
     semantics: ``announce`` adds one origin to a prefix's set,
     ``withdraw`` evicts the prefix's entry wholly.  The prefix map is a
-    copy of the snapshot's, and the intern table starts from the
-    snapshot's sets, so prefixes with equal origins share one frozenset
-    before and after updates.
+    copy-on-write copy of the snapshot's (:meth:`PrefixTrie.copy`): it
+    shares the snapshot's dict until the first update that changes it,
+    which takes the overlay's own copy and never reaches the snapshot.
+    The intern table starts from the snapshot's sets, so prefixes with
+    equal origins share one frozenset before and after updates.
     """
 
     __slots__ = ("_trie", "_interned")
@@ -302,6 +305,10 @@ class IncrementalEngine:
 
         Rows no burst moved are classified here, over the base snapshot.
         """
+        return InferenceResult.from_inferences(self._current_rows())
+
+    def _current_rows(self) -> List[LeafInference]:
+        """Every current row, in the pipeline's order (see :meth:`result`)."""
         first_slot = dict(
             zip(sorted(self._context.rirs, key=attrgetter("name")),
                 self._offsets)
@@ -314,11 +321,11 @@ class IncrementalEngine:
             ):
                 row = self._rows.get(slot)
                 rows.append(base.infer(leaf) if row is None else row)
-        return InferenceResult.from_inferences(rows)
+        return rows
 
     def digest(self) -> str:
         """Content digest of the current rows (for bit-identical checks)."""
-        return result_digest(self.result())
+        return result_digest(self._current_rows())
 
     def cache_stats(self) -> CacheStats:
         """Merged memo counters across the per-region classifiers."""
@@ -362,22 +369,44 @@ def replay_into_table(
     return table
 
 
-def result_digest(result: InferenceResult) -> str:
+def result_digest(inferences: Iterable[LeafInference]) -> str:
     """Order-insensitive sha256 over every inference's decision surface.
 
     Two results digest equal exactly when every leaf carries the same
     category and origin evidence — the bit-identical contract the
     incremental path is held to.
+
+    The digest is the sha256 of ``repr(sorted(rows))``, one row
+    ``(rir name, prefix text, category name, leaf origins, root origins,
+    root-assigned ASNs)`` per inference with each set as a sorted tuple,
+    but the list and its text are never built: the rows are hashed one
+    by one in that order, a registry at a time, and only rows whose
+    registry and prefix text tie are built together to sort them.
     """
-    rows = sorted(
-        (
-            inference.rir.name,
-            str(inference.prefix),
-            inference.category.name,
-            tuple(sorted(inference.leaf_origins)),
-            tuple(sorted(inference.root_origins)),
-            tuple(sorted(inference.root_assigned_asns)),
-        )
-        for inference in result
-    )
-    return hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()
+    by_rir: Dict[str, List[LeafInference]] = {}
+    for inference in inferences:
+        by_rir.setdefault(inference.rir.name, []).append(inference)
+    digest = hashlib.sha256(b"[")
+    separator = b""
+    for name in sorted(by_rir):
+        group = by_rir.pop(name)
+        texts = [str(inference.prefix) for inference in group]
+        order = sorted(range(len(group)), key=texts.__getitem__)
+        for text, run in groupby(order, key=texts.__getitem__):
+            rows = sorted(
+                (
+                    name,
+                    text,
+                    group[at].category.name,
+                    tuple(sorted(group[at].leaf_origins)),
+                    tuple(sorted(group[at].root_origins)),
+                    tuple(sorted(group[at].root_assigned_asns)),
+                )
+                for at in run
+            )
+            for row in rows:
+                digest.update(separator)
+                digest.update(repr(row).encode("utf-8"))
+                separator = b", "
+    digest.update(b"]")
+    return digest.hexdigest()

@@ -120,13 +120,15 @@ class InferenceResult:
         self._tallies: Dict[RIR, RegionalTally] = {
             rir: RegionalTally(rir) for rir in ALL_RIRS
         }
-        self._by_prefix: Dict[Prefix, LeafInference] = {}
+        #: Prefix → verdict, built by the first :meth:`lookup` and
+        #: dropped by :meth:`add`.
+        self._by_prefix: Optional[Dict[Prefix, LeafInference]] = None
 
     def add(self, inference: LeafInference) -> None:
         """Record one verdict."""
         self._inferences.append(inference)
         self._tallies[inference.rir].add(inference.category)
-        self._by_prefix[inference.prefix] = inference
+        self._by_prefix = None
 
     @classmethod
     def from_inferences(
@@ -169,7 +171,13 @@ class InferenceResult:
 
     # -- lookups ---------------------------------------------------------
     def lookup(self, prefix: Prefix) -> Optional[LeafInference]:
-        """The verdict for *prefix*, or None when it is not a leaf."""
+        """The verdict for *prefix*, or None when it is not a leaf.
+
+        A prefix that is a leaf in several regions answers with the
+        verdict added last.
+        """
+        if self._by_prefix is None:
+            self._by_prefix = {inf.prefix: inf for inf in self._inferences}
         return self._by_prefix.get(prefix)
 
     def tally(self, rir: RIR) -> RegionalTally:

@@ -68,7 +68,8 @@ class PrefixTrie(Generic[V]):
     Ordered views read a sorted key list, built on first use and dropped
     by any insert of a new prefix or removal.  Packed-key order is
     ``Prefix`` order, in which every prefix precedes its more-specifics
-    (a pre-order of the prefix tree).
+    (a pre-order of the prefix tree).  :meth:`copy` shares the tables
+    until either side mutates.
     """
 
     def __init__(self) -> None:
@@ -77,10 +78,21 @@ class PrefixTrie(Generic[V]):
         self._lengths: List[int] = []
         self._length_counts = [0] * 33
         self._sorted_keys: Optional[List[int]] = None
+        #: True while the three tables above may be another trie's too.
+        self._shared = False
 
     # -- mutation ----------------------------------------------------------
+    def _own(self) -> None:
+        """Take private copies of tables a :meth:`copy` shares."""
+        self._entries = dict(self._entries)
+        self._lengths = list(self._lengths)
+        self._length_counts = list(self._length_counts)
+        self._shared = False
+
     def insert(self, prefix: Prefix, value: V) -> None:
         """Store *value* under *prefix*, replacing any previous value."""
+        if self._shared:
+            self._own()
         length = prefix.length
         key = (prefix.network << 8) | length
         entries = self._entries
@@ -102,8 +114,11 @@ class PrefixTrie(Generic[V]):
         """
         length = prefix.length
         key = (prefix.network << 8) | length
-        if self._entries.pop(key, _MISSING) is _MISSING:
+        if key not in self._entries:
             return False
+        if self._shared:
+            self._own()
+        del self._entries[key]
         self._sorted_keys = None
         self._length_counts[length] -= 1
         if not self._length_counts[length]:
@@ -132,14 +147,17 @@ class PrefixTrie(Generic[V]):
     def copy(self) -> "PrefixTrie[V]":
         """An independent map holding the same keys and value objects.
 
-        Mutating either trie afterwards leaves the other unchanged; the
-        values themselves are shared, not copied.
+        Copy-on-write: the copy shares this trie's dict and length
+        tables, and the first insert or remove on either side gives that
+        side tables of its own, so mutating either trie leaves the other
+        unchanged.  The values themselves are shared, never copied.
         """
         clone: PrefixTrie[V] = PrefixTrie()
-        clone._entries = dict(self._entries)
-        clone._lengths = list(self._lengths)
-        clone._length_counts = list(self._length_counts)
+        clone._entries = self._entries
+        clone._lengths = self._lengths
+        clone._length_counts = self._length_counts
         clone._sorted_keys = self._sorted_keys  # replaced, never mutated
+        clone._shared = self._shared = True
         return clone
 
     # -- covering lookups ------------------------------------------------------

@@ -167,6 +167,29 @@ class TestFlatRib:
         assert Prefix.parse("10.1.2.0/24") in context.rib
         assert Prefix.parse("9.0.0.0/8") not in context.rib
 
+    @pytest.mark.parametrize("first", ["announce", "withdraw"])
+    def test_snapshot_shares_the_tables_map_until_it_changes(self, first):
+        """The snapshot is a copy-on-write copy: one dict while the table
+        is unchanged, and the table's first change takes its own."""
+        table = RoutingTable()
+        for text, origin in (("10.0.0.0/8", 1), ("10.1.2.0/24", 3)):
+            table.add_route(Prefix.parse(text), origin)
+        context = AnalysisContext.build(
+            WhoisCollection(), table, ASRelationships()
+        )
+        assert context.rib._trie._entries is table._trie._entries
+        assert not table.withdraw(Prefix.parse("11.0.0.0/8"))  # absent
+        assert context.rib._trie._entries is table._trie._entries
+        if first == "announce":
+            table.add_route(Prefix.parse("10.1.0.0/16"), 2)
+        else:
+            table.withdraw(Prefix.parse("10.1.2.0/24"))
+        assert context.rib._trie._entries is not table._trie._entries
+        assert len(context.rib) == 2
+        assert context.rib.exact_origins(Prefix.parse("10.1.2.0/24")) == {3}
+        assert Prefix.parse("10.1.0.0/16") not in context.rib
+        assert (Prefix.parse("10.1.2.0/24") in table) == (first == "announce")
+
 
 # -- the context against the reference semantics ---------------------------
 

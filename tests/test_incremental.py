@@ -128,6 +128,26 @@ class TestMutableRibOverlay:
         overlay.withdraw(Prefix.parse("10.0.0.0/16"))
         assert base.exact_origins(Prefix.parse("10.0.0.0/16")) == {100}
 
+    def test_overlay_copies_the_map_at_its_first_change(self):
+        base = snapshot({"10.0.0.0/16": {100}, "10.0.1.0/24": {200}})
+        overlay = MutableRibOverlay(base)
+        sibling = MutableRibOverlay(base)
+        assert overlay._trie._entries is base._trie._entries
+        assert not overlay.withdraw(Prefix.parse("192.0.2.0/24"))
+        assert not overlay.announce(Prefix.parse("10.0.1.0/24"), 200)
+        assert overlay._trie._entries is base._trie._entries
+        assert overlay.announce(Prefix.parse("10.0.2.0/24"), 300)
+        assert overlay.withdraw(Prefix.parse("10.0.0.0/16"))
+        assert overlay._trie._entries is not base._trie._entries
+        assert sibling.withdraw(Prefix.parse("10.0.1.0/24"))
+        for rib in (base, sibling):
+            assert Prefix.parse("10.0.2.0/24") not in rib._trie
+            assert rib.covering_origins(Prefix.parse("10.0.3.0/24")) == {100}
+        assert base.exact_origins(Prefix.parse("10.0.1.0/24")) == {200}
+        assert overlay.exact_origins(Prefix.parse("10.0.1.0/24")) == {200}
+        assert overlay.exact_origins(Prefix.parse("10.0.2.0/24")) == {300}
+        assert len(base) == 2
+
 
 class TestEngineBaseline:
     def test_initial_state_matches_pipeline(self, pipeline, engine):

@@ -238,6 +238,69 @@ class TestCopy:
             "mid16"
         )
 
+    @staticmethod
+    def _state(trie):
+        return (
+            list(trie.items()),
+            trie.lengths(),
+            trie.least_specific_value(Prefix.parse("10.1.2.0/26")),
+        )
+
+    def test_copy_shares_the_tables_until_a_write(self, small_trie):
+        clone = small_trie.copy()
+        assert clone._entries is small_trie._entries
+        assert clone._lengths is small_trie._lengths
+        assert clone._length_counts is small_trie._length_counts
+        assert not clone.remove(Prefix.parse("172.16.0.0/12"))  # absent
+        assert clone._entries is small_trie._entries
+        clone.insert(Prefix.parse("10.1.2.0/24"), "replaced")
+        assert clone._entries is not small_trie._entries
+        assert clone._lengths is not small_trie._lengths
+        assert clone._length_counts is not small_trie._length_counts
+
+    @pytest.mark.parametrize("side", ["original", "copy"])
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda trie: trie.insert(Prefix.parse("10.1.2.128/25"), "new"),
+            lambda trie: trie.insert(Prefix.parse("10.1.0.0/16"), "replaced"),
+            lambda trie: trie.remove(Prefix.parse("10.0.0.0/8")),
+            lambda trie: trie.remove(Prefix.parse("10.1.2.0/24")),
+        ],
+        ids=["insert", "replace", "remove-root", "remove-last-of-length"],
+    )
+    def test_a_write_on_either_side_stays_there(
+        self, small_trie, side, write
+    ):
+        list(small_trie.items())  # build the sorted key cache
+        clone = small_trie.copy()
+        written, other = (
+            (small_trie, clone) if side == "original" else (clone, small_trie)
+        )
+        before = self._state(other)
+        write(written)
+        assert self._state(written) != before
+        assert self._state(other) == before
+        write(written)  # a second write on the now private tables
+        assert self._state(other) == before
+
+    def test_a_copy_of_a_copy(self, small_trie):
+        first = small_trie.copy()
+        second = first.copy()
+        states = [self._state(t) for t in (small_trie, first, second)]
+        tries = [small_trie, first, second]
+        extra = [
+            Prefix.parse("10.1.2.128/25"),
+            Prefix.parse("10.2.0.0/16"),
+            Prefix.parse("10.1.2.0/23"),
+        ]
+        for at, (trie, prefix) in enumerate(zip(tries, extra)):
+            trie.insert(prefix, f"only-{at}")
+            states[at] = self._state(trie)
+            assert [self._state(t) for t in tries] == states
+        for at, trie in enumerate(tries):
+            assert [p for p in extra if p in trie] == [extra[at]]
+
 
 class TestResolveCoveringChain:
     def test_exact_match_is_best(self, small_trie):

@@ -10,7 +10,7 @@ import dataclasses
 
 import pytest
 
-from repro.asdata import ASRelationships
+from repro.asdata import AS2Org, ASRelationships
 from repro.bgp import P2C, RoutingTable
 from repro.core import (
     AllocationScan,
@@ -190,6 +190,64 @@ class TestAnalysisContext:
         assert related
         assert all(asn in family for asn, family in related.items())
 
+    def test_sets_are_interned_through_the_routing_table(self, world, context):
+        """The context's sets equal the uninterned ones, and equal sets
+        are one object: a one-AS set is the table's ``frozenset({asn})``."""
+        interned = world.routing_table.origin_sets()
+        related = build_related_sets(world.relationships, world.as2org)
+        families = {}
+        for asn, family in related.items():
+            assert context.related_to(asn) == family
+            shared = families.setdefault(family, context.related_to(asn))
+            assert context.related_to(asn) is shared
+        singletons = 0
+        for rir in RIR:
+            by_org = {}
+            for autnum in world.whois[rir].autnums:
+                if autnum.org_id:
+                    by_org.setdefault(autnum.org_id, set()).add(autnum.asn)
+            for org_id, asns in by_org.items():
+                assigned = context.assigned_asns(rir, org_id)
+                assert assigned == frozenset(asns)
+                if len(asns) == 1:
+                    assert assigned is interned[next(iter(asns))]
+                    singletons += 1
+        assert singletons
+        lone = [
+            origins
+            for _prefix, origins in world.routing_table.items()
+            if len(origins) == 1
+        ]
+        assert lone
+        for origins in lone:
+            (asn,) = origins
+            assert interned[asn] is origins
+            if asn in related and len(related[asn]) == 1:
+                assert context.related_to(asn) is origins
+
+    def test_equal_families_share_one_set(self):
+        """Same-organisation ASes with no other neighbours have equal
+        families, and a lone AS's family is the table's singleton."""
+        table = RoutingTable()
+        table.add_route(Prefix.parse("10.0.0.0/16"), 7)
+        relationships = ASRelationships()
+        relationships.add(1, 2, P2C)
+        as2org = AS2Org()
+        as2org.add_org("ORG-PAIR")
+        as2org.map_asn(5, "ORG-PAIR")
+        as2org.map_asn(6, "ORG-PAIR")
+        as2org.add_org("ORG-LONE")
+        as2org.map_asn(7, "ORG-LONE")
+        context = AnalysisContext.build(
+            WhoisCollection(), table, relationships, as2org
+        )
+        assert context.related_to(5) == {5, 6}
+        assert context.related_to(5) is context.related_to(6)
+        assert context.related_to(7) is table.exact_origins(
+            Prefix.parse("10.0.0.0/16")
+        )
+        assert context.related_to(1) == {1, 2}
+
 
 class TestAllocationScan:
     """The sorted-scan tree must agree with the pointer tree everywhere."""
@@ -364,6 +422,39 @@ class TestInferenceResultOps:
         inferences = list(full)
         assert InferenceResult.from_inferences(inferences[:-1]) != full
         assert full != object()
+
+    def test_lookup_builds_its_index_on_first_use(self, pipeline):
+        inferences = list(pipeline.run())
+        result = InferenceResult.from_inferences(inferences)
+        assert result._by_prefix is None
+        first = inferences[0]
+        assert result.lookup(first.prefix) is first
+        assert result.lookup(Prefix.parse("203.0.113.0/24")) is None
+        assert result._by_prefix is not None
+
+    def test_lookup_after_add_sees_the_new_row(self, pipeline):
+        inferences = list(pipeline.run())
+        result = InferenceResult.from_inferences(inferences)
+        first = inferences[0]
+        assert result.lookup(first.prefix) is first
+        moved = dataclasses.replace(first, category=Category.UNUSED)
+        result.add(moved)  # a duplicate prefix: the last one added wins
+        assert result.lookup(first.prefix) is moved
+        extra = dataclasses.replace(
+            first, prefix=Prefix.parse("203.0.113.0/24")
+        )
+        result.add(extra)
+        assert result.lookup(extra.prefix) is extra
+        assert len(result) == len(inferences) + 2
+
+    def test_eq_ignores_the_lookup_index(self, pipeline):
+        full = pipeline.run()
+        inferences = list(full)
+        looked_up = InferenceResult.from_inferences(inferences)
+        looked_up.lookup(inferences[0].prefix)
+        assert looked_up == full
+        assert full == looked_up
+        assert InferenceResult.from_inferences(inferences[:-1]) != looked_up
 
 
 class TestReservePools:
