@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test coverage lint check check-warm ratchet-update docs bench bench-e2e bench-pipeline bench-xlarge report data clean
+.PHONY: install test coverage lint check check-warm ratchet-update docs bench-e2e bench-pipeline bench-xlarge report data clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
@@ -36,9 +36,6 @@ docs:
 	PYTHONPATH=src $(PYTHON) -m repro.diagnostics > docs/DIAGNOSTICS.md
 	PYTHONPATH=src $(PYTHON) -m repro.check > docs/STATIC_ANALYSIS.md
 
-bench:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
-
 # End-to-end bench (bench/run.py, dumps on disk to a served answer) on
 # the small world, once per workload.  Gates on the run's "correct"
 # verdict (every answer and digest checked), not its exit code: on the
@@ -68,5 +65,5 @@ data:
 	PYTHONPATH=src $(PYTHON) -m repro.cli generate --out data/
 
 clean:
-	rm -rf data/ .pytest_cache .benchmarks .repro-check-cache.json
+	rm -rf data/ .pytest_cache .repro-check-cache.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

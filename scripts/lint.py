@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Set, Tuple
 
 REPO = Path(__file__).resolve().parent.parent
-SOURCE_DIRS = ("src", "tests", "benchmarks", "scripts", "examples", "bench")
+SOURCE_DIRS = ("src", "tests", "scripts", "examples", "bench")
 MAX_LINE = 88
 #: Modules whose imports are the point: RC rule fixtures import on purpose.
 UNUSED_IMPORT_EXEMPT = ("tests/fixtures/",)

@@ -147,15 +147,14 @@ def docs_corpus(root: Path) -> str:
 def reference_corpus(root: Path) -> str:
     """Concatenated text of code and docs that *reference* the package.
 
-    Tests, benchmarks, and examples are not scanned as project code, but
-    a public name they exercise is not dead — RC112 greps this corpus
-    before declaring an export unreachable.  Empty when the directories
-    do not exist (fixture roots).
+    Tests and examples are not scanned as project code, but a public
+    name they exercise is not dead — RC112 greps this corpus before
+    declaring an export unreachable.  Empty when the directories do not
+    exist (fixture roots).
     """
     chunks: List[str] = []
     for directory, pattern in (
         ("tests", "*.py"),
-        ("benchmarks", "*.py"),
         ("examples", "*.py"),
         ("docs", "*.md"),
     ):

@@ -57,8 +57,8 @@ from .model import CheckFinding, CheckRule, all_check_rules, resolve_code
 __all__ = ["CheckEngine", "CheckReport", "load_project"]
 
 #: Directories scanned when no explicit paths are given: the package
-#: source and the repo's operational scripts.  Tests and benchmarks are
-#: exercised by the tier-1 suite itself; fixture snippets under
+#: source and the repo's operational scripts.  Tests are exercised by
+#: the tier-1 suite itself; fixture snippets under
 #: ``tests/fixtures/check`` are *intentionally* violating and must
 #: never be scanned as project code.
 DEFAULT_ROOTS = ("src", "scripts")

@@ -821,7 +821,7 @@ class ProjectGraph:
         """True when *name* is referenced outside the defining module.
 
         Checks every other scanned module's identifier set, then the
-        reference corpus (tests, benchmarks, examples, docs) as raw
+        reference corpus (tests, examples, docs) as raw
         text — conservatively: any appearance counts as a use.
         """
         for other_rel, fact in self.facts.items():

@@ -194,7 +194,7 @@ class NoDeadPublicApi(CheckRule):
     rule class is registered.
 
     ``__all__`` is a promise: this name is public API, someone depends
-    on it.  When nothing in the package, the tests, the benchmarks, or
+    on it.  When nothing in the package, the tests, the examples, or
     the docs references an export any more, the promise is stale —
     readers extend dead code and reviewers keep it compatible for
     nobody.  The registry-based rule classes have the inverse failure:

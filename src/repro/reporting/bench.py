@@ -10,16 +10,8 @@ __all__ = ["render_bench_report"]
 
 
 def render_bench_report(report: Dict[str, object]) -> str:
-    """One table of engine modes per benched world.
-
-    Accepts a single run payload (``{"worlds": [...]}``) or a v2
-    trajectory file (``{"runs": [...]}``), rendering the latest run.
-    Runs recorded before schema v4 also carry pool modes
-    (``parallel-N``); they render as further rows.
-    """
-    runs = report.get("runs")  # type: ignore[union-attr]
-    if isinstance(runs, list) and runs:
-        report = runs[-1]
+    """One table of engine modes per benched world of one run payload
+    (``{"worlds": [...]}``)."""
     sections: List[str] = []
     for world in report["worlds"]:  # type: ignore[union-attr]
         headers = (

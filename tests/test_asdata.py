@@ -1,5 +1,7 @@
 """Unit tests for AS relationships, AS2org, and the hijacker list."""
 
+import random
+
 import pytest
 
 from repro.asdata import AS2Org, ASRelationships, SerialHijackerList
@@ -60,6 +62,12 @@ class TestASRelationships:
         rels = ASRelationships.from_topology(topo)
         assert rels.relationship(1, 3) == P2C
         assert rels.relationship(1, 2) == P2P
+        # A random 2,999-AS provider tree keeps every one of its edges.
+        tree = ASTopology()
+        rng = random.Random(6)
+        for asn in range(2, 3_000):
+            tree.add_p2c(rng.randrange(1, asn), asn)
+        assert ASRelationships.from_topology(tree).num_edges() == 2_998
 
     def test_from_topology_exclusions(self):
         topo = ASTopology()

@@ -9,6 +9,8 @@ Test topology (p2c edges point down, ``--`` is p2p)::
     6       7----8        stubs; 7--8 peer
 """
 
+import random
+
 import pytest
 
 from repro.bgp import (
@@ -37,6 +39,25 @@ def topology():
     topo.add_p2c(5, 8)
     topo.add_p2p(7, 8)
     return topo
+
+
+def three_tier_topology(seed):
+    """A 5-AS peering clique over 60 dual-homed transit ASes over 1,200
+    single-homed stubs, with 50 of the stubs drawn as origins."""
+    topology = ASTopology()
+    rng = random.Random(seed)
+    tier1 = list(range(1, 6))
+    for index, left in enumerate(tier1):
+        for right in tier1[index + 1 :]:
+            topology.add_p2p(left, right)
+    tier2 = list(range(10, 70))
+    for asn in tier2:
+        for provider in rng.sample(tier1, 2):
+            topology.add_p2c(provider, asn)
+    edge = list(range(100, 1_300))
+    for asn in edge:
+        topology.add_p2c(rng.choice(tier2), asn)
+    return topology, rng.sample(edge, 50)
 
 
 class TestTopology:
@@ -128,6 +149,10 @@ class TestPropagation:
     def test_everyone_reaches_connected_origin(self, topology):
         routes = propagate(topology, 6)
         assert set(routes) == set(topology.asns())
+        # A 3-tier hierarchy of about 1.3k ASes, from 50 stub origins.
+        hierarchy, origins = three_tier_topology(seed=4)
+        for origin in origins:
+            assert set(propagate(hierarchy, origin)) == set(hierarchy.asns())
 
     def test_unknown_origin(self, topology):
         assert propagate(topology, 999) == {}

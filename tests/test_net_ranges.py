@@ -1,5 +1,7 @@
 """Unit tests for repro.net.ranges."""
 
+import random
+
 import pytest
 
 from repro.net import (
@@ -10,6 +12,16 @@ from repro.net import (
     prefixes_to_ranges,
     range_to_prefixes,
 )
+
+
+def random_ranges(count, seed):
+    """*count* seeded ranges of up to 64k addresses, clipped at the top."""
+    rng = random.Random(seed)
+    ranges = []
+    for _index in range(count):
+        first = rng.getrandbits(32)
+        ranges.append((first, min(0xFFFFFFFF, first + rng.getrandbits(16))))
+    return ranges
 
 
 class TestAddressRangeParsing:
@@ -94,17 +106,20 @@ class TestRangeToCidr:
         assert [str(p) for p in prefixes] == ["0.0.0.0/0"]
 
     def test_decomposition_is_exact_cover(self):
-        first = address_to_int("172.16.3.7")
-        last = address_to_int("172.16.200.250")
-        prefixes = list(range_to_prefixes(first, last))
-        total = sum(p.num_addresses for p in prefixes)
-        assert total == last - first + 1
-        assert prefixes[0].first_address == first
-        assert prefixes[-1].last_address == last
-        # No two adjacent prefixes may be mergeable (minimality) and they
-        # must be contiguous.
-        for left, right in zip(prefixes, prefixes[1:]):
-            assert left.last_address + 1 == right.first_address
+        unaligned = (
+            address_to_int("172.16.3.7"),
+            address_to_int("172.16.200.250"),
+        )
+        for first, last in [unaligned] + random_ranges(2_000, seed=3):
+            prefixes = list(range_to_prefixes(first, last))
+            total = sum(p.num_addresses for p in prefixes)
+            assert total == last - first + 1
+            assert prefixes[0].first_address == first
+            assert prefixes[-1].last_address == last
+            # No two adjacent prefixes may be mergeable (minimality) and
+            # they must be contiguous.
+            for left, right in zip(prefixes, prefixes[1:]):
+                assert left.last_address + 1 == right.first_address
 
 
 class TestPrefixesToRanges:

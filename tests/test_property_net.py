@@ -6,8 +6,9 @@ agrees with a brute-force model, and prefix geometry is self-consistent.
 """
 
 import ipaddress
+import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -118,8 +119,21 @@ class TestRangeDecompositionProperties:
             assert left.last + 1 < right.first
 
 
+def random_prefixes(count, seed):
+    """*count* seeded /16–/24 prefixes, repeats included."""
+    rng = random.Random(seed)
+    drawn = []
+    for _index in range(count):
+        length = rng.choice((16, 20, 22, 24))
+        mask = (MAX_IPV4 << (32 - length)) & MAX_IPV4
+        drawn.append(Prefix(rng.getrandbits(32) & mask, length))
+    return drawn
+
+
 class TestTrieProperties:
     @given(st.lists(st.tuples(prefixes(), st.integers()), max_size=40))
+    # A bulk load: over 10,000 distinct keys among 20,000 inserts.
+    @example([(p, i) for i, p in enumerate(random_prefixes(20_000, seed=5))])
     def test_exact_agrees_with_dict(self, items):
         trie = PrefixTrie()
         model = {}

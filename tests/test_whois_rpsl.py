@@ -60,10 +60,24 @@ source:         RIPE
 """
 
 
+#: 2,000 seven-attribute inetnum objects, as one bulk dump.
+BULK_DUMP = "".join(
+    f"inetnum:        10.{a}.{b}.0 - 10.{a}.{b}.255\n"
+    f"netname:        NET-{a}-{b}\n"
+    "country:        DE\n"
+    f"org:            ORG-{a}-RIPE\n"
+    "status:         ASSIGNED PA\n"
+    f"mnt-by:         M{a}-MNT\n"
+    "source:         RIPE\n\n"
+    for a in range(40)
+    for b in range(50)
+)
+
+
 class TestParser:
     def test_object_count(self):
-        objects = list(parse_rpsl(SAMPLE_DUMP))
-        assert len(objects) == 5
+        for text, count in ((SAMPLE_DUMP, 5), (BULK_DUMP, 2_000)):
+            assert len(list(parse_rpsl(text))) == count
 
     def test_classes(self):
         classes = [obj.object_class for obj in parse_rpsl(SAMPLE_DUMP)]
